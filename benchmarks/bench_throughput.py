@@ -42,9 +42,10 @@ the default ``--filter none``); every run embeds it in the artifact next to
 the live numbers so the speedup trajectory survives across PRs.
 ``--check-floor`` compares the end-to-end number against
 ``benchmarks/throughput_floor.json`` and exits non-zero on a >30%
-regression (the CI smoke job).  ``--require-skips`` additionally fails when
-a filtered run skipped nothing (the CI guard that the scheduler actually
-engages).
+regression (the CI smoke job), or when the same run's STT end-to-end rate
+falls below the floor's share of the baseline defense's.  ``--require-skips``
+additionally fails when a filtered run skipped nothing (the CI guard that the
+scheduler actually engages).
 
 Run it with::
 
@@ -716,10 +717,10 @@ def run_suite(
     return suite
 
 
-def _headline(suite: Dict[str, object]) -> Optional[float]:
-    """End-to-end test-cases/sec for the baseline defense."""
+def _end_to_end_rate(suite: Dict[str, object], defense: str) -> Optional[float]:
+    """End-to-end test-cases/sec for ``defense`` (``baseline``: the headline)."""
     for row in suite.get("end_to_end", []):
-        if row.get("defense") == "baseline":
+        if row.get("defense") == defense:
             return float(row["test_cases_per_second"])
     return None
 
@@ -896,7 +897,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check_floor:
         floor = _load_json(FLOOR_PATH)
-        headline = _headline(suite)
+        headline = _end_to_end_rate(suite, "baseline")
         if floor is None or headline is None:
             print("[floor] missing floor file or headline measurement", file=sys.stderr)
             return 1
@@ -908,6 +909,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if headline < minimum:
             return 1
+        # STT's 128-page sandbox makes it the defense most exposed to input
+        # materialization and boosting cost; dividing by the same run's
+        # baseline rate keeps the floor machine-independent.
+        stt_floor = floor.get("stt_vs_baseline_end_to_end")
+        stt_rate = _end_to_end_rate(suite, "stt")
+        if stt_floor is not None and stt_rate is not None:
+            ratio = round(stt_rate / headline, 3)
+            verdict = "ok" if ratio >= float(stt_floor) else "REGRESSION"
+            print(
+                f"[floor] stt/baseline end-to-end {ratio} "
+                f"({stt_rate:.1f} / {headline:.1f} tc/s) vs floor {stt_floor}: {verdict}"
+            )
+            if verdict != "ok":
+                return 1
         parallel = suite.get("parallel_simulation")
         if parallel is not None:
             if not parallel["equivalence_ok"]:

@@ -406,8 +406,9 @@ class AmuletFuzzer:
         return self.report
 
     # -- checkpointing ------------------------------------------------------------------
-    #: Schema tag for :meth:`state_dict` payloads.
-    STATE_FORMAT = "amulet-instance-state-v1"
+    #: Schema tag for :meth:`state_dict` payloads; bumped whenever the seeded
+    #: input stream changes (v2: bulk sandbox-memory derivation).
+    STATE_FORMAT = "amulet-instance-state-v2"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.

@@ -30,8 +30,21 @@ TaintLabel = Tuple[str, object]
 #: Granularity at which sandbox memory is tracked and mutated.
 MEMORY_GRANULE = 8
 
-#: Zeroes for bytes 2..7 of a granule overwritten via the two-byte fast path.
-_GRANULE_ZERO_TAIL = bytes(MEMORY_GRANULE - 2)
+#: Width of generated register values and granule words.  Small-ish values
+#: make flag conditions (and thus branch outcomes) vary between inputs, which
+#: is what drives coverage of both branch directions during fuzzing; address
+#: randomness is unaffected because generated programs mask addresses anyway.
+VALUE_BITS = 16
+
+#: A quarter of generated values are *small* (uniform on [0, 16)), so they
+#: collide and flip flags often; the rest are uniform on [0, 2**VALUE_BITS).
+SMALL_VALUE_BITS = 4
+
+# Per-selector-byte masks for the two value bytes of a granule word: a
+# selector below 64 (probability 1/4) keeps a 4-bit value, any other keeps
+# the full 16 bits.
+_LOW_BYTE_MASKS = bytes(0x0F if selector < 64 else 0xFF for selector in range(256))
+_HIGH_BYTE_MASKS = bytes(0x00 if selector < 64 else 0xFF for selector in range(256))
 
 
 def memory_taint_label(offset: int) -> TaintLabel:
@@ -41,6 +54,34 @@ def memory_taint_label(offset: int) -> TaintLabel:
 
 def register_taint_label(name: str) -> TaintLabel:
     return ("reg", name)
+
+
+def _random_value(rng: random.Random) -> int:
+    """One register value from the small/wide mix."""
+    if rng.random() < 0.25:
+        return rng.getrandbits(SMALL_VALUE_BITS)
+    return rng.getrandbits(VALUE_BITS)
+
+
+def _random_memory(rng: random.Random, size: int) -> bytearray:
+    """Random sandbox memory of ``size`` bytes, drawn from ``rng`` in bulk.
+
+    Every granule holds an independent word from the same small/wide mix as
+    :func:`_random_value` in its two low bytes (little-endian); bytes 2..7
+    are zero.  All randomness comes from one ``randbytes`` call — two value
+    bytes and one selector byte per granule — and the mix is applied with
+    ``bytes.translate`` and one big-integer ``&`` per byte lane, so the cost
+    is a few passes in C rather than two RNG calls per granule in Python.
+    """
+    granules = size // MEMORY_GRANULE
+    raw = rng.randbytes(3 * granules)
+    selectors = raw[2 * granules :]
+    memory = bytearray(size)
+    for lane, masks in enumerate((_LOW_BYTE_MASKS, _HIGH_BYTE_MASKS)):
+        values = int.from_bytes(raw[lane * granules : (lane + 1) * granules], "little")
+        values &= int.from_bytes(selectors.translate(masks), "little")
+        memory[lane::MEMORY_GRANULE] = values.to_bytes(granules, "little")
+    return memory
 
 
 @dataclass(frozen=True)
@@ -111,42 +152,19 @@ def _input_from_wire(registers, memory, seed) -> Input:
 class InputGenerator:
     """Generates and mutates test inputs from a seeded PRNG."""
 
-    def __init__(
-        self,
-        sandbox: Sandbox,
-        seed: int = 0,
-        register_value_bits: int = 16,
-        memory_value_bits: int = 16,
-    ) -> None:
-        """Create a generator.
-
-        ``register_value_bits`` / ``memory_value_bits`` bound the magnitude of
-        generated values.  Small-ish values make flag conditions (and thus
-        branch outcomes) vary between inputs, which is what drives coverage
-        of both branch directions during fuzzing; address randomness is
-        unaffected because generated programs mask addresses anyway.
-        """
+    def __init__(self, sandbox: Sandbox, seed: int = 0) -> None:
         self.sandbox = sandbox
         self.seed = seed
-        self.register_value_bits = register_value_bits
-        self.memory_value_bits = memory_value_bits
-        self._rng = random.Random(seed)
         self._counter = 0
 
     # -- generation -----------------------------------------------------------
-    def _random_value(self, rng: random.Random, bits: int) -> int:
-        # Mix small values (likely to collide / flip flags) with wide values.
-        if rng.random() < 0.25:
-            return rng.getrandbits(4)
-        return rng.getrandbits(bits)
-
     def reserve_counter(self) -> int:
         """Advance the stream without generating: claim the next counter.
 
         ``generate_at(reserve_counter())`` equals ``generate_one()`` — the
-        split lets a coordinator hand the (expensive, for large sandboxes)
-        materialization of an input to a worker process while keeping the
-        stream position, which is instance state, in one place.
+        split lets a coordinator hand the materialization of an input to a
+        worker process while keeping the stream position, which is instance
+        state, in one place.
         """
         self._counter += 1
         return self._counter
@@ -163,37 +181,9 @@ class InputGenerator:
         inputs for the same counter — in any process, in any order.
         """
         rng = random.Random((self.seed << 20) ^ counter)
-        registers = {
-            name: self._random_value(rng, self.register_value_bits)
-            for name in INPUT_REGISTERS
-        }
-        # The granule loop dominates campaign generation time for defenses
-        # with large sandboxes, so ``_random_value`` is inlined with bound
-        # methods; the RNG consumption sequence (one ``random()`` then one
-        # ``getrandbits``) must stay identical to keep seeded streams stable.
-        uniform = rng.random
-        getrandbits = rng.getrandbits
-        bits = self.memory_value_bits
-        memory = bytearray(self.sandbox.size)
-        if bits <= 16:
-            # Fast path for the default value width: a granule word fits in
-            # two bytes and the buffer is already zeroed, so two byte stores
-            # replace the 8-byte ``to_bytes`` round trip.  The RNG stream is
-            # byte-for-byte identical to the generic loop below.
-            for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                if uniform() < 0.25:
-                    memory[offset] = getrandbits(4)
-                else:
-                    word = getrandbits(bits)
-                    memory[offset] = word & 0xFF
-                    memory[offset + 1] = word >> 8
-        else:
-            for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                word = getrandbits(4) if uniform() < 0.25 else getrandbits(bits)
-                memory[offset : offset + MEMORY_GRANULE] = word.to_bytes(
-                    MEMORY_GRANULE, "little"
-                )
-        return Input.create(registers, bytes(memory), seed=counter)
+        registers = {name: _random_value(rng) for name in INPUT_REGISTERS}
+        memory = _random_memory(rng, self.sandbox.size)
+        return Input.create(registers, memory, seed=counter)
 
     def generate(self, count: int) -> List[Input]:
         """Generate ``count`` fresh inputs."""
@@ -215,43 +205,23 @@ class InputGenerator:
         (in particular the contract trace that produced the taint set) is
         unchanged.
         """
-        # Loop offsets are granule-aligned, so the preserve check reduces to
-        # plain offset membership — no ``("mem", offset)`` tuple per granule.
-        preserved_offsets = {which for kind, which in preserve if kind == "mem"}
+        preserved_offsets = [which for kind, which in preserve if kind == "mem"]
         fingerprint = base.fingerprint() & MASK64
-        bits = self.memory_value_bits
         variants: List[Input] = []
         for index in range(count):
             rng = random.Random(fingerprint ^ (salt << 8) ^ (index + 1))
             registers = base.register_dict()
             for name in INPUT_REGISTERS:
                 if register_taint_label(name) not in preserve:
-                    registers[name] = self._random_value(rng, self.register_value_bits)
-            uniform = rng.random
-            getrandbits = rng.getrandbits
-            memory = bytearray(base.memory)
-            if bits <= 16:
-                # Same RNG stream and bytes as the generic loop; the granule
-                # tail must be cleared explicitly because ``memory`` starts
-                # as a copy of the base input.
-                zero_tail = _GRANULE_ZERO_TAIL
-                for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                    if offset not in preserved_offsets:
-                        if uniform() < 0.25:
-                            word = getrandbits(4)
-                        else:
-                            word = getrandbits(bits)
-                        memory[offset] = word & 0xFF
-                        memory[offset + 1] = word >> 8
-                        memory[offset + 2 : offset + MEMORY_GRANULE] = zero_tail
-            else:
-                for offset in range(0, self.sandbox.size, MEMORY_GRANULE):
-                    if offset not in preserved_offsets:
-                        word = getrandbits(4) if uniform() < 0.25 else getrandbits(bits)
-                        memory[offset : offset + MEMORY_GRANULE] = word.to_bytes(
-                            MEMORY_GRANULE, "little"
-                        )
-            variants.append(Input.create(registers, bytes(memory), seed=base.seed))
+                    registers[name] = _random_value(rng)
+            memory = _random_memory(rng, self.sandbox.size)
+            # Memory labels are granule-aligned sandbox offsets, so copying
+            # the preserved granules back is a loop over the taint set only.
+            for offset in preserved_offsets:
+                memory[offset : offset + MEMORY_GRANULE] = base.memory[
+                    offset : offset + MEMORY_GRANULE
+                ]
+            variants.append(Input.create(registers, memory, seed=base.seed))
         return variants
 
     @staticmethod

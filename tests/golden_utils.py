@@ -3,10 +3,15 @@
 ``collect_golden`` runs a fixed, seeded workload through the functional
 emulator (every contract) and the out-of-order executor (every defense, both
 execution modes) and reduces everything observable to stable strings.  The
-checked-in ``tests/data/golden_traces.json`` was recorded with the
-pre-``DecodedProgram`` interpreters; re-running the collection with the
-current code and comparing for exact equality proves the decode-once hot
-path is architecturally invisible.
+checked-in ``tests/data/golden_traces.json`` pins the observable behaviour
+of both interpreters — contract traces, taint sets, micro-architectural
+traces, cycle counts, final registers — on the seeded programs and the
+bulk-derived sandbox inputs of that workload.  It was first recorded with
+the pre-``DecodedProgram`` interpreters and has been re-recorded once since,
+when sandbox memory moved to bulk derivation (the programs and run counts
+stayed identical; only input-dependent fields changed).  Re-running the
+collection with the current code and comparing for exact equality proves
+that interpreter and scheduling changes are architecturally invisible.
 
 Re-record (only when the *workload* intentionally changes, never to paper
 over an equivalence failure) with::

@@ -1,9 +1,10 @@
 """Determinism equivalence of the decode-once hot path.
 
-``tests/data/golden_traces.json`` was recorded with the pre-``DecodedProgram``
-interpreters (straight ``Instruction`` property queries on every dynamic
-step).  These tests replay the identical seeded workload through the current
-code and require byte-identical results — contract traces, taint sets,
+``tests/data/golden_traces.json`` pins the interpreters' observable
+behaviour on a fixed seeded workload (first recorded with the
+pre-``DecodedProgram`` interpreters; see ``golden_utils`` for its history).
+These tests replay the identical seeded workload through the current code
+and require byte-identical results — contract traces, taint sets,
 micro-architectural traces, cycle counts and final register files — for
 every contract, every defense, and both execution modes.
 

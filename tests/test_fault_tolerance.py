@@ -266,12 +266,32 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_names_file_and_offset(self, tmp_path):
         checkpoint = str(tmp_path / "campaign.ckpt")
         with open(checkpoint, "w") as handle:
-            handle.write('{"format": "amulet-checkpoint-v1", "states": [')
+            handle.write(f'{{"format": "{CHECKPOINT_FORMAT}", "states": [')
         with pytest.raises(ValueError) as excinfo:
             _resumed_run(_config(), 1, checkpoint)
         message = str(excinfo.value)
         assert checkpoint in message
         assert "offset" in message
+
+    def test_v1_checkpoint_is_refused_naming_the_file(self, tmp_path):
+        """A checkpoint from the per-granule input stream must not resume.
+
+        Resuming it would continue a campaign on a different seeded input
+        stream than the one that produced its first rounds.
+        """
+        config = _config()
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        Campaign(config, instances=1).run(checkpoint_path=checkpoint)
+        with open(checkpoint) as handle:
+            payload = json.load(handle)
+        payload["format"] = "amulet-checkpoint-v1"
+        for state in payload["states"]:
+            state["format"] = "amulet-instance-state-v1"
+        atomic_write_json(checkpoint, payload)
+        with pytest.raises(ValueError, match="not a checkpoint file") as excinfo:
+            _resumed_run(config, 1, checkpoint)
+        assert checkpoint in str(excinfo.value)
+        assert "amulet-checkpoint-v1" in str(excinfo.value)
 
     def test_resume_fresh_downgrades_corruption_to_a_warning(self, tmp_path, capsys):
         config = _config()

@@ -242,3 +242,81 @@ class TestInputs:
         preserve.add(register_taint_label("rdi"))
         variant = generator.mutate_preserving(base, preserve, count=1)[0]
         assert InputGenerator.preserved_equal(base, variant, preserve)
+
+
+def _assert_granule_words(test_input, sandbox):
+    """Length is the sandbox size; every granule word fits in 16 bits."""
+    memory = test_input.memory
+    assert len(memory) == sandbox.size
+    for byte_index in range(2, MEMORY_GRANULE):
+        assert not any(memory[byte_index::MEMORY_GRANULE])
+
+
+class TestBulkMemoryDerivation:
+    """Sandbox memory is drawn in bulk; these pin its shape and addressing."""
+
+    @given(
+        pages=st.sampled_from([1, 128]),
+        seed=st.integers(0, 2**32),
+        counter=st.integers(1, 10**6),
+        granule_fractions=st.sets(st.floats(0, 1, exclude_max=True), max_size=6),
+        preserved_registers=st.sets(st.sampled_from(INPUT_REGISTERS)),
+        salt=st.integers(0, 1000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_derived_inputs_keep_shape_and_preserved_locations(
+        self, pages, seed, counter, granule_fractions, preserved_registers, salt
+    ):
+        sandbox = Sandbox(pages=pages)
+        generator = InputGenerator(sandbox, seed=seed)
+        base = generator.generate_at(counter)
+        _assert_granule_words(base, sandbox)
+
+        granules = sandbox.size // MEMORY_GRANULE
+        offsets = {0, sandbox.size - MEMORY_GRANULE}
+        offsets |= {int(f * granules) * MEMORY_GRANULE for f in granule_fractions}
+        preserve = {memory_taint_label(offset) for offset in offsets}
+        preserve |= {register_taint_label(name) for name in preserved_registers}
+        for variant in generator.mutate_preserving(base, preserve, count=2, salt=salt):
+            _assert_granule_words(variant, sandbox)
+            for offset in offsets:
+                assert (
+                    variant.memory[offset : offset + MEMORY_GRANULE]
+                    == base.memory[offset : offset + MEMORY_GRANULE]
+                )
+            for name in preserved_registers:
+                assert variant.register_dict()[name] == base.register_dict()[name]
+
+    def test_variants_do_not_depend_on_the_generator_seed(self, sandbox):
+        """The sharded contract pass derives variants in workers whose
+        generators only share the sandbox: ``(base, salt)`` must suffice."""
+        base = InputGenerator(sandbox, seed=1).generate_one()
+        preserve = {memory_taint_label(0x80), register_taint_label("rbx")}
+        first = InputGenerator(sandbox, seed=2).mutate_preserving(
+            base, preserve, count=3, salt=5
+        )
+        second = InputGenerator(sandbox, seed=99).mutate_preserving(
+            base, preserve, count=3, salt=5
+        )
+        assert first == second
+
+    def test_index_and_salt_select_different_memory(self, sandbox):
+        generator = InputGenerator(sandbox, seed=4)
+        base = generator.generate_one()
+        by_index = generator.mutate_preserving(base, set(), count=3, salt=0)
+        by_salt = generator.mutate_preserving(base, set(), count=1, salt=1)
+        memories = {variant.memory for variant in by_index + by_salt}
+        assert len(memories) == 4
+
+    def test_a_quarter_of_words_are_small(self):
+        """P(word < 16) = 1/4 + 3/4 * 16/2**16; a broken mask collapses it."""
+        sandbox = Sandbox(pages=128)
+        memory = InputGenerator(sandbox, seed=2024).generate_one().memory
+        words = [
+            memory[offset] | memory[offset + 1] << 8
+            for offset in range(0, sandbox.size, MEMORY_GRANULE)
+        ]
+        small_share = sum(word < 16 for word in words) / len(words)
+        assert abs(small_share - (0.25 + 0.75 * 16 / 2**16)) < 0.01
+        # The wide words span the full 16 bits, high byte included.
+        assert max(words) >= 2**15
