@@ -240,57 +240,43 @@ def measure_core_only(
 
 
 def measure_specialization(programs: int, inputs: int) -> Dict[str, object]:
-    """Compile cost and cache behavior of the specialization layer.
+    """Cold per-program cost of the specialized closures vs generic evaluate.
 
-    Measures, on a fresh compile cache: the cold cost of compiling each
-    program's runner (the first emulator run pays it), the cache hit rate
-    once every artifact exists, and a specialized-vs-interpreted A/B of the
-    same emulator workload.  Runs *last* in the suite because it clears the
-    process-wide cache the other scenarios share.
+    Each side runs its own freshly generated program instances (nothing
+    decoded or specialized yet), ``inputs`` inputs per program under
+    CT-COND, so the per-program figures include decoding and, for the
+    closures, building them — a specialization is never credited without
+    its build cost.
     """
-    sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
     contract = get_contract("CT-COND")
-
-    specialized.clear_cache()
-    before = specialized.stats_snapshot()
-    started = time.perf_counter()
-    for program in program_list:
-        Emulator(program, sandbox, specialize=True).run(test_inputs[0], contract)
-    cold_elapsed = time.perf_counter() - started
-    after_cold = specialized.stats_snapshot()
-
-    started = time.perf_counter()
-    for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=True)
-        for test_input in test_inputs:
-            emulator.run(test_input, contract)
-    warm_elapsed = time.perf_counter() - started
-    after_warm = specialized.stats_snapshot()
-
-    started = time.perf_counter()
-    for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=False)
-        for test_input in test_inputs:
-            emulator.run(test_input, contract)
-    interpreted_elapsed = time.perf_counter() - started
-
-    compile_seconds = after_cold["compile_seconds"] - before["compile_seconds"]
-    warm_lookups = (after_warm["hits"] + after_warm["misses"]) - (
-        after_cold["hits"] + after_cold["misses"]
-    )
-    warm_hits = after_warm["hits"] - after_cold["hits"]
-    runs = len(program_list) * len(test_inputs)
+    sides: Dict[str, Dict[str, float]] = {}
+    build_seconds = 0.0
+    for name, specialize in (("closures", True), ("generic", False)):
+        sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
+        before = specialized.stats_snapshot()
+        started = time.perf_counter()
+        for program in program_list:
+            emulator = Emulator(program, sandbox, specialize=specialize)
+            for test_input in test_inputs:
+                emulator.run(test_input, contract)
+        elapsed = time.perf_counter() - started
+        if specialize:
+            build_seconds = specialized.stats_snapshot()["compile_seconds"] - (
+                before["compile_seconds"]
+            )
+        sides[name] = {
+            "ms_per_program": round(1e3 * elapsed / len(program_list), 3),
+            "traces_per_second": round(
+                len(program_list) * len(test_inputs) / elapsed, 2
+            ),
+        }
     return {
-        "programs": len(program_list),
-        "compile_seconds": round(compile_seconds, 6),
-        "compile_ms_per_program": round(1e3 * compile_seconds / len(program_list), 3),
-        "cold_misses": int(after_cold["misses"] - before["misses"]),
-        "warm_cache_hits": int(warm_hits),
-        "warm_hit_rate": round(warm_hits / warm_lookups, 4) if warm_lookups else None,
-        "specialized_traces_per_second": round(runs / warm_elapsed, 2),
-        "interpreted_traces_per_second": round(runs / interpreted_elapsed, 2),
-        "specialized_speedup": (
-            round(interpreted_elapsed / warm_elapsed, 2) if warm_elapsed else None
+        "programs": programs,
+        "inputs_per_program": inputs,
+        "build_ms_per_program": round(1e3 * build_seconds / programs, 3),
+        **sides,
+        "closures_speedup": round(
+            sides["generic"]["ms_per_program"] / sides["closures"]["ms_per_program"], 2
         ),
     }
 
@@ -687,15 +673,14 @@ def run_suite(
     )
     specialization_row = None
     if specialize:
-        # Last: clears the process-wide compile cache the scenarios above share.
         specialization_row = measure_specialization(
-            budget["micro_programs"], budget["micro_inputs"]
+            8 * budget["micro_programs"], FuzzerConfig().inputs_per_program
         )
         print(
-            f"  specialization            "
-            f"{specialization_row['compile_ms_per_program']:>8} ms/program compile, "
-            f"hit rate {specialization_row['warm_hit_rate']}, "
-            f"A/B {specialization_row['specialized_speedup']}x"
+            f"  specialization (cold)     "
+            f"{specialization_row['closures']['ms_per_program']:>8} / "
+            f"{specialization_row['generic']['ms_per_program']} ms/program "
+            f"closures/generic, {specialization_row['closures_speedup']}x"
         )
     suite: Dict[str, object] = {
         "budget": dict(budget),
@@ -756,8 +741,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-specialize",
         dest="specialize",
         action="store_false",
-        help="run the generic interpreters instead of per-program compiled "
-        "execution (A/B switch; artifact gets a _nospec suffix)",
+        help="run the generic interpreters instead of the specialized "
+        "closures (A/B switch; artifact gets a _nospec suffix)",
     )
     parser.add_argument(
         "--require-skips",

@@ -15,8 +15,8 @@ across a pool of persistent worker processes:
   tasks inline, whatever the worker count;
 * workers keep a :class:`SimulatorExecutor` per :class:`ExecutorSpec`
   (defense, uarch config, mode, trace format, ...) alive across rounds, so
-  the process-wide specialization cache and the executor's primed machinery
-  are reused instead of re-pickled per round;
+  the executor's primed machinery is reused instead of re-pickled per
+  round;
 * results travel back in a **compact wire format**: a BLAKE2b digest of
   each micro-architectural trace plus the :class:`CoreStatistics` the
   coverage map needs — the detector only groups traces by equality, so
@@ -114,7 +114,7 @@ class ExecutorSpec:
     All fields are hashable (``TraceConfig`` and ``UarchConfig`` are frozen
     dataclasses), so a worker's executor cache is a plain dict keyed by the
     spec — two fuzzing instances with the same configuration share one
-    executor and its warmed specialization artifacts.
+    executor and its primed machinery.
     """
 
     defense: str
@@ -207,7 +207,8 @@ class ContractTask:
 
     ``program_key`` is unique per (instance, round); workers key their cached
     :class:`~repro.model.emulator.Emulator` on it so all base inputs of a
-    round share one decoded/compiled program, exactly like the seed path.
+    round share one decoded program and its closures, exactly like the seed
+    path.
     """
 
     task_id: int
@@ -530,7 +531,7 @@ class ContractRunner:
 
     Caches one :class:`InputGenerator` per spec (sandboxes are per-spec) and
     one :class:`~repro.model.emulator.Emulator` per (spec, program_key), so
-    every base input of a round reuses the round's decoded/compiled program
+    every base input of a round reuses the round's decoded program
     — the same amortization the single-process contract loop gets.
     """
 

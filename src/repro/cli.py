@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-specialize",
         dest="specialize",
         action="store_false",
-        help="disable per-program compiled execution; run the generic "
-        "interpreters everywhere (escape hatch — results are identical)",
+        help="disable the per-instruction specialized closures; run the "
+        "generic interpreters everywhere (A-B switch — results are identical)",
     )
     parser.add_argument(
         "--backend",

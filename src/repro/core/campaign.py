@@ -119,7 +119,7 @@ class CampaignResult:
         return sum(report.test_cases_generated for report in self.reports)
 
     def specialization_counters(self) -> Dict[str, float]:
-        """Summed specialization-cache counters across instance reports."""
+        """Summed effect-closure counters across instance reports."""
         totals: Dict[str, float] = {
             "cache_hits": 0,
             "cache_misses": 0,

@@ -124,10 +124,11 @@ class FuzzerReport:
     #: per-task worker busy seconds (benchmarks derive multi-worker makespan
     #: projections from the latter).
     parallel_sim: Dict[str, object] = field(default_factory=dict)
-    #: Specialization-cache counters accumulated while this instance ran
-    #: (``cache_hits`` / ``cache_misses`` / ``compile_seconds`` /
-    #: ``fallbacks``); all zero when the instance ran with
-    #: ``specialize=False``.
+    #: Effect-closure counters accumulated while this instance ran:
+    #: ``cache_misses`` decoded programs whose closures were built,
+    #: ``cache_hits`` calls that found them built, ``compile_seconds`` the
+    #: build time, ``fallbacks`` instructions left to generic ``evaluate``.
+    #: All zero when the instance ran with ``specialize=False``.
     specialization: Dict[str, float] = field(default_factory=dict)
     #: Fault accounting for supervised execution: per-reason counters
     #: ("worker_death", "deadline", "force_kill", ...) plus the program
@@ -628,7 +629,7 @@ class AmuletFuzzer:
                     salt=base_index,
                 )
                 # All boosted variants of a base input share the emulator's
-                # compiled runner and sandbox buffer (batched multi-input round).
+                # effect closures and sandbox buffer (batched multi-input round).
                 for variant, variant_result in zip(
                     variants, emulator.collect_traces_batch(variants, self.contract)
                 ):

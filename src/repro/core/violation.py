@@ -80,10 +80,8 @@ class Violation:
     mode: Optional[str] = None
     #: Name of the trace format the violation was observed in.
     trace_config_name: Optional[str] = None
-    #: Did the detecting executor run specialized (compiled) programs?
-    #: Re-runs keep the setting — and with it the shared content-addressed
-    #: compile cache, so triage re-executions of a corpus program hit the
-    #: artifact the detecting round already built.
+    #: Did the detecting executor run on specialized closures?  Re-runs
+    #: keep the setting.
     specialize: bool = True
 
     def record_provenance(

@@ -100,8 +100,8 @@ class SimulatorExecutor:
         self.sandbox = sandbox or Sandbox()
         self.trace_config = trace_config
         self.mode = ExecutionMode(mode)
-        #: Compile per-program specialized execution artifacts (the default);
-        #: False forces the generic interpreter everywhere (--no-specialize).
+        #: Run on per-instruction specialized closures (the default); False
+        #: forces the generic interpreter everywhere (--no-specialize).
         self.specialize = specialize
         probe_defense = self.defense_factory()
         self.defense_name = probe_defense.name
@@ -211,7 +211,7 @@ class SimulatorExecutor:
         """Run a batch of inputs of the loaded program back-to-back.
 
         In Opt mode every input reuses the one already-constructed core (and
-        its decoded/compiled program), so the per-program setup cost is paid
+        its decoded program and closures), so the per-program setup cost is paid
         once for the whole batch — this is how the fuzzer routes a contract-
         equivalence class's executable entries through the simulator.
         """

@@ -78,9 +78,7 @@ def program_id(program: Program) -> str:
     """Content-addressed entry ID (stable across processes and campaigns).
 
     Identical to ``program_dict_id(program.to_dict())`` but served from the
-    digest cached on the instance, which also keys the specialization cache
-    (:meth:`Program.content_id`) — corpus replays therefore share compiled
-    artifacts with the round that produced them.
+    digest cached on the instance (:meth:`Program.content_id`).
     """
     return program.content_id()
 
@@ -98,8 +96,8 @@ class CorpusEntry:
     #: Witness input pair for violation-origin entries (serialised).
     inputs: Tuple[Dict[str, object], ...] = ()
     #: Rebuilt Program, memoised so repeat scheduling of the same entry
-    #: reuses one instance (and with it the decode + specialization caches,
-    #: which key weakly on the instance).
+    #: reuses one instance (and with it the decoded program and its effect
+    #: closures, which the decode cache keys weakly on the instance).
     _program: Optional[Program] = field(default=None, repr=False, compare=False)
 
     def program(self) -> Program:

@@ -181,7 +181,10 @@ class DecodedProgram:
     pin every decoded program for the process lifetime.
     """
 
-    __slots__ = ("entries", "code_base", "entry_pc", "end_pc", "_table", "__weakref__")
+    __slots__ = (
+        "entries", "code_base", "entry_pc", "end_pc", "_table",
+        "effects_attached", "__weakref__",
+    )
 
     def __init__(self, program: Program) -> None:
         self.code_base: int = program.code_base
@@ -197,6 +200,9 @@ class DecodedProgram:
         for entry in self.entries:
             table[(entry.pc - self.code_base) // INSTRUCTION_SIZE] = entry
         self._table = table
+        #: Set by :func:`repro.isa.specialized.attach_effect_closures` once
+        #: every entry's ``effect_fn`` has been built.
+        self.effects_attached = False
 
     def at_pc(self, pc: int) -> Optional[DecodedInstruction]:
         """The decoded instruction at ``pc``, or None outside the program."""

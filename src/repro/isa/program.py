@@ -184,10 +184,8 @@ class Program:
 
         Two programs with identical blocks hash identically no matter how
         they were built or what they are called — the corpus on-disk ids
-        (:func:`repro.feedback.corpus.program_id`) and the specialization
-        cache (:mod:`repro.isa.specialized`) both key on this, so a corpus
-        entry replayed under a fresh name still hits the compiled artifact.
-        Cached per instance; programs are immutable after construction.
+        (:func:`repro.feedback.corpus.program_id`) key on this.  Cached per
+        instance; programs are immutable after construction.
         """
         if self._content_id is None:
             payload = {

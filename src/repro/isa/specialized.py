@@ -1,72 +1,47 @@
-"""Per-program specialized execution: compile the interpreter hot loop away.
+"""Per-instruction specialized execution: compile evaluate() dispatch away.
 
-Two specialization layers live here, both strictly *derived* from
-:mod:`repro.isa.semantics` (the single source of architectural truth):
+:func:`compile_effect` builds, for one
+:class:`~repro.isa.decoded.DecodedInstruction`, a closure equivalent to
+:func:`repro.isa.semantics.evaluate` with every static question (opcode
+dispatch, operand kinds, sizes, masks, the condition predicate) answered at
+build time.  The closures are strictly *derived* from
+:mod:`repro.isa.semantics`, the single source of architectural truth:
+arithmetic and flag semantics are not re-implemented, the closure calls
+:func:`semantics.alu_compute` and the :data:`semantics.CONDITION_PREDICATES`
+entries, pre-bound.
 
-``compile_effect``
-    Builds, for one :class:`~repro.isa.decoded.DecodedInstruction`, a closure
-    equivalent to :func:`repro.isa.semantics.evaluate` with every static
-    question (opcode dispatch, operand kinds, sizes, masks, the condition
-    predicate) answered at compile time.  Arithmetic and flag semantics are
-    *not* re-implemented: the closure calls :func:`semantics.alu_compute` and
-    the :data:`semantics.CONDITION_PREDICATES` entries, pre-bound.  Both
-    interpreters use these closures on their per-instruction paths (the
-    functional emulator's speculative exploration, the O3 core's execute
-    stage).
-
-``compile_program`` / ``runner_for``
-    Compiles a whole :class:`~repro.isa.decoded.DecodedProgram` into one
-    straight-line Python function via ``exec``: per-instruction code with no
-    dispatch loop, operand fields constant-folded into the source, and the
-    contract observation clause (``expose_pc`` / ``expose_memory_address`` /
-    ``expose_load_values`` / explore-branches) folded per artifact.  The
-    functional emulator's architectural path runs through this function;
-    speculative exploration stays interpreted (a ``spec`` callback).
-
-    Generated programs are forward DAGs, so the emitted code needs no
-    ``while`` loop at all: one guarded block per basic-block leader, executed
-    top to bottom, with a ``t`` variable carrying the next leader index
-    across (forward) branches.  Any program that is *not* a forward DAG — or
-    that could hit the instruction limit — falls back to the interpreter.
-
-Compiled artifacts are held in a bounded content-addressed LRU cache keyed
-by ``(program content id, observation clause)``, so corpus entries, triage
-re-runs and boosted-input batches for structurally identical programs all
-hit the same artifact regardless of which ``Program`` instance they carry.
+:func:`attach_effect_closures` fills them in once per decoded program.  The
+decoded program is shared through the decode cache, so the functional
+emulator (architectural and speculative paths) and the O3 core's execute
+stage all run on the same closures.  ``specialize=False`` on either
+interpreter selects the generic :func:`~repro.isa.semantics.evaluate`
+instead; the equivalence suites use it as the oracle.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import Callable, Dict, Optional
 
 from repro.isa.decoded import DecodedInstruction, DecodedProgram
 from repro.isa.instructions import Opcode
 from repro.isa.operands import Immediate, MemoryOperand, Register
-from repro.isa.program import INSTRUCTION_SIZE, Program
-from repro.isa.registers import MASK64, SANDBOX_BASE_REGISTER
-from repro.isa.semantics import (
-    CONDITION_PREDICATES,
-    ExecutionEffect,
-    alu_compute,
-)
+from repro.isa.registers import MASK64
+from repro.isa.semantics import ExecutionEffect, alu_compute
 
-#: Bound on compiled artifacts kept alive (LRU).  Each artifact is one code
-#: object plus its globals dict — small, but campaigns see an unbounded
-#: stream of programs and the cache must not grow with it.
-CACHE_SIZE = 512
-
-#: Opcodes the specializer knows how to emit.  Anything else (a future ISA
-#: extension) falls back to the interpreter instead of failing.
+#: ALU opcodes :func:`compile_effect` specializes.
 _ALU_BINARY = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
                Opcode.SHL, Opcode.SHR)
 _ALU_UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
 
 
 class SpecializationStats:
-    """Process-wide compile-cache counters (surfaced in fuzzer reports)."""
+    """Process-wide closure-building counters (surfaced in fuzzer reports).
+
+    ``misses`` counts decoded programs whose closures were built, ``hits``
+    calls that found them already built, ``compile_seconds`` the time spent
+    building, and ``fallbacks`` instructions :func:`compile_effect` declined.
+    """
 
     __slots__ = ("hits", "misses", "compile_seconds", "fallbacks")
 
@@ -92,29 +67,6 @@ def stats_snapshot() -> Dict[str, float]:
     """Current process-wide specialization counters."""
     return STATS.snapshot()
 
-
-#: Sentinel cached for programs the specializer declines (backward edges).
-_FALLBACK = object()
-
-#: (content_id, clause) -> compiled runner (or _FALLBACK), LRU-ordered.
-_CACHE: "OrderedDict[Tuple[str, Tuple[bool, bool, bool, bool]], object]" = OrderedDict()
-
-#: Per-Program fast path: skips content hashing for repeat runs of the same
-#: instance (every boosted input of a round, every input of a batch).
-_PROGRAM_MEMO: "WeakKeyDictionary[Program, Dict[Tuple[bool, bool, bool, bool], object]]" = (
-    WeakKeyDictionary()
-)
-
-
-def clear_cache() -> None:
-    """Drop all compiled artifacts (tests)."""
-    _CACHE.clear()
-    _PROGRAM_MEMO.clear()
-
-
-# ======================================================================
-# per-instruction effect closures (evaluate() specialized per instruction)
-# ======================================================================
 
 def _width_mask(size: int) -> int:
     return (1 << (8 * size)) - 1
@@ -328,515 +280,20 @@ def compile_effect(decoded: DecodedInstruction) -> Optional[Callable]:
 
 
 def attach_effect_closures(decoded: DecodedProgram) -> None:
-    """Fill ``effect_fn`` on every instruction of ``decoded`` (idempotent)."""
-    for entry in decoded.entries:
-        if entry.effect_fn is None:
-            entry.effect_fn = compile_effect(entry)
+    """Fill ``effect_fn`` on every instruction of ``decoded`` (idempotent).
 
-
-# ======================================================================
-# whole-program codegen for the functional emulator's architectural path
-# ======================================================================
-
-def _alu_full(opcode, a, b, size, carry_in=False):
-    """alu_compute with the five flags unpacked positionally.
-
-    Lets the codegen emit one tuple-assignment per ALU instruction instead
-    of five dict-indexed flag stores — CPython's compile() cost scales with
-    the token count of the generated source, and full-flag ALU writes are
-    its most repeated pattern.
+    The first call per decoded program builds the closures and counts a
+    miss in :data:`STATS`; later calls (such as the O3 core's, for a program
+    the emulator already ran) count a hit.
     """
-    result, flags = alu_compute(opcode, a, b, size, carry_in)
-    return result, flags["zf"], flags["sf"], flags["cf"], flags["of"], flags["pf"]
-
-
-def _alu_keep_cf(opcode, a, b, size, carry_in):
-    """Like _alu_full but without cf — INC/DEC preserve the carry flag."""
-    result, flags = alu_compute(opcode, a, b, size, carry_in)
-    return result, flags["zf"], flags["sf"], flags["of"], flags["pf"]
-
-
-class _Emitter:
-    """Accumulates generated source lines plus the globals they reference."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.env: Dict[str, object] = {
-            "ALU": alu_compute,
-            "ALUF": _alu_full,
-            "ALUK": _alu_keep_cf,
-            "M64": MASK64,
-        }
-
-    def emit(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def bind_predicate(self, condition: str) -> str:
-        name = f"_P_{condition}"
-        self.env[name] = CONDITION_PREDICATES[condition]
-        return name
-
-    def bind_opcode(self, opcode: Opcode) -> str:
-        name = f"_OP_{opcode.name}"
-        self.env[name] = opcode
-        return name
-
-
-def _taint_union(names: Tuple[str, ...]) -> Optional[str]:
-    """Union expression over register taints; None when statically empty.
-
-    ``r14`` (the sandbox base) never carries taint by construction
-    (:class:`~repro.model.taint.TaintState` pins it to the empty set), so it
-    is dropped from unions at compile time.
-    """
-    useful = [name for name in names if name != SANDBOX_BASE_REGISTER]
-    if not useful:
-        return None
-    return " | ".join(f"TR[{name!r}]" for name in useful)
-
-
-def _address_expr(entry: DecodedInstruction) -> str:
-    parts = [f"R[{entry.mem_base!r}]"]
-    if entry.mem_displacement:
-        parts.append(str(entry.mem_displacement))
-    if entry.mem_index is not None:
-        parts.append(f"R[{entry.mem_index!r}]")
-    return "(" + " + ".join(parts) + ") & M64"
-
-
-def _operand_expr(operand, size: int, emitter: _Emitter) -> str:
-    """Expression reading one operand (mirrors semantics._read_operand)."""
-    mask = _width_mask(size)
-    if isinstance(operand, Register):
-        if size == 8:
-            return f"R[{operand.name!r}]"
-        return f"(R[{operand.name!r}] & {mask:#x})"
-    if isinstance(operand, Immediate):
-        return repr(operand.value & mask)
-    # Memory: the effective address is always in local ``a`` by the time an
-    # operand is read (see _emit_instruction), and read_memory never returns
-    # more than ``size`` bytes, so the _read_operand mask is a no-op.
-    return f"RDM(a, {size})"
-
-
-def _emit_observe(
-    entry: DecodedInstruction,
-    emitter: _Emitter,
-    clause: Tuple[bool, bool, bool, bool],
-) -> bool:
-    """Emit the _observe_and_taint equivalent; returns True if the load
-    value was already read into local ``v`` (reusable by the execute step)."""
-    expose_pc, expose_addr, expose_vals, _explore = clause
-    value_read = False
-    if entry.is_cond_branch:
-        emitter.emit(1, "n_cond += 1")
-    if expose_pc:
-        emitter.emit(1, f"OBS(('pc', {entry.pc}))")
-        if entry.is_cond_branch:
-            emitter.emit(1, "ft = T.flag_taint")
-            emitter.emit(1, "if ft: REL(ft)")
-    if entry.is_memory_access:
-        emitter.emit(1, f"a = {_address_expr(entry)}")
-        address_taint = _taint_union(entry.address_registers)
-        if address_taint is not None:
-            emitter.emit(1, f"at = {address_taint}")
-            emitter.emit(1, "if at: n_taint += 1")
-        if expose_addr:
-            if entry.is_load:
-                emitter.emit(1, "OBS(('load', a))")
-            if entry.is_store:
-                emitter.emit(1, "OBS(('store', a))")
-            if address_taint is not None:
-                emitter.emit(1, "if at: REL(at)")
-        if entry.is_load and expose_vals:
-            emitter.emit(1, f"v = RDM(a, {entry.mem_size})")
-            value_read = True
-            emitter.emit(1, "OBS(('val', v))")
-            emitter.emit(1, f"mt = TMEM(a, {entry.mem_size})")
-            emitter.emit(1, "if mt: REL(mt)")
-            if address_taint is not None:
-                emitter.emit(1, "if at: REL(at)")
-        if entry.is_load:
-            emitter.emit(1, f"ACC(('load', {entry.pc}, a))")
-        if entry.is_store:
-            emitter.emit(1, f"ACC(('store', {entry.pc}, a))")
-    return value_read
-
-
-def _emit_taint_write(
-    entry: DecodedInstruction,
-    emitter: _Emitter,
-    *,
-    has_memory_read: bool,
-) -> None:
-    """Emit the _propagate_taint equivalent for ``entry``.
-
-    ``value_taint = registers(source_registers) [| flag_taint] [| memory]``;
-    address registers are a subset of source registers whenever a memory
-    operand exists, so their second union in the interpreter is a no-op.
-    """
-    destination = entry.destination_register
-    writes_dest = destination is not None and destination != SANDBOX_BASE_REGISTER
-    writes_flags = entry.writes_flags
-    writes_memory = entry.is_store
-    if not (writes_dest or writes_flags or writes_memory):
-        return
-    sources = _taint_union(entry.source_registers)
-    parts = []
-    if sources is not None:
-        parts.append(sources)
-    if entry.reads_flags:
-        parts.append("T.flag_taint")
-    if has_memory_read:
-        parts.append(f"TMEM(a, {entry.mem_size})")
-    expr = " | ".join(parts) if parts else "_E"
-    # Partial flag updaters (INC/DEC, zero-count shifts) keep old flag state,
-    # so their flag taint unions the previous flag taint instead of replacing
-    # it — mirrored from the interpreter's _propagate_taint.
-    flags_partial = writes_flags and entry.partial_flag_writer
-    targets = []
-    if writes_dest and expr != f"TR[{destination!r}]":
-        # (the elided case is the identity write TR[d] = TR[d])
-        targets.append(f"TR[{destination!r}]")
-    if writes_flags and not flags_partial:
-        targets.append("T.flag_taint")
-    consumers = len(targets) + (1 if writes_memory else 0) + (1 if flags_partial else 0)
-    if consumers == 0:
-        return
-    if consumers == 1:
-        # Single consumer: assign the expression directly, no temp.
-        if flags_partial:
-            emitter.emit(1, f"T.flag_taint = T.flag_taint | ({expr})")
-        elif targets:
-            emitter.emit(1, f"{targets[0]} = {expr}")
-        else:
-            emitter.emit(1, f"TSETM(a, {entry.mem_size}, {expr})")
-        return
-    emitter.emit(1, f"vt = {expr}")
-    for target in targets:
-        emitter.emit(1, f"{target} = vt")
-    if flags_partial:
-        emitter.emit(1, "T.flag_taint = T.flag_taint | vt")
-    if writes_memory:
-        emitter.emit(1, f"TSETM(a, {entry.mem_size}, vt)")
-
-
-def _emit_instruction(
-    entry: DecodedInstruction,
-    emitter: _Emitter,
-    clause: Tuple[bool, bool, bool, bool],
-    index_of_pc: Dict[int, int],
-    index: int,
-) -> None:
-    """Emit observe + (speculate) + execute + taint + bookkeeping for one
-    instruction.  The emitted code is the straight-line unrolling of one
-    iteration of ``Emulator._run_architectural``."""
-    opcode = entry.opcode
-    explore = clause[3]
-    value_in_v = _emit_observe(entry, emitter, clause)
-
-    if entry.is_cond_branch:
-        predicate = emitter.bind_predicate(entry.condition)
-        emitter.emit(1, f"tk = {predicate}(F.zf, F.sf, F.cf, F.of, F.pf)")
-        if explore:
-            emitter.emit(
-                1, f"spec({entry.fallthrough_pc} if tk else {entry.target_pc})"
-            )
-
-    size = entry.mem_size if entry.memory_operand is not None else 8
-    mask = _width_mask(size)
-
-    if opcode in (Opcode.NOP, Opcode.LFENCE):
-        pass
-
-    elif opcode is Opcode.JMP:
-        pass  # transition handled by the group epilogue
-
-    elif opcode is Opcode.JCC:
-        pass  # taken already computed; transition in the group epilogue
-
-    elif opcode is Opcode.MOV:
-        dest, src = entry.instruction.operands
-        src_expr = "v" if (value_in_v and isinstance(src, MemoryOperand)) else (
-            _operand_expr(src, size, emitter)
-        )
-        if isinstance(dest, Register):
-            emitter.emit(1, f"R[{dest.name!r}] = {src_expr}")
-        else:
-            if isinstance(src, Immediate):
-                # Already masked to the operation width at fold time.
-                emitter.emit(1, f"WRM(a, {size}, {src_expr})")
-            else:
-                emitter.emit(1, f"WRM(a, {size}, {src_expr} & {mask:#x})"
-                             if size < 8 else f"WRM(a, {size}, {src_expr})")
-        _emit_taint_write(entry, emitter, has_memory_read=isinstance(src, MemoryOperand))
-
-    elif opcode is Opcode.CMOV:
-        dest, src = entry.instruction.operands
-        predicate = emitter.bind_predicate(entry.condition)
-        src_expr = "v" if (value_in_v and isinstance(src, MemoryOperand)) else (
-            _operand_expr(src, size, emitter)
-        )
-        emitter.emit(1, f"if {predicate}(F.zf, F.sf, F.cf, F.of, F.pf):")
-        emitter.emit(2, f"R[{dest.name!r}] = {src_expr}")
-        _emit_taint_write(entry, emitter, has_memory_read=isinstance(src, MemoryOperand))
-
-    elif opcode is Opcode.SETCC:
-        dest = entry.instruction.operands[0]
-        predicate = emitter.bind_predicate(entry.condition)
-        emitter.emit(
-            1, f"sv = 1 if {predicate}(F.zf, F.sf, F.cf, F.of, F.pf) else 0"
-        )
-        if isinstance(dest, Register):
-            emitter.emit(1, f"R[{dest.name!r}] = sv")
-        else:
-            emitter.emit(1, f"WRM(a, {size}, sv)")
-        _emit_taint_write(entry, emitter, has_memory_read=False)
-
-    elif opcode in (Opcode.CMP, Opcode.TEST):
-        first, second = entry.instruction.operands
-        first_is_mem = isinstance(first, MemoryOperand)
-        a_expr = "v" if (value_in_v and first_is_mem) else _operand_expr(first, size, emitter)
-        b_expr = "v" if (value_in_v and not first_is_mem and isinstance(second, MemoryOperand)) else (
-            _operand_expr(second, size, emitter)
-        )
-        op_name = emitter.bind_opcode(opcode)
-        emitter.emit(
-            1,
-            f"r, F.zf, F.sf, F.cf, F.of, F.pf = "
-            f"ALUF({op_name}, {a_expr}, {b_expr}, {size})",
-        )
-        _emit_taint_write(
-            entry, emitter,
-            has_memory_read=first_is_mem or isinstance(second, MemoryOperand),
-        )
-
-    elif opcode in _ALU_UNARY or opcode in _ALU_BINARY:
-        dest = entry.instruction.operands[0]
-        dest_is_mem = isinstance(dest, MemoryOperand)
-        unary = opcode in _ALU_UNARY
-        src = None if unary else entry.instruction.operands[1]
-        src_is_mem = isinstance(src, MemoryOperand)
-        a_expr = "v" if (value_in_v and dest_is_mem) else _operand_expr(dest, size, emitter)
-        if unary:
-            b_expr = "0"
-        elif value_in_v and src_is_mem:
-            b_expr = "v"
-        else:
-            b_expr = _operand_expr(src, size, emitter)
-        op_name = emitter.bind_opcode(opcode)
-        if not entry.writes_flags:
-            emitter.emit(1, f"r, nf = ALU({op_name}, {a_expr}, {b_expr}, {size}, F.cf)")
-        elif opcode in (Opcode.INC, Opcode.DEC):
-            # INC/DEC preserve the carry flag.
-            emitter.emit(
-                1,
-                f"r, F.zf, F.sf, F.of, F.pf = "
-                f"ALUK({op_name}, {a_expr}, {b_expr}, {size}, F.cf)",
-            )
-        elif opcode in (Opcode.SHL, Opcode.SHR):
-            # Zero shift amounts leave every flag untouched.
-            emitter.emit(1, f"r, nf = ALU({op_name}, {a_expr}, {b_expr}, {size}, F.cf)")
-            emitter.emit(1, "if nf:")
-            emitter.emit(
-                2,
-                "F.zf, F.sf, F.cf, F.of, F.pf = "
-                "nf['zf'], nf['sf'], nf['cf'], nf['of'], nf['pf']",
-            )
-        else:
-            emitter.emit(
-                1,
-                f"r, F.zf, F.sf, F.cf, F.of, F.pf = "
-                f"ALUF({op_name}, {a_expr}, {b_expr}, {size}, F.cf)",
-            )
-        if dest_is_mem:
-            emitter.emit(1, f"WRM(a, {size}, r)")
-        else:
-            emitter.emit(1, f"R[{dest.name!r}] = r")
-        _emit_taint_write(entry, emitter, has_memory_read=src_is_mem or dest_is_mem)
-
-    else:  # pragma: no cover - guarded by _supported() at compile entry
-        raise AssertionError(f"unsupported opcode reached emission: {opcode}")
-
-    emitter.emit(1, f"EPC({entry.pc})")
-
-
-def _supported(entries: Tuple[DecodedInstruction, ...]) -> bool:
-    """Forward-DAG + known-opcode check gating compilation."""
-    known = set(_ALU_BINARY) | set(_ALU_UNARY) | {
-        Opcode.MOV, Opcode.CMOV, Opcode.SETCC, Opcode.CMP, Opcode.TEST,
-        Opcode.JMP, Opcode.JCC, Opcode.NOP, Opcode.LFENCE, Opcode.EXIT,
-    }
-    for entry in entries:
-        if entry.opcode not in known:
-            return False
-        if entry.is_branch:
-            if entry.target_pc is None or entry.target_pc <= entry.pc:
-                return False
-    return True
-
-
-def compile_program(
-    decoded: DecodedProgram,
-    clause: Tuple[bool, bool, bool, bool],
-    name: str = "program",
-) -> Optional[Callable]:
-    """Compile the architectural path of ``decoded`` under ``clause``.
-
-    ``clause`` is ``(expose_pc, expose_memory_address, expose_load_values,
-    explore_branches)``.  Returns the runner
-    ``run(state, taint, observations, executed_pcs, accesses, counters,
-    spec)`` or None when the program is not specializable.
-    """
-    entries = decoded.entries
-    if not _supported(entries):
-        return None
-
-    code_base = decoded.code_base
-    index_of_pc = {entry.pc: i for i, entry in enumerate(entries)}
-
-    # Basic-block leaders: entry point, branch targets, post-branch/exit.
-    leaders = {0}
-    for i, entry in enumerate(entries):
-        if entry.is_branch or entry.is_exit:
-            if i + 1 < len(entries):
-                leaders.add(i + 1)
-            if entry.is_branch:
-                leaders.add(index_of_pc[entry.target_pc])
-    ordered_leaders = sorted(leaders)
-    next_leader: Dict[int, int] = {}
-    for pos, leader in enumerate(ordered_leaders):
-        next_leader[leader] = (
-            ordered_leaders[pos + 1] if pos + 1 < len(ordered_leaders) else len(entries)
-        )
-
-    emitter = _Emitter()
-    emitter.emit(0, "def _specialized_run(state, taint, observations, executed_pcs, accesses, counters, spec):")
-    emitter.emit(1, "R = state.registers._values")
-    emitter.emit(1, "F = state.flags")
-    emitter.emit(1, "RDM = state.read_memory")
-    emitter.emit(1, "WRM = state.write_memory")
-    emitter.emit(1, "T = taint")
-    emitter.emit(1, "TR = taint.register_taints")
-    emitter.emit(1, "TMEM = taint.memory")
-    emitter.emit(1, "TSETM = taint.set_memory")
-    emitter.emit(1, "REL = taint.relevant.update")
-    emitter.emit(1, "OBS = observations.append")
-    emitter.emit(1, "EPC = executed_pcs.append")
-    emitter.emit(1, "ACC = accesses.append")
-    # EPC appends exactly once per executed instruction (EXIT stops before
-    # its emission), so the architectural count is derived rather than kept
-    # as a per-instruction increment in the generated code.
-    emitter.emit(1, "_n0 = len(executed_pcs)")
-    emitter.emit(1, "n_cond = 0")
-    emitter.emit(1, "n_taint = 0")
-    emitter.emit(1, "t = 0")
-
-    body_lines = emitter.lines
-    for leader in ordered_leaders:
-        group_end = next_leader[leader]
-        group = _Emitter()
-        group.env = emitter.env  # shared bindings
-        terminated = False
-        for i in range(leader, group_end):
-            entry = entries[i]
-            if entry.is_exit:
-                # The interpreter stops *at* EXIT: no observation, no count.
-                terminated = True
-                break
-            _emit_instruction(entry, group, clause, index_of_pc, i)
-            if entry.is_jmp:
-                group.emit(1, f"t = {index_of_pc[entry.target_pc]}")
-                terminated = True
-                break
-            if entry.is_cond_branch:
-                group.emit(
-                    1,
-                    f"t = {index_of_pc[entry.target_pc]} if tk else {i + 1}",
-                )
-                terminated = True
-                break
-        if not terminated:
-            group.emit(1, f"t = {group_end}")
-        if group.lines:
-            body_lines.append(f"    if t == {leader}:")
-            body_lines.extend("    " + line for line in group.lines)
-
-    emitter.emit(1, "counters['architectural'] += len(executed_pcs) - _n0")
-    emitter.emit(1, "counters['cond_branches'] += n_cond")
-    emitter.emit(1, "counters['tainted_accesses'] += n_taint")
-
-    source = "\n".join(emitter.lines)
-    namespace: Dict[str, object] = dict(emitter.env)
-    namespace["_E"] = frozenset()
-    code = compile(source, f"<specialized:{name}>", "exec")
-    exec(code, namespace)
-    runner = namespace["_specialized_run"]
-    runner._source = source  # debugging aid
-    return runner
-
-
-# ======================================================================
-# the content-addressed artifact cache
-# ======================================================================
-
-def observation_clause_key(contract) -> Tuple[bool, bool, bool, bool]:
-    """The contract facets folded into a compiled artifact."""
-    return (
-        contract.expose_pc,
-        contract.expose_memory_address,
-        contract.expose_load_values,
-        bool(contract.speculate_branches and contract.max_nesting > 0),
-    )
-
-
-def runner_for(
-    program: Program,
-    decoded: DecodedProgram,
-    contract,
-    instruction_limit: int,
-) -> Optional[Callable]:
-    """The compiled runner for ``(program, contract clause)``, cached.
-
-    Returns None when the program falls back to the interpreter (backward
-    edges, unknown opcodes, or more instructions than ``instruction_limit``
-    — a compiled forward DAG executes each instruction at most once, so the
-    limit check is decidable at compile time).
-    """
-    if len(decoded.entries) >= instruction_limit:
-        STATS.fallbacks += 1
-        return None
-
-    clause = observation_clause_key(contract)
-    memo = _PROGRAM_MEMO.get(program)
-    if memo is not None:
-        cached = memo.get(clause)
-        if cached is not None:
-            STATS.hits += 1
-            return None if cached is _FALLBACK else cached
-    else:
-        memo = {}
-        _PROGRAM_MEMO[program] = memo
-
-    key = (program.content_id(), clause)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        _CACHE.move_to_end(key)
-        memo[clause] = cached
+    if decoded.effects_attached:
         STATS.hits += 1
-        return None if cached is _FALLBACK else cached
-
-    STATS.misses += 1
+        return
     started = time.perf_counter()
-    runner = compile_program(decoded, clause, name=program.name)
+    for entry in decoded.entries:
+        entry.effect_fn = compile_effect(entry)
+        if entry.effect_fn is None:
+            STATS.fallbacks += 1
+    decoded.effects_attached = True
+    STATS.misses += 1
     STATS.compile_seconds += time.perf_counter() - started
-    if runner is None:
-        STATS.fallbacks += 1
-        cached = _FALLBACK
-    else:
-        cached = runner
-    _CACHE[key] = cached
-    if len(_CACHE) > CACHE_SIZE:
-        _CACHE.popitem(last=False)
-    memo[clause] = cached
-    return None if cached is _FALLBACK else cached

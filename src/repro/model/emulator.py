@@ -9,7 +9,9 @@ tracks which input locations influence the resulting contract trace.
 The hot loops run over a :class:`~repro.isa.decoded.DecodedProgram`: every
 structural question (is this a load? which registers feed the address?)
 was answered once at decode time, and architectural effects still come
-exclusively from :mod:`repro.isa.semantics`.
+exclusively from :mod:`repro.isa.semantics` (through the per-instruction
+closures of :mod:`repro.isa.specialized`, or generic ``evaluate`` with
+``specialize=False``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.program import Program
 from repro.isa.registers import ArchState
 from repro.isa.semantics import ExecutionEffect, evaluate, execute_on_state
-from repro.isa.specialized import attach_effect_closures, runner_for
+from repro.isa.specialized import attach_effect_closures
 from repro.model.contracts import Contract
 from repro.model.taint import TaintState
 
@@ -150,12 +152,9 @@ class Emulator:
         self.decoded = decode_program(program)
         self.sandbox = sandbox or Sandbox()
         self.instruction_limit = instruction_limit
+        #: Run on the specialized evaluate() closures (architectural and
+        #: speculative paths alike); False runs generic evaluate() instead.
         self.specialize = specialize
-        if specialize:
-            # Specialized evaluate() closures for the (interpreted)
-            # speculative-exploration path; the architectural path uses the
-            # whole-program compiled runner instead.
-            attach_effect_closures(self.decoded)
         # Reused across runs: load_input() rewrites every byte, so a single
         # buffer replaces a fresh bytearray allocation per test input.
         self._sandbox_buffer = bytearray(self.sandbox.size)
@@ -163,6 +162,10 @@ class Emulator:
     # -- public API ---------------------------------------------------------
     def run(self, test_input: Input, contract: Contract) -> ModelResult:
         """Run ``test_input`` through the program under ``contract``."""
+        if self.specialize and not self.decoded.effects_attached:
+            # Built on the first run, so the build counts as emulation work;
+            # the closures are shared with the O3 core via the decode cache.
+            attach_effect_closures(self.decoded)
         state = ArchState(
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
@@ -181,38 +184,9 @@ class Emulator:
             "tainted_accesses": 0,
         }
 
-        runner = None
-        if self.specialize:
-            runner = runner_for(
-                self.program, self.decoded, contract, self.instruction_limit
-            )
-        if runner is not None:
-            if contract.speculate_branches and contract.max_nesting > 0:
-                # Speculative exploration stays interpreted: the compiled
-                # artifact calls back here at each conditional branch with
-                # the mispredicted pc.
-                def spec(wrong_pc: int) -> None:
-                    spec_undo = _UndoLog(state)
-                    spec_taint_mark = taint.snapshot()
-                    self._run_speculative(
-                        state, taint, contract, wrong_pc, observations,
-                        executed_pcs, accesses, counters, 1, spec_undo,
-                    )
-                    spec_undo.rollback()
-                    taint.restore(spec_taint_mark)
-            else:
-                spec = None
-            runner(state, taint, observations, executed_pcs, accesses, counters, spec)
-        else:
-            self._run_architectural(
-                state=state,
-                taint=taint,
-                contract=contract,
-                observations=observations,
-                executed_pcs=executed_pcs,
-                accesses=accesses,
-                counters=counters,
-            )
+        self._run_architectural(
+            state, taint, contract, observations, executed_pcs, accesses, counters
+        )
 
         return ModelResult(
             trace=ContractTrace(tuple(observations)),
@@ -235,11 +209,11 @@ class Emulator:
     def collect_traces_batch(
         self, inputs: List[Input], contract: Contract
     ) -> List[ModelResult]:
-        """Run many inputs back-to-back through one compiled artifact.
+        """Run many inputs back-to-back through one decoded program.
 
-        The program is decoded and compiled exactly once (in ``__init__`` /
-        the first ``run``); every input then reuses the same sandbox buffer
-        and runner.  This is the model-side half of batched test-case
+        The program is decoded once (in ``__init__``) and its effect
+        closures built once (on the first ``run``); every input then reuses
+        the same sandbox buffer and closures.  This is the model-side half of batched test-case
         execution: all boosted inputs of a test case share the per-program
         setup cost.
         """
@@ -256,27 +230,78 @@ class Emulator:
         accesses: List[Tuple[str, int, int]],
         counters: Dict[str, int],
     ) -> None:
-        """Execute the architectural path from the program entry until EXIT."""
+        """Execute the architectural path from the program entry until EXIT.
+
+        This is the emulator's hot loop: every contract facet and bound
+        method it uses is hoisted out of the per-instruction body, and the
+        observation step is inlined (the speculative path calls
+        :meth:`_observe_speculative`, its counterpart).  The order of
+        observations, taint updates and counter steps is the same on both
+        paths.
+        """
         at_pc = self.decoded.at_pc
+        limit = self.instruction_limit
+        specialize = self.specialize
         flags = state.flags
+        read_register = state.registers.read
+        read_memory = state.read_memory
+        expose_pc = contract.expose_pc
+        expose_address = contract.expose_memory_address
+        expose_values = contract.expose_load_values
         explore_branches = contract.speculate_branches and contract.max_nesting > 0
+        observe = observations.append
+        record_access = accesses.append
+        record_pc = executed_pcs.append
+        mark_relevant = taint.mark_relevant
+        register_taint = taint.registers
+        memory_taint = taint.memory
+        propagate_taint = self._propagate_taint
+        apply_effect = self._apply_effect
+        executed = 0
+        cond_branches = 0
+        tainted_accesses = 0
         pc: Optional[int] = self.decoded.entry_pc
         while pc is not None:
             entry = at_pc(pc)
             if entry is None or entry.is_exit:
                 break
-            if counters["architectural"] >= self.instruction_limit:
+            if executed >= limit:
                 raise EmulationError(
                     f"program {self.program.name} exceeded the instruction limit "
-                    f"({self.instruction_limit})"
+                    f"({limit})"
                 )
 
-            self._observe_and_taint(
-                entry, state, taint, contract, observations, accesses, counters, False
-            )
+            is_cond_branch = entry.is_cond_branch
+            if is_cond_branch:
+                cond_branches += 1
+            if expose_pc:
+                observe(("pc", pc))
+                if is_cond_branch:
+                    # The branch direction (and hence the PC sequence) depends
+                    # on the flags, so their input sources are contract-relevant.
+                    mark_relevant(taint.flag_taint)
+            if entry.is_memory_access:
+                address = entry.effective_address(read_register)
+                address_taint = register_taint(entry.address_registers)
+                if address_taint:
+                    tainted_accesses += 1
+                if expose_address:
+                    if entry.is_load:
+                        observe(("load", address))
+                    if entry.is_store:
+                        observe(("store", address))
+                    mark_relevant(address_taint)
+                if entry.is_load and expose_values:
+                    observe(("val", read_memory(address, entry.mem_size)))
+                    mark_relevant(memory_taint(address, entry.mem_size))
+                    mark_relevant(address_taint)
+                if entry.is_load:
+                    record_access(("load", pc, address))
+                if entry.is_store:
+                    record_access(("store", pc, address))
 
             # Explore the mispredicted direction of conditional branches.
-            if entry.is_cond_branch and explore_branches:
+            if is_cond_branch and explore_branches:
                 taken = entry.cond_predicate(
                     flags.zf, flags.sf, flags.cf, flags.of, flags.pf
                 )
@@ -284,26 +309,26 @@ class Emulator:
                 spec_undo = _UndoLog(state)
                 spec_taint_mark = taint.snapshot()
                 self._run_speculative(
-                    state,
-                    taint,
-                    contract,
-                    wrong_pc,
-                    observations,
-                    executed_pcs,
-                    accesses,
-                    counters,
-                    1,
-                    spec_undo,
+                    state, taint, contract, wrong_pc, observations, counters,
+                    1, spec_undo,
                 )
                 spec_undo.rollback()
                 taint.restore(spec_taint_mark)
 
-            effect = execute_on_state(entry.instruction, state)
-            self._propagate_taint(entry, effect, taint)
+            effect_fn = entry.effect_fn if specialize else None
+            if effect_fn is not None:
+                effect = effect_fn(read_register, flags, read_memory)
+                apply_effect(effect, state)
+            else:
+                effect = execute_on_state(entry.instruction, state)
+            propagate_taint(entry, effect, taint)
 
-            executed_pcs.append(pc)
-            counters["architectural"] += 1
+            record_pc(pc)
+            executed += 1
             pc = effect.next_pc
+        counters["architectural"] += executed
+        counters["cond_branches"] += cond_branches
+        counters["tainted_accesses"] += tainted_accesses
 
     def _run_speculative(
         self,
@@ -312,8 +337,6 @@ class Emulator:
         contract: Contract,
         start_pc: Optional[int],
         observations: List[Tuple],
-        executed_pcs: List[int],
-        accesses: List[Tuple[str, int, int]],
         counters: Dict[str, int],
         nesting: int,
         undo: _UndoLog,
@@ -333,8 +356,8 @@ class Emulator:
             if entry.is_fence:
                 break
 
-            self._observe_and_taint(
-                entry, state, taint, contract, observations, accesses, counters, True
+            self._observe_speculative(
+                entry, state, taint, contract, observations, counters
             )
 
             if entry.is_cond_branch and nest_branches:
@@ -345,16 +368,8 @@ class Emulator:
                 nested_undo = _UndoLog(state)
                 nested_mark = taint.snapshot()
                 self._run_speculative(
-                    state,
-                    taint,
-                    contract,
-                    wrong_pc,
-                    observations,
-                    executed_pcs,
-                    accesses,
-                    counters,
-                    nesting + 1,
-                    nested_undo,
+                    state, taint, contract, wrong_pc, observations, counters,
+                    nesting + 1, nested_undo,
                 )
                 nested_undo.rollback()
                 taint.restore(nested_mark)
@@ -386,19 +401,21 @@ class Emulator:
             state.write_memory(address, size, value)
 
     # -- observation and taint --------------------------------------------------
-    def _observe_and_taint(
+    def _observe_speculative(
         self,
         entry: DecodedInstruction,
         state: ArchState,
         taint: TaintState,
         contract: Contract,
         observations: List[Tuple],
-        accesses: List[Tuple[str, int, int]],
         counters: Dict[str, int],
-        speculative: bool,
     ) -> None:
-        if entry.is_cond_branch and not speculative:
-            counters["cond_branches"] += 1
+        """The observation step of a speculative instruction.
+
+        Mirrors the architectural loop's inlined step, minus what only the
+        architectural path records: the conditional-branch count and the
+        access list.
+        """
         if contract.expose_pc:
             observations.append(("pc", entry.pc))
             if entry.is_cond_branch:
@@ -422,11 +439,6 @@ class Emulator:
                 observations.append(("val", value))
                 taint.mark_relevant(taint.memory(address, entry.mem_size))
                 taint.mark_relevant(address_taint)
-            if not speculative:
-                if entry.is_load:
-                    accesses.append(("load", entry.pc, address))
-                if entry.is_store:
-                    accesses.append(("store", entry.pc, address))
 
     def _propagate_taint(
         self,

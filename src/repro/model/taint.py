@@ -60,9 +60,10 @@ class TaintState:
         return self.register_taints.get(name, EMPTY)
 
     def registers(self, names: Iterable[str]) -> FrozenSet[TaintLabel]:
+        taints = self.register_taints
         result: FrozenSet[TaintLabel] = EMPTY
         for name in names:
-            result |= self.register(name)
+            result |= taints.get(name, EMPTY)
         return result
 
     def memory(self, address: int, size: int) -> FrozenSet[TaintLabel]:

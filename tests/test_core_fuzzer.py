@@ -222,6 +222,31 @@ class TestCampaign:
         assert row["defense"] == "baseline"
         assert row["test_cases"] == result.total_test_cases
 
+    def test_specialization_counters_count_closure_builds(self):
+        config = FuzzerConfig(
+            defense="invisispec",
+            patched=True,
+            programs_per_instance=4,
+            inputs_per_program=14,
+            seed=5,
+        )
+        result = Campaign(config, instances=2).run()
+        counters = result.specialization_counters()
+        assert set(counters) == {
+            "cache_hits",
+            "cache_misses",
+            "compile_seconds",
+            "fallbacks",
+        }
+        # One closure build per distinct program; the O3 core then finds
+        # the emulator's closures on the shared decoded program.
+        programs = sum(report.programs_tested for report in result.reports)
+        assert programs == 2 * 4
+        assert counters["cache_misses"] == programs
+        assert counters["cache_hits"] >= programs
+        assert counters["fallbacks"] == 0
+        assert counters["compile_seconds"] > 0
+
     def test_instance_configs_get_distinct_seeds(self):
         campaign = Campaign(FuzzerConfig(seed=1), instances=3)
         seeds = {campaign.instance_config(index).seed for index in range(3)}

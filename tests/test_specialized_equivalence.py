@@ -1,16 +1,18 @@
-"""Specialized (compiled) vs interpreted execution must be byte-identical.
+"""Specialized (closure) vs interpreted execution must be byte-identical.
 
-The specialization layer (:mod:`repro.isa.specialized`) compiles each test
-program into a straight-line Python closure; ``specialize=False`` runs the
-same workload through the generic interpreters.  These property tests drive
+The specialization layer (:mod:`repro.isa.specialized`) builds one
+``evaluate`` closure per decoded instruction; ``specialize=False`` runs the
+same workload through generic ``evaluate``.  These property tests drive
 seeded random programs through both paths — the functional emulator under
-every registered contract, the O3 simulator under every defense in both
-execution modes — and require identical results everywhere: contract traces,
-taint sets, speculation profiles, micro-architectural traces, cycle counts
-and final register files.
+every registered contract (architectural and speculative paths), the O3
+simulator under every defense in both execution modes — and require
+identical results everywhere: contract traces, taint sets, speculation
+profiles, micro-architectural traces, cycle counts and final register files.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,6 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.isa import specialized
 from repro.model.contracts import list_contracts
 from repro.model.emulator import Emulator
 
@@ -85,15 +86,34 @@ class TestEmulatorEquivalence:
                 )
                 assert _model_result_key(batched) == _model_result_key(single)
 
-    def test_specialized_path_actually_compiles(self):
+    def test_architectural_path_runs_the_effect_closures(self):
         sandbox = Sandbox()
         programs, inputs = _workload(sandbox, 1, 1, seed=SEED + 1)
-        before = specialized.stats_snapshot()
-        Emulator(programs[0], sandbox, specialize=True).run(
-            inputs[0], list_contracts()[0]
-        )
-        after = specialized.stats_snapshot()
-        assert (after["hits"] + after["misses"]) > (before["hits"] + before["misses"])
+        contract = list_contracts()[0]  # CT-SEQ: architectural path only
+        assert not contract.speculate_branches
+        emulator = Emulator(programs[0], sandbox, specialize=True)
+        emulator.run(inputs[0], contract)  # builds the closures
+        calls = Counter()
+
+        def counting(effect_fn, pc):
+            def wrapper(*args):
+                calls[pc] += 1
+                return effect_fn(*args)
+            return wrapper
+
+        for entry in emulator.decoded.entries:
+            entry.effect_fn = counting(entry.effect_fn, entry.pc)
+        result = emulator.run(inputs[0], contract)
+        assert result.instruction_count > 0
+        assert calls == Counter(result.executed_pcs)
+
+        # The generic emulator shares the decoded program (and so sees the
+        # wrapped closures) but must not call any of them.
+        calls.clear()
+        generic = Emulator(programs[0], sandbox, specialize=False)
+        assert generic.decoded is emulator.decoded
+        assert generic.run(inputs[0], contract).executed_pcs == result.executed_pcs
+        assert not calls
 
 
 class TestSimulatorEquivalence:
