@@ -19,17 +19,13 @@ A **trace-hash** micro-benchmark tracks the cached ``UarchTrace.__hash__``
 (detection, minimization and triage re-hash identical traces O(class²)
 times).
 
-The full budget additionally measures **intra-round parallel simulation**
-(``--sim-workers``): for every defense the wide workload runs single-process
-(seed path), sharded inline (``sim_workers=0``) and on a real worker pool,
-asserting identical violations and signatures across sharded settings.  The
-per-task worker timings of the sharded run feed a per-dispatch LPT makespan
-projection of multi-worker wall clock — on this container (`os.cpu_count()`
-is recorded in the artifact) pooled workers time-share one core, so the
-measured pooled rows show transport overhead while the projection shows the
-schedule speedup the same task stream yields with real cores.  A
-**serialization** micro-benchmark compares the compact digest transport
-against shipping full traces: bytes per result and pickle seconds.
+The unfiltered, specialized run additionally measures **pool vs inline**:
+the same campaigns (four 1-page defenses, two instances each, paper-default
+boosting, ``POOL_PROGRAMS`` programs per instance) on
+``ProcessPoolBackend(workers=2)`` and on ``InlineBackend``, asserting equal
+violations and signatures.  Their wall-clock ratio is a same-run
+measurement, so ``--check-floor`` can hold it to a floor on any machine
+with at least two CPUs; on one CPU the check reports that it was skipped.
 
 Test-case rates count *generated* test cases (raw coverage); each row also
 reports ``test_cases_executed`` and the scheduler's skip counters, so
@@ -42,8 +38,9 @@ the default ``--filter none``); every run embeds it in the artifact next to
 the live numbers so the speedup trajectory survives across PRs.
 ``--check-floor`` compares the end-to-end number against
 ``benchmarks/throughput_floor.json`` and exits non-zero on a >30%
-regression (the CI smoke job), or when the same run's STT end-to-end rate
-falls below the floor's share of the baseline defense's.  ``--require-skips``
+regression (the CI smoke job), when the same run's STT end-to-end rate
+falls below the floor's share of the baseline defense's, or when the pool
+is not at least the floor's factor faster than inline.  ``--require-skips``
 additionally fails when a filtered run skipped nothing (the CI guard that the
 scheduler actually engages).
 
@@ -61,16 +58,8 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.backends import InlineBackend
-from repro.backends.simshard import (
-    SIM_CHUNKS_PER_ROUND,
-    CompactRecord,
-    FullRecord,
-    TaskResult,
-    dumps_oob,
-    shutdown_pool,
-)
-from repro.core import Campaign, FilterLevel, FuzzerConfig
+from repro.backends import InlineBackend, ProcessPoolBackend
+from repro.core import Campaign, FilterLevel, FuzzerConfig, derive_instance_seed
 from repro.core.filtering import unique_violations
 from repro.core.io import atomic_write_json
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
@@ -88,19 +77,13 @@ BASELINE_PATH = os.path.join(HERE, "throughput_baseline.json")
 FLOOR_PATH = os.path.join(HERE, "throughput_floor.json")
 
 
-def artifact_path(
-    filter_level: "FilterLevel",
-    specialize: bool = True,
-    sim_workers: Optional[int] = None,
-) -> str:
-    """Filtered / interpreted / sharded runs get their own artifact so they
-    never overwrite the unfiltered measurement CI uploads for the perf
+def artifact_path(filter_level: "FilterLevel", specialize: bool = True) -> str:
+    """Filtered / interpreted runs get their own artifact so they never
+    overwrite the unfiltered measurement CI uploads for the perf
     trajectory."""
     suffix = "" if filter_level is FilterLevel.NONE else f"_{filter_level.value}"
     if not specialize:
         suffix += "_nospec"
-    if sim_workers is not None:
-        suffix += f"_simworkers{sim_workers}"
     return os.path.join(HERE, "artifacts", f"BENCH_throughput{suffix}.json")
 
 SEED = 7
@@ -126,6 +109,20 @@ SMOKE_BUDGET = {
 }
 
 
+#: The pool-vs-inline campaigns: the four 1-page defenses, two instances
+#: each on two workers, paper-default boosting.  Worker spawn is a fixed
+#: cost per campaign, so short campaigns measure spawn, not parallelism:
+#: on a 2-vCPU host the pool read 1.01-1.44x inline at 4 programs per
+#: instance and 1.33-1.72x at 16.
+POOL_DEFENSES = ("baseline", "invisispec", "cleanupspec", "speclfb")
+POOL_PROGRAMS = 16
+POOL_INSTANCES = 2
+POOL_WORKERS = 2
+#: Interleaved repeats per campaign and backend; the fastest counts, so a
+#: neighbour stealing a CPU for a moment does not decide the ratio.
+POOL_REPEATS = 2
+
+
 def _fixed_workload(count: int, inputs: int):
     sandbox = Sandbox()
     program_generator = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=SEED)
@@ -142,7 +139,6 @@ def measure_end_to_end(
     filter_level: FilterLevel = FilterLevel.NONE,
     boost_factor: Optional[int] = None,
     specialize: bool = True,
-    sim_workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """One inline-backend campaign; returns test-cases/sec and a time split."""
     config = FuzzerConfig(
@@ -152,7 +148,6 @@ def measure_end_to_end(
         seed=SEED,
         filter=filter_level,
         specialize=specialize,
-        sim_workers=sim_workers,
     )
     if boost_factor is not None:
         config.boost_factor = boost_factor
@@ -177,8 +172,6 @@ def measure_end_to_end(
         row["time_breakdown"] = payload["time_breakdown"]
     if payload.get("phase_breakdown", {}).get("seconds"):
         row["phase_breakdown"] = payload["phase_breakdown"]
-    if "parallel_sim" in payload:
-        row["parallel_sim"] = payload["parallel_sim"]
     return row
 
 
@@ -281,286 +274,59 @@ def measure_specialization(programs: int, inputs: int) -> Dict[str, object]:
     }
 
 
-def _lpt_makespan(task_seconds: List[float], workers: int) -> float:
-    """Makespan of greedy longest-processing-time scheduling on ``workers``.
+def measure_pool_vs_inline() -> Dict[str, object]:
+    """Wall clock of the same campaigns inline and on a two-worker pool.
 
-    The pool assigns tasks with exactly this rule, so the projection models
-    the schedule the pool would actually run — not an idealized ``sum / W``.
+    Each defense's campaign runs inline, then on
+    ``ProcessPoolBackend(workers=2)``, ``POOL_REPEATS`` times; the fastest
+    run per backend counts, and every run's violation count and signatures
+    must agree.  On a one-CPU machine the two workers could only
+    time-share, so nothing is measured and the row says why.
     """
-    if workers <= 1:
-        return sum(task_seconds)
-    loads = [0.0] * workers
-    for seconds in sorted(task_seconds, reverse=True):
-        loads[loads.index(min(loads))] += seconds
-    return max(loads) if loads else 0.0
-
-
-def _wide_campaign(
-    defense: str,
-    programs: int,
-    inputs: int,
-    sim_workers: Optional[int],
-    specialize: bool,
-) -> Dict[str, object]:
-    """One wide (unboosted) campaign at the given ``sim_workers`` setting."""
-    config = FuzzerConfig(
-        defense=defense,
-        programs_per_instance=programs,
-        inputs_per_program=inputs,
-        seed=SEED,
-        filter=FilterLevel.NONE,
-        specialize=specialize,
-        sim_workers=sim_workers,
-    )
-    config.boost_factor = 0
-    campaign = Campaign(config, instances=1, backend=InlineBackend())
-    started = time.perf_counter()
-    result = campaign.run()
-    elapsed = time.perf_counter() - started
-    return {
-        "elapsed": elapsed,
-        "test_cases": result.total_test_cases_generated,
-        "violations": result.violation_count(),
-        "signatures": sorted(
-            str(signature) for signature in unique_violations(result.violations)
-        ),
-        "parallel_sim": dict(result.reports[0].parallel_sim),
-        "phase_breakdown": result.phase_breakdown(),
-    }
-
-
-def _best_of(
-    defense: str,
-    programs: int,
-    inputs: int,
-    sim_workers: Optional[int],
-    specialize: bool,
-    repeats: int,
-) -> Dict[str, object]:
-    """Fastest of ``repeats`` identical campaigns (results must not vary)."""
-    best: Optional[Dict[str, object]] = None
-    for _ in range(max(1, repeats)):
-        run = _wide_campaign(defense, programs, inputs, sim_workers, specialize)
-        if best is not None and (
-            run["violations"] != best["violations"]
-            or run["signatures"] != best["signatures"]
-        ):
-            raise AssertionError(
-                f"nondeterministic campaign: {defense} sim_workers={sim_workers}"
-            )
-        if best is None or run["elapsed"] < best["elapsed"]:
-            best = run
-    return best
-
-
-def measure_parallel_simulation(
-    programs: int,
-    inputs: int,
-    defenses=DEFENSES,
-    specialize: bool = True,
-    repeats: int = 5,
-    measured_workers=(2, 4),
-    projection_workers=(2, 4),
-) -> Dict[str, object]:
-    """Intra-round parallel simulation on the wide workload, per defense.
-
-    Measures wall clock at ``sim_workers=None`` (seed path), ``0`` (sharded
-    inline) and each real pool size, best of ``repeats`` for the two
-    process-local settings.  Violations and signatures must be identical
-    across every *sharded* setting (the byte-identity guarantee); whether
-    they also match the seed path is recorded but not required — the seed
-    path shares one simulator per program, so predictor carryover differs.
-
-    Multi-worker wall clock is additionally *projected* from the sharded
-    run's per-task worker timings: each ``map``/``map_contract`` dispatch is
-    a barrier, so the projection replaces every dispatch's serial task time
-    with its LPT makespan on W workers and keeps the coordinator remainder
-    serial.  On a single-core container the measured pooled rows cannot beat
-    single-process (workers time-share the core and pay transport on top);
-    the projection is the schedule's speedup with real cores, computed from
-    measured per-task costs, and ``cpu_count`` is recorded next to it.
-    """
-    rows: List[Dict[str, object]] = []
-    equivalence_ok = True
-    for defense in defenses:
-        single = _best_of(defense, programs, inputs, None, specialize, repeats)
-        sharded = _best_of(defense, programs, inputs, 0, specialize, repeats)
-
-        measured_pool: Dict[str, object] = {}
-        transport: Optional[Dict[str, object]] = None
-        for workers in measured_workers:
-            pooled = _wide_campaign(defense, programs, inputs, workers, specialize)
-            if (
-                pooled["violations"] != sharded["violations"]
-                or pooled["signatures"] != sharded["signatures"]
+    cpus = os.cpu_count() or 1
+    if cpus < POOL_WORKERS:
+        return {"skipped": f"os.cpu_count() == {cpus}"}
+    seconds = {"inline": 0.0, "pool": 0.0}
+    mismatches: List[str] = []
+    for index, defense in enumerate(POOL_DEFENSES):
+        config = FuzzerConfig(
+            defense=defense,
+            programs_per_instance=POOL_PROGRAMS,
+            sandbox_pages=1,
+            seed=derive_instance_seed(SEED, index),
+        )
+        fastest = {"inline": float("inf"), "pool": float("inf")}
+        verdicts = set()
+        for _ in range(POOL_REPEATS):
+            for name, backend in (
+                ("inline", InlineBackend()),
+                ("pool", ProcessPoolBackend(workers=POOL_WORKERS)),
             ):
-                equivalence_ok = False
-                print(
-                    f"  [warn] {defense}: pooled (W={workers}) violations differ "
-                    "from sharded inline"
+                started = time.perf_counter()
+                result = Campaign(
+                    config, instances=POOL_INSTANCES, backend=backend
+                ).run()
+                fastest[name] = min(fastest[name], time.perf_counter() - started)
+                signatures = sorted(
+                    str(signature) for signature in unique_violations(result.violations)
                 )
-            stats = pooled["parallel_sim"]
-            measured_pool[str(workers)] = {
-                "seconds": round(pooled["elapsed"], 3),
-                "test_cases_per_second": round(
-                    pooled["test_cases"] / pooled["elapsed"], 2
-                ),
-                "violations": pooled["violations"],
-            }
-            transport = {
-                key: stats.get(key)
-                for key in (
-                    "tasks",
-                    "contract_tasks",
-                    "sent_bytes",
-                    "result_bytes",
-                    "fetch_bytes",
-                    "fetched_entries",
-                )
-            }
-
-        dispatches = sharded["parallel_sim"].get("dispatches", [])
-        busy = sum(sum(d["task_seconds"]) for d in dispatches)
-        serial = max(0.0, sharded["elapsed"] - busy)
-        projected: Dict[str, object] = {}
-        for workers in projection_workers:
-            wall = serial + sum(
-                _lpt_makespan(d["task_seconds"], workers) for d in dispatches
-            )
-            projected[str(workers)] = {
-                "seconds": round(wall, 3),
-                "test_cases_per_second": round(sharded["test_cases"] / wall, 2),
-            }
-
-        single_tcs = single["test_cases"] / single["elapsed"]
-        w_max = str(max(projection_workers))
-        row: Dict[str, object] = {
-            "defense": defense,
-            "test_cases": sharded["test_cases"],
-            "violations": sharded["violations"],
-            "unique_signatures": len(sharded["signatures"]),
-            "matches_single_process": (
-                single["violations"] == sharded["violations"]
-                and single["signatures"] == sharded["signatures"]
-            ),
-            "single_process": {
-                "seconds": round(single["elapsed"], 3),
-                "test_cases_per_second": round(single_tcs, 2),
-                "violations": single["violations"],
-            },
-            "sharded_inline": {
-                "seconds": round(sharded["elapsed"], 3),
-                "test_cases_per_second": round(
-                    sharded["test_cases"] / sharded["elapsed"], 2
-                ),
-                "violations": sharded["violations"],
-                "busy_seconds": round(busy, 3),
-                "serial_seconds": round(serial, 3),
-            },
-            "measured_pool": measured_pool,
-            "projected": projected,
-            "projected_speedup_vs_single": round(
-                projected[w_max]["test_cases_per_second"] / single_tcs, 2
-            ),
-            "phase_breakdown": sharded["phase_breakdown"],
-        }
-        if transport is not None:
-            row["transport"] = transport
-        rows.append(row)
-        print(
-            f"  parallel   {defense:12s} single {row['single_process']['test_cases_per_second']:>7} "
-            f"tc/s, projected W{w_max} {projected[w_max]['test_cases_per_second']:>8} tc/s "
-            f"({row['projected_speedup_vs_single']}x, {row['violations']} violations)"
-        )
-    shutdown_pool()
-
-    headline = next((row for row in rows if row["defense"] == "baseline"), rows[0])
-    w_max = str(max(projection_workers))
+                verdicts.add((result.violation_count(), tuple(signatures)))
+        for name in seconds:
+            seconds[name] += fastest[name]
+        if len(verdicts) != 1:
+            mismatches.append(defense)
     return {
-        "budget": {"programs": programs, "inputs": inputs},
-        "cpu_count": os.cpu_count(),
-        "sim_chunks_per_round": SIM_CHUNKS_PER_ROUND,
-        "repeats": repeats,
-        "note": (
-            "measured pooled rows time-share this container's cores and pay "
-            "transport; projected rows apply per-dispatch LPT makespans from "
-            "measured per-task worker seconds"
-        ),
-        "rows": rows,
-        "equivalence_ok": equivalence_ok,
-        "headline_projected_tcs": headline["projected"][w_max][
-            "test_cases_per_second"
-        ],
-        "headline_projected_speedup": headline["projected_speedup_vs_single"],
-    }
-
-
-def measure_serialization(
-    programs: int = 2, inputs: int = 8, repeats: int = 25
-) -> Dict[str, object]:
-    """Result-transport cost: full traces vs the compact digest wire form.
-
-    Runs a fixed workload on the baseline defense, then pickles the same
-    execution records both ways the shard transport could ship them — as
-    :class:`FullRecord` objects (trace + materialized predictor context +
-    simulation result) and as a :class:`TaskResult` of digest-plus-counters
-    :class:`CompactRecord` entries — reporting bytes per result and pickle
-    seconds for each.  This is the trade the digest-then-materialize design
-    banks on: the compact pass ships everything detection needs, and full
-    records cross the wire only for the (rare) witness entries.
-    """
-    sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
-    records = []
-    for program in program_list:
-        executor = SimulatorExecutor(
-            defense_factory="baseline",
-            sandbox=sandbox,
-            mode=ExecutionMode.OPT,
-            specialize=True,
-        )
-        executor.load_program(program)
-        for test_input in test_inputs:
-            records.append(executor.run_input(test_input))
-
-    full = [
-        FullRecord(
-            trace=record.trace,
-            uarch_context=record.materialized_context(),
-            result=record.result,
-        )
-        for record in records
-    ]
-    compact = TaskResult(
-        task_id=0, compact=[CompactRecord.from_record(record) for record in records]
-    )
-
-    def _cost(obj) -> Dict[str, object]:
-        payload, buffers = dumps_oob(obj)
-        total = len(payload) + sum(len(buffer) for buffer in buffers)
-        started = time.perf_counter()
-        for _ in range(repeats):
-            dumps_oob(obj)
-        seconds = (time.perf_counter() - started) / repeats
-        return {
-            "bytes_total": total,
-            "bytes_per_result": round(total / len(records), 1),
-            "pickle_seconds": round(seconds, 6),
-        }
-
-    full_cost = _cost(full)
-    compact_cost = _cost(compact)
-    return {
-        "results": len(records),
-        "full_trace": full_cost,
-        "digest": compact_cost,
-        "bytes_ratio": round(
-            full_cost["bytes_total"] / compact_cost["bytes_total"], 2
-        ),
-        "pickle_speedup": round(
-            full_cost["pickle_seconds"] / compact_cost["pickle_seconds"], 2
-        )
-        if compact_cost["pickle_seconds"]
-        else None,
+        "defenses": list(POOL_DEFENSES),
+        "programs": POOL_PROGRAMS,
+        "instances": POOL_INSTANCES,
+        "workers": POOL_WORKERS,
+        "repeats": POOL_REPEATS,
+        "cpu_count": cpus,
+        "inline_seconds": round(seconds["inline"], 3),
+        "pool_seconds": round(seconds["pool"], 3),
+        "speedup": round(seconds["inline"] / seconds["pool"], 3),
+        "verdicts_match": not mismatches,
+        "mismatches": mismatches,
     }
 
 
@@ -606,14 +372,13 @@ def run_suite(
     defenses=DEFENSES,
     filter_level: FilterLevel = FilterLevel.NONE,
     specialize: bool = True,
-    sim_workers: Optional[int] = None,
-    parallel_section: bool = False,
+    pool_section: bool = False,
 ) -> Dict[str, object]:
     end_to_end: List[Dict[str, object]] = []
     for defense in defenses:
         row = measure_end_to_end(
             defense, budget["programs"], budget["inputs"], filter_level,
-            specialize=specialize, sim_workers=sim_workers,
+            specialize=specialize,
         )
         end_to_end.append(row)
         print(
@@ -629,7 +394,6 @@ def run_suite(
             filter_level,
             boost_factor=0,
             specialize=specialize,
-            sim_workers=sim_workers,
         )
         end_to_end_wide.append(row)
         skipped = sum(row["skipped"].values())
@@ -637,27 +401,17 @@ def run_suite(
             f"  wide       {defense:12s} {row['test_cases_per_second']:>8} tc/s "
             f"({row['test_cases']} test cases, {skipped} skipped, {row['seconds']}s)"
         )
-    if sim_workers:
-        # End-to-end campaigns above ran on the pool; release its workers
-        # before the process-local micro scenarios.
-        shutdown_pool()
-    parallel_row: Optional[Dict[str, object]] = None
-    if parallel_section:
-        parallel_row = measure_parallel_simulation(
-            budget["wide_programs"],
-            budget["wide_inputs"],
-            defenses=defenses,
-            specialize=specialize,
-        )
-    serialization_row = measure_serialization(
-        budget["micro_programs"], min(budget["micro_inputs"], 8)
-    )
-    print(
-        f"  serialization (full/digest) "
-        f"{serialization_row['full_trace']['bytes_per_result']:>8} / "
-        f"{serialization_row['digest']['bytes_per_result']} bytes per result "
-        f"({serialization_row['bytes_ratio']}x)"
-    )
+    pool_row: Optional[Dict[str, object]] = None
+    if pool_section:
+        pool_row = measure_pool_vs_inline()
+        if "skipped" in pool_row:
+            print(f"  pool vs inline            skipped: {pool_row['skipped']}")
+        else:
+            print(
+                f"  pool vs inline            {pool_row['speedup']:>8}x "
+                f"({pool_row['inline_seconds']}s inline / "
+                f"{pool_row['pool_seconds']}s on {POOL_WORKERS} workers)"
+            )
     emulator_row = measure_emulator_only(
         budget["micro_programs"], budget["micro_inputs"], specialize=specialize
     )
@@ -692,13 +446,10 @@ def run_suite(
         "emulator_only": emulator_row,
         "core_only": core_row,
         "trace_hash": hash_row,
-        "serialization": serialization_row,
         "specialization": specialization_row,
     }
-    if sim_workers is not None:
-        suite["sim_workers"] = sim_workers
-    if parallel_row is not None:
-        suite["parallel_simulation"] = parallel_row
+    if pool_row is not None:
+        suite["pool_vs_inline"] = pool_row
     return suite
 
 
@@ -750,15 +501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail (exit 1) unless the filtered run skipped at least one test case "
         "on the wide (unboosted) workload",
     )
-    parser.add_argument(
-        "--sim-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the end-to-end campaigns with intra-round simulation sharded "
-        "across N persistent workers (0: sharded inline; artifact gets a "
-        "_simworkersN suffix)",
-    )
     args = parser.parse_args(argv)
 
     filter_level = FilterLevel(args.filter)
@@ -766,34 +508,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--record-baseline always uses filter=none (the seed behavior)")
     if args.record_baseline and not args.specialize:
         parser.error("--record-baseline measures the shipped (specialized) path")
-    if args.record_baseline and args.sim_workers is not None:
-        parser.error("--record-baseline measures the unsharded seed path")
-    if args.sim_workers is not None and args.sim_workers < 0:
-        parser.error("--sim-workers must be at least 0")
 
     budget = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     label = "smoke" if args.smoke else "full"
     mode = "specialized" if args.specialize else "interpreted"
-    sharding = (
-        f", sim-workers={args.sim_workers}" if args.sim_workers is not None else ""
-    )
     print(
         f"== throughput benchmark ({label} budget, filter={filter_level.value}, "
-        f"{mode}{sharding}) =="
+        f"{mode}) =="
     )
     suite = run_suite(
         budget,
         filter_level=filter_level,
         specialize=args.specialize,
-        sim_workers=args.sim_workers,
-        # The parallel-simulation study rides only on the full, unfiltered,
-        # unsharded run — the one whose artifact CI tracks for the perf
-        # trajectory; a sharded (--sim-workers) run IS the pooled path
-        # end to end, so the study would be redundant there.
-        parallel_section=(
-            not args.smoke
-            and filter_level is FilterLevel.NONE
-            and args.sim_workers is None
+        # Pool vs inline runs its own fixed campaigns, independent of
+        # --filter and --smoke: measure it once, on the unfiltered,
+        # specialized run whose artifact CI tracks.
+        pool_section=(
+            filter_level is FilterLevel.NONE
+            and args.specialize
             and not args.record_baseline
         ),
     )
@@ -843,20 +575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             speedups["core_only"] = round(
                 suite["core_only"]["simulations_per_second"] / base_core, 2
             )
-        parallel = suite.get("parallel_simulation")
-        if parallel:
-            base_wide = {
-                row["defense"]: row for row in baseline.get("end_to_end_wide", [])
-            }
-            for row in parallel["rows"]:
-                base = base_wide.get(row["defense"])
-                w_max = max(row["projected"], key=int)
-                if base and base["test_cases_per_second"]:
-                    speedups[f"{row['defense']}:wide:projected_w{w_max}"] = round(
-                        row["projected"][w_max]["test_cases_per_second"]
-                        / base["test_cases_per_second"],
-                        2,
-                    )
         artifact["speedup_vs_pre_pr"] = speedups
         print("  speedup vs pre-PR baseline: " + json.dumps(speedups))
     elif baseline is not None:
@@ -864,9 +582,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         artifact["speedup_vs_pre_pr"] = None
         print("  [warn] baseline budget differs from current budget; no speedups computed")
 
-    destination = artifact_path(
-        filter_level, specialize=args.specialize, sim_workers=args.sim_workers
-    )
+    destination = artifact_path(filter_level, specialize=args.specialize)
     atomic_write_json(destination, artifact)
     print(f"[artifact] {os.path.relpath(destination)}")
 
@@ -908,26 +624,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if verdict != "ok":
                 return 1
-        parallel = suite.get("parallel_simulation")
-        if parallel is not None:
-            if not parallel["equivalence_ok"]:
-                print("[floor] sharded settings disagree on violations: REGRESSION")
-                return 1
-            # The projected-speedup floor is a same-run ratio (projected W-max
-            # over measured single-process), so it holds across machines of
-            # different absolute speed — no -30% slack needed.
-            ratio_floor = floor.get("parallel_projected_speedup")
-            ratio = parallel.get("headline_projected_speedup")
-            if ratio_floor is not None:
-                verdict = (
-                    "ok" if ratio and ratio >= float(ratio_floor) else "REGRESSION"
-                )
+        pool = suite.get("pool_vs_inline")
+        if pool is not None and "skipped" in pool:
+            print(f"[floor] pool vs inline: check skipped ({pool['skipped']})")
+        elif pool is not None:
+            if not pool["verdicts_match"]:
                 print(
-                    f"[floor] projected parallel speedup {ratio}x vs floor "
-                    f"{ratio_floor}x: {verdict}"
+                    "[floor] pool and inline disagree on violations: "
+                    + ", ".join(pool["mismatches"])
                 )
-                if verdict != "ok":
-                    return 1
+                return 1
+            # A same-run ratio: it carries across machines of different
+            # absolute speed without the end-to-end floor's -30% slack.
+            ratio_floor = float(floor["pool_vs_inline_speedup"])
+            verdict = "ok" if pool["speedup"] >= ratio_floor else "REGRESSION"
+            print(
+                f"[floor] pool vs inline {pool['speedup']}x "
+                f"({pool['inline_seconds']}s / {pool['pool_seconds']}s) "
+                f"vs floor {ratio_floor}x: {verdict}"
+            )
+            if verdict != "ok":
+                return 1
     return exit_code
 
 

@@ -12,7 +12,7 @@ The plan is a JSON list of entries::
 
     [{"action": "kill", "site": "pool_worker",
       "match": {"instance": 0, "round": 2, "generation": 0}},
-     {"action": "delay", "site": "sim_worker", "seconds": 1.5,
+     {"action": "delay", "site": "pool_worker", "seconds": 1.5,
       "match": {"worker": 1, "generation": 0}},
      {"action": "corrupt", "site": "checkpoint", "offset": 40}]
 
@@ -50,7 +50,7 @@ class FaultEntry:
     """One scheduled fault."""
 
     action: str  # "kill" | "delay" | "corrupt"
-    site: str  # probe-point name ("pool_worker", "sim_worker", "checkpoint", ...)
+    site: str  # probe-point name ("pool_worker", "checkpoint", "corpus")
     match: Dict[str, object] = field(default_factory=dict)
     #: Delay duration for "delay" entries.
     seconds: float = 0.0

@@ -9,8 +9,8 @@ so per-instance results are identical to a sequential run; within a worker,
 instances are interleaved chunk by chunk so every instance makes progress and
 the cancellation flag is observed at chunk boundaries.
 
-Every completed round is streamed back over a result queue the moment it
-exists.  When ``stop_on_violation`` is set, the worker that confirms a
+Every completed round is streamed back over the worker's own pipe the
+moment it exists.  When ``stop_on_violation`` is set, the worker that confirms a
 violation raises a shared event; all workers stop issuing chunks, flush
 partial reports for their instances, and exit — no instance runs to
 completion just because it was scheduled.
@@ -28,6 +28,14 @@ of view.  A worker slot that exhausts its retries degrades gracefully: its
 unfinished instances report the rounds they completed, and the abandoned
 remainder is recorded in ``FuzzerReport.faults`` (per-reason counters plus
 lost-round IDs) instead of killing the campaign.
+
+Each worker writes to a private one-way :func:`multiprocessing.Pipe`
+synchronously from its main thread, and the coordinator holds only the read
+end.  A worker that dies mid-message therefore surfaces as ``EOFError`` on
+its pipe instead of a half-written frame the coordinator would block on,
+and the coordinator sleeps in :func:`multiprocessing.connection.wait` on
+the pipes plus the process sentinels, waking the moment a message arrives
+or a worker exits.
 """
 
 from __future__ import annotations
@@ -36,10 +44,10 @@ import base64
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import signal
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import (
@@ -51,8 +59,9 @@ from repro.backends.base import (
 from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
 
-#: How long the coordinator waits on the result queue before re-checking
-#: worker liveness (guards against a crashed worker deadlocking the campaign).
+#: Longest the coordinator sleeps without re-checking the caller's stop
+#: event and the workers' activity deadlines (messages and worker exits wake
+#: it immediately).
 _POLL_SECONDS = 0.25
 
 
@@ -67,7 +76,11 @@ def _worker_main(
     results,
     state_interval: int,
 ) -> None:
-    """Run all rounds of the assigned instances, interleaved chunk by chunk."""
+    """Run all rounds of the assigned instances, interleaved chunk by chunk.
+
+    ``results`` is the write end of this worker's pipe; every message is
+    sent whole before the next line runs, so a later death cannot tear it.
+    """
     try:
         # Ctrl-C belongs to the coordinator: it drains the campaign
         # gracefully; a worker that died to SIGINT would look like a crash.
@@ -95,10 +108,10 @@ def _worker_main(
             still_active = []
             for instance_index, fuzzer in active:
                 if stop_event.is_set():
-                    results.put(
+                    results.send(
                         ("state", worker_id, instance_index, fuzzer.state_dict())
                     )
-                    results.put(("report", worker_id, instance_index, fuzzer.report))
+                    results.send(("report", worker_id, instance_index, fuzzer.report))
                     continue
                 for _ in range(chunk_size):
                     if fuzzer.finished:
@@ -115,25 +128,28 @@ def _worker_main(
                     result = next(rounds[instance_index], None)
                     if result is None:
                         break
-                    results.put(("round", worker_id, instance_index, result))
+                    results.send(("round", worker_id, instance_index, result))
                     since_state[instance_index] += 1
                     if result.violations and stop_on_violation:
                         stop_event.set()
                 if fuzzer.finished:
-                    results.put(
+                    results.send(
                         ("state", worker_id, instance_index, fuzzer.state_dict())
                     )
-                    results.put(("report", worker_id, instance_index, fuzzer.report))
+                    results.send(("report", worker_id, instance_index, fuzzer.report))
                 else:
                     if since_state[instance_index] >= state_interval:
-                        results.put(
+                        results.send(
                             ("state", worker_id, instance_index, fuzzer.state_dict())
                         )
                         since_state[instance_index] = 0
                     still_active.append((instance_index, fuzzer))
             active = still_active
     except BaseException:
-        results.put(("error", worker_id, None, traceback.format_exc()))
+        try:
+            results.send(("error", worker_id, None, traceback.format_exc()))
+        except OSError:  # pragma: no cover - the coordinator is gone
+            pass
 
 
 def _report_from_state(state: Optional[dict]) -> Optional[FuzzerReport]:
@@ -150,6 +166,8 @@ class _WorkerSlot:
         self.worker_id = worker_id
         self.instances = instance_indices
         self.process = None
+        #: Read end of the worker's result pipe (None once it was reaped).
+        self.conn = None
         self.generation = 0
         self.retries = 0
         self.last_activity = 0.0
@@ -220,21 +238,6 @@ class ProcessPoolBackend(ExecutionBackend):
         with context.Pool(processes=workers) as pool:
             return pool.map(fn, items, chunksize=chunksize)
 
-    def map_simulations(self, tasks: Sequence[Any]) -> List[Any]:
-        """Shard simulation tasks across the persistent sim-worker pool.
-
-        Inside one of this backend's own (daemonic) campaign workers a
-        nested pool is impossible, so the inline fallback runs instead —
-        with identical results, since each task is simulated on a fresh core
-        either way.
-        """
-        from repro.backends import simshard
-
-        if multiprocessing.current_process().daemon or not tasks:
-            return simshard.run_tasks_inline(tasks)
-        workers = self.workers if self.workers is not None else (os.cpu_count() or 2)
-        return simshard.get_pool(max(1, workers)).map(tasks)
-
     def _supervision_knobs(
         self, plan: CampaignPlan
     ) -> Tuple[int, float, Optional[float]]:
@@ -261,7 +264,6 @@ class ProcessPoolBackend(ExecutionBackend):
         workers = self.worker_count(plan.instances)
         context = multiprocessing.get_context()
         mp_stop = context.Event()
-        results = context.Queue()
 
         # Pin instances to workers round-robin: affinity keeps each fuzzer's
         # state with its instance, round-robin balances instance counts.
@@ -304,6 +306,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if index not in reports
             ]
             states = [latest_state[index] for index, _ in assigned]
+            reader, writer = context.Pipe(duplex=False)
             slot.process = context.Process(
                 target=_worker_main,
                 args=(
@@ -314,12 +317,16 @@ class ProcessPoolBackend(ExecutionBackend):
                     self.chunk_size,
                     plan.stop_on_violation,
                     mp_stop,
-                    results,
+                    writer,
                     state_interval,
                 ),
                 daemon=True,
             )
             slot.process.start()
+            # The worker now holds the only write end, so its exit — however
+            # abrupt — leaves the pipe at EOF instead of silently open.
+            writer.close()
+            slot.conn = reader
             slot.last_activity = time.monotonic()
 
         def handle_message(kind, worker_id, instance_index, payload) -> None:
@@ -355,13 +362,35 @@ class ProcessPoolBackend(ExecutionBackend):
                 # a bug, not an infrastructure fault — it stays fatal.
                 failure = payload
 
-        def drain_pending() -> None:
+        def collect(slot: _WorkerSlot) -> bool:
+            """Handle every message waiting on the slot's pipe; False at EOF.
+
+            EOF means the worker exited.  A message it was writing when it
+            died ends in ``OSError`` ("end of file during message") rather
+            than a read that never returns; both count as the pipe closing.
+            """
             while True:
                 try:
-                    message = results.get_nowait()
-                except queue_module.Empty:
-                    return
+                    if not slot.conn.poll():
+                        return True
+                    message = slot.conn.recv()
+                except (EOFError, OSError):
+                    return False
+                # Outside the try: an error raised by the caller's callbacks
+                # (say, a checkpoint write failing) is not a worker loss.
                 handle_message(*message)
+
+        def retire(slot: _WorkerSlot, reason: str) -> None:
+            """Reap an exited worker; a loss if it left instances unfinished."""
+            slot.process.join(timeout=10)
+            if slot.process.is_alive():  # pragma: no cover - never orphan it
+                slot.process.kill()
+                slot.process.join()
+                self.force_kills += 1
+            collect(slot)  # whatever it flushed right before exiting
+            slot.conn.close()
+            slot.conn = None
+            handle_worker_loss(slot, reason)
 
         def unfinished(slot: _WorkerSlot) -> List[int]:
             return [index for index in slot.instances if index not in reports]
@@ -401,33 +430,53 @@ class ProcessPoolBackend(ExecutionBackend):
             while len(reports) < plan.instances and failure is None:
                 if stop_event is not None and stop_event.is_set():
                     mp_stop.set()
-                try:
-                    message = results.get(timeout=_POLL_SECONDS)
-                except queue_module.Empty:
-                    now = time.monotonic()
-                    for slot in slots:
-                        if not unfinished(slot):
-                            continue
-                        if not slot.process.is_alive():
-                            # The worker may have flushed its final messages
-                            # right as it died; drain before declaring loss.
-                            drain_pending()
-                            if unfinished(slot):
-                                handle_worker_loss(slot, "worker_death")
-                        elif (
-                            task_timeout is not None
-                            and now - slot.last_activity > task_timeout
-                        ):
-                            slot.process.kill()
-                            slot.process.join(timeout=5)
-                            self.force_kills += 1
-                            drain_pending()
-                            if unfinished(slot):
-                                handle_worker_loss(slot, "deadline")
+                running = [slot for slot in slots if slot.conn is not None]
+                ready = set(
+                    wait(
+                        [slot.conn for slot in running]
+                        + [slot.process.sentinel for slot in running],
+                        timeout=_POLL_SECONDS,
+                    )
+                )
+                for slot in running:
+                    if slot.conn in ready or slot.process.sentinel in ready:
+                        if not collect(slot) or not slot.process.is_alive():
+                            retire(slot, "worker_death")
+                if task_timeout is None:
                     continue
-                handle_message(*message)
+                now = time.monotonic()
+                for slot in slots:
+                    if (
+                        slot.conn is not None
+                        and unfinished(slot)
+                        and now - slot.last_activity > task_timeout
+                    ):
+                        slot.process.kill()
+                        self.force_kills += 1
+                        retire(slot, "deadline")
         finally:
             mp_stop.set()
+            # Keep reading (and discarding) until every pipe is at EOF: a
+            # worker blocked writing a large snapshot to a full pipe could
+            # not otherwise see the stop event and exit.
+            deadline = time.monotonic() + 10
+            draining = [slot for slot in slots if slot.conn is not None]
+            while draining and time.monotonic() < deadline:
+                ready = wait([slot.conn for slot in draining], timeout=_POLL_SECONDS)
+                for slot in draining:
+                    if slot.conn not in ready:
+                        continue
+                    try:
+                        while slot.conn.poll():
+                            slot.conn.recv()
+                    except (EOFError, OSError):
+                        slot.conn.close()
+                        slot.conn = None
+                draining = [slot for slot in draining if slot.conn is not None]
+            for slot in slots:
+                if slot.conn is not None:
+                    slot.conn.close()
+                    slot.conn = None
             for slot in slots:
                 if slot.process is not None:
                     slot.process.join(timeout=10)
@@ -437,8 +486,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     slot.process.terminate()
                     slot.process.join(timeout=5)
                     self.force_kills += 1
-            results.close()
-            results.join_thread()
 
         if failure is not None:
             raise RuntimeError(f"campaign worker failed: {failure}")

@@ -111,15 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="rounds a worker runs for one instance before rotating to its next",
     )
-    parser.add_argument(
-        "--sim-workers",
-        type=int,
-        default=None,
-        help="shard each round's contract-equivalence classes across this "
-        "many persistent simulation workers (0: sharded but inline; "
-        "default: unsharded seed execution path); results are identical "
-        "at any setting",
-    )
     fault_group = parser.add_argument_group(
         "fault tolerance",
         "checkpoint/resume a campaign and tune worker supervision "
@@ -333,8 +324,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--backend inline cannot be combined with --workers > 1 or --parallel")
     if args.chunk_size < 1:
         parser.error("--chunk-size must be at least 1")
-    if args.sim_workers is not None and args.sim_workers < 0:
-        parser.error("--sim-workers must be at least 0")
     if args.instances < 1:
         parser.error("--instances must be at least 1")
     if args.triage_workers is not None and args.triage_workers < 1:
@@ -370,7 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         backend=select_backend(args),
         workers=args.workers,
         chunk_size=args.chunk_size,
-        sim_workers=args.sim_workers,
         max_retries=args.max_retries,
         task_timeout_seconds=args.task_timeout,
     )

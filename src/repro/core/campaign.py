@@ -321,7 +321,7 @@ class CampaignResult:
         """Round-pipeline phase wall-clock split, aggregated over instances.
 
         Sums each instance's ``FuzzerReport.phase_breakdown`` (generate /
-        contract / simulate / detect / ipc) and derives per-phase shares, so
+        contract / simulate / detect) and derives per-phase shares, so
         artifacts show *which phase* a speedup or regression landed in.
         """
         phases: Dict[str, float] = {}
@@ -336,41 +336,6 @@ class CampaignResult:
                 for phase, seconds in phases.items()
             },
         }
-
-    def parallel_sim_summary(self) -> Optional[Dict[str, object]]:
-        """Summed intra-round parallel-simulation counters (None if unused)."""
-        reporting = [report for report in self.reports if report.parallel_sim]
-        if not reporting:
-            return None
-        summary: Dict[str, object] = {
-            "requested_workers": reporting[0].parallel_sim.get("requested_workers"),
-            "pooled": any(r.parallel_sim.get("pooled") for r in reporting),
-        }
-        for counter in (
-            "tasks",
-            "pooled_tasks",
-            "roundtrip_seconds",
-            "busy_seconds",
-            "sent_bytes",
-            "result_bytes",
-            "fetch_bytes",
-            "fetched_entries",
-        ):
-            values = [r.parallel_sim.get(counter) for r in reporting]
-            values = [value for value in values if value is not None]
-            if values:
-                total = sum(values)
-                summary[counter] = round(total, 6) if isinstance(total, float) else total
-        reasons = sorted(
-            {
-                r.parallel_sim["fallback_reason"]
-                for r in reporting
-                if "fallback_reason" in r.parallel_sim
-            }
-        )
-        if reasons:
-            summary["fallback_reasons"] = reasons
-        return summary
 
     def as_table_row(self) -> Dict[str, object]:
         """The Table-4 style summary row for this campaign."""
@@ -470,9 +435,6 @@ class CampaignResult:
                 for report in self.reports
             ],
         }
-        parallel_sim = self.parallel_sim_summary()
-        if parallel_sim is not None:
-            payload["parallel_sim"] = parallel_sim
         if self.triage is not None:
             payload["triage"] = self.triage.to_json_dict()
         return payload

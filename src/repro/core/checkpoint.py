@@ -50,7 +50,6 @@ _EXECUTION_ONLY_FIELDS = (
     "workers",
     "chunk_size",
     "map_chunksize",
-    "sim_workers",
     "max_retries",
     "retry_backoff_seconds",
     "task_timeout_seconds",

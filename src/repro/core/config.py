@@ -99,14 +99,6 @@ class FuzzerConfig:
     #: Work items per chunk for backend ``map_items`` fan-out (triage).
     #: None (the default) sizes chunks adaptively from item count / workers.
     map_chunksize: Optional[int] = None
-    #: Intra-round parallel simulation (see :mod:`repro.backends.simshard`).
-    #: ``None`` (the default) keeps the seed execution path: one shared
-    #: simulator per program, entries in plan order.  ``0`` shards each
-    #: round's contract-equivalence classes but runs them inline (one fresh
-    #: simulator per class, no processes).  ``>= 1`` shards them across that
-    #: many persistent worker processes with compact trace transport.
-    #: Results are byte-identical across every sharded setting.
-    sim_workers: Optional[int] = None
     #: Worker supervision (pooled backends): how many times a dead or hung
     #: worker is respawned and its lost work re-dispatched before the
     #: affected rounds are abandoned and recorded in ``FuzzerReport.faults``.

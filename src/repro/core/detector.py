@@ -9,9 +9,7 @@ and a :class:`~repro.core.violation.Violation` is reported for the class.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
-
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.core.testcase import TestCase, TestCaseEntry, group_by_contract_trace
 from repro.core.violation import Violation
@@ -33,20 +31,12 @@ class ViolationDetector:
         self,
         test_case: TestCase,
         classes: Optional[Dict[ContractTrace, List[TestCaseEntry]]] = None,
-        materialize: Optional[Callable[[List[TestCaseEntry]], None]] = None,
     ) -> List[Violation]:
         """Return one violation per contract-equivalence class that leaks.
 
         ``classes`` optionally reuses a partition computed earlier (the
         execution scheduler partitions the same entries before simulating),
         saving a second hash-and-group pass over every contract trace.
-
-        ``materialize``, when given, is called with the two witness entries
-        of each leaking class *before* the violation is built.  On the
-        compact trace transport the grouping above ran on digest stand-ins;
-        the hook fetches the witnesses' full traces and predictor contexts
-        from the simulation worker that holds them (grouping is unaffected:
-        digest equality is trace equality).
         """
         if classes is None:
             classes = group_by_contract_trace(test_case.entries)
@@ -64,8 +54,6 @@ class ViolationDetector:
             # reported pair is the most reproducible witness of the leak.
             groups = sorted(by_trace.values(), key=len, reverse=True)
             witness_a, witness_b = groups[0][0], groups[1][0]
-            if materialize is not None:
-                materialize([witness_a, witness_b])
             violation = Violation(
                 program=test_case.program,
                 defense=self.defense,

@@ -14,7 +14,6 @@ deduplication signature.
 from __future__ import annotations
 
 import base64
-import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,6 @@ from repro.defenses.registry import create_defense, defense_class
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.startup import (
     CONTRACT_TRACES,
-    IPC_TRANSPORT,
     OTHERS,
     TEST_GENERATION,
 )
@@ -46,13 +44,6 @@ from repro.generator.sandbox import Sandbox
 from repro.isa.specialized import stats_snapshot
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
-
-
-#: Process-unique keys identifying one instance-round's program to the
-#: contract-pass workers (their emulator cache key; see ``ContractTask``).
-#: A shared counter — never per-instance indices — so interleaved fuzzing
-#: instances with identical specs can not alias each other's programs.
-_ROUND_KEYS = itertools.count(1)
 
 
 @dataclass
@@ -114,16 +105,11 @@ class FuzzerReport:
     modeled_breakdown: Dict[str, float] = field(default_factory=dict)
     wall_clock_breakdown: Dict[str, float] = field(default_factory=dict)
     #: Wall-clock seconds per round-pipeline phase ("generate", "contract",
-    #: "simulate", "detect", "ipc"), measured around the phases themselves —
-    #: this is where a speedup (or a regression) is attributable.  "ipc" is
-    #: the parallel layer's transport/stitching overhead; zero on the seed
-    #: path.
+    #: "simulate", "detect"), measured around the phases themselves — this
+    #: is where a speedup (or a regression) is attributable.  "contract"
+    #: includes base-input generation and boosting; "simulate" is absent
+    #: until a round runs at least one O3 simulation.
     phase_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Intra-round parallel-simulation counters (empty when ``sim_workers``
-    #: is None): tasks dispatched, pooled vs inline, transport bytes, and
-    #: per-task worker busy seconds (benchmarks derive multi-worker makespan
-    #: projections from the latter).
-    parallel_sim: Dict[str, object] = field(default_factory=dict)
     #: Effect-closure counters accumulated while this instance ran:
     #: ``cache_misses`` decoded programs whose closures were built,
     #: ``cache_hits`` calls that found them built, ``compile_seconds`` the
@@ -227,29 +213,6 @@ class AmuletFuzzer:
         self.detector = ViolationDetector(config.defense, self.contract_name)
         self.scheduler = ExecutionScheduler(config.filter)
 
-        # Intra-round parallel simulation (inactive when sim_workers is None:
-        # the seed path above is the only executor).  Imported lazily — the
-        # backends package imports this module.
-        from repro.backends.simshard import ContractSpec, ExecutorSpec, SimulationRouter
-
-        self.sim_router = SimulationRouter(
-            config.sim_workers,
-            max_retries=config.max_retries,
-            retry_backoff_seconds=config.retry_backoff_seconds,
-            task_timeout_seconds=config.task_timeout_seconds,
-        )
-        self._executor_spec = ExecutorSpec.from_fuzzer_config(
-            config, sandbox_pages=self.sandbox.pages
-        )
-        self._contract_spec = ContractSpec(
-            contract=self.contract_name,
-            sandbox_pages=self.sandbox.pages,
-            specialize=config.specialize,
-            boost_factor=config.boost_factor,
-            generator_seed=config.seed,
-        )
-        self._next_task_id = 0
-
         self._start_time: Optional[float] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
@@ -280,34 +243,22 @@ class AmuletFuzzer:
         # fully skipped round never starts a simulator (in Opt mode that is
         # the per-program gem5-startup charge).
         plan = self.scheduler.plan(test_case)
-        round_task_ids: List[int] = []
         if plan.executable:
-            if self.sim_router.active:
-                round_task_ids = self._simulate_sharded(program, plan)
-            else:
-                simulate_started = time.perf_counter()
-                self.executor.load_program(program)
-                records = self.executor.run_batch(
-                    [entry.test_input for entry in plan.executable]
-                )
-                for entry, record in zip(plan.executable, records):
-                    entry.record = record
-                self._charge_phase(
-                    "simulate", time.perf_counter() - simulate_started
-                )
+            simulate_started = time.perf_counter()
+            self.executor.load_program(program)
+            records = self.executor.run_batch(
+                [entry.test_input for entry in plan.executable]
+            )
+            for entry, record in zip(plan.executable, records):
+                entry.record = record
+            self._charge_phase("simulate", time.perf_counter() - simulate_started)
         skip_counts = plan.skip_counts()
         if skip_counts:
             self.executor.record_skips(skip_counts)
         self.executor.time.charge_other()
 
         detect_started = time.perf_counter()
-        violations = self.detector.detect(
-            test_case, classes=plan.classes, materialize=self._materialize_witnesses
-        )
-        if violations and round_task_ids:
-            # Validation re-runs witness pairs on the instance executor, which
-            # never loaded this round's program on the sharded path.
-            self.executor.load_program(program)
+        violations = self.detector.detect(test_case, classes=plan.classes)
         confirmed: List[Violation] = []
         for violation in violations:
             violation.record_provenance(self.executor, patched=config.patched)
@@ -335,10 +286,6 @@ class AmuletFuzzer:
             violation=bool(confirmed),
             input_pair=witness,
         )
-        if round_task_ids:
-            # The round is fully consumed; let workers drop the full records
-            # they were holding for the second-pass fetch.
-            self.sim_router.release(round_task_ids)
 
         self.report.programs_tested += 1
         self.report.test_cases_generated += len(test_case)
@@ -457,7 +404,6 @@ class AmuletFuzzer:
             "test_cases_executed": self.executor.test_cases_executed,
             "stopped": self._stopped,
             "target_programs": self._target_programs,
-            "next_task_id": self._next_task_id,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -500,7 +446,6 @@ class AmuletFuzzer:
         self.executor.test_cases_executed = state["test_cases_executed"]
         self._stopped = state["stopped"]
         self._target_programs = state.get("target_programs")
-        self._next_task_id = max(self._next_task_id, state.get("next_task_id", 0))
         # Continue the wall clock where the snapshot left it, and re-baseline
         # the process-wide specialization counters so the report keeps
         # accumulating this instance's own deltas.
@@ -522,66 +467,6 @@ class AmuletFuzzer:
             self.report.phase_breakdown.get(phase, 0.0) + seconds
         )
 
-    def _simulate_sharded(self, program, plan) -> List[int]:
-        """Fan the plan's contract-equivalence classes through the sim router.
-
-        The classes are merged into a fixed number of contiguous chunks
-        (:func:`~repro.backends.simshard.chunk_classes` — a function of the
-        plan alone, never of the worker count); each chunk becomes one
-        self-contained :class:`SimulationTask` simulated on a fresh core
-        wherever it lands, outcomes come back in task order, and the records
-        are stitched onto the plan's entries in place — so detection,
-        coverage and corpus results are byte-identical whatever the worker
-        count.  Worker time deltas are folded into this instance's ledgers;
-        the dispatch round-trip minus the workers' busy time is charged as
-        IPC transport.  Returns the round's task ids (the workers hold full
-        records for them until released).
-        """
-        from repro.backends.simshard import SimulationTask, chunk_classes
-
-        chunks = chunk_classes(plan.executable_classes())
-        tasks: List[SimulationTask] = []
-        for entries in chunks:
-            tasks.append(
-                SimulationTask(
-                    task_id=self._next_task_id,
-                    spec=self._executor_spec,
-                    program=program,
-                    inputs=tuple(entry.test_input for entry in entries),
-                )
-            )
-            self._next_task_id += 1
-        dispatch_started = time.perf_counter()
-        outcomes = self.sim_router.map(tasks)
-        roundtrip = time.perf_counter() - dispatch_started
-        busy = 0.0
-        for entries, outcome in zip(chunks, outcomes):
-            for entry, record in zip(entries, outcome.records):
-                entry.record = record
-            for component, seconds in outcome.modeled_seconds.items():
-                self.executor.time.charge(component, seconds)
-            for component, seconds in outcome.wall_clock_seconds.items():
-                self.executor.time.add_wall_clock(component, seconds)
-            self.executor.simulator_starts += outcome.simulator_starts
-            self.executor.test_cases_executed += len(outcome.records)
-            busy += outcome.busy_seconds()
-        ipc = max(0.0, roundtrip - busy)
-        self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
-        self._charge_phase("simulate", busy)
-        self._charge_phase("ipc", ipc)
-        return [task.task_id for task in tasks]
-
-    def _materialize_witnesses(self, entries) -> None:
-        """Detector hook: swap compact witness records for full ones.
-
-        On the compact transport path the detector grouped entries by trace
-        digest; the entries it promotes to violation witnesses need their
-        real traces and predictor contexts, which still live in the worker
-        that simulated them.  A no-op for full (inline) records.
-        """
-        if self.sim_router.pooled:
-            self.sim_router.materialize_entries(entries)
-
     def _build_test_case(
         self, program, seed_inputs: Sequence[Input] = ()
     ) -> TestCase:
@@ -591,12 +476,6 @@ class AmuletFuzzer:
         the first base-input slots; the remainder are generated as usual and
         every base input — seeded or fresh — is boosted identically.  Seed
         inputs sized for a different sandbox are ignored.
-
-        Base inputs are always drawn in the calling process (the generator
-        stream is instance state); the per-base emulation and boosting is
-        sharded through the sim router when it is active.  Both paths
-        produce identical entries: base inputs are counter-seeded and
-        variant derivation is seeded purely by the base input's fingerprint.
         """
         config = self.config
         test_case = TestCase(program=program)
@@ -606,101 +485,40 @@ class AmuletFuzzer:
             for seed_input in seed_inputs
             if len(seed_input.memory) == self.sandbox.size
         ]
-        if self.sim_router.active:
-            ipc = self._collect_traces_sharded(program, usable_seeds, test_case)
-        else:
-            ipc = 0.0
-            base_inputs: List[Input] = []
-            for base_index in range(config.base_inputs_per_program):
-                if base_index < len(usable_seeds):
-                    base_inputs.append(usable_seeds[base_index])
-                else:
-                    base_inputs.append(self.input_generator.generate_one())
-            emulator = Emulator(program, self.sandbox, specialize=config.specialize)
-            for base_index, base_input in enumerate(base_inputs):
-                model_result = emulator.run(base_input, self.contract)
-                base_entry = test_case.add(
-                    base_input, model_result.trace, speculation=model_result.speculation
-                )
-                variants = self.input_generator.mutate_preserving(
-                    base_input,
-                    model_result.relevant_labels,
-                    count=config.boost_factor,
-                    salt=base_index,
-                )
-                # All boosted variants of a base input share the emulator's
-                # effect closures and sandbox buffer (batched multi-input round).
-                for variant, variant_result in zip(
-                    variants, emulator.collect_traces_batch(variants, self.contract)
-                ):
-                    test_case.add(
-                        variant,
-                        variant_result.trace,
-                        boosted_from=base_entry.index,
-                        speculation=variant_result.speculation,
-                    )
-        elapsed = time.perf_counter() - contract_started
-        self.executor.time.charge_contract_traces(len(test_case))
-        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed - ipc)
-        self._charge_phase("contract", elapsed - ipc)
-        if ipc:
-            self.executor.time.add_wall_clock(IPC_TRANSPORT, ipc)
-            self._charge_phase("ipc", ipc)
-        return test_case
-
-    def _collect_traces_sharded(
-        self, program, usable_seeds: Sequence[Input], test_case: TestCase
-    ) -> float:
-        """Fan the contract pass's base inputs through the sim router.
-
-        One :class:`ContractTask` per base input (its generation, leakage-
-        model run, and boosted-variant derivation), stitched back in
-        base-input order, so the test case is identical to the
-        single-process loop whatever the worker count.  Fresh base inputs
-        travel as stream counters — the generator stream advances here, but
-        the sandbox image is materialized by whichever worker runs the task.
-        Returns the dispatch round-trip seconds not covered by worker busy
-        time (charged to IPC by the caller).
-        """
-        from repro.backends.simshard import ContractTask
-
-        program_key = next(_ROUND_KEYS)
-        tasks: List[ContractTask] = []
-        for base_index in range(self.config.base_inputs_per_program):
+        base_inputs: List[Input] = []
+        for base_index in range(config.base_inputs_per_program):
             if base_index < len(usable_seeds):
-                base_input, base_counter = usable_seeds[base_index], None
+                base_inputs.append(usable_seeds[base_index])
             else:
-                base_input, base_counter = None, self.input_generator.reserve_counter()
-            tasks.append(
-                ContractTask(
-                    task_id=self._next_task_id,
-                    spec=self._contract_spec,
-                    program_key=program_key,
-                    program=program,
-                    base_index=base_index,
-                    base_input=base_input,
-                    base_counter=base_counter,
-                )
-            )
-            self._next_task_id += 1
-        dispatch_started = time.perf_counter()
-        outcomes = self.sim_router.map_contract(tasks)
-        roundtrip = time.perf_counter() - dispatch_started
-        busy = 0.0
-        for outcome in outcomes:
+                base_inputs.append(self.input_generator.generate_one())
+        emulator = Emulator(program, self.sandbox, specialize=config.specialize)
+        for base_index, base_input in enumerate(base_inputs):
+            model_result = emulator.run(base_input, self.contract)
             base_entry = test_case.add(
-                outcome.base_input,
-                outcome.base_trace,
-                speculation=outcome.base_speculation,
+                base_input, model_result.trace, speculation=model_result.speculation
             )
-            for variant, trace, profile in zip(
-                outcome.variants, outcome.variant_traces, outcome.variant_speculations
+            variants = self.input_generator.mutate_preserving(
+                base_input,
+                model_result.relevant_labels,
+                count=config.boost_factor,
+                salt=base_index,
+            )
+            # All boosted variants of a base input share the emulator's
+            # effect closures and sandbox buffer (batched multi-input round).
+            for variant, variant_result in zip(
+                variants, emulator.collect_traces_batch(variants, self.contract)
             ):
                 test_case.add(
-                    variant, trace, boosted_from=base_entry.index, speculation=profile
+                    variant,
+                    variant_result.trace,
+                    boosted_from=base_entry.index,
+                    speculation=variant_result.speculation,
                 )
-            busy += outcome.busy_seconds()
-        return max(0.0, roundtrip - busy)
+        elapsed = time.perf_counter() - contract_started
+        self.executor.time.charge_contract_traces(len(test_case))
+        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed)
+        self._charge_phase("contract", elapsed)
+        return test_case
 
     def _validate(self, violation: Violation) -> bool:
         """Re-run the violating pair from shared micro-architectural contexts.
@@ -752,21 +570,6 @@ class AmuletFuzzer:
         self.report.modeled_seconds = self.executor.time.total_modeled()
         self.report.modeled_breakdown = dict(self.executor.time.modeled_seconds)
         self.report.wall_clock_breakdown = dict(self.executor.time.wall_clock_seconds)
-        if self.sim_router.active:
-            self.report.parallel_sim = self.sim_router.stats()
-            # Mirror simulation-pool faults into the report's fault block.
-            # The stats are cumulative for this router, so assign (not add):
-            # this refresh runs many times per campaign and must stay
-            # idempotent.
-            sim_faults = self.report.parallel_sim.get("faults")
-            if sim_faults:
-                counters = self.report.faults.setdefault("counters", {})
-                for reason, count in sim_faults.items():
-                    counters[reason] = count
-            sim_force_kills = self.report.parallel_sim.get("force_kills")
-            if sim_force_kills:
-                counters = self.report.faults.setdefault("counters", {})
-                counters["sim_force_kills"] = sim_force_kills
         current = stats_snapshot()
         start = self._spec_stats_start
         self.report.specialization = {

@@ -93,26 +93,6 @@ class ExecutionPlan:
             counts[entry.skip_reason] = counts.get(entry.skip_reason, 0) + 1
         return counts
 
-    def executable_classes(self) -> List[List[TestCaseEntry]]:
-        """The executable entries re-grouped by contract-equivalence class.
-
-        These groups are the shard units of the parallel intra-round
-        simulation layer: detection is class-local, so each group can be
-        simulated independently.  Group order is deterministic (first
-        executable appearance of each class) and entries within a group keep
-        the plan's original input order, so sharded results can be stitched
-        back byte-identically.
-        """
-        groups: Dict[ContractTrace, List[TestCaseEntry]] = {}
-        order: List[ContractTrace] = []
-        for entry in self.executable:
-            key = entry.contract_trace
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(entry)
-        return [groups[key] for key in order]
-
 
 class ExecutionScheduler:
     """Plans which test-case entries can witness a violation and are worth

@@ -45,12 +45,6 @@ TEST_GENERATION = "Test generation"
 CONTRACT_TRACES = "CTrace extraction"
 OTHERS = "Others"
 
-#: Not a Table-2 row: wall-clock spent shipping tasks/results to and from
-#: the intra-round simulation workers (simshard).  Charged only to the
-#: wall-clock ledger so the transport cost of the parallel layer stays
-#: attributable next to the modeled components.
-IPC_TRANSPORT = "IPC transport"
-
 TABLE2_COMPONENTS = (
     STARTUP,
     SIMULATE,

@@ -11,7 +11,6 @@ their cost and coverage in Table 5.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -167,24 +166,6 @@ class UarchTrace:
         for name, payload in self.components:
             parts.append(f"{name}[{len(payload)}]")
         return "UarchTrace(" + ", ".join(parts) + ")"
-
-
-def trace_digest(trace: UarchTrace) -> bytes:
-    """Deterministic cross-process content digest of a trace.
-
-    Unlike ``hash(trace)`` (per-process string salting), the BLAKE2b digest
-    of the repr'd component tuple is stable across processes, so workers can
-    ship 16 bytes per trace and the coordinator can still group entries by
-    trace equality.  Cached on the trace (the cache is not pickled:
-    ``__getstate__`` only carries the components).
-    """
-    cached = trace.__dict__.get("_digest")
-    if cached is None:
-        cached = hashlib.blake2b(
-            repr(trace.components).encode("utf-8"), digest_size=16
-        ).digest()
-        object.__setattr__(trace, "_digest", cached)
-    return cached
 
 
 def build_trace(core: O3Core, config: TraceConfig) -> UarchTrace:

@@ -99,13 +99,12 @@ class Input:
 
     def __reduce_ex__(self, protocol):
         if protocol >= 5:
-            # The sandbox image dominates an input's size; advertising it as
-            # a PickleBuffer lets protocol-5 picklers with a buffer_callback
-            # (the simulation-shard transport) carry it out of band instead
-            # of copying it through the opcode stream.  Without a callback
-            # the buffer is serialized in band — same bytes restored either
-            # way, and protocol <= 4 (the default everywhere else) takes the
-            # ordinary dataclass path.
+            # Checkpoints pickle instance reports (and so every witness
+            # input) at HIGHEST_PROTOCOL, and existing checkpoint files
+            # name ``_input_from_wire`` as the constructor: this reduction
+            # must stay for them to load.  The sandbox image travels as one
+            # in-band PickleBuffer; protocol <= 4 takes the ordinary
+            # dataclass path.
             return (
                 _input_from_wire,
                 (self.registers, pickle.PickleBuffer(self.memory), self.seed),
@@ -158,20 +157,10 @@ class InputGenerator:
         self._counter = 0
 
     # -- generation -----------------------------------------------------------
-    def reserve_counter(self) -> int:
-        """Advance the stream without generating: claim the next counter.
-
-        ``generate_at(reserve_counter())`` equals ``generate_one()`` — the
-        split lets a coordinator hand the materialization of an input to a
-        worker process while keeping the stream position, which is instance
-        state, in one place.
-        """
-        self._counter += 1
-        return self._counter
-
     def generate_one(self) -> Input:
         """Generate the next input in the seeded stream."""
-        return self.generate_at(self.reserve_counter())
+        self._counter += 1
+        return self.generate_at(self._counter)
 
     def generate_at(self, counter: int) -> Input:
         """Materialize the stream's input for ``counter`` (a pure function).

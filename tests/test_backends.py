@@ -1,8 +1,10 @@
 """Tests for the pluggable campaign execution backends.
 
 Covers the backend contract: inline and process-pool execution produce
-identical aggregated results for identical campaign seeds, rounds stream
-through progress callbacks, early stop cancels outstanding work across all
+identical aggregated results for identical campaign seeds (on every defense,
+scheduling mode and chunk size), rounds stream through progress callbacks,
+the worker side of the pool sends rounds, snapshots, reports and errors down
+its pipe in a fixed order, early stop cancels outstanding work across all
 instances without leaving orphaned processes, and instance seed derivation is
 collision-free across campaigns.
 """
@@ -11,6 +13,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -20,15 +25,35 @@ from repro.backends import (
     ProcessPoolBackend,
     available_backends,
     get_backend,
+    process_pool,
 )
 from repro.cli import main
 from repro.core import Campaign, FuzzerConfig, derive_instance_seed, resolve_contract_name
 from repro.core.filtering import unique_violations
 from repro.defenses.registry import available_defenses, defense_class
+from repro.executor.executor import ExecutionMode
 
 
 def _signatures(result):
     return sorted(str(signature) for signature in unique_violations(result.violations))
+
+
+def _fingerprint(result):
+    """Everything the determinism contract promises, in comparable form."""
+    coverage = result.merged_coverage()
+    return {
+        "violations": result.violation_count(),
+        "signatures": _signatures(result),
+        "witnesses": sorted(
+            (violation.input_a.fingerprint(), violation.input_b.fingerprint())
+            for violation in result.violations
+        ),
+        "test_cases": result.total_test_cases,
+        "programs_tested": [report.programs_tested for report in result.reports],
+        "corpus_ids": sorted(result.merged_corpus().entry_ids()),
+        "coverage_bitmap": bytes(coverage.bitmap) if coverage else None,
+        "coverage_counters": result.coverage_counters(),
+    }
 
 
 def _square(value):
@@ -52,6 +77,47 @@ class TestMapItems:
         # The <= 1 item fast path must not spin up a pool.
         assert ProcessPoolBackend(workers=4).map_items(_square, [5]) == [25]
         assert ProcessPoolBackend(workers=4).map_items(_square, []) == []
+
+
+class TestAdaptiveMapChunksize:
+    def test_adaptive_targets_four_chunks_per_worker(self):
+        backend = ProcessPoolBackend(workers=2)
+        assert backend.resolve_map_chunksize(64, 2) == 8
+        assert backend.resolve_map_chunksize(8, 2) == 1
+
+    def test_override_pins_the_chunksize(self):
+        backend = ProcessPoolBackend(workers=2, map_chunksize=3)
+        assert backend.resolve_map_chunksize(64, 2) == 3
+        with pytest.raises(ValueError):
+            ProcessPoolBackend(map_chunksize=0)
+
+    def test_get_backend_threads_the_override(self):
+        backend = get_backend("process", workers=2, map_chunksize=5)
+        assert backend.map_chunksize == 5
+        # The inline backend accepts and ignores it.
+        assert isinstance(
+            get_backend("inline", map_chunksize=5), InlineBackend
+        )
+
+    def test_mixed_duration_items_return_in_input_order(self):
+        # Long and short items interleaved: whatever the chunking, pool.map
+        # must stitch results back in input order.
+        items = [30, 0, 25, 1, 20, 2, 15, 3, 10, 4, 5, 6]
+        inline = InlineBackend().map_items(_busy_then_echo, items)
+        for map_chunksize in (None, 1, 4):
+            pooled = ProcessPoolBackend(
+                workers=2, map_chunksize=map_chunksize
+            ).map_items(_busy_then_echo, items)
+            assert pooled == inline == items
+
+
+def _busy_then_echo(value):
+    """Module-level so the process pool can pickle it; busy-waits ~value*0.1ms."""
+    total = 0
+    for i in range(value * 100):
+        total += i
+    del total
+    return value
 
 
 class TestBackendRegistry:
@@ -131,25 +197,49 @@ class TestBackendEquivalence:
         defense="baseline", programs_per_instance=4, inputs_per_program=14, seed=3
     )
 
-    def test_process_pool_matches_inline(self):
-        inline = Campaign(self.CONFIG, instances=2, backend=InlineBackend()).run()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"defense": defense} for defense in sorted(available_defenses())]
+        + [
+            {"mode": ExecutionMode.NAIVE},
+            {"filter": "speculation", "boost_factor": 0, "inputs_per_program": 8},
+        ],
+        ids=lambda overrides: "-".join(str(value) for value in overrides.values()),
+    )
+    def test_process_pool_matches_inline(self, overrides):
+        config = replace(self.CONFIG, **overrides)
+        inline = Campaign(config, instances=2, backend=InlineBackend()).run()
+        pooled = Campaign(
+            config, instances=2, backend=ProcessPoolBackend(workers=2)
+        ).run()
+        assert _fingerprint(pooled) == _fingerprint(inline)
+        assert pooled.skip_counters() == inline.skip_counters()
+        assert multiprocessing.active_children() == []
+
+    # One worker interleaves three instances chunk by chunk; with two
+    # workers, one of them holds two instances.
+    @pytest.mark.parametrize(
+        "workers, chunk_size", [(1, 1), (2, 1), (2, 2), (2, 3), (2, 5)]
+    )
+    def test_chunked_scheduling_matches_inline(self, workers, chunk_size):
+        config = replace(self.CONFIG, programs_per_instance=3)
+        inline = Campaign(config, instances=3, backend=InlineBackend()).run()
+        pooled = Campaign(
+            config,
+            instances=3,
+            backend=ProcessPoolBackend(workers=workers, chunk_size=chunk_size),
+        ).run()
+        assert _fingerprint(pooled) == _fingerprint(inline)
+
+    def test_pooled_phase_breakdown_covers_the_four_phases(self):
         pooled = Campaign(
             self.CONFIG, instances=2, backend=ProcessPoolBackend(workers=2)
         ).run()
-        assert inline.total_test_cases == pooled.total_test_cases
-        assert inline.violation_count() == pooled.violation_count()
-        assert _signatures(inline) == _signatures(pooled)
-        assert [report.programs_tested for report in inline.reports] == [
-            report.programs_tested for report in pooled.reports
-        ]
-
-    def test_chunked_scheduling_matches_inline(self):
-        inline = Campaign(self.CONFIG, instances=3, backend=InlineBackend()).run()
-        pooled = Campaign(
-            self.CONFIG, instances=3, backend=ProcessPoolBackend(workers=2, chunk_size=3)
-        ).run()
-        assert inline.total_test_cases == pooled.total_test_cases
-        assert _signatures(inline) == _signatures(pooled)
+        seconds = pooled.phase_breakdown()["seconds"]
+        assert set(seconds) == {"generate", "contract", "simulate", "detect"}
+        assert all(value >= 0 for value in seconds.values())
+        assert sum(seconds.values()) > 0
+        assert pooled.to_json_dict()["phase_breakdown"] == pooled.phase_breakdown()
 
     def test_rounds_stream_through_the_callback(self):
         streamed = []
@@ -166,6 +256,172 @@ class TestBackendEquivalence:
         result = Campaign(self.CONFIG, instances=2).run(parallel=True)
         assert result.backend == "process"
         assert result.total_test_cases == 2 * 4 * 14
+
+
+def _drive_worker(config_by_instance, *, initial_states=None, chunk_size=1,
+                  stop_on_violation=False, stop_event=None, state_interval=100):
+    """Run ``_worker_main`` on a thread, writing into a real one-way pipe.
+
+    The calling thread drains the read end while the worker runs, as the
+    coordinator does, so large snapshots never fill the pipe buffer.
+    Returns the decoded messages in arrival order and the stop event.
+    """
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    stop_event = stop_event if stop_event is not None else threading.Event()
+    worker = threading.Thread(
+        target=process_pool._worker_main,
+        args=(
+            0,
+            0,
+            list(config_by_instance.items()),
+            initial_states or [None] * len(config_by_instance),
+            chunk_size,
+            stop_on_violation,
+            stop_event,
+            writer,
+            state_interval,
+        ),
+    )
+    messages = []
+    worker.start()
+    try:
+        while worker.is_alive() or reader.poll():
+            if reader.poll(0.05):
+                messages.append(reader.recv())
+    finally:
+        worker.join()
+        writer.close()
+        reader.close()
+    return messages, stop_event
+
+
+class TestWorkerPipeProtocol:
+    """The worker side of the pool: what it sends down its pipe, in order."""
+
+    @staticmethod
+    def _config(programs=2, **overrides):
+        return FuzzerConfig(
+            defense="baseline",
+            programs_per_instance=programs,
+            inputs_per_program=7,
+            seed=overrides.pop("seed", 3),
+            **overrides,
+        )
+
+    def test_rounds_stream_in_order_then_final_state_and_report(self):
+        messages, _ = _drive_worker({0: self._config()})
+        assert [kind for kind, *_ in messages] == ["round", "round", "state", "report"]
+        assert all(worker_id == 0 and index == 0 for _, worker_id, index, _ in messages)
+        assert [payload.program_index for _, _, _, payload in messages[:2]] == [0, 1]
+        assert messages[2][3]["programs_tested"] == 2
+        assert messages[3][3].programs_tested == 2
+
+    def test_state_interval_paces_resume_snapshots(self):
+        messages, _ = _drive_worker({0: self._config(programs=4)}, state_interval=2)
+        assert [kind for kind, *_ in messages] == [
+            "round", "round", "state", "round", "round", "state", "report",
+        ]
+        states = [payload for kind, _, _, payload in messages if kind == "state"]
+        assert [state["programs_tested"] for state in states] == [2, 4]
+
+    def test_instances_interleave_chunk_by_chunk(self):
+        configs = {0: self._config(seed=3), 5: self._config(seed=4)}
+        messages, _ = _drive_worker(configs, chunk_size=1)
+        rounds = [
+            (index, payload.program_index)
+            for kind, _, index, payload in messages
+            if kind == "round"
+        ]
+        assert rounds == [(0, 0), (5, 0), (0, 1), (5, 1)]
+        reports = {index for kind, _, index, _ in messages if kind == "report"}
+        assert reports == {0, 5}
+
+    def test_worker_restored_from_a_snapshot_continues_where_it_left_off(self):
+        # What a respawned worker does: restore, then run only the rest.
+        config = self._config(programs=4)
+        full, _ = _drive_worker({0: config})
+        snapshot = next(
+            payload
+            for kind, _, _, payload in _drive_worker({0: config}, state_interval=2)[0]
+            if kind == "state"
+        )
+        assert snapshot["programs_tested"] == 2
+        resumed, _ = _drive_worker({0: config}, initial_states=[snapshot])
+        rounds = [payload for kind, _, _, payload in resumed if kind == "round"]
+        assert [result.program_index for result in rounds] == [2, 3]
+        full_rounds = [payload for kind, _, _, payload in full if kind == "round"]
+        assert [result.test_cases for result in rounds] == [
+            result.test_cases for result in full_rounds[2:]
+        ]
+        assert resumed[-1][3].programs_tested == 4
+
+    def test_preset_stop_event_flushes_without_running_rounds(self):
+        stop_event = threading.Event()
+        stop_event.set()
+        messages, _ = _drive_worker({0: self._config()}, stop_event=stop_event)
+        assert [kind for kind, *_ in messages] == ["state", "report"]
+        assert messages[0][3]["programs_tested"] == 0
+        assert messages[1][3].programs_tested == 0
+
+    def test_confirmed_violation_raises_the_shared_stop_event(self):
+        config = self._config(programs=30, stop_on_violation=True)
+        messages, stop_event = _drive_worker({0: config}, stop_on_violation=True)
+        assert stop_event.is_set()
+        rounds = [payload for kind, _, _, payload in messages if kind == "round"]
+        # The worker stops issuing rounds right after the detecting one.
+        assert rounds[-1].violations
+        assert not any(result.violations for result in rounds[:-1])
+        assert len(rounds) < 30
+        assert [kind for kind, *_ in messages[-2:]] == ["state", "report"]
+
+    def test_pipeline_exception_is_sent_as_an_error_message(self, monkeypatch):
+        def broken_fuzzer(config):
+            raise RuntimeError("round pipeline exploded")
+
+        monkeypatch.setattr(process_pool, "AmuletFuzzer", broken_fuzzer)
+        messages, _ = _drive_worker({0: self._config()})
+        assert len(messages) == 1
+        kind, worker_id, index, payload = messages[0]
+        assert (kind, worker_id, index) == ("error", 0, None)
+        assert "round pipeline exploded" in payload
+
+    def test_coordinator_raises_a_worker_error_and_reaps_the_pool(self, monkeypatch):
+        def broken_fuzzer(config):
+            raise RuntimeError("round pipeline exploded")
+
+        # Workers are forked, so they inherit the patched constructor.
+        monkeypatch.setattr(process_pool, "AmuletFuzzer", broken_fuzzer)
+        with pytest.raises(RuntimeError, match="campaign worker failed"):
+            Campaign(
+                self._config(), instances=2, backend=ProcessPoolBackend(workers=2)
+            ).run()
+        assert multiprocessing.active_children() == []
+
+    def test_coordinator_callback_error_is_raised_and_reaps_the_pool(self):
+        # A failing checkpoint write is the caller's error, not a worker
+        # loss: it must stop the campaign instead of respawning workers.
+        def failing_on_state(instance_index, state):
+            raise OSError(28, "No space left on device")
+
+        plan = Campaign(self._config(programs=4), instances=2).plan()
+        backend = ProcessPoolBackend(workers=2)
+        with pytest.raises(OSError, match="No space left"):
+            backend.run(plan, on_state=failing_on_state, state_interval=1)
+        assert multiprocessing.active_children() == []
+        # Shutdown drains the pipes, so a worker blocked mid-write still
+        # sees the stop event and exits on its own instead of being killed.
+        assert backend.force_kills == 0
+
+    def test_a_pooled_run_leaves_no_pipe_ends_open(self):
+        config = self._config()
+        backend = ProcessPoolBackend(workers=2)
+        # Warm up once so lazily created process-wide descriptors exist.
+        Campaign(config, instances=2, backend=backend).run()
+        before = sorted(os.listdir("/proc/self/fd"))
+        for _ in range(2):
+            Campaign(config, instances=2, backend=backend).run()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert multiprocessing.active_children() == []
 
 
 class TestEarlyStopCancellation:

@@ -272,6 +272,15 @@ class TestCampaign:
         shares = breakdown["modeled_percent"]
         assert abs(sum(shares.values()) - 100.0) < 1.0
         assert sum(breakdown["wall_clock_seconds"].values()) > 0
+        # One round-execution path: the four pipeline phases and nothing
+        # else (no transport phase, no parallel-simulation block).
+        assert set(payload["phase_breakdown"]["seconds"]) == {
+            "generate",
+            "contract",
+            "simulate",
+            "detect",
+        }
+        assert "parallel_sim" not in payload
 
     def test_zero_instances_rejected(self):
         with pytest.raises(ValueError):

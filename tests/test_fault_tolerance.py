@@ -5,7 +5,7 @@ The properties under test, straight from the determinism contract:
 * a campaign interrupted mid-flight and resumed from its checkpoint produces
   results identical (violations, signatures, witnesses, coverage, corpus) to
   the same campaign run uninterrupted — on every defense, under the inline
-  backend, the process-pool backend, and sharded simulation;
+  backend and the process-pool backend;
 * a worker killed mid-round is respawned and its lost rounds are replayed
   byte-identically (counter-addressed generation makes replays exact);
 * a persistently-dying worker exhausts its retry budget and the campaign
@@ -19,10 +19,13 @@ Faults are injected deterministically through ``REPRO_FAULT_PLAN`` (see
 
 from __future__ import annotations
 
+import base64
 import json
 import multiprocessing
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -30,8 +33,7 @@ import time
 
 import pytest
 
-from repro.backends import InlineBackend, ProcessPoolBackend
-from repro.backends import simshard
+from repro.backends import InlineBackend, ProcessPoolBackend, process_pool
 from repro.backends.faults import reset_fault_plan
 from repro.core import Campaign, FuzzerConfig
 from repro.core.checkpoint import CHECKPOINT_FORMAT, CheckpointManager, campaign_fingerprint
@@ -177,6 +179,29 @@ class TestInstanceState:
         with pytest.raises(ValueError, match="format"):
             fuzzer.restore_state({"format": "not-a-state"})
 
+    def test_restore_ignores_the_retired_task_counter(self):
+        # States written while rounds could be split across simulation
+        # workers carry a ``next_task_id``; it no longer means anything.
+        config = _config(programs=4)
+        straight = AmuletFuzzer(config)
+        for index in range(4):
+            straight.run_round(index)
+
+        first = AmuletFuzzer(config)
+        for index in range(2):
+            first.run_round(index)
+        state = first.state_dict()
+        assert "next_task_id" not in state
+        state["next_task_id"] = 17
+
+        second = AmuletFuzzer(config)
+        second.restore_state(state)
+        for index in range(2, 4):
+            second.run_round(index)
+        assert "next_task_id" not in second.state_dict()
+        assert second.report.test_cases_executed == straight.report.test_cases_executed
+        assert second.report.coverage_bitmap == straight.report.coverage_bitmap
+
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("defense", ALL_DEFENSES)
@@ -214,21 +239,6 @@ class TestCheckpointResume:
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("defense", ALL_DEFENSES)
-    def test_interrupt_and_resume_matches_under_sharded_simulation(
-        self, defense, tmp_path
-    ):
-        config = _config(defense, sim_workers=2)
-        checkpoint = str(tmp_path / "campaign.ckpt")
-        try:
-            uninterrupted = Campaign(config, instances=1).run()
-            partial = _interrupted_run(config, 1, checkpoint, stop_after=3)
-            assert partial.interrupted
-            resumed = _resumed_run(config, 1, checkpoint)
-            assert _fingerprint(resumed) == _fingerprint(uninterrupted)
-        finally:
-            simshard.shutdown_pool()
-
     def test_checkpoint_survives_backend_change(self, tmp_path):
         # The fingerprint excludes execution-only knobs: a checkpoint taken
         # inline resumes under the process pool (results are backend-
@@ -241,6 +251,30 @@ class TestCheckpointResume:
             config, 2, checkpoint, backend=ProcessPoolBackend(workers=2)
         )
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+    @pytest.mark.parametrize("defense", ALL_DEFENSES)
+    def test_pool_checkpoint_resumes_inline(self, defense, tmp_path):
+        # The other direction, on every defense: snapshots streamed by pool
+        # workers restore into inline fuzzers that finish identically.
+        config = _config(defense)
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        uninterrupted = Campaign(config, instances=2, backend=InlineBackend()).run()
+        partial = _interrupted_run(
+            config, 2, checkpoint, stop_after=3, backend=ProcessPoolBackend(workers=2)
+        )
+        assert partial.interrupted
+        assert multiprocessing.active_children() == []
+        resumed = _resumed_run(config, 2, checkpoint, backend=InlineBackend())
+        assert resumed.resumed_from == checkpoint
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+    def test_default_campaign_fingerprint_is_stable(self):
+        # Checkpoints written by earlier versions carry this fingerprint;
+        # if it moves, every existing checkpoint is refused on resume.
+        assert (
+            campaign_fingerprint(FuzzerConfig(), 1)
+            == "ba980e9b7e4522774434638bb0528f22"
+        )
 
     def test_resume_of_a_finished_campaign_is_a_no_op(self, tmp_path):
         config = _config()
@@ -293,6 +327,32 @@ class TestCheckpointResume:
         assert checkpoint in str(excinfo.value)
         assert "amulet-checkpoint-v1" in str(excinfo.value)
 
+    def test_checkpoint_with_retired_fields_resumes_identically(self, tmp_path):
+        """A v2 checkpoint written before the parallel-simulation layer was
+        removed still resumes: its states carry a ``next_task_id`` counter
+        and its pickled reports a ``parallel_sim`` attribute, both ignored.
+        """
+        config = _config()
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        uninterrupted = Campaign(config, instances=1).run()
+        _interrupted_run(config, 1, checkpoint, stop_after=3)
+        with open(checkpoint) as handle:
+            payload = json.load(handle)
+        assert payload["format"] == CHECKPOINT_FORMAT == "amulet-checkpoint-v2"
+        for state in payload["states"]:
+            state["next_task_id"] = 5
+            report = pickle.loads(base64.b64decode(state["report_pickle"]))
+            report.parallel_sim = {"requested_workers": 2, "tasks": 5}
+            state["report_pickle"] = base64.b64encode(
+                pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
+            ).decode("ascii")
+        atomic_write_json(checkpoint, payload)
+
+        resumed = _resumed_run(config, 1, checkpoint)
+        assert resumed.resumed_from == checkpoint
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+        assert "parallel_sim" not in resumed.to_json_dict()
+
     def test_resume_fresh_downgrades_corruption_to_a_warning(self, tmp_path, capsys):
         config = _config()
         checkpoint = str(tmp_path / "campaign.ckpt")
@@ -314,7 +374,6 @@ class TestCheckpointResume:
             _config(
                 backend="process",
                 workers=4,
-                sim_workers=2,
                 max_retries=9,
                 task_timeout_seconds=1.5,
             ),
@@ -326,28 +385,78 @@ class TestCheckpointResume:
         )
 
 
-class TestPoolWorkerFaults:
-    def test_killed_worker_recovers_identically(self, monkeypatch, tmp_path):
-        config = _config()
-        clean = Campaign(
-            config, instances=2, backend=ProcessPoolBackend(workers=2)
-        ).run()
+def _inject_worker_loss(monkeypatch, loss):
+    """Make the first generation of one pool worker die the way ``loss`` says.
 
+    ``("kill", instance, round)`` kills the worker through the fault plan
+    right before that round.  ``("exit", worker_id, last_bytes, status)``
+    has the worker write ``last_bytes`` raw to its pipe before any round,
+    then exit with ``status``.
+    """
+    if loss[0] == "kill":
+        _, instance, round_index = loss
         plan = [
             {
                 "action": "kill",
                 "site": "pool_worker",
-                "match": {"instance": 0, "round": 1, "generation": 0},
+                "match": {"instance": instance, "round": round_index, "generation": 0},
             }
         ]
         monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
         reset_fault_plan()
-        backend = ProcessPoolBackend(workers=2)
-        faulted = Campaign(config, instances=2, backend=backend).run()
+        return
+    _, dying_worker, last_bytes, status = loss
+    real_worker = process_pool._worker_main
+
+    def dying_worker_main(worker_id, generation, *args):
+        if worker_id == dying_worker and generation == 0:
+            os.write(args[-2].fileno(), last_bytes)
+            os._exit(status)
+        real_worker(worker_id, generation, *args)
+
+    monkeypatch.setattr(process_pool, "_worker_main", dying_worker_main)
+
+
+_WORKER_LOSSES = [
+    pytest.param("baseline", ("kill", 0, 1), id="killed-mid-campaign"),
+    # Death halfway through a message must not block the coordinator on the
+    # partial frame: a header promising 1 MiB, four bytes of it, death.
+    pytest.param(
+        "baseline",
+        ("exit", 0, struct.pack("!i", 1 << 20) + b"torn", 137),
+        id="torn-frame",
+    ),
+    # Death inside the 4-byte length prefix itself, before any payload.
+    pytest.param(
+        "baseline", ("exit", 1, struct.pack("!i", 1 << 20)[:2], 137), id="torn-header"
+    ),
+    # Exit status 0 without a word: the instances are still unfinished, so
+    # the slot is a loss like any crash.
+    pytest.param("baseline", ("exit", 0, b"", 0), id="clean-exit"),
+] + [
+    # Death after a resume snapshot was streamed: the replacement restores
+    # the defense-specific fuzzer state and replays the rest exactly.
+    pytest.param(defense, ("kill", 1, 4), id=f"late-kill-{defense}")
+    for defense in ALL_DEFENSES
+]
+
+
+class TestPoolWorkerFaults:
+    @pytest.mark.parametrize("defense, loss", _WORKER_LOSSES)
+    def test_killed_worker_recovers_identically(self, defense, loss, monkeypatch):
+        config = _config(defense)
+        clean = Campaign(
+            config, instances=2, backend=ProcessPoolBackend(workers=2)
+        ).run()
+
+        _inject_worker_loss(monkeypatch, loss)
+        faulted = Campaign(
+            config, instances=2, backend=ProcessPoolBackend(workers=2)
+        ).run(checkpoint_every=2)
 
         assert _fingerprint(faulted) == _fingerprint(clean)
         faults = faulted.fault_summary()
-        assert faults["counters"].get("worker_death", 0) >= 1
+        assert faults["counters"] == {"worker_death": 1}
         assert faults["lost_rounds"] == {}
         assert multiprocessing.active_children() == []
 
@@ -408,82 +517,6 @@ class TestPoolWorkerFaults:
         assert faulted.force_kills >= 1
         assert backend.force_kills >= 1
         assert multiprocessing.active_children() == []
-
-
-class TestSimWorkerFaults:
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self):
-        simshard.shutdown_pool()
-        yield
-        simshard.shutdown_pool()
-
-    def test_killed_sim_worker_recovers_identically(self, monkeypatch):
-        config = _config(sim_workers=2)
-        clean = Campaign(config, instances=1).run()
-        simshard.shutdown_pool()
-
-        plan = [
-            {
-                "action": "kill",
-                "site": "sim_worker",
-                "match": {"worker": 0, "generation": 0},
-            }
-        ]
-        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
-        reset_fault_plan()
-        faulted = Campaign(config, instances=1).run()
-
-        assert _fingerprint(faulted) == _fingerprint(clean)
-        faults = faulted.fault_summary()
-        assert faults["counters"].get("sim_worker_death", 0) >= 1
-        assert faulted.reports[0].parallel_sim["faults"]["sim_worker_death"] >= 1
-
-    def test_persistently_dying_sim_workers_degrade_to_inline(self, monkeypatch):
-        # Both workers die on every incarnation; after the retry budget the
-        # pool runs the round's shards inline — still compact-record shaped,
-        # still byte-identical.
-        config = _config(sim_workers=2, max_retries=1, retry_backoff_seconds=0.01)
-        clean = Campaign(config, instances=1).run()
-        simshard.shutdown_pool()
-
-        plan = [
-            {"action": "kill", "site": "sim_worker", "match": {}, "once": False}
-        ]
-        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
-        reset_fault_plan()
-        faulted = Campaign(config, instances=1).run()
-
-        assert _fingerprint(faulted) == _fingerprint(clean)
-        counters = faulted.fault_summary()["counters"]
-        assert counters.get("sim_worker_death", 0) >= 2
-        assert counters.get("sim_inline_fallback", 0) >= 1
-
-    def test_sim_deadline_overrun_is_force_killed_and_recovered(self, monkeypatch):
-        config = _config(
-            programs=2,
-            sim_workers=2,
-            task_timeout_seconds=0.5,
-            retry_backoff_seconds=0.01,
-        )
-        clean = Campaign(config, instances=1).run()
-        simshard.shutdown_pool()
-
-        plan = [
-            {
-                "action": "delay",
-                "site": "sim_worker",
-                "seconds": 5.0,
-                "match": {"worker": 0, "generation": 0},
-            }
-        ]
-        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
-        reset_fault_plan()
-        faulted = Campaign(config, instances=1).run()
-
-        assert _fingerprint(faulted) == _fingerprint(clean)
-        counters = faulted.fault_summary()["counters"]
-        assert counters.get("sim_deadline", 0) >= 1
-        assert counters.get("sim_force_kills", 0) >= 1
 
 
 class TestArtifactCorruptionFaults:

@@ -1,5 +1,7 @@
 """Tests for the random program generator, sandbox and input generation."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +244,36 @@ class TestInputs:
         preserve.add(register_taint_label("rdi"))
         variant = generator.mutate_preserving(base, preserve, count=1)[0]
         assert InputGenerator.preserved_equal(base, variant, preserve)
+
+    # Checkpoints pickle reports, witness inputs included, at
+    # HIGHEST_PROTOCOL; inputs must round-trip at the default protocol and
+    # through the protocol-5 reduction alike.
+    def test_default_protocol_round_trip_unchanged(self, input_generator):
+        test_input = input_generator.generate_one()
+        clone = pickle.loads(pickle.dumps(test_input))
+        assert clone == test_input
+        assert isinstance(clone.memory, bytes)
+
+    def test_protocol5_in_band_round_trip(self, input_generator):
+        test_input = input_generator.generate_one()
+        clone = pickle.loads(pickle.dumps(test_input, protocol=5))
+        assert clone == test_input
+        assert isinstance(clone.memory, bytes)
+
+    def test_protocol5_out_of_band_buffer_carries_the_sandbox_image(
+        self, input_generator
+    ):
+        test_input = input_generator.generate_one()
+        buffers = []
+        payload = pickle.dumps(test_input, protocol=5, buffer_callback=buffers.append)
+        # The sandbox image leaves the opcode stream as one raw buffer.
+        assert len(buffers) == 1
+        assert bytes(buffers[0].raw()) == test_input.memory
+        assert len(payload) < len(test_input.memory)
+        clone = pickle.loads(payload, buffers=buffers)
+        assert clone == test_input
+        assert isinstance(clone.memory, bytes)
+        assert clone.fingerprint() == test_input.fingerprint()
 
 
 def _assert_granule_words(test_input, sandbox):
