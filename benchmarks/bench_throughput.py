@@ -12,8 +12,9 @@ secure-speculation defenses.  This benchmark measures it four ways:
   simulations without losing any detectable violation;
 * **emulator-only** — contract-trace extraction under CT-COND (speculative
   exploration plus taint tracking) on a fixed program/input set;
-* **core-only** — O3 simulation of a fixed program/input set on the
-  baseline defense, no fuzzing around it.
+* **core-only** — O3 simulation of a fixed program/input set, no fuzzing
+  around it, on each of the four 1-page defenses (``core_only`` keeps the
+  baseline row the pre-PR recording compares against).
 
 A **trace-hash** micro-benchmark tracks the cached ``UarchTrace.__hash__``
 (detection, minimization and triage re-hash identical traces O(class²)
@@ -88,6 +89,9 @@ def artifact_path(filter_level: "FilterLevel", specialize: bool = True) -> str:
 
 SEED = 7
 DEFENSES = ("baseline", "invisispec", "stt", "cleanupspec", "speclfb")
+#: The defenses tested on a 1-page sandbox (STT needs 128 pages): the
+#: core-only rows and the pool-vs-inline campaigns.
+ONE_PAGE_DEFENSES = ("baseline", "invisispec", "cleanupspec", "speclfb")
 
 #: Budgets shared by the baseline recording and every later measurement —
 #: the speedup ratio is only meaningful on identical workloads.
@@ -114,7 +118,6 @@ SMOKE_BUDGET = {
 #: cost per campaign, so short campaigns measure spawn, not parallelism:
 #: on a 2-vCPU host the pool read 1.01-1.44x inline at 4 programs per
 #: instance and 1.33-1.72x at 16.
-POOL_DEFENSES = ("baseline", "invisispec", "cleanupspec", "speclfb")
 POOL_PROGRAMS = 16
 POOL_INSTANCES = 2
 POOL_WORKERS = 2
@@ -203,16 +206,16 @@ def measure_emulator_only(
 
 
 def measure_core_only(
-    programs: int, inputs: int, specialize: bool = True
+    programs: int, inputs: int, specialize: bool = True, defense: str = "baseline"
 ) -> Dict[str, object]:
-    """O3 simulation throughput (baseline defense, OPT lifecycle)."""
+    """O3 simulation throughput (one defense, OPT lifecycle)."""
     sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
     runs = 0
     instructions = 0
     started = time.perf_counter()
     for program in program_list:
         executor = SimulatorExecutor(
-            defense_factory="baseline",
+            defense_factory=defense,
             sandbox=sandbox,
             mode=ExecutionMode.OPT,
             specialize=specialize,
@@ -224,6 +227,7 @@ def measure_core_only(
             runs += 1
     elapsed = time.perf_counter() - started
     return {
+        "defense": defense,
         "runs": runs,
         "instructions_committed": instructions,
         "seconds": round(elapsed, 3),
@@ -288,7 +292,7 @@ def measure_pool_vs_inline() -> Dict[str, object]:
         return {"skipped": f"os.cpu_count() == {cpus}"}
     seconds = {"inline": 0.0, "pool": 0.0}
     mismatches: List[str] = []
-    for index, defense in enumerate(POOL_DEFENSES):
+    for index, defense in enumerate(ONE_PAGE_DEFENSES):
         config = FuzzerConfig(
             defense=defense,
             programs_per_instance=POOL_PROGRAMS,
@@ -316,7 +320,7 @@ def measure_pool_vs_inline() -> Dict[str, object]:
         if len(verdicts) != 1:
             mismatches.append(defense)
     return {
-        "defenses": list(POOL_DEFENSES),
+        "defenses": list(ONE_PAGE_DEFENSES),
         "programs": POOL_PROGRAMS,
         "instances": POOL_INSTANCES,
         "workers": POOL_WORKERS,
@@ -416,10 +420,20 @@ def run_suite(
         budget["micro_programs"], budget["micro_inputs"], specialize=specialize
     )
     print(f"  emulator-only (CT-COND)   {emulator_row['traces_per_second']:>8} traces/s")
-    core_row = measure_core_only(
-        budget["micro_programs"], budget["micro_inputs"], specialize=specialize
-    )
-    print(f"  core-only (baseline O3)   {core_row['simulations_per_second']:>8} sims/s")
+    core_rows = []
+    for defense in ONE_PAGE_DEFENSES:
+        core_rows.append(
+            measure_core_only(
+                budget["micro_programs"],
+                budget["micro_inputs"],
+                specialize=specialize,
+                defense=defense,
+            )
+        )
+        print(
+            f"  core-only  {defense:12s}   "
+            f"{core_rows[-1]['simulations_per_second']:>8} sims/s"
+        )
     hash_row = measure_trace_hashing()
     print(
         f"  trace-hash (cold/cached)  {hash_row['cold_hashes_per_second']:>8} / "
@@ -444,7 +458,8 @@ def run_suite(
         "end_to_end": end_to_end,
         "end_to_end_wide": end_to_end_wide,
         "emulator_only": emulator_row,
-        "core_only": core_row,
+        "core_only": core_rows[0],
+        "core_only_defenses": core_rows,
         "trace_hash": hash_row,
         "specialization": specialization_row,
     }

@@ -79,11 +79,23 @@ class Defense:
         """Clear per-test-case state (speculative buffers, queues, ...)."""
 
     def tick(self, cycle: int) -> None:
-        """Called once per simulated cycle (used e.g. for expose queues)."""
+        """Called at the start of every cycle the core steps (e.g. to drain
+        an expose queue).
 
-    def drain_complete(self) -> bool:
-        """True when the defense has no pending work left at end of test."""
-        return True
+        The core skips idle cycles, so a defense overriding ``tick`` must
+        say when it next needs one: see :meth:`next_tick`.
+        """
+
+    def next_tick(self, cycle: int) -> Optional[int]:
+        """The earliest cycle after ``cycle`` at which :meth:`tick` can act.
+
+        Asked at the end of an idle cycle; None means ``tick`` has nothing
+        to do until some other hook gives it work (which only happens on a
+        cycle the core steps anyway).  The core never skips past the
+        returned cycle.  The default, ``cycle + 1``, steps every cycle, so a
+        defense that overrides only ``tick`` keeps being called each cycle.
+        """
+        return cycle + 1
 
     # -- memory path hooks --------------------------------------------------------
     def load_execute(self, entry: "InFlightInstruction", cycle: int) -> Optional[int]:

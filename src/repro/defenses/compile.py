@@ -11,7 +11,9 @@ same tight loops the hand-written implementations did.
 Only the methods a spec actually needs are generated: the out-of-order core
 skips its per-cycle ``tick`` stage and its safety-notification stage for
 defenses that do not override the corresponding hook, and the compiler
-preserves that by omitting the methods entirely.
+preserves that by omitting the methods entirely.  A replay policy's ``tick``
+comes with a ``next_tick`` that lets the core fast-forward over idle cycles
+while the replay queue is empty.
 
 ``compile_defense`` also generates the defense's bugs dataclass (one boolean
 field per :class:`~repro.defenses.spec.BugFlag`), wires the patched-variant
@@ -357,17 +359,20 @@ def _build_replay_methods(spec: DefenseSpec) -> dict:
             queue.popleft()
             processed += 1
 
+    def next_tick(self, cycle: int) -> Optional[int]:
+        # Only on_commit fills the queue, and commits happen on stepped
+        # cycles.  A blocked head is retried every cycle rather than at the
+        # next MSHR release: each retry counts an MSHR stall.
+        return cycle + 1 if self._replay_queue else None
+
     def reset_for_run(self) -> None:
         self._replay_queue.clear()
-
-    def drain_complete(self) -> bool:
-        return not self._replay_queue
 
     return {
         "on_commit": on_commit,
         "tick": tick,
+        "next_tick": next_tick,
         "reset_for_run": reset_for_run,
-        "drain_complete": drain_complete,
     }
 
 
@@ -392,14 +397,10 @@ def _build_hold_methods(spec: DefenseSpec) -> dict:
     def reset_for_run(self) -> None:
         self._pending_lines.clear()
 
-    def drain_complete(self) -> bool:
-        return not self._pending_lines
-
     return {
         "on_entry_safe": on_entry_safe,
         "on_squash": on_squash,
         "reset_for_run": reset_for_run,
-        "drain_complete": drain_complete,
     }
 
 

@@ -12,6 +12,10 @@ alone,
 * the **patched-vs-buggy A/B** — every selected case runs against the
   original artifact and, when the spec's bug flags define a patched
   variant, against the patch, each checked against its expected outcome,
+* a **fast-forward == stepping** check — every selected case, for each
+  variant, replays once more on a :func:`stepping_class` copy of the defense
+  that makes the core step every cycle; traces and statistics must match,
+  which catches a wrong :meth:`~repro.defenses.base.Defense.next_tick`,
 * a **recommended-contract smoke campaign** — a short randomized fuzzing
   campaign under the spec's recommended contract/sandbox/priming, run for
   both variants, and
@@ -32,12 +36,14 @@ Run as a module for the CI conformance smoke::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.defenses.registry import defense_class, registry
+from repro.defenses.base import Defense
+from repro.defenses.registry import create_defense, defense_class, registry
 
 VARIANT_BUGGY = "buggy"
 VARIANT_PATCHED = "patched"
@@ -85,6 +91,28 @@ class LitmusCheck:
 
 
 @dataclass(frozen=True)
+class FastForwardCheck:
+    """The selected litmus cases of one variant, fast-forwarded vs stepped."""
+
+    variant: str
+    cases: int
+    #: Cases whose traces or statistics differ between the two runs.
+    mismatches: Tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    def as_row(self) -> Dict[str, object]:
+        return {
+            "variant": self.variant,
+            "cases": self.cases,
+            "mismatches": list(self.mismatches),
+            "ok": self.ok,
+        }
+
+
+@dataclass(frozen=True)
 class SmokeResult:
     """Summary of one recommended-contract smoke campaign."""
 
@@ -125,15 +153,19 @@ class ConformanceReport:
     has_patch: bool
     spec_lines: Optional[int]
     litmus: Tuple[LitmusCheck, ...] = ()
+    fast_forward: Tuple[FastForwardCheck, ...] = ()
     smoke: Tuple[SmokeResult, ...] = ()
     table11_row: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return all(check.ok for check in self.litmus)
+        return not self.failures()
 
-    def failures(self) -> Tuple[LitmusCheck, ...]:
-        return tuple(check for check in self.litmus if not check.ok)
+    def failures(self) -> Tuple[object, ...]:
+        """Failed litmus checks, then failed fast-forward checks."""
+        return tuple(
+            check for check in self.litmus + self.fast_forward if not check.ok
+        )
 
     def summary_lines(self) -> Tuple[str, ...]:
         lines = [
@@ -150,6 +182,14 @@ class ConformanceReport:
                 f"  litmus {check.case}{borrowed} [{check.vulnerability}] "
                 f"{check.variant}: violation={check.violation} "
                 f"expected={expected} {'ok' if check.ok else 'MISMATCH'}"
+            )
+        for check in self.fast_forward:
+            outcome = (
+                "ok" if check.ok else "MISMATCH in " + ", ".join(check.mismatches)
+            )
+            lines.append(
+                f"  fast-forward == stepping {check.variant}: "
+                f"{check.cases} litmus cases {outcome}"
             )
         for smoke in self.smoke:
             lines.append(
@@ -178,6 +218,7 @@ class ConformanceReport:
             "spec_lines": self.spec_lines,
             "ok": self.ok,
             "litmus": [check.as_row() for check in self.litmus],
+            "fast_forward": [check.as_row() for check in self.fast_forward],
             "smoke": [smoke.as_row() for smoke in self.smoke],
             "table11": self.table11_row,
         }
@@ -248,6 +289,14 @@ def _has_patched_variant(cls) -> bool:
     return True
 
 
+def _variants(defense_name: str) -> List[Tuple[str, bool]]:
+    """(variant label, patched) pairs: buggy, plus patched when defined."""
+    variants = [(VARIANT_BUGGY, False)]
+    if _has_patched_variant(defense_class(defense_name)):
+        variants.append((VARIANT_PATCHED, True))
+    return variants
+
+
 def run_litmus_checks(
     defense_name: str,
     selection: Optional[Sequence[SelectedCase]] = None,
@@ -256,12 +305,9 @@ def run_litmus_checks(
     from repro.litmus.cases import get_case
     from repro.litmus.runner import run_case
 
-    cls = defense_class(defense_name)
     if selection is None:
         selection = litmus_selection(defense_name)
-    variants = [(VARIANT_BUGGY, False)]
-    if _has_patched_variant(cls):
-        variants.append((VARIANT_PATCHED, True))
+    variants = _variants(defense_name)
     checks: List[LitmusCheck] = []
     for selected in selection:
         case = get_case(selected.case)
@@ -282,6 +328,68 @@ def run_litmus_checks(
                     borrowed=selected.borrowed,
                 )
             )
+    return tuple(checks)
+
+
+@functools.lru_cache(maxsize=None)
+def stepping_class(cls: Type[Defense]) -> Type[Defense]:
+    """``cls``, with the core's idle-cycle fast-forward off: the oracle.
+
+    Overriding ``tick`` turns the core's tick stage on even for a defense
+    without one, and a ``next_tick`` of ``cycle + 1`` forbids every skip.
+    The fast-forward only skips cycles in which nothing happens, so a
+    stepping defense must produce exactly the same traces and statistics.
+    """
+
+    class Stepping(cls):
+        def tick(self, cycle: int) -> None:
+            super().tick(cycle)
+
+        def next_tick(self, cycle: int) -> Optional[int]:
+            return cycle + 1
+
+    Stepping.__name__ = Stepping.__qualname__ = f"Stepping{cls.__name__}"
+    return Stepping
+
+
+def _create_stepping_defense(name: str, patched: bool = False, bugs=None) -> Defense:
+    """:func:`~repro.defenses.registry.create_defense`, as its stepping class."""
+    defense = create_defense(name, patched=patched, bugs=bugs)
+    defense.__class__ = stepping_class(type(defense))
+    return defense
+
+
+def run_fast_forward_checks(
+    defense_name: str,
+    selection: Optional[Sequence[SelectedCase]] = None,
+) -> Tuple[FastForwardCheck, ...]:
+    """Replay the selected cases fast-forwarded and stepped; compare."""
+    from repro.litmus.cases import get_case
+    from repro.litmus.runner import run_case
+
+    if selection is None:
+        selection = litmus_selection(defense_name)
+    checks: List[FastForwardCheck] = []
+    for variant, patched in _variants(defense_name):
+        mismatches = []
+        for selected in selection:
+            case = get_case(selected.case)
+            observed = []
+            for factory in (create_defense, _create_stepping_defense):
+                run = run_case(
+                    case,
+                    defense_factory=functools.partial(
+                        factory, defense_name, patched=patched
+                    ),
+                )
+                observed.append((run.trace_a, run.trace_b, run.stats))
+            if observed[0] != observed[1]:
+                mismatches.append(selected.case)
+        checks.append(
+            FastForwardCheck(
+                variant=variant, cases=len(selection), mismatches=tuple(mismatches)
+            )
+        )
     return tuple(checks)
 
 
@@ -353,6 +461,7 @@ def build_harness(
     spec = getattr(cls, "SPEC", None)
     selection = litmus_selection(defense_name)
     checks = run_litmus_checks(defense_name, selection)
+    fast_forward = run_fast_forward_checks(defense_name, selection)
     has_patch = _has_patched_variant(cls)
     smoke_results: List[SmokeResult] = []
     if smoke:
@@ -388,6 +497,7 @@ def build_harness(
         has_patch=has_patch,
         spec_lines=table11["spec_loc"],
         litmus=checks,
+        fast_forward=fast_forward,
         smoke=tuple(smoke_results),
         table11_row=table11,
     )

@@ -9,8 +9,9 @@ and compares their traces.  A difference is a (validated) contract violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.defenses.base import Defense
 from repro.defenses.registry import create_defense
 from repro.executor.executor import SimulatorExecutor
 from repro.executor.traces import UarchTrace
@@ -58,6 +59,7 @@ def run_case(
     patched: bool = False,
     bugs=None,
     defense: Optional[str] = None,
+    defense_factory: Optional[Callable[[], Defense]] = None,
 ) -> LitmusOutcome:
     """Run a litmus case against its defense (original or patched variant).
 
@@ -65,9 +67,14 @@ def run_case(
     use it to replay a borrowed case against a different (e.g. plugin)
     defense.  Expectations recorded on the case apply to the case's own
     defense; callers overriding it must supply their own (see
-    :class:`~repro.defenses.spec.LitmusTag`).
+    :class:`~repro.defenses.spec.LitmusTag`).  ``defense_factory`` replaces
+    the registry lookup altogether (``patched``, ``bugs`` and ``defense``
+    are then ignored).
     """
     defense_name = defense or case.defense
+    if defense_factory is None:
+        def defense_factory() -> Defense:
+            return create_defense(defense_name, patched=patched, bugs=bugs)
     sandbox = case.sandbox()
     program, input_a, input_b = case.build()
 
@@ -81,7 +88,7 @@ def run_case(
 
     # 2. Run both inputs on the simulator from the same starting context.
     executor = SimulatorExecutor(
-        defense_factory=lambda: create_defense(defense_name, patched=patched, bugs=bugs),
+        defense_factory=defense_factory,
         uarch_config=case.uarch_config,
         sandbox=sandbox,
         trace_config=case.trace_config,

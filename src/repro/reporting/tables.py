@@ -79,7 +79,8 @@ def render_conformance_table(reports) -> str:
 
     ``reports`` is an iterable of
     :class:`~repro.defenses.conformance.ConformanceReport`; litmus rows come
-    first (with their expectations), followed by one row per smoke campaign.
+    first (with their expectations), then one fast-forward == stepping row
+    per variant, then one row per smoke campaign.
     """
     rows: List[Dict[str, object]] = []
     for report in reports:
@@ -91,6 +92,17 @@ def render_conformance_table(reports) -> str:
                     "variant": check.variant,
                     "violation": check.violation,
                     "expected": check.expected,
+                    "ok": check.ok,
+                }
+            )
+        for check in report.fast_forward:
+            rows.append(
+                {
+                    "defense": report.defense,
+                    "check": "fast-forward==stepping",
+                    "variant": check.variant,
+                    "violation": None,
+                    "expected": None,
                     "ok": check.ok,
                 }
             )

@@ -349,20 +349,25 @@ class O3Core:
         drain_cycles = config.drain_cycles
         mshrs = self.memory.mshrs
         expire = mshrs.expire
-        tick = self.defense.tick
-        tick_needed = self._defense_ticks
+        defense = self.defense
+        tick = defense.tick if self._defense_ticks else None
+        next_tick = defense.next_tick
         buckets = self._finish_buckets
 
-        # Idle-cycle fast-forward: once a cycle performs no observable work
-        # (every stage below reports inactivity), the pipeline state is a
-        # fixed point — nothing can change until a *time-triggered* event:
-        # a writeback bucket coming due, the fetch stall expiring, or a
-        # commit stall expiring.  Jumping the cycle counter straight to the
-        # earliest such event is exact: the skipped cycles would each have
-        # re-scanned the same state and done nothing (MSHR expiry commutes —
-        # it releases by release_cycle <= now, so one batched call at the
-        # event cycle frees the same set).  Defenses that override tick()
-        # observe every cycle, so the fast-forward is disabled for them.
+        # Idle-cycle fast-forward.  A cycle is *active* when a stage changed
+        # state: a writeback, a safety notification, a commit, an issue, a
+        # dispatch, or an issue attempt refused for a reason the core cannot
+        # see clear (an MSHR stall or a defense delay).  After an inactive
+        # cycle the pipeline is a fixed point: nothing changes until a
+        # time-triggered event — a writeback bucket coming due, the fetch or
+        # commit stall expiring, or the defense's wake-up cycle
+        # (``Defense.next_tick``; None once tick() has nothing left to do).
+        # Jumping straight to the earliest such event is exact: every skipped
+        # cycle would re-scan the same state and do nothing.  MSHR expiry
+        # commutes (it releases by release_cycle <= now, so one batched call
+        # at the event cycle frees the same set), and a load refused behind
+        # an older store can only proceed once that store executes, commits
+        # or is squashed, each of which happens on an active cycle.
         while True:
             self.cycle += 1
             cycle = self.cycle
@@ -370,7 +375,7 @@ class O3Core:
                 break
             if mshrs._busy:
                 expire(cycle)
-            if tick_needed:
+            if tick is not None:
                 tick(cycle)
             active = False
             if buckets:
@@ -389,12 +394,16 @@ class O3Core:
                 end = exit_cycle + drain_cycles
                 if cycle >= end:
                     break
-                if not active and not tick_needed:
+                if not active:
                     target = end
                     if buckets:
                         next_bucket = min(buckets)
                         if next_bucket < target:
                             target = next_bucket
+                    if tick is not None:
+                        wake = next_tick(cycle)
+                        if wake is not None and wake < target:
+                            target = wake
                     if target > cycle + 1:
                         self.cycle = target - 1
                 continue
@@ -404,7 +413,7 @@ class O3Core:
             fetch_code = self._fetch(cycle)
             if fetch_code == 1:
                 active = True
-            if not active and not tick_needed:
+            if not active:
                 target = max_cycles + 1
                 if buckets:
                     next_bucket = min(buckets)
@@ -414,6 +423,10 @@ class O3Core:
                     target = self._fetch_stalled_until
                 if self._rob and cycle < self._stall_commit_until < target:
                     target = self._stall_commit_until
+                if tick is not None:
+                    wake = next_tick(cycle)
+                    if wake is not None and wake < target:
+                        target = wake
                 if target > cycle + 1:
                     if fetch_code == 2:
                         # Replay the fetch-ahead steps the skipped cycles
@@ -701,17 +714,19 @@ class O3Core:
         # squash and the EXIT drain leave stale references behind, which the
         # status check drops lazily, matching the old full-ROB scan).
         #
-        # Returns True when any execution start was *attempted*: a refused
-        # start (MSHR stall, defense delay) may succeed on any later cycle
-        # for reasons invisible to the core, so such cycles must not be
-        # fast-forwarded.
+        # Returns True when the stage was active: an entry issued, or a start
+        # was refused for a reason invisible to the core (MSHR stall, defense
+        # delay) that may clear on any later cycle, so such cycles must not
+        # be fast-forwarded.  A load refused behind an older store
+        # (_start_execution returns None) waits for a core-visible event and
+        # is not activity.
         waiting = self._exec_waiting
         if self._exec_resort:
             # Woken entries were appended out of dispatch order; issue
             # priority is by age, so restore seq order before scanning.
             waiting.sort(key=_entry_seq)
             self._exec_resort = False
-        attempted = False
+        active = False
         issued = 0
         issue_width = self.config.issue_width
         keep: List[InFlightInstruction] = []
@@ -727,13 +742,16 @@ class O3Core:
                 # advances (its done/commit transition re-appends us).
                 blocker.waiters.append(entry)
                 continue
-            attempted = True
-            if self._start_execution(entry, cycle):
+            started = self._start_execution(entry, cycle)
+            if started:
                 issued += 1
+                active = True
             else:
                 keep.append(entry)
+                if started is not None:
+                    active = True
         self._exec_waiting = keep
-        return attempted
+        return active
 
     def _blocking_producer(
         self, entry: InFlightInstruction
@@ -811,7 +829,7 @@ class O3Core:
             read_memory,
         )
 
-    def _start_execution(self, entry: InFlightInstruction, cycle: int) -> bool:
+    def _start_execution(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
         # Integer kind dispatch, most frequent kinds first.
         kind = entry.decoded.exec_kind
         if kind == DecodedInstruction.KIND_ALU:
@@ -851,7 +869,7 @@ class O3Core:
         self._begin(entry, cycle, BRANCH_RESOLVE_LATENCY)
         return True
 
-    def _execute_memory(self, entry: InFlightInstruction, cycle: int) -> bool:
+    def _execute_memory(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
         decoded = entry.decoded
         # Effective address, inlined (this is the entry point of every
         # load/store issue attempt; the generic helper costs a closure
@@ -874,14 +892,24 @@ class O3Core:
         else:
             entry.line_addresses = [first, last]
             entry.is_split = True
+        resolved_now = False
         if entry.is_store:
             # This store's address just resolved; it no longer blocks
             # younger accesses (and must not appear in its own deps).
-            self._unresolved_stores.discard(entry.seq)
+            unresolved = self._unresolved_stores
+            if entry.seq in unresolved:
+                unresolved.remove(entry.seq)
+                resolved_now = True
         self._capture_speculation_status(entry)
 
         if entry.is_load:
-            return self._execute_load(entry, cycle)
+            started = self._execute_load(entry, cycle)
+            if started is None and resolved_now:
+                # A read-modify-write refused behind an older store still
+                # resolved its own store address, which can make younger
+                # entries safe next cycle: that attempt was activity.
+                return False
+            return started
         return self._execute_store(entry, cycle)
 
     def _capture_speculation_status(self, entry: InFlightInstruction) -> None:
@@ -901,7 +929,9 @@ class O3Core:
         entry.unsafe_deps = deps
         entry.speculative = bool(deps)
 
-    def _execute_load(self, entry: InFlightInstruction, cycle: int) -> bool:
+    def _execute_load(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
+        # Returns None when an older store holds the load back; only that
+        # store executing, committing or being squashed can release it.
         forwarded_value: Optional[int] = None
         # Scan older in-flight stores, youngest first.  Committed stores
         # have drained to architectural memory (their writes land at
@@ -916,14 +946,14 @@ class O3Core:
             if older.mem_address is None:
                 if self.dependence_predictor.predicts_alias(entry.pc):
                     # Conservative prediction: wait for the store to resolve.
-                    return False
+                    return None
                 entry.bypassed_stores.add(older.seq)
                 continue
             if not entry.overlaps(older):
                 continue
             store_write = older.effect.memory_write if older.effect else None
             if store_write is None:
-                return False
+                return None
             store_address, store_size, store_value = store_write
             covers = (
                 store_address <= entry.mem_address
@@ -938,7 +968,7 @@ class O3Core:
             else:
                 # Partial overlap: wait until the store has drained to memory.
                 entry.wait_for_store_commit = older.seq
-                return False
+                return None
             break
 
         if forwarded_value is not None:

@@ -11,6 +11,7 @@ import pytest
 from repro.defenses.base import Defense
 from repro.defenses.conformance import (
     ConformanceReport,
+    FastForwardCheck,
     LitmusCheck,
     build_harness,
     litmus_case_names,
@@ -126,7 +127,12 @@ class TestBuildHarness:
         assert report.table11_row["total_loc"] > 0
         variants = {smoke.variant for smoke in report.smoke}
         assert variants == {"buggy", "patched"}
+        assert [check.variant for check in report.fast_forward] == ["buggy", "patched"]
+        assert all(check.cases == len(report.litmus) // 2 for check in report.fast_forward)
         assert any("speclfb" in line for line in report.summary_lines())
+        assert any(
+            "fast-forward == stepping patched" in line for line in report.summary_lines()
+        )
 
     def test_plugin_report_is_fully_generated(self):
         register_defense(undospec_plugin.UndoSpecDefense)
@@ -138,6 +144,7 @@ class TestBuildHarness:
             # generated harness, litmus selection and Table-11 row.
             assert report.spec_lines is not None and report.spec_lines < 50
             assert len(report.litmus) == 8  # 4 borrowed cases x 2 variants
+            assert [check.cases for check in report.fast_forward] == [4, 4]
             assert report.table11_row["spec_loc"] == report.spec_lines
         finally:
             unregister_defense("undospec")
@@ -161,12 +168,36 @@ class TestBuildHarness:
         assert [c.case for c in report.failures()] == ["a"]
         assert any("MISMATCH" in line for line in report.summary_lines())
 
+    def test_fast_forward_mismatch_fails_the_report(self):
+        mismatch = FastForwardCheck("buggy", cases=2, mismatches=("b",))
+        report = ConformanceReport(
+            defense="x",
+            source="api",
+            description="",
+            contract="CT-SEQ",
+            sandbox_pages=1,
+            has_spec=True,
+            has_patch=False,
+            spec_lines=1,
+            litmus=(LitmusCheck("b", "UV2", "buggy", violation=True, expected=True),),
+            fast_forward=(mismatch,),
+        )
+        assert not report.ok
+        assert report.failures() == (mismatch,)
+        assert any(
+            "fast-forward == stepping buggy: 2 litmus cases MISMATCH in b" in line
+            for line in report.summary_lines()
+        )
+
     def test_json_round_trip(self):
         report = build_harness("baseline", smoke=False)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["defense"] == "baseline"
         assert payload["ok"] is True
         assert payload["litmus"]
+        assert payload["fast_forward"] == [
+            {"variant": "buggy", "cases": 3, "mismatches": [], "ok": True}
+        ]
 
 
 class TestRendering:
@@ -175,6 +206,7 @@ class TestRendering:
         text = render_conformance_table([report])
         assert "litmus:stt_store_tlb" in text
         assert "smoke:ARCH-SEQ" in text
+        assert "fast-forward==stepping" in text
         assert "buggy" in text and "patched" in text
 
 
