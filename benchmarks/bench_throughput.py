@@ -20,7 +20,7 @@ A **trace-hash** micro-benchmark tracks the cached ``UarchTrace.__hash__``
 (detection, minimization and triage re-hash identical traces O(class²)
 times).
 
-The unfiltered, specialized run additionally measures **pool vs inline**:
+The unfiltered run additionally measures **pool vs inline**:
 the same campaigns (four 1-page defenses, two instances each, paper-default
 boosting, ``POOL_PROGRAMS`` programs per instance) on
 ``ProcessPoolBackend(workers=2)`` and on ``InlineBackend``, asserting equal
@@ -69,7 +69,6 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.isa import specialized
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
 
@@ -78,13 +77,10 @@ BASELINE_PATH = os.path.join(HERE, "throughput_baseline.json")
 FLOOR_PATH = os.path.join(HERE, "throughput_floor.json")
 
 
-def artifact_path(filter_level: "FilterLevel", specialize: bool = True) -> str:
-    """Filtered / interpreted runs get their own artifact so they never
-    overwrite the unfiltered measurement CI uploads for the perf
-    trajectory."""
+def artifact_path(filter_level: "FilterLevel") -> str:
+    """Filtered runs get their own artifact so they never overwrite the
+    unfiltered measurement CI uploads for the perf trajectory."""
     suffix = "" if filter_level is FilterLevel.NONE else f"_{filter_level.value}"
-    if not specialize:
-        suffix += "_nospec"
     return os.path.join(HERE, "artifacts", f"BENCH_throughput{suffix}.json")
 
 SEED = 7
@@ -141,7 +137,6 @@ def measure_end_to_end(
     inputs: int,
     filter_level: FilterLevel = FilterLevel.NONE,
     boost_factor: Optional[int] = None,
-    specialize: bool = True,
 ) -> Dict[str, object]:
     """One inline-backend campaign; returns test-cases/sec and a time split."""
     config = FuzzerConfig(
@@ -150,7 +145,6 @@ def measure_end_to_end(
         inputs_per_program=inputs,
         seed=SEED,
         filter=filter_level,
-        specialize=specialize,
     )
     if boost_factor is not None:
         config.boost_factor = boost_factor
@@ -178,9 +172,7 @@ def measure_end_to_end(
     return row
 
 
-def measure_emulator_only(
-    programs: int, inputs: int, specialize: bool = True
-) -> Dict[str, object]:
+def measure_emulator_only(programs: int, inputs: int) -> Dict[str, object]:
     """Contract-trace throughput under CT-COND (speculation + taint).
 
     The first input of each program pays that program's compile when its
@@ -193,7 +185,7 @@ def measure_emulator_only(
     runs = 0
     started = time.perf_counter()
     for program in program_list:
-        emulator = Emulator(program, sandbox, specialize=specialize)
+        emulator = Emulator(program, sandbox)
         for test_input in test_inputs:
             emulator.run(test_input, contract)
             runs += 1
@@ -206,7 +198,7 @@ def measure_emulator_only(
 
 
 def measure_core_only(
-    programs: int, inputs: int, specialize: bool = True, defense: str = "baseline"
+    programs: int, inputs: int, defense: str = "baseline"
 ) -> Dict[str, object]:
     """O3 simulation throughput (one defense, OPT lifecycle)."""
     sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
@@ -218,7 +210,6 @@ def measure_core_only(
             defense_factory=defense,
             sandbox=sandbox,
             mode=ExecutionMode.OPT,
-            specialize=specialize,
         )
         executor.load_program(program)
         for test_input in test_inputs:
@@ -233,48 +224,6 @@ def measure_core_only(
         "seconds": round(elapsed, 3),
         "simulations_per_second": round(runs / elapsed, 2),
         "instructions_per_second": round(instructions / elapsed, 1),
-    }
-
-
-def measure_specialization(programs: int, inputs: int) -> Dict[str, object]:
-    """Cold per-program cost of the specialized closures vs generic evaluate.
-
-    Each side runs its own freshly generated program instances (nothing
-    decoded or specialized yet), ``inputs`` inputs per program under
-    CT-COND, so the per-program figures include decoding and, for the
-    closures, building them — a specialization is never credited without
-    its build cost.
-    """
-    contract = get_contract("CT-COND")
-    sides: Dict[str, Dict[str, float]] = {}
-    build_seconds = 0.0
-    for name, specialize in (("closures", True), ("generic", False)):
-        sandbox, program_list, test_inputs = _fixed_workload(programs, inputs)
-        before = specialized.stats_snapshot()
-        started = time.perf_counter()
-        for program in program_list:
-            emulator = Emulator(program, sandbox, specialize=specialize)
-            for test_input in test_inputs:
-                emulator.run(test_input, contract)
-        elapsed = time.perf_counter() - started
-        if specialize:
-            build_seconds = specialized.stats_snapshot()["compile_seconds"] - (
-                before["compile_seconds"]
-            )
-        sides[name] = {
-            "ms_per_program": round(1e3 * elapsed / len(program_list), 3),
-            "traces_per_second": round(
-                len(program_list) * len(test_inputs) / elapsed, 2
-            ),
-        }
-    return {
-        "programs": programs,
-        "inputs_per_program": inputs,
-        "build_ms_per_program": round(1e3 * build_seconds / programs, 3),
-        **sides,
-        "closures_speedup": round(
-            sides["generic"]["ms_per_program"] / sides["closures"]["ms_per_program"], 2
-        ),
     }
 
 
@@ -375,14 +324,12 @@ def run_suite(
     budget: Dict[str, int],
     defenses=DEFENSES,
     filter_level: FilterLevel = FilterLevel.NONE,
-    specialize: bool = True,
     pool_section: bool = False,
 ) -> Dict[str, object]:
     end_to_end: List[Dict[str, object]] = []
     for defense in defenses:
         row = measure_end_to_end(
-            defense, budget["programs"], budget["inputs"], filter_level,
-            specialize=specialize,
+            defense, budget["programs"], budget["inputs"], filter_level
         )
         end_to_end.append(row)
         print(
@@ -397,7 +344,6 @@ def run_suite(
             budget["wide_inputs"],
             filter_level,
             boost_factor=0,
-            specialize=specialize,
         )
         end_to_end_wide.append(row)
         skipped = sum(row["skipped"].values())
@@ -417,17 +363,14 @@ def run_suite(
                 f"{pool_row['pool_seconds']}s on {POOL_WORKERS} workers)"
             )
     emulator_row = measure_emulator_only(
-        budget["micro_programs"], budget["micro_inputs"], specialize=specialize
+        budget["micro_programs"], budget["micro_inputs"]
     )
     print(f"  emulator-only (CT-COND)   {emulator_row['traces_per_second']:>8} traces/s")
     core_rows = []
     for defense in ONE_PAGE_DEFENSES:
         core_rows.append(
             measure_core_only(
-                budget["micro_programs"],
-                budget["micro_inputs"],
-                specialize=specialize,
-                defense=defense,
+                budget["micro_programs"], budget["micro_inputs"], defense=defense
             )
         )
         print(
@@ -439,29 +382,16 @@ def run_suite(
         f"  trace-hash (cold/cached)  {hash_row['cold_hashes_per_second']:>8} / "
         f"{hash_row['cached_hashes_per_second']} hashes/s"
     )
-    specialization_row = None
-    if specialize:
-        specialization_row = measure_specialization(
-            8 * budget["micro_programs"], FuzzerConfig().inputs_per_program
-        )
-        print(
-            f"  specialization (cold)     "
-            f"{specialization_row['closures']['ms_per_program']:>8} / "
-            f"{specialization_row['generic']['ms_per_program']} ms/program "
-            f"closures/generic, {specialization_row['closures_speedup']}x"
-        )
     suite: Dict[str, object] = {
         "budget": dict(budget),
         "seed": SEED,
         "filter": filter_level.value,
-        "specialize": specialize,
         "end_to_end": end_to_end,
         "end_to_end_wide": end_to_end_wide,
         "emulator_only": emulator_row,
         "core_only": core_rows[0],
         "core_only_defenses": core_rows,
         "trace_hash": hash_row,
-        "specialization": specialization_row,
     }
     if pool_row is not None:
         suite["pool_vs_inline"] = pool_row
@@ -504,13 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fail (exit 1) if end-to-end throughput regresses >30%% below the floor",
     )
     parser.add_argument(
-        "--no-specialize",
-        dest="specialize",
-        action="store_false",
-        help="run the generic interpreters instead of the specialized "
-        "closures (A/B switch; artifact gets a _nospec suffix)",
-    )
-    parser.add_argument(
         "--require-skips",
         action="store_true",
         help="fail (exit 1) unless the filtered run skipped at least one test case "
@@ -521,28 +444,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     filter_level = FilterLevel(args.filter)
     if args.record_baseline and filter_level is not FilterLevel.NONE:
         parser.error("--record-baseline always uses filter=none (the seed behavior)")
-    if args.record_baseline and not args.specialize:
-        parser.error("--record-baseline measures the shipped (specialized) path")
 
     budget = SMOKE_BUDGET if args.smoke else FULL_BUDGET
     label = "smoke" if args.smoke else "full"
-    mode = "specialized" if args.specialize else "interpreted"
-    print(
-        f"== throughput benchmark ({label} budget, filter={filter_level.value}, "
-        f"{mode}) =="
-    )
+    print(f"== throughput benchmark ({label} budget, filter={filter_level.value}) ==")
     suite = run_suite(
         budget,
         filter_level=filter_level,
-        specialize=args.specialize,
         # Pool vs inline runs its own fixed campaigns, independent of
-        # --filter and --smoke: measure it once, on the unfiltered,
-        # specialized run whose artifact CI tracks.
-        pool_section=(
-            filter_level is FilterLevel.NONE
-            and args.specialize
-            and not args.record_baseline
-        ),
+        # --filter and --smoke: measure it once, on the unfiltered run
+        # whose artifact CI tracks.
+        pool_section=filter_level is FilterLevel.NONE and not args.record_baseline,
     )
 
     if args.record_baseline:
@@ -554,7 +466,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "label": "Fuzzing throughput (test cases per second)",
         "budget_label": label,
         "filter": filter_level.value,
-        "specialize": args.specialize,
         "current": suite,
     }
 
@@ -597,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         artifact["speedup_vs_pre_pr"] = None
         print("  [warn] baseline budget differs from current budget; no speedups computed")
 
-    destination = artifact_path(filter_level, specialize=args.specialize)
+    destination = artifact_path(filter_level)
     atomic_write_json(destination, artifact)
     print(f"[artifact] {os.path.relpath(destination)}")
 

@@ -87,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mshrs", type=int, default=None, help="amplification: MSHR count")
     parser.add_argument("--stop-on-violation", action="store_true")
     parser.add_argument(
-        "--no-specialize",
-        dest="specialize",
-        action="store_false",
-        help="disable the per-instruction specialized closures; run the "
-        "generic interpreters everywhere (A-B switch — results are identical)",
-    )
-    parser.add_argument(
         "--backend",
         choices=sorted(available_backends()),
         default=None,
@@ -354,7 +347,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         trace_config=get_trace_config(args.trace),
         uarch_config=uarch_config,
         stop_on_violation=args.stop_on_violation,
-        specialize=args.specialize,
         seed=args.seed,
         backend=select_backend(args),
         workers=args.workers,

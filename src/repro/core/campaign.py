@@ -124,12 +124,10 @@ class CampaignResult:
             "cache_hits": 0,
             "cache_misses": 0,
             "compile_seconds": 0.0,
-            "fallbacks": 0,
         }
         for report in self.reports:
-            for name, value in getattr(report, "specialization", {}).items():
-                if name in totals:
-                    totals[name] += value
+            for name, value in report.specialization.items():
+                totals[name] += value
         totals["compile_seconds"] = round(totals["compile_seconds"], 6)
         return totals
 

@@ -49,12 +49,6 @@ class FuzzerConfig:
     #: preserves seed behavior (simulate everything); benchmarks and the CLI
     #: opt in explicitly.  See :mod:`repro.core.scheduler`.
     filter: FilterLevel = FilterLevel.NONE
-    #: Run each test program on per-instruction specialized ``evaluate``
-    #: closures (shared by the functional emulator and the O3 core).
-    #: ``False`` (the CLI's ``--no-specialize``) forces the generic
-    #: interpreter everywhere; results are identical either way, this is
-    #: the equivalence oracle / A-B switch.
-    specialize: bool = True
     #: Micro-architectural trace format.
     trace_config: TraceConfig = BASELINE_TRACE
     #: Simulated core configuration (use ``UarchConfig.with_amplification``

@@ -110,11 +110,11 @@ class FuzzerReport:
     #: includes base-input generation and boosting; "simulate" is absent
     #: until a round runs at least one O3 simulation.
     phase_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Effect-closure counters accumulated while this instance ran:
+    #: Effect-closure counters summed over this instance's rounds:
     #: ``cache_misses`` decoded programs whose closures were built,
-    #: ``cache_hits`` calls that found them built, ``compile_seconds`` the
-    #: build time, ``fallbacks`` instructions left to generic ``evaluate``.
-    #: All zero when the instance ran with ``specialize=False``.
+    #: ``cache_hits`` O3 cores (and repeat emulators) that found them built,
+    #: ``compile_seconds`` the build time.  Each round adds its own delta, so
+    #: instances sharing a worker process do not absorb each other's builds.
     specialization: Dict[str, float] = field(default_factory=dict)
     #: Fault accounting for supervised execution: per-reason counters
     #: ("worker_death", "deadline", "force_kill", ...) plus the program
@@ -208,7 +208,6 @@ class AmuletFuzzer:
             trace_config=config.trace_config,
             mode=config.mode,
             prime_strategy=config.prime_strategy,
-            specialize=config.specialize,
         )
         self.detector = ViolationDetector(config.defense, self.contract_name)
         self.scheduler = ExecutionScheduler(config.filter)
@@ -216,10 +215,6 @@ class AmuletFuzzer:
         self._start_time: Optional[float] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
-        # The specialization counters are process-wide; remember where they
-        # stood when this instance started so the report carries only the
-        # instance's own deltas (hits from other inline instances excluded).
-        self._spec_stats_start = stats_snapshot()
         self.report = FuzzerReport(defense=config.defense, contract=self.contract_name)
 
     # -- single round -------------------------------------------------------------
@@ -228,6 +223,8 @@ class AmuletFuzzer:
         if self._start_time is None:
             self._start_time = time.perf_counter()
         config = self.config
+        # The closure counters are process-wide; a round's delta is its own.
+        spec_start = stats_snapshot()
 
         generation_started = time.perf_counter()
         round_program = self.program_source.next_program()
@@ -295,6 +292,9 @@ class AmuletFuzzer:
                 self.report.skip_counters.get(reason, 0) + count
             )
         self.report.violations.extend(confirmed)
+        spec_totals = self.report.specialization
+        for name, value in stats_snapshot().items():
+            spec_totals[name] = spec_totals.get(name, 0) + value - spec_start[name]
         self._refresh_report_times()
         if confirmed and self.report.first_detection_wall_clock is None:
             self.report.first_detection_wall_clock = self.report.wall_clock_seconds
@@ -446,19 +446,8 @@ class AmuletFuzzer:
         self.executor.test_cases_executed = state["test_cases_executed"]
         self._stopped = state["stopped"]
         self._target_programs = state.get("target_programs")
-        # Continue the wall clock where the snapshot left it, and re-baseline
-        # the process-wide specialization counters so the report keeps
-        # accumulating this instance's own deltas.
+        # Continue the wall clock where the snapshot left it.
         self._start_time = time.perf_counter() - self.report.wall_clock_seconds
-        current = stats_snapshot()
-        saved = self.report.specialization or {}
-        self._spec_stats_start = {
-            "hits": current["hits"] - saved.get("cache_hits", 0),
-            "misses": current["misses"] - saved.get("cache_misses", 0),
-            "compile_seconds": current["compile_seconds"]
-            - saved.get("compile_seconds", 0.0),
-            "fallbacks": current["fallbacks"] - saved.get("fallbacks", 0),
-        }
         self._refresh_report_feedback()
 
     # -- internals ----------------------------------------------------------------------
@@ -491,7 +480,7 @@ class AmuletFuzzer:
                 base_inputs.append(usable_seeds[base_index])
             else:
                 base_inputs.append(self.input_generator.generate_one())
-        emulator = Emulator(program, self.sandbox, specialize=config.specialize)
+        emulator = Emulator(program, self.sandbox)
         for base_index, base_input in enumerate(base_inputs):
             model_result = emulator.run(base_input, self.contract)
             base_entry = test_case.add(
@@ -570,16 +559,6 @@ class AmuletFuzzer:
         self.report.modeled_seconds = self.executor.time.total_modeled()
         self.report.modeled_breakdown = dict(self.executor.time.modeled_seconds)
         self.report.wall_clock_breakdown = dict(self.executor.time.wall_clock_seconds)
-        current = stats_snapshot()
-        start = self._spec_stats_start
-        self.report.specialization = {
-            "cache_hits": current["hits"] - start["hits"],
-            "cache_misses": current["misses"] - start["misses"],
-            "compile_seconds": round(
-                current["compile_seconds"] - start["compile_seconds"], 6
-            ),
-            "fallbacks": current["fallbacks"] - start["fallbacks"],
-        }
         self._refresh_report_feedback()
 
     def _refresh_report_feedback(self) -> None:

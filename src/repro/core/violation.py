@@ -80,9 +80,6 @@ class Violation:
     mode: Optional[str] = None
     #: Name of the trace format the violation was observed in.
     trace_config_name: Optional[str] = None
-    #: Did the detecting executor run on specialized closures?  Re-runs
-    #: keep the setting.
-    specialize: bool = True
 
     def record_provenance(
         self, executor: "SimulatorExecutor", patched: bool = False
@@ -94,7 +91,6 @@ class Violation:
         self.prime_strategy = executor.prime_strategy.value
         self.mode = executor.mode.value
         self.trace_config_name = executor.trace_config.name
-        self.specialize = getattr(executor, "specialize", True)
 
     def build_executor(
         self,
@@ -130,7 +126,6 @@ class Violation:
             sandbox=sandbox,
             mode=ExecutionMode(self.mode) if self.mode else ExecutionMode.OPT,
             prime_strategy=self.prime_strategy,
-            specialize=self.specialize,
             **kwargs,
         )
 

@@ -89,7 +89,6 @@ class SimulatorExecutor:
         mode: ExecutionMode = ExecutionMode.OPT,
         prime_strategy: Optional[PrimeStrategy] = None,
         time_model: Optional[TimeModel] = None,
-        specialize: bool = True,
     ) -> None:
         if isinstance(defense_factory, str):
             defense_name = defense_factory
@@ -100,9 +99,6 @@ class SimulatorExecutor:
         self.sandbox = sandbox or Sandbox()
         self.trace_config = trace_config
         self.mode = ExecutionMode(mode)
-        #: Run on per-instruction specialized closures (the default); False
-        #: forces the generic interpreter everywhere (--no-specialize).
-        self.specialize = specialize
         probe_defense = self.defense_factory()
         self.defense_name = probe_defense.name
         if prime_strategy is None:
@@ -134,7 +130,6 @@ class SimulatorExecutor:
             config=self.uarch_config,
             defense=self.defense_factory(),
             sandbox=self.sandbox,
-            specialize=self.specialize,
         )
         self.simulator_starts += 1
         self.time.charge_startup()
@@ -253,7 +248,7 @@ class SimulatorExecutor:
         from repro.core.testcase import TestCase
         from repro.model.emulator import Emulator
 
-        emulator = Emulator(program, self.sandbox, specialize=self.specialize)
+        emulator = Emulator(program, self.sandbox)
         test_case = TestCase(program=program)
         for test_input, model_result in zip(
             inputs, emulator.collect_traces_batch(inputs, contract)
@@ -290,7 +285,6 @@ class SimulatorExecutor:
             "mode": self.mode.value,
             "trace": self.trace_config.name,
             "prime": self.prime_strategy.value,
-            "specialize": self.specialize,
             "uarch": self.uarch_config.describe(),
             "sandbox_pages": self.sandbox.pages,
         }

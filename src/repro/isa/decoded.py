@@ -152,8 +152,8 @@ class DecodedInstruction:
         else:
             self.exec_kind = DecodedInstruction.KIND_ALU
         #: Specialized ``evaluate`` closure, attached lazily by
-        #: :func:`repro.isa.specialized.attach_effect_closures`; None until
-        #: (and unless) specialization is enabled for this program.
+        #: :func:`repro.isa.specialized.attach_effect_closures` before the
+        #: program first runs; both interpreters execute through it.
         self.effect_fn: Optional[Callable] = None
 
     def effective_address(self, read_register: ReadRegister) -> int:

@@ -330,7 +330,9 @@ def execute_on_state(instruction: Instruction, state: ArchState) -> ExecutionEff
     """Execute ``instruction`` directly against an :class:`ArchState`.
 
     Returns the effect after applying it (register writes, flag updates and
-    memory writes are performed in place).  Used by the functional emulator.
+    memory writes are performed in place).  The reference for one
+    architectural step; the interpreters run the closures of
+    :mod:`repro.isa.specialized` instead.
     """
     effect = evaluate(
         instruction,

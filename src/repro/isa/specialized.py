@@ -13,15 +13,16 @@ entries, pre-bound.
 :func:`attach_effect_closures` fills them in once per decoded program.  The
 decoded program is shared through the decode cache, so the functional
 emulator (architectural and speculative paths) and the O3 core's execute
-stage all run on the same closures.  ``specialize=False`` on either
-interpreter selects the generic :func:`~repro.isa.semantics.evaluate`
-instead; the equivalence suites use it as the oracle.
+stage all run on the same closures; they are the only way either
+interpreter executes an instruction.  Generic
+:func:`~repro.isa.semantics.evaluate` stays as the reference the
+equivalence suite compares them against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.isa.decoded import DecodedInstruction, DecodedProgram
 from repro.isa.instructions import Opcode
@@ -39,24 +40,23 @@ class SpecializationStats:
     """Process-wide closure-building counters (surfaced in fuzzer reports).
 
     ``misses`` counts decoded programs whose closures were built, ``hits``
-    calls that found them already built, ``compile_seconds`` the time spent
-    building, and ``fallbacks`` instructions :func:`compile_effect` declined.
+    calls that found them already built, and ``compile_seconds`` the time
+    spent building.
     """
 
-    __slots__ = ("hits", "misses", "compile_seconds", "fallbacks")
+    __slots__ = ("hits", "misses", "compile_seconds")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.compile_seconds = 0.0
-        self.fallbacks = 0
 
     def snapshot(self) -> Dict[str, float]:
+        """The counters under their report names."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
+            "cache_hits": self.hits,
+            "cache_misses": self.misses,
             "compile_seconds": self.compile_seconds,
-            "fallbacks": self.fallbacks,
         }
 
 
@@ -84,12 +84,12 @@ def _address_fn(mem: MemoryOperand) -> Callable:
     return lambda rr: (rr(base) + disp + rr(index)) & MASK64
 
 
-def compile_effect(decoded: DecodedInstruction) -> Optional[Callable]:
+def compile_effect(decoded: DecodedInstruction) -> Callable:
     """An ``evaluate(instruction, ...)`` equivalent with statics folded.
 
     Returns ``fn(read_register, flags, read_memory) -> ExecutionEffect``
-    producing field-identical effects, or None for opcodes the specializer
-    does not handle (callers then use :func:`semantics.evaluate`).
+    producing field-identical effects.  Every opcode is handled; one added
+    to :class:`Opcode` without a closure here raises ``NotImplementedError``.
     """
     instruction = decoded.instruction
     opcode = decoded.opcode
@@ -276,7 +276,7 @@ def compile_effect(decoded: DecodedInstruction) -> Optional[Callable]:
             return effect
         return fn_alu
 
-    return None
+    raise NotImplementedError(f"no effect closure for opcode {opcode.name}")
 
 
 def attach_effect_closures(decoded: DecodedProgram) -> None:
@@ -292,8 +292,6 @@ def attach_effect_closures(decoded: DecodedProgram) -> None:
     started = time.perf_counter()
     for entry in decoded.entries:
         entry.effect_fn = compile_effect(entry)
-        if entry.effect_fn is None:
-            STATS.fallbacks += 1
     decoded.effects_attached = True
     STATS.misses += 1
     STATS.compile_seconds += time.perf_counter() - started

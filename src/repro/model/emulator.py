@@ -9,9 +9,9 @@ tracks which input locations influence the resulting contract trace.
 The hot loops run over a :class:`~repro.isa.decoded.DecodedProgram`: every
 structural question (is this a load? which registers feed the address?)
 was answered once at decode time, and architectural effects still come
-exclusively from :mod:`repro.isa.semantics` (through the per-instruction
-closures of :mod:`repro.isa.specialized`, or generic ``evaluate`` with
-``specialize=False``).
+exclusively from :mod:`repro.isa.semantics` through the per-instruction
+closures of :mod:`repro.isa.specialized` (the equivalence suite checks them
+against generic ``evaluate``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.program import Program
 from repro.isa.registers import ArchState
-from repro.isa.semantics import ExecutionEffect, evaluate, execute_on_state
+from repro.isa.semantics import ExecutionEffect
 from repro.isa.specialized import attach_effect_closures
 from repro.model.contracts import Contract
 from repro.model.taint import TaintState
@@ -146,15 +146,11 @@ class Emulator:
         program: Program,
         sandbox: Optional[Sandbox] = None,
         instruction_limit: int = DEFAULT_INSTRUCTION_LIMIT,
-        specialize: bool = True,
     ) -> None:
         self.program = program
         self.decoded = decode_program(program)
         self.sandbox = sandbox or Sandbox()
         self.instruction_limit = instruction_limit
-        #: Run on the specialized evaluate() closures (architectural and
-        #: speculative paths alike); False runs generic evaluate() instead.
-        self.specialize = specialize
         # Reused across runs: load_input() rewrites every byte, so a single
         # buffer replaces a fresh bytearray allocation per test input.
         self._sandbox_buffer = bytearray(self.sandbox.size)
@@ -162,7 +158,7 @@ class Emulator:
     # -- public API ---------------------------------------------------------
     def run(self, test_input: Input, contract: Contract) -> ModelResult:
         """Run ``test_input`` through the program under ``contract``."""
-        if self.specialize and not self.decoded.effects_attached:
+        if not self.decoded.effects_attached:
             # Built on the first run, so the build counts as emulation work;
             # the closures are shared with the O3 core via the decode cache.
             attach_effect_closures(self.decoded)
@@ -241,7 +237,6 @@ class Emulator:
         """
         at_pc = self.decoded.at_pc
         limit = self.instruction_limit
-        specialize = self.specialize
         flags = state.flags
         read_register = state.registers.read
         read_memory = state.read_memory
@@ -315,12 +310,8 @@ class Emulator:
                 spec_undo.rollback()
                 taint.restore(spec_taint_mark)
 
-            effect_fn = entry.effect_fn if specialize else None
-            if effect_fn is not None:
-                effect = effect_fn(read_register, flags, read_memory)
-                apply_effect(effect, state)
-            else:
-                effect = execute_on_state(entry.instruction, state)
+            effect = entry.effect_fn(read_register, flags, read_memory)
+            apply_effect(effect, state)
             propagate_taint(entry, effect, taint)
 
             record_pc(pc)
@@ -375,13 +366,7 @@ class Emulator:
                 taint.restore(nested_mark)
 
             # Record old values before applying so the caller can roll back.
-            effect_fn = entry.effect_fn if self.specialize else None
-            if effect_fn is not None:
-                effect = effect_fn(state.registers.read, flags, state.read_memory)
-            else:
-                effect = evaluate(
-                    entry.instruction, state.registers.read, flags, state.read_memory
-                )
+            effect = entry.effect_fn(state.registers.read, flags, state.read_memory)
             undo.record_effect(effect)
             self._apply_effect(effect, state)
             self._propagate_taint(entry, effect, taint)

@@ -38,7 +38,6 @@ from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.instructions import Instruction
 from repro.isa.program import INSTRUCTION_SIZE, Program
 from repro.isa.registers import MASK64 as _MASK64, ArchState
-from repro.isa.semantics import evaluate
 from repro.isa.specialized import attach_effect_closures
 from repro.uarch.branch_predictor import BranchPredictor
 from repro.uarch.config import UarchConfig
@@ -250,18 +249,15 @@ class O3Core:
         config: Optional[UarchConfig] = None,
         defense: Optional[Defense] = None,
         sandbox: Optional[Sandbox] = None,
-        specialize: bool = True,
     ) -> None:
         from repro.defenses.baseline import BaselineDefense
 
         self.program = program
         self.decoded = decode_program(program)
-        self.specialize = specialize
-        if specialize:
-            # Pre-resolved evaluate() closures for the execute stage; the
-            # decoded program is shared (and so are the closures) with the
-            # functional emulator via the decode cache.
-            attach_effect_closures(self.decoded)
+        # Pre-resolved effect closures for the execute stage; the
+        # decoded program is shared (and so are the closures) with the
+        # functional emulator via the decode cache.
+        attach_effect_closures(self.decoded)
         self.config = config or UarchConfig()
         self.sandbox = sandbox or Sandbox()
         self.memory = MemorySystem(self.config)
@@ -815,18 +811,9 @@ class O3Core:
 
     # -- execution of individual instruction kinds -------------------------------------
     def _eval(self, entry: InFlightInstruction, flags_in: Dict[str, bool], read_memory):
-        """Evaluate ``entry`` — specialized closure when available."""
-        decoded = entry.decoded
-        effect_fn = decoded.effect_fn if self.specialize else None
-        if effect_fn is not None:
-            return effect_fn(
-                lambda name: self._read_register(entry, name), flags_in, read_memory
-            )
-        return evaluate(
-            decoded.instruction,
-            lambda name: self._read_register(entry, name),
-            flags_in,
-            read_memory,
+        """Evaluate ``entry`` through its decoded instruction's closure."""
+        return entry.decoded.effect_fn(
+            lambda name: self._read_register(entry, name), flags_in, read_memory
         )
 
     def _start_execution(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:

@@ -232,20 +232,38 @@ class TestCampaign:
         )
         result = Campaign(config, instances=2).run()
         counters = result.specialization_counters()
-        assert set(counters) == {
-            "cache_hits",
-            "cache_misses",
-            "compile_seconds",
-            "fallbacks",
-        }
+        assert set(counters) == {"cache_hits", "cache_misses", "compile_seconds"}
         # One closure build per distinct program; the O3 core then finds
         # the emulator's closures on the shared decoded program.
         programs = sum(report.programs_tested for report in result.reports)
         assert programs == 2 * 4
         assert counters["cache_misses"] == programs
         assert counters["cache_hits"] >= programs
-        assert counters["fallbacks"] == 0
         assert counters["compile_seconds"] > 0
+
+    def test_specialization_counters_are_per_instance_on_a_pool(self):
+        # A pool worker runs several instances in one process; each report
+        # must count only its own rounds' closure builds.
+        from repro.backends import ProcessPoolBackend
+
+        config = FuzzerConfig(
+            defense="baseline", programs_per_instance=4, inputs_per_program=14, seed=5
+        )
+        inline = Campaign(config, instances=4).run()
+        pooled = Campaign(
+            config,
+            instances=4,
+            backend=ProcessPoolBackend(workers=2, chunk_size=1),
+        ).run()
+        programs = sum(report.programs_tested for report in pooled.reports)
+        assert programs == 4 * 4
+        for report in pooled.reports:
+            assert report.specialization["cache_misses"] == report.programs_tested
+        pooled_counters = pooled.specialization_counters()
+        inline_counters = inline.specialization_counters()
+        assert pooled_counters["cache_misses"] == programs
+        for name in ("cache_misses", "cache_hits"):
+            assert pooled_counters[name] == inline_counters[name]
 
     def test_instance_configs_get_distinct_seeds(self):
         campaign = Campaign(FuzzerConfig(seed=1), instances=3)

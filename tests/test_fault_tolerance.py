@@ -273,7 +273,7 @@ class TestCheckpointResume:
         # if it moves, every existing checkpoint is refused on resume.
         assert (
             campaign_fingerprint(FuzzerConfig(), 1)
-            == "ba980e9b7e4522774434638bb0528f22"
+            == "35a10a928ea3927082399049bf3f506e"
         )
 
     def test_resume_of_a_finished_campaign_is_a_no_op(self, tmp_path):
