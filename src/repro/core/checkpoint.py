@@ -1,6 +1,6 @@
 """Campaign checkpointing: atomic snapshots a killed campaign resumes from.
 
-A checkpoint (``format: amulet-checkpoint-v2``) captures one campaign
+A checkpoint (``format: amulet-checkpoint-v3``) captures one campaign
 mid-flight: the resume snapshot of every instance
 (:meth:`~repro.core.fuzzer.AmuletFuzzer.state_dict` payloads — generator
 counters, coverage bitmap, corpus with exact energies, the pickled report),
@@ -13,8 +13,9 @@ killed-and-resumed run is identical (violations, signatures, coverage,
 corpus) to the same campaign run uninterrupted — the property
 ``tests/test_fault_tolerance.py`` asserts.  The format version therefore
 tracks the seeded input stream too: v1 checkpoints were written under the
-per-granule sandbox-memory stream and are refused, never resumed into a
-mixed stream.
+per-granule sandbox-memory stream and v2 under whole-image bulk derivation
+(whose boosted variants were keyed by a hash of the full image); both are
+refused, never resumed into a mixed stream.
 
 Writes go through :func:`repro.core.io.atomic_write_json` (stage + rename),
 so a crash mid-write leaves the previous checkpoint intact, never a
@@ -38,7 +39,7 @@ from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
 from repro.core.io import atomic_write_json, load_json
 
-CHECKPOINT_FORMAT = "amulet-checkpoint-v2"
+CHECKPOINT_FORMAT = "amulet-checkpoint-v3"
 
 #: Config fields that do not affect campaign *results* (scheduling and
 #: supervision knobs; results are backend-independent by contract), excluded

@@ -355,8 +355,9 @@ class AmuletFuzzer:
 
     # -- checkpointing ------------------------------------------------------------------
     #: Schema tag for :meth:`state_dict` payloads; bumped whenever the seeded
-    #: input stream changes (v2: bulk sandbox-memory derivation).
-    STATE_FORMAT = "amulet-instance-state-v2"
+    #: input stream changes (v2: bulk sandbox-memory derivation; v3: pages
+    #: derived on first touch, boosted variants keyed by the new fingerprint).
+    STATE_FORMAT = "amulet-instance-state-v3"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.

@@ -175,11 +175,12 @@ def differing_locations(input_a: Input, input_b: Input) -> List[Tuple[str, objec
     for name, value_b in input_b.registers:
         if registers_a.get(name) != value_b:
             locations.append(("reg", name))
-    limit = min(len(input_a.memory), len(input_b.memory))
+    memory_a, memory_b = bytes(input_a.memory), bytes(input_b.memory)
+    limit = min(len(memory_a), len(memory_b))
     for offset in range(0, limit, MEMORY_GRANULE):
         if (
-            input_a.memory[offset : offset + MEMORY_GRANULE]
-            != input_b.memory[offset : offset + MEMORY_GRANULE]
+            memory_a[offset : offset + MEMORY_GRANULE]
+            != memory_b[offset : offset + MEMORY_GRANULE]
         ):
             locations.append(("mem", offset))
     return locations
@@ -191,13 +192,8 @@ def copy_location(input_a: Input, input_b: Input, location: Tuple[str, object]) 
     if kind == "reg":
         registers = input_b.register_dict()
         registers[key] = input_a.register_dict()[key]
-        return Input.create(registers, input_b.memory, seed=input_b.seed)
-    offset = key
-    memory = bytearray(input_b.memory)
-    memory[offset : offset + MEMORY_GRANULE] = input_a.memory[
-        offset : offset + MEMORY_GRANULE
-    ]
-    return Input(registers=input_b.registers, memory=bytes(memory), seed=input_b.seed)
+        return input_b.with_registers(registers)
+    return input_b.with_overrides({key: input_a.read(key, MEMORY_GRANULE)})
 
 
 def minimize_violation(

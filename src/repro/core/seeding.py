@@ -36,5 +36,15 @@ def derive_instance_seed(campaign_seed: int, instance_index: int) -> int:
     """
     if instance_index < 0:
         raise ValueError("instance_index must be non-negative")
-    mixed = splitmix64(campaign_seed & _MASK64)
-    return splitmix64(mixed ^ ((instance_index & _MASK64) * _GOLDEN_GAMMA & _MASK64))
+    return mix_seed(campaign_seed, instance_index)
+
+
+def mix_seed(state: int, value: int) -> int:
+    """Absorb ``value`` into ``state`` with two SplitMix64 steps.
+
+    Unlike ``state ^ value``, which maps every pair with the same XOR to one
+    seed, distinct ``(state, value)`` pairs (both taken modulo 2**64) land
+    on unrelated 64-bit seeds.
+    """
+    mixed = splitmix64(state & _MASK64)
+    return splitmix64(mixed ^ ((value & _MASK64) * _GOLDEN_GAMMA & _MASK64))

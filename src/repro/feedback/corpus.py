@@ -54,7 +54,7 @@ def _origin_rank(origin: str) -> int:
 def input_to_dict(test_input: Input) -> Dict[str, object]:
     return {
         "registers": {name: value for name, value in test_input.registers},
-        "memory_hex": test_input.memory.hex(),
+        "memory_hex": bytes(test_input.memory).hex(),
         "seed": test_input.seed,
     }
 

@@ -378,19 +378,9 @@ def mutate_input_pair(
         registers_b = input_b.register_dict()
         registers_a[name] = value
         registers_b[name] = value
-        return (
-            Input.create(registers_a, input_a.memory, seed=input_a.seed),
-            Input.create(registers_b, input_b.memory, seed=input_b.seed),
-        )
+        return input_a.with_registers(registers_a), input_b.with_registers(registers_b)
     if not granule_offsets:
         return input_a, input_b
     offset = granule_offsets[rng.randrange(len(granule_offsets))]
-    word = rng.getrandbits(value_bits).to_bytes(MEMORY_GRANULE, "little")
-    memory_a = bytearray(input_a.memory)
-    memory_b = bytearray(input_b.memory)
-    memory_a[offset : offset + MEMORY_GRANULE] = word
-    memory_b[offset : offset + MEMORY_GRANULE] = word
-    return (
-        Input(registers=input_a.registers, memory=bytes(memory_a), seed=input_a.seed),
-        Input(registers=input_b.registers, memory=bytes(memory_b), seed=input_b.seed),
-    )
+    word = {offset: rng.getrandbits(value_bits).to_bytes(MEMORY_GRANULE, "little")}
+    return input_a.with_overrides(word), input_b.with_overrides(word)

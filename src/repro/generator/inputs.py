@@ -9,18 +9,23 @@ the leakage model's taint tracker marked as contract-relevant, a mutation
 keeps those locations fixed and randomises everything else.  This "input
 boosting" is what makes contract-equivalence classes of size > 1 common
 enough for relational testing to find violations.
+
+An input describes its memory rather than storing it: a derivation key (or
+an explicit image) plus granule overrides.  Each 4 KiB page is derived when
+a run first touches it, so a 128-page sandbox costs only the few pages a
+program reaches.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.core.seeding import mix_seed
 from repro.generator.sandbox import Sandbox
-from repro.isa.registers import INPUT_REGISTERS, MASK64
+from repro.isa.registers import INPUT_REGISTERS, MASK64, PAGE_SHIFT, PAGE_SIZE, image_page
 
 #: A taint label identifies one input location: ``("reg", "rax")`` for a
 #: register or ``("mem", offset)`` for the 8-byte sandbox granule starting at
@@ -63,8 +68,8 @@ def _random_value(rng: random.Random) -> int:
     return rng.getrandbits(VALUE_BITS)
 
 
-def _random_memory(rng: random.Random, size: int) -> bytearray:
-    """Random sandbox memory of ``size`` bytes, drawn from ``rng`` in bulk.
+def _random_page(rng: random.Random) -> bytearray:
+    """One random sandbox page, drawn from ``rng`` in bulk.
 
     Every granule holds an independent word from the same small/wide mix as
     :func:`_random_value` in its two low bytes (little-endian); bytes 2..7
@@ -73,10 +78,10 @@ def _random_memory(rng: random.Random, size: int) -> bytearray:
     ``bytes.translate`` and one big-integer ``&`` per byte lane, so the cost
     is a few passes in C rather than two RNG calls per granule in Python.
     """
-    granules = size // MEMORY_GRANULE
+    granules = PAGE_SIZE // MEMORY_GRANULE
     raw = rng.randbytes(3 * granules)
     selectors = raw[2 * granules :]
-    memory = bytearray(size)
+    memory = bytearray(PAGE_SIZE)
     for lane, masks in enumerate((_LOW_BYTE_MASKS, _HIGH_BYTE_MASKS)):
         values = int.from_bytes(raw[lane * granules : (lane + 1) * granules], "little")
         values &= int.from_bytes(selectors.translate(masks), "little")
@@ -84,41 +89,135 @@ def _random_memory(rng: random.Random, size: int) -> bytearray:
     return memory
 
 
+def _draw_registers(rng: random.Random) -> Dict[str, int]:
+    """The input registers, drawn in :data:`INPUT_REGISTERS` order."""
+    return {name: _random_value(rng) for name in INPUT_REGISTERS}
+
+
+def _ordered(registers: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
+    return tuple(sorted((name, value & MASK64) for name, value in registers.items()))
+
+
 @dataclass(frozen=True)
 class Input:
-    """One test input: register values plus sandbox memory contents."""
+    """One test input: register values plus sandbox memory contents.
+
+    Memory is described, not stored.  Its pages come from one base:
+
+    * ``image`` — an explicit image (:meth:`create`: litmus cases, corpus
+      reloads, tests); or
+    * ``key`` — a derivation key: page ``i`` is drawn from an RNG seeded
+      with ``mix_seed(key, i)``.  When ``stream`` is set (inputs of the
+      generator's seeded stream), page 0 instead continues the stream's
+      ``Random(stream)`` right after the register draws, which is the
+      stream's 1-page layout.
+
+    ``overrides`` (granule offset -> 8 bytes) are applied on top of the
+    base.  A page is derived on first use (:meth:`page`) and cached on this
+    object; the cache is never pickled or compared.  ``memory`` is a view:
+    ``len()`` is free, ``bytes()`` builds the full image (rare paths only).
+    """
 
     registers: Tuple[Tuple[str, int], ...]
-    memory: bytes
+    size: int
+    key: Optional[int] = None
+    stream: Optional[int] = None
+    overrides: Tuple[Tuple[int, bytes], ...] = ()
+    image: Optional[bytes] = None
     seed: int = 0
+    _pages: Dict[int, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
-    def create(registers: Dict[str, int], memory: bytes, seed: int = 0) -> "Input":
-        ordered = tuple(sorted((name, value & MASK64) for name, value in registers.items()))
-        return Input(registers=ordered, memory=bytes(memory), seed=seed)
+    def create(registers: Mapping[str, int], memory, seed: int = 0) -> "Input":
+        """An input whose memory is the explicit image ``memory``."""
+        image = bytes(memory)
+        return Input(registers=_ordered(registers), size=len(image), image=image, seed=seed)
 
-    def __reduce_ex__(self, protocol):
-        if protocol >= 5:
-            # Checkpoints pickle instance reports (and so every witness
-            # input) at HIGHEST_PROTOCOL, and existing checkpoint files
-            # name ``_input_from_wire`` as the constructor: this reduction
-            # must stay for them to load.  The sandbox image travels as one
-            # in-band PickleBuffer; protocol <= 4 takes the ordinary
-            # dataclass path.
-            return (
-                _input_from_wire,
-                (self.registers, pickle.PickleBuffer(self.memory), self.seed),
-            )
-        return super().__reduce_ex__(protocol)
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_pages"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_pages"] = {}
+
+    # -- derived inputs -----------------------------------------------------
+    def with_registers(self, registers: Mapping[str, int]) -> "Input":
+        """This input with its registers replaced (memory unchanged)."""
+        return replace(self, registers=_ordered(registers))
+
+    def with_overrides(self, words: Mapping[int, bytes]) -> "Input":
+        """This input with the granules in ``words`` (offset -> 8 bytes) set."""
+        merged = dict(self.overrides)
+        merged.update(words)
+        return replace(self, overrides=tuple(sorted(merged.items())))
+
+    # -- memory -------------------------------------------------------------
+    @property
+    def memory(self) -> "InputMemory":
+        return InputMemory(self)
+
+    def page(self, index: int) -> bytes:
+        """Sandbox page ``index`` of this input, derived at most once."""
+        page = self._pages.get(index)
+        if page is None:
+            page = self._pages[index] = self._derive_page(index)
+        return page
+
+    def _derive_page(self, index: int) -> bytes:
+        if self.image is not None:
+            page = image_page(self.image, index)
+        elif index << PAGE_SHIFT >= self.size:
+            page = bytes(PAGE_SIZE)  # past the end of the input
+        elif index == 0 and self.stream is not None:
+            rng = random.Random(self.stream)
+            _draw_registers(rng)
+            page = _random_page(rng)
+        else:
+            page = _random_page(random.Random(mix_seed(self.key, index)))
+        start = index << PAGE_SHIFT
+        words = [
+            (offset - start, word)
+            for offset, word in self.overrides
+            if start <= offset < start + PAGE_SIZE
+        ]
+        if not words:
+            return bytes(page)
+        page = bytearray(page)
+        for offset, word in words:
+            page[offset : offset + MEMORY_GRANULE] = word
+        return bytes(page)
+
+    def read(self, offset: int, size: int) -> bytes:
+        """``size`` bytes of memory from ``offset`` (clipped at the end)."""
+        size = max(0, min(size, self.size - offset))
+        if not size:
+            return b""
+        first = offset >> PAGE_SHIFT
+        last = (offset + size - 1) >> PAGE_SHIFT
+        start = offset - (first << PAGE_SHIFT)
+        if first == last:
+            return self.page(first)[start : start + size]
+        pages = b"".join(self.page(index) for index in range(first, last + 1))
+        return pages[start : start + size]
 
     def register_dict(self) -> Dict[str, int]:
         return dict(self.registers)
 
     def memory_word(self, offset: int, size: int = MEMORY_GRANULE) -> int:
-        return int.from_bytes(self.memory[offset : offset + size], "little")
+        return int.from_bytes(self.read(offset, size), "little")
 
     def fingerprint(self) -> int:
-        """A stable 64-bit content hash of the input.
+        """A stable 64-bit hash of the input's description.
+
+        It hashes the registers, the memory base (key, stream, or the
+        explicit image) and the overrides — never derived pages — so it
+        costs the same at any sandbox size.  Two inputs with equal
+        descriptions have equal memory; an explicit image and a derived
+        input with the same bytes hash differently.
 
         Computed with BLAKE2b, **not** Python's ``hash()``: the built-in
         string/bytes hash is salted per interpreter process, and this
@@ -128,24 +227,71 @@ class Input:
         also breaks cross-process reproducibility of the persistent fuzzing
         corpus).
         """
-        digest = hashlib.blake2b(self.memory, digest_size=8)
+        digest = hashlib.blake2b(digest_size=8)
         for name, value in self.registers:
             digest.update(name.encode())
             digest.update(value.to_bytes(8, "little"))
+        digest.update(repr((self.size, self.key, self.stream)).encode())
+        for offset, word in self.overrides:
+            digest.update(offset.to_bytes(8, "little"))
+            digest.update(word)
+        if self.image is not None:
+            digest.update(self.image)
         return int.from_bytes(digest.digest(), "little")
 
     def __len__(self) -> int:
-        return len(self.memory)
+        return self.size
 
 
-def _input_from_wire(registers, memory, seed) -> Input:
-    """Rebuild an :class:`Input` from its protocol-5 wire form.
+class InputMemory:
+    """Read-only view of an input's sandbox memory.
 
-    ``memory`` arrives as whatever buffer object the unpickler hands back (a
-    ``PickleBuffer`` in band, the raw out-of-band buffer otherwise); both
-    support the buffer protocol, so one ``bytes()`` restores the invariant.
+    ``len()`` and :meth:`page` never build the full image; ``bytes()``,
+    comparison and stepped slices do.  Indexing and contiguous slices read
+    only the pages they cover.
     """
-    return Input(registers=registers, memory=bytes(memory), seed=seed)
+
+    __slots__ = ("_input",)
+
+    def __init__(self, test_input: Input) -> None:
+        self._input = test_input
+
+    def __len__(self) -> int:
+        return self._input.size
+
+    def page(self, index: int) -> bytes:
+        return self._input.page(index)
+
+    def __bytes__(self) -> bytes:
+        test_input = self._input
+        if test_input.image is not None and not test_input.overrides:
+            return test_input.image
+        # Pages derived only for this image are not cached: a full image is
+        # a transient of rare paths (triage, corpus witnesses).
+        cached = test_input._pages
+        pages = -(-test_input.size >> PAGE_SHIFT)
+        image = b"".join(
+            cached.get(index) or test_input._derive_page(index) for index in range(pages)
+        )
+        return image[: test_input.size]
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            if item.step not in (None, 1):
+                return bytes(self)[item]
+            start, stop, _ = item.indices(len(self))
+            return self._input.read(start, stop - start)
+        index = range(len(self))[item]
+        return self._input.page(index >> PAGE_SHIFT)[index & (PAGE_SIZE - 1)]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, InputMemory):
+            other = bytes(other)
+        if isinstance(other, (bytes, bytearray)):
+            return bytes(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class InputGenerator:
@@ -163,16 +309,21 @@ class InputGenerator:
         return self.generate_at(self._counter)
 
     def generate_at(self, counter: int) -> Input:
-        """Materialize the stream's input for ``counter`` (a pure function).
+        """The stream's input for ``counter`` (a pure function).
 
         Every input is seeded by ``(seed, counter)`` alone, so any generator
         constructed with the same seed and sandbox produces bit-identical
-        inputs for the same counter — in any process, in any order.
+        inputs for the same counter — in any process, in any order.  Only
+        the registers are drawn here; memory pages are derived on first use.
         """
-        rng = random.Random((self.seed << 20) ^ counter)
-        registers = {name: _random_value(rng) for name in INPUT_REGISTERS}
-        memory = _random_memory(rng, self.sandbox.size)
-        return Input.create(registers, memory, seed=counter)
+        stream = (self.seed << 20) ^ counter
+        return Input(
+            registers=_ordered(_draw_registers(random.Random(stream))),
+            size=self.sandbox.size,
+            key=mix_seed(self.seed, counter),
+            stream=stream,
+            seed=counter,
+        )
 
     def generate(self, count: int) -> List[Input]:
         """Generate ``count`` fresh inputs."""
@@ -193,24 +344,38 @@ class InputGenerator:
         ``base``, so any observation that depends only on preserved locations
         (in particular the contract trace that produced the taint set) is
         unchanged.
+
+        Variant ``index`` gets the key ``mix_seed(mix_seed(fingerprint,
+        salt), index + 1)``: it seeds the variant's register draws and, per
+        page, its memory.  No page is derived here.
         """
-        preserved_offsets = [which for kind, which in preserve if kind == "mem"]
-        fingerprint = base.fingerprint() & MASK64
+        # Preserved granules become overrides copied from the base, so they
+        # stay byte-identical whatever the variant's key derives.
+        overrides = tuple(
+            sorted(
+                (which, base.read(which, MEMORY_GRANULE))
+                for kind, which in preserve
+                if kind == "mem"
+            )
+        )
+        family = mix_seed(base.fingerprint(), salt)
         variants: List[Input] = []
         for index in range(count):
-            rng = random.Random(fingerprint ^ (salt << 8) ^ (index + 1))
+            key = mix_seed(family, index + 1)
+            rng = random.Random(key)
             registers = base.register_dict()
             for name in INPUT_REGISTERS:
                 if register_taint_label(name) not in preserve:
                     registers[name] = _random_value(rng)
-            memory = _random_memory(rng, self.sandbox.size)
-            # Memory labels are granule-aligned sandbox offsets, so copying
-            # the preserved granules back is a loop over the taint set only.
-            for offset in preserved_offsets:
-                memory[offset : offset + MEMORY_GRANULE] = base.memory[
-                    offset : offset + MEMORY_GRANULE
-                ]
-            variants.append(Input.create(registers, memory, seed=base.seed))
+            variants.append(
+                Input(
+                    registers=_ordered(registers),
+                    size=self.sandbox.size,
+                    key=key,
+                    overrides=overrides,
+                    seed=base.seed,
+                )
+            )
         return variants
 
     @staticmethod
@@ -222,11 +387,6 @@ class InputGenerator:
             if kind == "reg":
                 if regs_a.get(which) != regs_b.get(which):
                     return False
-            else:
-                offset = int(which)
-                if (
-                    a.memory[offset : offset + MEMORY_GRANULE]
-                    != b.memory[offset : offset + MEMORY_GRANULE]
-                ):
-                    return False
+            elif a.read(which, MEMORY_GRANULE) != b.read(which, MEMORY_GRANULE):
+                return False
         return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-PAGE_SIZE = 4096
+from repro.isa.registers import PAGE_SIZE
 
 #: Default virtual address of the first sandbox byte.
 DEFAULT_SANDBOX_BASE = 0x100000

@@ -9,8 +9,9 @@ randomised or overwritten by generated programs).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, Mapping, Set
 
 MASK64 = (1 << 64) - 1
 
@@ -161,6 +162,25 @@ class SparseMemory:
         return clone
 
 
+#: Sandbox memory is filled from its input one page at a time.
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def image_page(image: bytes, index: int) -> bytes:
+    """Page ``index`` of an explicit sandbox image, zero-padded past its end."""
+    start = index << PAGE_SHIFT
+    page = image[start : start + PAGE_SIZE]
+    if len(page) < PAGE_SIZE:
+        page += bytes(PAGE_SIZE - len(page))
+    return page
+
+
+def _zero_page(index: int) -> bytes:
+    return _ZERO_PAGE
+
+
 @dataclass
 class ArchState:
     """Complete architectural state: registers, flags, and memory.
@@ -170,6 +190,14 @@ class ArchState:
     accesses outside fall back to a sparse dictionary.  Generated programs
     only ever touch the sandbox, but priming code and hand-written litmus
     tests may touch other addresses.
+
+    The sandbox is filled lazily.  ``resident`` names the pages of
+    ``sandbox`` that hold this run's bytes; :meth:`read_memory` and
+    :meth:`write_memory` — the only sandbox accessors — fill any other page
+    from ``page_source`` on first touch, so a run over a 128-page sandbox
+    copies only the few pages its program reaches.  Callers that reuse one
+    buffer across runs pass its ``resident`` set along with it:
+    :meth:`load_input` marks every page missing again.
     """
 
     registers: RegisterFile = field(default_factory=RegisterFile)
@@ -178,32 +206,52 @@ class ArchState:
     sandbox_size: int = 4096
     sandbox: bytearray = field(default_factory=lambda: bytearray(4096))
     outside: SparseMemory = field(default_factory=SparseMemory)
+    resident: Set[int] = field(default_factory=set)
+    #: ``page_source(index)`` gives the loaded input's page ``index``.
+    page_source: Callable[[int], bytes] = field(default=_zero_page, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.sandbox) != self.sandbox_size:
             self.sandbox = bytearray(self.sandbox_size)
+            self.resident.clear()
         self.registers.write(SANDBOX_BASE_REGISTER, self.sandbox_base)
 
     # -- memory helpers ----------------------------------------------------
-    def in_sandbox(self, address: int, size: int = 1) -> bool:
-        return (
-            self.sandbox_base <= address
-            and address + size <= self.sandbox_base + self.sandbox_size
-        )
-
     def read_memory(self, address: int, size: int) -> int:
-        if self.in_sandbox(address, size):
-            offset = address - self.sandbox_base
+        offset = address - self.sandbox_base
+        if 0 <= offset and offset + size <= self.sandbox_size:
+            resident = self.resident
+            if (
+                offset >> PAGE_SHIFT not in resident
+                or (offset + size - 1) >> PAGE_SHIFT not in resident
+            ):
+                self._fill(offset, size)
             return int.from_bytes(self.sandbox[offset : offset + size], "little")
         return self.outside.read(address, size)
 
     def write_memory(self, address: int, size: int, value: int) -> None:
         value &= (1 << (8 * size)) - 1
-        if self.in_sandbox(address, size):
-            offset = address - self.sandbox_base
+        offset = address - self.sandbox_base
+        if 0 <= offset and offset + size <= self.sandbox_size:
+            resident = self.resident
+            if (
+                offset >> PAGE_SHIFT not in resident
+                or (offset + size - 1) >> PAGE_SHIFT not in resident
+            ):
+                self._fill(offset, size)
             self.sandbox[offset : offset + size] = value.to_bytes(size, "little")
         else:
             self.outside.write(address, size, value)
+
+    def _fill(self, offset: int, size: int) -> None:
+        """Copy the missing pages under ``[offset, offset + size)`` in."""
+        resident = self.resident
+        for index in range(offset >> PAGE_SHIFT, ((offset + size - 1) >> PAGE_SHIFT) + 1):
+            if index not in resident:
+                start = index << PAGE_SHIFT
+                end = min(start + PAGE_SIZE, self.sandbox_size)
+                self.sandbox[start:end] = self.page_source(index)[: end - start]
+                resident.add(index)
 
     # -- lifecycle ----------------------------------------------------------
     def copy(self) -> "ArchState":
@@ -213,29 +261,36 @@ class ArchState:
             sandbox_base=self.sandbox_base,
             sandbox_size=self.sandbox_size,
             sandbox=bytearray(self.sandbox),
+            resident=set(self.resident),
+            page_source=self.page_source,
         )
         clone.outside = self.outside.copy()
         return clone
 
-    def load_input(
-        self,
-        register_values: Mapping[str, int],
-        sandbox_bytes: bytes | bytearray,
-    ) -> None:
-        """Initialise registers and sandbox memory from a test input."""
+    def load_input(self, register_values: Mapping[str, int], memory) -> None:
+        """Initialise registers and sandbox memory from a test input.
+
+        ``memory`` is an explicit image (bytes-like; bytes past its end read
+        as zero) or a page source with ``len()`` and ``page(index)``, such
+        as ``Input.memory``.  No byte is copied here: every page becomes
+        missing, and the first access to a page fills it.
+        """
         self.registers.load_from(register_values)
         self.registers.write(SANDBOX_BASE_REGISTER, self.sandbox_base)
-        data = bytes(sandbox_bytes)
-        if len(data) > self.sandbox_size:
+        length = len(memory)
+        if length > self.sandbox_size:
             raise ValueError(
-                f"input memory ({len(data)} bytes) larger than sandbox "
+                f"input memory ({length} bytes) larger than sandbox "
                 f"({self.sandbox_size} bytes)"
             )
-        self.sandbox[: len(data)] = data
-        if len(data) < self.sandbox_size:
-            self.sandbox[len(data) :] = bytes(self.sandbox_size - len(data))
+        if isinstance(memory, (bytes, bytearray, memoryview)):
+            self.page_source = functools.partial(image_page, bytes(memory))
+        else:
+            self.page_source = memory.page
+        self.resident.clear()
 
     def iter_sandbox_words(self, word_size: int = 8) -> Iterable[int]:
         """Yield the sandbox contents as little-endian words."""
+        base = self.sandbox_base
         for offset in range(0, self.sandbox_size, word_size):
-            yield int.from_bytes(self.sandbox[offset : offset + word_size], "little")
+            yield self.read_memory(base + offset, word_size)

@@ -151,9 +151,10 @@ class Emulator:
         self.decoded = decode_program(program)
         self.sandbox = sandbox or Sandbox()
         self.instruction_limit = instruction_limit
-        # Reused across runs: load_input() rewrites every byte, so a single
-        # buffer replaces a fresh bytearray allocation per test input.
+        # Reused across runs with its resident-page set: load_input() marks
+        # every page missing, and each run fills only the pages it touches.
         self._sandbox_buffer = bytearray(self.sandbox.size)
+        self._resident_pages: Set[int] = set()
 
     # -- public API ---------------------------------------------------------
     def run(self, test_input: Input, contract: Contract) -> ModelResult:
@@ -166,6 +167,7 @@ class Emulator:
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
             sandbox=self._sandbox_buffer,
+            resident=self._resident_pages,
         )
         state.load_input(test_input.register_dict(), test_input.memory)
         taint = TaintState(self.sandbox)

@@ -272,9 +272,11 @@ class O3Core:
         self.defense = defense or BaselineDefense()
         self.defense.attach(self)
 
-        # Per-run state, initialised by run().  The sandbox buffer is reused
-        # across runs: load_input() rewrites every byte.
+        # Per-run state, initialised by run().  The sandbox buffer and its
+        # resident-page set are reused across runs: load_input() marks every
+        # page missing, and each run fills only the pages it touches.
         self._sandbox_buffer = bytearray(self.sandbox.size)
+        self._resident_pages: Set[int] = set()
         self.arch_state: Optional[ArchState] = None
         self.stats = CoreStatistics()
         self.branch_prediction_log: List[Tuple[int, int]] = []
@@ -529,6 +531,7 @@ class O3Core:
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
             sandbox=self._sandbox_buffer,
+            resident=self._resident_pages,
         )
         self.arch_state.load_input(test_input.register_dict(), test_input.memory)
         self.stats = CoreStatistics()

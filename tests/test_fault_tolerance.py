@@ -307,30 +307,37 @@ class TestCheckpointResume:
         assert checkpoint in message
         assert "offset" in message
 
-    def test_v1_checkpoint_is_refused_naming_the_file(self, tmp_path):
-        """A checkpoint from the per-granule input stream must not resume.
-
-        Resuming it would continue a campaign on a different seeded input
-        stream than the one that produced its first rounds.
-        """
+    @staticmethod
+    def _assert_old_version_refused(tmp_path, version):
+        """Resuming an older checkpoint would continue a campaign on a
+        different seeded input stream than the one that produced its first
+        rounds, so it must be refused, naming the file."""
         config = _config()
         checkpoint = str(tmp_path / "campaign.ckpt")
         Campaign(config, instances=1).run(checkpoint_path=checkpoint)
         with open(checkpoint) as handle:
             payload = json.load(handle)
-        payload["format"] = "amulet-checkpoint-v1"
+        payload["format"] = f"amulet-checkpoint-{version}"
         for state in payload["states"]:
-            state["format"] = "amulet-instance-state-v1"
+            state["format"] = f"amulet-instance-state-{version}"
         atomic_write_json(checkpoint, payload)
         with pytest.raises(ValueError, match="not a checkpoint file") as excinfo:
             _resumed_run(config, 1, checkpoint)
         assert checkpoint in str(excinfo.value)
-        assert "amulet-checkpoint-v1" in str(excinfo.value)
+        assert f"amulet-checkpoint-{version}" in str(excinfo.value)
+
+    def test_v1_checkpoint_is_refused_naming_the_file(self, tmp_path):
+        """v1: the per-granule sandbox-memory stream."""
+        self._assert_old_version_refused(tmp_path, "v1")
+
+    def test_v2_checkpoint_is_refused_naming_the_file(self, tmp_path):
+        """v2: whole-image inputs, boosted variants keyed by an image hash."""
+        self._assert_old_version_refused(tmp_path, "v2")
 
     def test_checkpoint_with_retired_fields_resumes_identically(self, tmp_path):
-        """A v2 checkpoint written before the parallel-simulation layer was
-        removed still resumes: its states carry a ``next_task_id`` counter
-        and its pickled reports a ``parallel_sim`` attribute, both ignored.
+        """A checkpoint carrying state the parallel-simulation layer left
+        behind still resumes: a ``next_task_id`` counter in its states and a
+        ``parallel_sim`` attribute on its pickled reports are both ignored.
         """
         config = _config()
         checkpoint = str(tmp_path / "campaign.ckpt")
@@ -338,7 +345,7 @@ class TestCheckpointResume:
         _interrupted_run(config, 1, checkpoint, stop_after=3)
         with open(checkpoint) as handle:
             payload = json.load(handle)
-        assert payload["format"] == CHECKPOINT_FORMAT == "amulet-checkpoint-v2"
+        assert payload["format"] == CHECKPOINT_FORMAT == "amulet-checkpoint-v3"
         for state in payload["states"]:
             state["next_task_id"] = 5
             report = pickle.loads(base64.b64decode(state["report_pickle"]))

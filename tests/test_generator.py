@@ -1,5 +1,6 @@
 """Tests for the random program generator, sandbox and input generation."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -245,35 +246,38 @@ class TestInputs:
         variant = generator.mutate_preserving(base, preserve, count=1)[0]
         assert InputGenerator.preserved_equal(base, variant, preserve)
 
-    # Checkpoints pickle reports, witness inputs included, at
-    # HIGHEST_PROTOCOL; inputs must round-trip at the default protocol and
-    # through the protocol-5 reduction alike.
-    def test_default_protocol_round_trip_unchanged(self, input_generator):
-        test_input = input_generator.generate_one()
-        clone = pickle.loads(pickle.dumps(test_input))
-        assert clone == test_input
-        assert isinstance(clone.memory, bytes)
+    # Checkpoints pickle reports, witness inputs included, and the pool
+    # pickles rounds: an input must survive pickling whole, page cache aside.
+    @pytest.mark.parametrize("pages", [1, 128])
+    def test_pickle_round_trip_keeps_fields_fingerprint_and_pages(self, pages):
+        sandbox = Sandbox(pages=pages)
+        generator = InputGenerator(sandbox, seed=8)
+        base = generator.generate_one()
+        preserve = {memory_taint_label(16), register_taint_label("rax")}
+        variant = generator.mutate_preserving(base, preserve, count=1)[0]
+        explicit = Input.create({"rbx": 3}, bytes(base.memory)).with_overrides(
+            {8: bytes(range(8))}
+        )
+        for test_input in (base, variant, explicit):
+            touched = {0, pages - 1}
+            for index in touched:
+                test_input.page(index)
+            clone = pickle.loads(pickle.dumps(test_input, protocol=pickle.HIGHEST_PROTOCOL))
+            assert clone == test_input
+            assert clone._pages == {}
+            assert clone.fingerprint() == test_input.fingerprint()
+            for index in touched | {pages // 2}:
+                assert clone.page(index) == test_input.page(index)
 
-    def test_protocol5_in_band_round_trip(self, input_generator):
-        test_input = input_generator.generate_one()
-        clone = pickle.loads(pickle.dumps(test_input, protocol=5))
-        assert clone == test_input
-        assert isinstance(clone.memory, bytes)
-
-    def test_protocol5_out_of_band_buffer_carries_the_sandbox_image(
-        self, input_generator
-    ):
-        test_input = input_generator.generate_one()
-        buffers = []
-        payload = pickle.dumps(test_input, protocol=5, buffer_callback=buffers.append)
-        # The sandbox image leaves the opcode stream as one raw buffer.
-        assert len(buffers) == 1
-        assert bytes(buffers[0].raw()) == test_input.memory
-        assert len(payload) < len(test_input.memory)
-        clone = pickle.loads(payload, buffers=buffers)
-        assert clone == test_input
-        assert isinstance(clone.memory, bytes)
-        assert clone.fingerprint() == test_input.fingerprint()
+    def test_a_derived_128_page_input_pickles_under_1_kib(self):
+        sandbox = Sandbox(pages=128)
+        generator = InputGenerator(sandbox, seed=8)
+        base = generator.generate_one()
+        preserve = {memory_taint_label(offset) for offset in range(0, 256, 8)}
+        variant = generator.mutate_preserving(base, preserve, count=1)[0]
+        for test_input in (base, variant):
+            bytes(test_input.memory[0:PAGE_SIZE])  # a derived page stays local
+            assert len(pickle.dumps(test_input, protocol=pickle.HIGHEST_PROTOCOL)) < 1024
 
 
 def _assert_granule_words(test_input, sandbox):
@@ -337,18 +341,58 @@ class TestBulkMemoryDerivation:
         base = generator.generate_one()
         by_index = generator.mutate_preserving(base, set(), count=3, salt=0)
         by_salt = generator.mutate_preserving(base, set(), count=1, salt=1)
-        memories = {variant.memory for variant in by_index + by_salt}
+        memories = {bytes(variant.memory) for variant in by_index + by_salt}
         assert len(memories) == 4
 
-    def test_a_quarter_of_words_are_small(self):
-        """P(word < 16) = 1/4 + 3/4 * 16/2**16; a broken mask collapses it."""
-        sandbox = Sandbox(pages=128)
-        memory = InputGenerator(sandbox, seed=2024).generate_one().memory
-        words = [
-            memory[offset] | memory[offset + 1] << 8
-            for offset in range(0, sandbox.size, MEMORY_GRANULE)
+    @pytest.mark.parametrize("pages", [1, 128])
+    def test_a_quarter_of_words_are_small_on_every_page(self, pages):
+        """P(word < 16) = 1/4 + 3/4 * 16/2**16; a broken mask collapses it.
+
+        Checked over the whole sandbox and page by page (the stream's page
+        0, key-derived pages, and a boosted variant's pages alike).
+        """
+        sandbox = Sandbox(pages=pages)
+        generator = InputGenerator(sandbox, seed=2024)
+        base = generator.generate_one()
+        variant = generator.mutate_preserving(base, set(), count=1)[0]
+        expected = 0.25 + 0.75 * 16 / 2**16
+        for test_input in (base, variant):
+            memory = bytes(test_input.memory)
+            words = [
+                memory[offset] | memory[offset + 1] << 8
+                for offset in range(0, sandbox.size, MEMORY_GRANULE)
+            ]
+            per_page = PAGE_SIZE // MEMORY_GRANULE
+            for start in range(0, len(words), per_page):
+                page = words[start : start + per_page]
+                # 512 words a page: 0.1 is over five standard deviations.
+                assert abs(sum(word < 16 for word in page) / per_page - expected) < 0.1
+            if pages > 1:
+                assert abs(sum(word < 16 for word in words) / len(words) - expected) < 0.01
+            # The wide words span the full 16 bits, high byte included.
+            assert max(words) >= 2**15
+
+    def test_the_one_page_stream_is_unchanged(self):
+        """Digest of the first 20 inputs of ``InputGenerator(Sandbox(),
+        seed=3)`` (registers, memory, seed), recorded before memory became
+        lazy: a 1-page stream input is the same bytes it always was."""
+        digest = hashlib.blake2b(digest_size=16)
+        for test_input in InputGenerator(Sandbox(), seed=3).generate(20):
+            digest.update(repr(test_input.registers).encode())
+            digest.update(bytes(test_input.memory))
+            digest.update(str(test_input.seed).encode())
+        assert digest.hexdigest() == "8590f2ecf914fd82feadbd9ddb12b56f"
+
+    def test_pages_of_neighbouring_keys_and_indices_never_coincide(self):
+        """``key ^ page`` would alias (1, 2) with (3, 0); mixed seeds don't."""
+        size = 8 * PAGE_SIZE
+        pages = [
+            Input(registers=(), size=size, key=key).page(index)
+            for key in range(8)
+            for index in range(8)
         ]
-        small_share = sum(word < 16 for word in words) / len(words)
-        assert abs(small_share - (0.25 + 0.75 * 16 / 2**16)) < 0.01
-        # The wide words span the full 16 bits, high byte included.
-        assert max(words) >= 2**15
+        assert len(set(pages)) == len(pages)
+        generator = InputGenerator(Sandbox(pages=8), seed=1)
+        stream = [generator.generate_at(counter) for counter in (1, 2, 1 << 20)]
+        pages = [test_input.page(index) for test_input in stream for index in range(8)]
+        assert len(set(pages)) == len(pages)
