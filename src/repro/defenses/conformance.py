@@ -14,8 +14,10 @@ alone,
   variant, against the patch, each checked against its expected outcome,
 * a **fast-forward == stepping** check — every selected case, for each
   variant, replays once more on a :func:`stepping_class` copy of the defense
-  that makes the core step every cycle; traces and statistics must match,
-  which catches a wrong :meth:`~repro.defenses.base.Defense.next_tick`,
+  that makes the core step every cycle; traces, statistics and the final
+  L1I/L1D/L2 contents with their replacement state must match, which
+  catches a wrong :meth:`~repro.defenses.base.Defense.next_tick` and any
+  cache update the core's skip takes differently from stepping,
 * a **recommended-contract smoke campaign** — a short randomized fuzzing
   campaign under the spec's recommended contract/sandbox/priming, run for
   both variants, and
@@ -96,7 +98,8 @@ class FastForwardCheck:
 
     variant: str
     cases: int
-    #: Cases whose traces or statistics differ between the two runs.
+    #: Cases whose traces, statistics or final cache state differ between
+    #: the two runs.
     mismatches: Tuple[str, ...] = ()
 
     @property
@@ -363,7 +366,12 @@ def run_fast_forward_checks(
     defense_name: str,
     selection: Optional[Sequence[SelectedCase]] = None,
 ) -> Tuple[FastForwardCheck, ...]:
-    """Replay the selected cases fast-forwarded and stepped; compare."""
+    """Replay the selected cases fast-forwarded and stepped; compare.
+
+    Both runs must agree on the two inputs' traces and statistics and on the
+    final L1I/L1D/L2 contents, replacement state included, of every core
+    the case ran on.
+    """
     from repro.litmus.cases import get_case
     from repro.litmus.runner import run_case
 
@@ -376,13 +384,19 @@ def run_fast_forward_checks(
             case = get_case(selected.case)
             observed = []
             for factory in (create_defense, _create_stepping_defense):
-                run = run_case(
-                    case,
-                    defense_factory=functools.partial(
-                        factory, defense_name, patched=patched
-                    ),
-                )
-                observed.append((run.trace_a, run.trace_b, run.stats))
+                defenses: List[Defense] = []
+
+                def capture(factory=factory) -> Defense:
+                    defenses.append(factory(defense_name, patched=patched))
+                    return defenses[-1]
+
+                run = run_case(case, defense_factory=capture)
+                caches = [
+                    defense.core.memory.cache_state()
+                    for defense in defenses
+                    if defense.core is not None
+                ]
+                observed.append((run.trace_a, run.trace_b, run.stats, caches))
             if observed[0] != observed[1]:
                 mismatches.append(selected.case)
         checks.append(

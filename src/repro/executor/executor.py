@@ -147,7 +147,10 @@ class SimulatorExecutor:
         """
         if self.prime_strategy is PrimeStrategy.FILL:
             return core.memory.reset_and_prime(PRIME_REGION_BASE)
-        core.memory.reset_caches()
+        if self.prime_strategy is PrimeStrategy.FLUSH:
+            core.memory.reset_caches()
+        else:
+            core.memory.reset_run_state()
         return 0
 
     # -- execution -----------------------------------------------------------------

@@ -4,7 +4,8 @@ The core is cycle-driven and models the parts of an O3 pipeline that matter
 for speculative leakage:
 
 * fetch along the predicted path (with L1I footprint and fetch-ahead past the
-  end of the test while EXIT is still in flight);
+  end of the test while EXIT is still in flight, served one L1I line at a
+  time so skipped idle cycles cost one cache update per line, not per step);
 * dispatch with register renaming (producer tracking) into a reorder buffer;
 * out-of-order execution with a load/store queue: store-to-load forwarding,
   memory-dependence speculation (loads may bypass older stores with unknown
@@ -427,32 +428,10 @@ class O3Core:
                         target = wake
                 if target > cycle + 1:
                     if fetch_code == 2:
-                        # Replay the fetch-ahead steps the skipped cycles
-                        # would have taken, in order — their L1I/L2 installs
-                        # are observable in the trace but nothing in the
-                        # idle window reads them back.  The L1I hit path is
-                        # inlined; misses take the normal install route.
-                        pc = self._fetch_ahead_pc
-                        limit = self._fetch_ahead_limit
-                        step = self._fetch_ahead_step
-                        l1i = self.memory.l1i
-                        l2_install = self.memory.l2.install
-                        line_size = l1i.config.line_size
-                        set_count = l1i.config.sets
-                        l1i_lines = l1i._lines
-                        for _ in range(target - 1 - cycle):
-                            if pc >= limit:
-                                break
-                            line = pc - (pc % line_size)
-                            entry_set = l1i_lines[(pc // line_size) % set_count]
-                            if line in entry_set:
-                                l1i._use_counter += 1
-                                entry_set[line] = l1i._use_counter
-                            else:
-                                l1i.install(line)
-                                l2_install(line)
-                            pc += step
-                        self._fetch_ahead_pc = pc
+                        # The skipped cycles would each have taken one
+                        # fetch-ahead step; nothing in the idle window
+                        # reads the L1I/L2 back, so they are taken here.
+                        self._advance_fetch_ahead(target - 1 - cycle)
                     self.cycle = target - 1
 
         self.stats.cycles = self.cycle
@@ -1113,13 +1092,13 @@ class O3Core:
         # instructions, 2 when it only advanced the fetch-ahead stream.  The
         # distinction matters for the idle fast-forward: dispatch makes the
         # next cycle non-idle (fresh entries may issue), while fetch-ahead
-        # steps are feedback-free and can be batch-replayed across a skip.
+        # steps are feedback-free and are taken in one batch across a skip.
         if self._exit_committed_cycle is not None:
             return 0
         if cycle < self._fetch_stalled_until:
             return 0
         if self._exit_fetched:
-            return 2 if self._fetch_ahead(cycle) else 0
+            return 2 if self._advance_fetch_ahead(1) else 0
 
         config = self.config
         at_pc = self.decoded.at_pc
@@ -1181,27 +1160,72 @@ class O3Core:
                 break
         return 1 if fetched else 0
 
-    def _fetch_ahead(self, cycle: int) -> bool:
-        """Speculative fetch past the end of the test while EXIT is in flight.
+    def _advance_fetch_ahead(self, steps: int) -> bool:
+        """Take up to ``steps`` fetch-ahead steps past a fetched EXIT.
 
-        The number of extra L1I lines touched depends on how long EXIT takes
-        to commit, which is what makes timing differences (e.g. CleanupSpec's
-        cleanup latency, KV2/unXpec) visible in the instruction cache.
+        Speculative fetch past the end of the test while EXIT is in flight,
+        one step of ``fetch_width`` instructions per cycle: ``_fetch`` takes
+        one per stepped cycle, the idle fast-forward all those of the cycles
+        it skips.  The number of extra L1I lines touched depends on how long
+        EXIT takes to commit, which is what makes timing differences (e.g.
+        CleanupSpec's cleanup latency, KV2/unXpec) visible in the
+        instruction cache.
+
+        The stream is served one L1I line at a time, leaving the L1I/L2
+        exactly as stepping does: the ``k`` steps that land in one line are
+        ``k`` hits on a resident line, else one fill (L1I, then L2) and
+        ``k - 1`` hits, so the use counter rises by ``k`` and the line ends
+        stamped with its final value.  The pc only grows, and a line's own
+        hits cannot evict it.  The fill is inlined as in
+        ``MemorySystem.instruction_fetch``'s miss path (no L1I dirty
+        marking: the L1I is never snapshot-restored).
+
+        Returns False when there is no stream or it has reached its limit.
         """
         pc = self._fetch_ahead_pc
-        if pc is None or pc >= self._fetch_ahead_limit:
+        limit = self._fetch_ahead_limit
+        if pc is None or pc >= limit:
             return False
+        step = self._fetch_ahead_step
+        # Steps left before the stream reaches its limit.
+        remaining = (limit - pc + step - 1) // step
+        if steps < remaining:
+            remaining = steps
         memory = self.memory
         l1i = memory.l1i
-        line_size = l1i.config.line_size
-        line = pc - (pc % line_size)
-        entry_set = l1i._lines[(pc // line_size) % l1i.config.sets]
-        if line in entry_set:
-            l1i._use_counter += 1
-            entry_set[line] = l1i._use_counter
-        else:
-            memory.instruction_fetch(pc)
-        self._fetch_ahead_pc = pc + self._fetch_ahead_step
+        l1i_config = l1i.config
+        line_size = l1i_config.line_size
+        sets = l1i_config.sets
+        ways = l1i_config.ways
+        l1i_lines = l1i._lines
+        l2 = memory.l2
+        l2_config = l2.config
+        l2_line_size = l2_config.line_size
+        counter = l1i._use_counter
+        while remaining > 0:
+            line = pc - (pc % line_size)
+            # Steps that land in this line: those before its end.
+            k = (line + line_size - pc + step - 1) // step
+            if k > remaining:
+                k = remaining
+            entry_set = l1i_lines[(pc // line_size) % sets]
+            if line not in entry_set:
+                if len(entry_set) >= ways:
+                    del entry_set[min(entry_set, key=entry_set.get)]
+                l2_base = line - (line % l2_line_size)
+                index = (l2_base // l2_line_size) % l2_config.sets
+                l2_set = l2._lines[index]
+                l2._dirty.add(index)
+                l2._use_counter += 1
+                if l2_base not in l2_set and len(l2_set) >= l2_config.ways:
+                    del l2_set[min(l2_set, key=l2_set.get)]
+                l2_set[l2_base] = l2._use_counter
+            counter += k
+            entry_set[line] = counter
+            pc += k * step
+            remaining -= k
+        l1i._use_counter = counter
+        self._fetch_ahead_pc = pc
         return True
 
     def _dispatch(

@@ -146,8 +146,7 @@ class MemorySystem:
             return 1
         # Inlined l1i/l2 installs for the miss path (fetch-ahead streams miss
         # on every new line, so this runs dozens of times per test case).
-        # The L1I needs no dirty marking: it is flushed, never
-        # snapshot-restored.
+        # The L1I needs no dirty marking: it is never snapshot-restored.
         l1i._use_counter += 1
         if len(entry_set) >= l1i.config.ways:
             victim = min(entry_set, key=entry_set.get)
@@ -179,6 +178,15 @@ class MemorySystem:
         self.l1i.flush()
         self.l2.flush()
         self.dtlb.flush()
+        self.reset_run_state()
+
+    def reset_run_state(self) -> None:
+        """Forget the last run's misses in flight and its access log.
+
+        Cache and TLB contents stay as the last run left them (the
+        ``PrimeStrategy.NONE`` reset); MSHR release cycles and the access
+        log belong to one run.
+        """
         self.mshrs.reset()
         self.access_log.clear()
         self.mshr_stall_events = 0
@@ -280,6 +288,18 @@ class MemorySystem:
             l2._dirty_all = False
             self._restored_key = key
         return installed
+
+    def cache_state(self) -> Tuple[tuple, ...]:
+        """L1I, L1D and L2 contents with replacement state and use counters.
+
+        One ``(per-set {line: last use}, use counter)`` pair per cache, for
+        comparing two runs exactly: the trace snapshots are sorted line sets
+        and do not show LRU order.
+        """
+        return tuple(
+            (tuple(dict(entry_set) for entry_set in cache._lines), cache._use_counter)
+            for cache in (self.l1i, self.l1d, self.l2)
+        )
 
     def snapshot_l1d(self) -> Tuple[int, ...]:
         return self.l1d.snapshot()

@@ -145,6 +145,22 @@ class TestPriming:
         record = executor.run_input(inputs[0])
         assert all(line < PRIME_REGION_BASE for line in record.trace.component("l1d"))
 
+    @pytest.mark.parametrize(
+        "strategy,carried", [(PrimeStrategy.FLUSH, False), (PrimeStrategy.NONE, True)]
+    )
+    def test_only_none_carries_the_caches_across_inputs(
+        self, sandbox, program, inputs, strategy, carried
+    ):
+        executor = SimulatorExecutor("baseline", sandbox=sandbox, prime_strategy=strategy)
+        executor.load_program(program)
+        executor.run_input(inputs[0])
+        l1i = executor._core.memory.l1i
+        left_behind = (l1i.snapshot(), l1i._use_counter)
+        executor.run_input(inputs[0])
+        # Every fetch bumps the L1I use counter, which only a flush resets.
+        assert (l1i._use_counter > left_behind[1]) is carried
+        assert set(left_behind[0]) <= set(l1i.snapshot())
+
     def test_default_priming_follows_the_defense(self, sandbox):
         assert SimulatorExecutor("invisispec", sandbox=sandbox).prime_strategy is PrimeStrategy.FILL
         assert SimulatorExecutor("cleanupspec", sandbox=sandbox).prime_strategy is PrimeStrategy.FLUSH

@@ -6,9 +6,13 @@ core steps every single cycle.  The fast-forward only skips cycles in which
 nothing happens, so for every registered defense, every patched variant and
 the example plugin the two must agree on everything observable: statistics
 (MSHR stalls included), full micro-architectural traces, final registers
-and the post-run L1D/L2 contents with their replacement state, on the golden
-workload and on every litmus program in both execution modes, and on the
-violations a seeded fuzzing round finds.
+and the post-run L1I/L1D/L2 contents with their replacement state and use
+counters, on the golden workload and on every litmus program in both
+execution modes, and on the violations a seeded fuzzing round finds.
+
+The post-EXIT fetch-ahead stream, which the fast-forward advances many
+steps at once, is also checked on its own against a per-step reference
+over random cache geometries.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_utils import FULL_TRACE, GOLDEN_INPUTS, GOLDEN_PROGRAMS, GOLDEN_SEED
 from repro.core import Campaign, FuzzerConfig
@@ -31,7 +37,7 @@ from repro.defenses.registry import (
     register_defense,
     unregister_defense,
 )
-from repro.executor.executor import ExecutionMode, SimulatorExecutor
+from repro.executor.executor import ExecutionMode, PrimeStrategy, SimulatorExecutor
 from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
@@ -39,7 +45,9 @@ from repro.generator.sandbox import Sandbox
 from repro.litmus import all_cases
 from repro.litmus.cases import make_input
 from repro.litmus.programs import spectre_v1
+from repro.uarch.config import CacheConfig, UarchConfig
 from repro.uarch.core import O3Core
+from repro.uarch.memory_system import MemorySystem
 
 PLUGIN_DIR = Path(__file__).resolve().parent.parent / "examples" / "undospec_plugin"
 if str(PLUGIN_DIR) not in sys.path:
@@ -60,6 +68,16 @@ def _variants():
 
 
 VARIANTS = list(_variants())
+
+#: Settings under which the fetch-ahead stream meets more than a cold L1I.
+FRONT_END_SETTINGS = {
+    # L1I and L2 carry across inputs, so the stream re-hits resident lines.
+    "prime-none": {"prime_strategy": PrimeStrategy.NONE},
+    # 12-byte steps do not divide a 64-byte line, and the 8-line L1I evicts.
+    "narrow-l1i": {
+        "uarch_config": UarchConfig(fetch_width=3, l1i=CacheConfig(sets=4, ways=2))
+    },
+}
 
 
 def _factory(cls, patched):
@@ -82,14 +100,12 @@ def _observe(defense_factory, runs, mode, **executor_options):
         executor.load_program(program)
         for test_input in inputs:
             record = executor.run_input(test_input)
-            memory = defenses[-1].core.memory
             observed.append(
                 (
                     record.trace.components,
                     record.result.stats.as_dict(),
                     record.result.final_registers,
-                    [dict(lines) for lines in memory.l1d._lines],
-                    [dict(lines) for lines in memory.l2._lines],
+                    defenses[-1].core.memory.cache_state(),
                 )
             )
     return observed
@@ -121,6 +137,21 @@ class TestSteppingOracle:
     def test_golden_programs(self, cls, patched, mode, golden_workload):
         sandbox, runs = golden_workload
         _assert_identical(cls, patched, runs, mode, sandbox=sandbox)
+
+    @pytest.mark.parametrize("setting", sorted(FRONT_END_SETTINGS))
+    @pytest.mark.parametrize("cls,patched", VARIANTS)
+    def test_golden_programs_front_end_settings(
+        self, cls, patched, setting, golden_workload
+    ):
+        sandbox, runs = golden_workload
+        _assert_identical(
+            cls,
+            patched,
+            runs,
+            ExecutionMode.OPT,
+            sandbox=sandbox,
+            **FRONT_END_SETTINGS[setting],
+        )
 
     @pytest.mark.parametrize("mode", [ExecutionMode.NAIVE, ExecutionMode.OPT])
     @pytest.mark.parametrize("cls,patched", VARIANTS)
@@ -213,3 +244,81 @@ class TestWakeUpHook:
             unregister_defense("early_sleeper")
         assert checks and not all(check.ok for check in checks)
         assert run_fast_forward_checks("invisispec")[0].ok
+
+
+def _step_reference(memory, pc, step, limit, steps):
+    """The fetch-ahead stream as a stepped core takes it: one fetch a step."""
+    for _ in range(steps):
+        if pc >= limit:
+            break
+        memory.instruction_fetch(pc)
+        pc += step
+    return pc
+
+
+@st.composite
+def _stream_cases(draw):
+    line_size = draw(st.sampled_from([16, 32, 64]))
+    config = UarchConfig(
+        # Steps of 4 to 80 bytes: some are larger than the line.
+        fetch_width=draw(st.integers(1, 20)),
+        l1i=CacheConfig(
+            sets=draw(st.sampled_from([1, 2, 4])),
+            ways=draw(st.integers(1, 3)),
+            line_size=line_size,
+        ),
+        l2=CacheConfig(
+            sets=draw(st.sampled_from([1, 2, 8])),
+            ways=draw(st.integers(1, 3)),
+            line_size=line_size * draw(st.sampled_from([1, 2])),
+        ),
+    )
+    step = config.fetch_width * 4
+    base = 0x4000
+    # A start pc anywhere in a line, 4-byte aligned.
+    start = base + 4 * draw(st.integers(0, line_size // 4 - 1))
+    skips = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    # The limit may fall before, inside or after the steps of any skip.
+    limit = start + draw(st.integers(0, sum(skips) * step + step))
+    span = sum(skips) * step + 2 * line_size
+    # Lines around the stream's path, installed in this order before it runs.
+    prefill = draw(
+        st.lists(
+            st.integers(base - 4 * line_size, base + span), max_size=24
+        )
+    )
+    return config, start, limit, skips, prefill
+
+
+class TestFetchAheadStream:
+    """``O3Core._advance_fetch_ahead`` against a per-step reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stream_cases())
+    def test_matches_one_fetch_per_step(self, case):
+        config, start, limit, skips, prefill = case
+        sandbox = Sandbox()
+        core = O3Core(spectre_v1(sandbox.aligned_mask), config=config, sandbox=sandbox)
+        reference = MemorySystem(config)
+        for memory in (core.memory, reference):
+            for address in prefill:
+                memory.l1i.install(address)
+                memory.l2.install(address)
+        core._fetch_ahead_pc = start
+        core._fetch_ahead_limit = limit
+        step = core._fetch_ahead_step
+
+        pc = start
+        for steps in skips:
+            advanced = core._advance_fetch_ahead(steps)
+            assert advanced == (pc < limit)
+            pc = _step_reference(reference, pc, step, limit, steps)
+            assert core._fetch_ahead_pc == pc
+            assert core.memory.cache_state() == reference.cache_state()
+
+    def test_no_stream_before_exit_is_fetched(self):
+        sandbox = Sandbox()
+        core = O3Core(spectre_v1(sandbox.aligned_mask), sandbox=sandbox)
+        assert core._fetch_ahead_pc is None
+        assert not core._advance_fetch_ahead(5)
+        assert core.memory.l1i._use_counter == 0
