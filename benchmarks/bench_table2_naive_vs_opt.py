@@ -30,11 +30,11 @@ def _run_executor(mode: ExecutionMode) -> SimulatorExecutor:
     for _ in range(PROGRAMS):
         program = program_generator.generate()
         executor.load_program(program)
-        executor.time.charge_test_generation()
+        executor.tally.charge_test_generation()
         for _ in range(INPUTS):
             executor.run_input(input_generator.generate_one())
-            executor.time.charge_contract_traces()
-        executor.time.charge_other()
+            executor.tally.charge_contract_traces()
+        executor.tally.charge_other()
     return executor
 
 
@@ -45,12 +45,12 @@ def test_table2_naive_vs_opt_breakdown(benchmark):
         lambda: _run_executor(ExecutionMode.OPT), rounds=1, iterations=1
     )
 
-    breakdowns = {"Naive": naive.time.breakdown(), "Opt": opt.time.breakdown()}
+    breakdowns = {"Naive": naive.tally.breakdown(), "Opt": opt.tally.breakdown()}
     table = render_breakdown_table(breakdowns)
     attach_rows(benchmark, "Table 2 (modeled gem5 seconds per campaign slice)", table)
 
-    naive_total = naive.time.total_modeled()
-    opt_total = opt.time.total_modeled()
+    naive_total = naive.tally.total_modeled()
+    opt_total = opt.tally.total_modeled()
     rows = [
         {
             "metric": "modeled seconds / program",
@@ -60,14 +60,14 @@ def test_table2_naive_vs_opt_breakdown(benchmark):
         },
         {
             "metric": "startup share (%)",
-            "Naive": 100 * naive.time.breakdown()[STARTUP]["percent"] / 100,
-            "Opt": opt.time.breakdown()[STARTUP]["percent"],
+            "Naive": 100 * naive.tally.breakdown()[STARTUP]["percent"] / 100,
+            "Opt": opt.tally.breakdown()[STARTUP]["percent"],
             "ratio": None,
         },
         {
             "metric": "simulate share (%)",
-            "Naive": naive.time.breakdown()[SIMULATE]["percent"],
-            "Opt": opt.time.breakdown()[SIMULATE]["percent"],
+            "Naive": naive.tally.breakdown()[SIMULATE]["percent"],
+            "Opt": opt.tally.breakdown()[SIMULATE]["percent"],
             "ratio": None,
         },
     ]
@@ -75,8 +75,8 @@ def test_table2_naive_vs_opt_breakdown(benchmark):
 
     # Shape checks from the paper: Naive is startup-dominated, Opt is
     # simulation-dominated, and Opt is roughly an order of magnitude cheaper.
-    assert naive.time.breakdown()[STARTUP]["percent"] > 80
-    assert opt.time.breakdown()[SIMULATE]["percent"] > 60
+    assert naive.tally.breakdown()[STARTUP]["percent"] > 80
+    assert opt.tally.breakdown()[SIMULATE]["percent"] > 60
     assert naive_total / opt_total > 5
-    assert naive.simulator_starts == PROGRAMS * INPUTS
-    assert opt.simulator_starts == PROGRAMS
+    assert naive.tally.counts["simulator_starts"] == PROGRAMS * INPUTS
+    assert opt.tally.counts["simulator_starts"] == PROGRAMS

@@ -40,7 +40,7 @@ def _campaign(contract: str, mode: ExecutionMode, programs: int) -> dict:
         "detection_seconds": None if detection is None else round(detection, 2),
         "test_cases_generated": result.total_test_cases_generated,
         "test_cases_executed": result.total_test_cases,
-        "skip_counters": result.skip_counters(),
+        "skipped": result.tally().counts_under("skipped"),
         "throughput_per_s": round(result.throughput(), 1),
         "effective_throughput_per_s": round(result.effective_throughput(), 1),
         "modeled_throughput_per_s": round(result.modeled_throughput(), 2),

@@ -45,7 +45,7 @@ def _run_campaign(defense: str, programs: int, seed: int) -> dict:
         "unique_violations": len(unique_violations(result.violations)),
         "test_cases": result.total_test_cases,
         "test_cases_generated": result.total_test_cases_generated,
-        "skip_counters": result.skip_counters(),
+        "skipped": result.tally().counts_under("skipped"),
         "throughput_per_s": round(result.throughput(), 1),
         "effective_throughput_per_s": round(result.effective_throughput(), 1),
         "campaign_seconds": round(result.wall_clock_seconds, 2),

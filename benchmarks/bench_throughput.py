@@ -138,7 +138,7 @@ def measure_end_to_end(
     filter_level: FilterLevel = FilterLevel.NONE,
     boost_factor: Optional[int] = None,
 ) -> Dict[str, object]:
-    """One inline-backend campaign; returns test-cases/sec and a time split."""
+    """One inline-backend campaign; returns test-cases/sec and its accounting."""
     config = FuzzerConfig(
         defense=defense,
         programs_per_instance=programs,
@@ -159,16 +159,15 @@ def measure_end_to_end(
         "filter": filter_level.value,
         "test_cases": generated,
         "test_cases_executed": result.total_test_cases,
-        "skipped": result.skip_counters(),
+        "skipped": result.tally().counts_under("skipped"),
         "seconds": round(elapsed, 3),
         "test_cases_per_second": round(generated / elapsed, 2),
         "executed_per_second": round(result.total_test_cases / elapsed, 2),
         "violations": result.violation_count(),
     }
-    if "time_breakdown" in payload:
-        row["time_breakdown"] = payload["time_breakdown"]
-    if payload.get("phase_breakdown", {}).get("seconds"):
-        row["phase_breakdown"] = payload["phase_breakdown"]
+    # The campaign's accounting blocks: event counts, wall-clock seconds per
+    # round phase, modeled seconds per Table 2 component.
+    row["ledger"] = {block: payload[block] for block in ("counts", "seconds", "modeled")}
     return row
 
 

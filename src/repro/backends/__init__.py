@@ -40,11 +40,10 @@ def get_backend(
     name: str,
     workers: Optional[int] = None,
     chunk_size: int = 1,
-    map_chunksize: Optional[int] = None,
 ) -> ExecutionBackend:
     """Instantiate a backend by registry name.
 
-    ``workers``, ``chunk_size`` and ``map_chunksize`` only apply to pooled
+    ``workers`` and ``chunk_size`` only apply to pooled
     backends; the inline backend accepts and ignores them so callers can
     resolve uniformly from a single config.  (Supervision knobs —
     ``max_retries``, backoff, deadlines — travel with the plan's configs,
@@ -54,9 +53,7 @@ def get_backend(
     if key not in _BACKENDS:
         known = ", ".join(available_backends())
         raise KeyError(f"unknown backend {name!r}; known backends: {known}")
-    return _BACKENDS[key](
-        workers=workers, chunk_size=chunk_size, map_chunksize=map_chunksize
-    )
+    return _BACKENDS[key](workers=workers, chunk_size=chunk_size)
 
 
 __all__ = [

@@ -31,11 +31,10 @@ class InlineBackend(ExecutionBackend):
         self,
         workers: Optional[int] = None,
         chunk_size: int = 1,
-        map_chunksize: Optional[int] = None,
     ) -> None:
         # Pool-sizing knobs are meaningless without concurrency; accepted (and
         # ignored) so every registered backend constructs uniformly.
-        del workers, chunk_size, map_chunksize
+        del workers, chunk_size
 
     def run(
         self,

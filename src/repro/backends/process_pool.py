@@ -26,8 +26,9 @@ program index (rounds are counter-addressed pure functions, so a replay is
 byte-identical), which makes recovery exactly-once from the caller's point
 of view.  A worker slot that exhausts its retries degrades gracefully: its
 unfinished instances report the rounds they completed, and the abandoned
-remainder is recorded in ``FuzzerReport.faults`` (per-reason counters plus
-lost-round IDs) instead of killing the campaign.
+remainder is recorded on the instance's report (``fault.<reason>`` counts
+plus lost-round IDs, see :meth:`FuzzerReport.record_fault`) instead of
+killing the campaign.
 
 Each worker writes to a private one-way :func:`multiprocessing.Pipe`
 synchronously from its main thread, and the coordinator holds only the read
@@ -182,7 +183,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: Optional[int] = None,
         chunk_size: int = 1,
-        map_chunksize: Optional[int] = None,
         max_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
         task_timeout_seconds: Optional[float] = None,
@@ -191,13 +191,10 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("workers must be at least 1")
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if map_chunksize is not None and map_chunksize < 1:
-            raise ValueError("map_chunksize must be at least 1 (or None for adaptive)")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.map_chunksize = map_chunksize
         self.max_retries = max_retries
         self.retry_backoff_seconds = retry_backoff_seconds
         self.task_timeout_seconds = task_timeout_seconds
@@ -209,16 +206,14 @@ class ProcessPoolBackend(ExecutionBackend):
         return max(1, min(requested, instances))
 
     def resolve_map_chunksize(self, item_count: int, workers: int) -> int:
-        """Chunk size for ``map_items``: the configured override, else adaptive.
+        """Chunk size for ``map_items``: about four chunks per worker.
 
-        The adaptive choice targets ~4 chunks per worker: small enough that a
-        long item (e.g. a violation with a slow minimization) doesn't
-        serialise a whole worker's queue behind it, large enough that
-        per-chunk pickling doesn't dominate when items are many and cheap.
+        Small enough that a long item (e.g. a violation with a slow
+        minimization) doesn't serialise a whole worker's queue behind it,
+        large enough that per-chunk pickling doesn't dominate when items are
+        many and cheap.
         ``pool.map`` preserves input order regardless of chunking.
         """
-        if self.map_chunksize is not None:
-            return self.map_chunksize
         return max(1, item_count // (workers * 4))
 
     def map_items(
@@ -227,7 +222,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """Fan independent work items across a process pool, results in order.
 
         ``fn`` and the items must be picklable.  Chunking is adaptive (see
-        :meth:`resolve_map_chunksize`) unless ``map_chunksize`` pins it.
+        :meth:`resolve_map_chunksize`).
         """
         items = list(items)
         if len(items) <= 1:
@@ -291,10 +286,8 @@ class ProcessPoolBackend(ExecutionBackend):
             )
 
         reports: Dict[int, FuzzerReport] = {}
-        fault_counters: Dict[int, Dict[str, int]] = {
-            index: {} for index in range(plan.instances)
-        }
-        lost_rounds: Dict[int, List[int]] = {
+        # Per instance: (reason, rounds abandoned) for every fault suffered.
+        faults: Dict[int, List[Tuple[str, List[int]]]] = {
             index: [] for index in range(plan.instances)
         }
         failure: Optional[str] = None
@@ -400,24 +393,22 @@ class ProcessPoolBackend(ExecutionBackend):
             affected = unfinished(slot)
             if not affected:
                 return
-            for index in affected:
-                fault_counters[index][reason] = (
-                    fault_counters[index].get(reason, 0) + 1
-                )
             slot.retries += 1
-            if mp_stop.is_set() or slot.retries > max_retries:
-                # Degrade: keep everything the lost instances completed (the
-                # latest snapshot's report), record the abandoned remainder.
-                for index in affected:
+            degrade = mp_stop.is_set() or slot.retries > max_retries
+            for index in affected:
+                lost: List[int] = []
+                if degrade:
+                    # Keep everything the lost instance completed (the latest
+                    # snapshot's report), record the abandoned remainder.
                     report = _report_from_state(latest_state[index])
                     if report is None:
                         report = self.empty_report(plan.configs[index])
                     if not mp_stop.is_set():
                         budget = plan.configs[index].programs_per_instance
-                        lost_rounds[index] = list(
-                            range(report.programs_tested, budget)
-                        )
+                        lost = list(range(report.programs_tested, budget))
                     reports[index] = report
+                faults[index].append((reason, lost))
+            if degrade:
                 return
             time.sleep(backoff_seconds * (2 ** (slot.retries - 1)))
             slot.generation += 1
@@ -490,18 +481,9 @@ class ProcessPoolBackend(ExecutionBackend):
         if failure is not None:
             raise RuntimeError(f"campaign worker failed: {failure}")
 
-        final_reports = []
-        for index in range(plan.instances):
-            report = reports[index]
-            # Fold the coordinator-side fault accounting into the report the
-            # caller sees (the worker that suffered the fault could not).
-            for reason, count in fault_counters[index].items():
-                counters = report.faults.setdefault("counters", {})
-                counters[reason] = counters.get(reason, 0) + count
-            if lost_rounds[index]:
-                lost = report.faults.setdefault("lost_rounds", [])
-                for round_index in lost_rounds[index]:
-                    if round_index not in lost:
-                        lost.append(round_index)
-            final_reports.append(report)
-        return final_reports
+        # Fold the coordinator-side fault accounting into the reports the
+        # caller sees (the worker that suffered a fault could not).
+        for index, report in reports.items():
+            for reason, lost in faults[index]:
+                report.record_fault(reason, lost)
+        return [reports[index] for index in range(plan.instances)]

@@ -184,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a machine-readable JSON campaign summary instead of the table",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="deprecated alias for --backend process",
-    )
-    parser.add_argument(
         "--list-defenses",
         action="store_true",
         help="print the defense registry (name, contract, description) and exit",
@@ -290,7 +285,7 @@ def select_backend(args: argparse.Namespace) -> str:
     """Backend name implied by the flag combination."""
     if args.backend is not None:
         return args.backend
-    if args.parallel or (args.workers is not None and args.workers > 1):
+    if args.workers is not None and args.workers > 1:
         return "process"
     return "inline"
 
@@ -313,8 +308,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.backend == "inline" and (args.parallel or (args.workers or 1) > 1):
-        parser.error("--backend inline cannot be combined with --workers > 1 or --parallel")
+    if args.backend == "inline" and (args.workers or 1) > 1:
+        parser.error("--backend inline cannot be combined with --workers > 1")
     if args.chunk_size < 1:
         parser.error("--chunk-size must be at least 1")
     if args.instances < 1:
@@ -418,12 +413,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if result.resumed_from:
         print(f"  resumed from: {result.resumed_from}")
-    faults = result.fault_summary()
-    if faults["counters"] or faults["force_kills"]:
+    faults = result.tally().counts_under("fault")
+    if faults or result.force_kills:
         print(
-            f"  faults: {faults['counters'] or {}} "
-            f"force_kills={faults['force_kills']} "
-            f"lost_rounds={sum(len(rounds) for rounds in faults['lost_rounds'].values())}"
+            f"  faults: {faults} force_kills={result.force_kills} "
+            f"lost_rounds={sum(len(report.lost_rounds) for report in result.reports)}"
         )
     if args.strategy != "random" or args.corpus or args.corpus_litmus:
         feedback = result.feedback_summary()

@@ -27,6 +27,7 @@ from repro.core.fuzzer import FuzzerReport, RoundResult
 from repro.core.metrics import safe_rate
 from repro.core.seeding import derive_instance_seed
 from repro.core.violation import Violation
+from repro.executor.startup import Tally
 from repro.feedback.corpus import Corpus, CorpusEntry, program_dict_id
 from repro.feedback.coverage import CoverageTracker
 
@@ -118,49 +119,18 @@ class CampaignResult:
         """Generated (covered) test cases, including scheduler-skipped ones."""
         return sum(report.test_cases_generated for report in self.reports)
 
+    def tally(self) -> Tally:
+        """The instances' accounting ledgers, summed."""
+        total = Tally()
+        for report in self.reports:
+            total.merge(report.tally)
+        return total
+
     def specialization_counters(self) -> Dict[str, float]:
-        """Summed effect-closure counters across instance reports."""
-        totals: Dict[str, float] = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "compile_seconds": 0.0,
-        }
-        for report in self.reports:
-            for name, value in report.specialization.items():
-                totals[name] += value
-        totals["compile_seconds"] = round(totals["compile_seconds"], 6)
-        return totals
-
-    def skip_counters(self) -> Dict[str, int]:
-        """Scheduler-skipped test cases per filter reason, across instances."""
-        counters: Dict[str, int] = {}
-        for report in self.reports:
-            for reason, count in report.skip_counters.items():
-                counters[reason] = counters.get(reason, 0) + count
-        return counters
-
-    def fault_summary(self) -> Dict[str, object]:
-        """Supervision fault accounting across instances (the ``faults`` block).
-
-        Sums each report's per-reason fault counters and collects the
-        program indices of rounds abandoned after the retry budget, keyed by
-        instance.  ``force_kills`` mirrors the backend's teardown counter.
-        All zero / empty on a healthy run.
-        """
-        counters: Dict[str, int] = {}
-        lost_rounds: Dict[str, List[int]] = {}
-        for index, report in enumerate(self.reports):
-            faults = getattr(report, "faults", None) or {}
-            for reason, count in faults.get("counters", {}).items():
-                counters[reason] = counters.get(reason, 0) + count
-            lost = faults.get("lost_rounds", [])
-            if lost:
-                lost_rounds[str(index)] = sorted(lost)
-        return {
-            "counters": counters,
-            "lost_rounds": lost_rounds,
-            "force_kills": self.force_kills,
-        }
+        """Effect-closure counters summed across instances (a view of :meth:`tally`)."""
+        tally = self.tally()
+        closures = {"cache_hits": 0, "cache_misses": 0, **tally.counts_under("closure")}
+        return {**closures, "compile_seconds": tally.seconds.get("compile", 0.0)}
 
     def violation_count(self) -> int:
         return len(self.violations)
@@ -283,58 +253,6 @@ class CampaignResult:
         corpus.save(path)
         return corpus
 
-    def time_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Where campaign time went, aggregated over instances.
-
-        Sums each instance's per-component modeled and wall-clock seconds
-        (gem5 startup / simulate / trace extraction / generation / ...) and
-        derives each component's share of the total, so benchmark artifacts
-        show the Table-2-style split rather than a single opaque number.
-        """
-        modeled: Dict[str, float] = {}
-        wall_clock: Dict[str, float] = {}
-        for report in self.reports:
-            for component, seconds in report.modeled_breakdown.items():
-                modeled[component] = modeled.get(component, 0.0) + seconds
-            for component, seconds in report.wall_clock_breakdown.items():
-                wall_clock[component] = wall_clock.get(component, 0.0) + seconds
-
-        def _shares(per_component: Dict[str, float]) -> Dict[str, float]:
-            total = sum(per_component.values())
-            if total <= 0:
-                return {component: 0.0 for component in per_component}
-            return {
-                component: round(100.0 * seconds / total, 1)
-                for component, seconds in per_component.items()
-            }
-
-        return {
-            "modeled_seconds": {k: round(v, 4) for k, v in modeled.items()},
-            "modeled_percent": _shares(modeled),
-            "wall_clock_seconds": {k: round(v, 4) for k, v in wall_clock.items()},
-            "wall_clock_percent": _shares(wall_clock),
-        }
-
-    def phase_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Round-pipeline phase wall-clock split, aggregated over instances.
-
-        Sums each instance's ``FuzzerReport.phase_breakdown`` (generate /
-        contract / simulate / detect) and derives per-phase shares, so
-        artifacts show *which phase* a speedup or regression landed in.
-        """
-        phases: Dict[str, float] = {}
-        for report in self.reports:
-            for phase, seconds in getattr(report, "phase_breakdown", {}).items():
-                phases[phase] = phases.get(phase, 0.0) + seconds
-        total = sum(phases.values())
-        return {
-            "seconds": {phase: round(seconds, 4) for phase, seconds in phases.items()},
-            "percent": {
-                phase: round(100.0 * seconds / total, 1) if total > 0 else 0.0
-                for phase, seconds in phases.items()
-            },
-        }
-
     def as_table_row(self) -> Dict[str, object]:
         """The Table-4 style summary row for this campaign."""
         detection = self.average_detection_seconds()
@@ -349,10 +267,10 @@ class CampaignResult:
             "throughput_per_second": round(self.throughput(), 1),
             "campaign_seconds": round(self.wall_clock_seconds, 2),
         }
-        skipped = self.skip_counters()
+        skipped = sum(report.test_cases_skipped for report in self.reports)
         if skipped:
             row["test_cases_generated"] = self.total_test_cases_generated
-            row["test_cases_skipped"] = sum(skipped.values())
+            row["test_cases_skipped"] = skipped
             row["effective_throughput_per_second"] = round(
                 self.effective_throughput(), 1
             )
@@ -387,6 +305,7 @@ class CampaignResult:
     def to_json_dict(self) -> Dict[str, object]:
         """Machine-readable campaign summary (the CLI's ``--json`` payload)."""
         groups = unique_violations(self.violations)
+        tally = self.tally()
         payload = {
             "defense": self.defense,
             "contract": self.contract,
@@ -398,11 +317,9 @@ class CampaignResult:
             "stopped_early": self.stopped_early,
             "interrupted": self.interrupted,
             "resumed_from": self.resumed_from,
-            "faults": self.fault_summary(),
+            "force_kills": self.force_kills,
             "test_cases": self.total_test_cases,
             "test_cases_generated": self.total_test_cases_generated,
-            "skip_counters": self.skip_counters(),
-            "specialization": self.specialization_counters(),
             "violations": self.violation_count(),
             "unique_violations": len(groups),
             "avg_detection_seconds": self.average_detection_seconds(),
@@ -410,8 +327,9 @@ class CampaignResult:
             "throughput_per_second": round(self.throughput(), 2),
             "effective_throughput_per_second": round(self.effective_throughput(), 2),
             "modeled_seconds": round(self.modeled_seconds(), 3),
-            "time_breakdown": self.time_breakdown(),
-            "phase_breakdown": self.phase_breakdown(),
+            "counts": dict(sorted(tally.counts.items())),
+            "seconds": {phase: round(value, 6) for phase, value in tally.seconds.items()},
+            "modeled": {name: round(value, 6) for name, value in tally.modeled.items()},
             "feedback": self.feedback_summary(),
             "violation_groups": [
                 {
@@ -426,7 +344,8 @@ class CampaignResult:
                     "programs_tested": report.programs_tested,
                     "test_cases_executed": report.test_cases_executed,
                     "test_cases_generated": report.test_cases_generated,
-                    "skip_counters": dict(report.skip_counters),
+                    "counts": dict(sorted(report.tally.counts.items())),
+                    "lost_rounds": report.lost_rounds,
                     "violations": len(report.violations),
                     "first_detection_seconds": report.first_detection_wall_clock,
                 }
@@ -478,7 +397,7 @@ class Campaign:
         )
 
     def resolve_backend(
-        self, backend: Optional[Union[str, ExecutionBackend]] = None, parallel: bool = False
+        self, backend: Optional[Union[str, ExecutionBackend]] = None
     ) -> "ExecutionBackend":
         """Pick the execution backend: explicit argument > constructor > config."""
         from repro.backends import ExecutionBackend, get_backend
@@ -486,19 +405,14 @@ class Campaign:
         choice = backend if backend is not None else self.backend
         if isinstance(choice, ExecutionBackend):
             return choice
-        name = choice
-        if name is None:
-            name = "process" if parallel else self.config.backend
         return get_backend(
-            name,
+            choice if choice is not None else self.config.backend,
             workers=self.config.workers,
             chunk_size=self.config.chunk_size,
-            map_chunksize=self.config.map_chunksize,
         )
 
     def run(
         self,
-        parallel: bool = False,
         backend: Optional[Union[str, ExecutionBackend]] = None,
         on_round: Optional[ProgressCallback] = None,
         checkpoint_path: Optional[str] = None,
@@ -510,8 +424,7 @@ class Campaign:
         """Execute the campaign and aggregate results as rounds stream in.
 
         ``backend`` may be a registry name ("inline", "process") or a
-        constructed :class:`ExecutionBackend`; ``parallel=True`` is the legacy
-        spelling of ``backend="process"``.  ``on_round`` is invoked with
+        constructed :class:`ExecutionBackend`.  ``on_round`` is invoked with
         ``(instance_index, RoundResult)`` for every completed round, in
         completion order.
 
@@ -527,7 +440,7 @@ class Campaign:
         """
         from repro.core.checkpoint import CheckpointManager
 
-        executor = self.resolve_backend(backend, parallel=parallel)
+        executor = self.resolve_backend(backend)
         manager: Optional[CheckpointManager] = None
         initial_states: Optional[List[Optional[dict]]] = None
         if checkpoint_path:

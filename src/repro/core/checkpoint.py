@@ -50,7 +50,6 @@ _EXECUTION_ONLY_FIELDS = (
     "backend",
     "workers",
     "chunk_size",
-    "map_chunksize",
     "max_retries",
     "retry_backoff_seconds",
     "task_timeout_seconds",
@@ -139,7 +138,7 @@ class CheckpointManager:
             if state is not None and state.get("format") != AmuletFuzzer.STATE_FORMAT:
                 raise ValueError(
                     f"{self.path}: instance {index} state has unexpected format "
-                    f"{state.get('format')!r}"
+                    f"{state.get('format')!r} (expected {AmuletFuzzer.STATE_FORMAT!r})"
                 )
         return payload
 

@@ -90,12 +90,9 @@ class FuzzerConfig:
     #: Rounds a pooled worker runs for one instance before rotating to its
     #: next instance and re-checking the campaign-wide cancellation flag.
     chunk_size: int = 1
-    #: Work items per chunk for backend ``map_items`` fan-out (triage).
-    #: None (the default) sizes chunks adaptively from item count / workers.
-    map_chunksize: Optional[int] = None
     #: Worker supervision (pooled backends): how many times a dead or hung
     #: worker is respawned and its lost work re-dispatched before the
-    #: affected rounds are abandoned and recorded in ``FuzzerReport.faults``.
+    #: affected rounds are abandoned and recorded as lost on the report.
     max_retries: int = 2
     #: Pause before each respawn, doubled per consecutive retry.
     retry_backoff_seconds: float = 0.05

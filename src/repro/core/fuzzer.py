@@ -28,11 +28,7 @@ from repro.core.testcase import TestCase
 from repro.core.violation import Violation
 from repro.defenses.registry import create_defense, defense_class
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
-from repro.executor.startup import (
-    CONTRACT_TRACES,
-    OTHERS,
-    TEST_GENERATION,
-)
+from repro.executor.startup import Tally
 from repro.feedback.corpus import Corpus, CorpusEntry
 from repro.feedback.coverage import CoverageTracker
 from repro.feedback.mutate import ProgramMutator
@@ -79,12 +75,10 @@ class FuzzerReport:
     #: Test cases generated (contract traces collected), including ones the
     #: execution scheduler skipped as unable to witness a violation.
     test_cases_generated: int = 0
-    #: Skipped test cases per filter reason ("singleton", "speculation").
-    skip_counters: Dict[str, int] = field(default_factory=dict)
     #: Generation strategy the instance ran ("random", "mutational", "hybrid").
     strategy: str = GenerationStrategy.RANDOM.value
     #: Coverage-novelty counters (features observed / new, rounds with new
-    #: coverage, bits set), reported alongside ``skip_counters``.
+    #: coverage, bits set) — the tracker's own checkpointed state.
     coverage_counters: Dict[str, int] = field(default_factory=dict)
     #: Final per-instance coverage bitmap (campaigns OR these together).
     coverage_bitmap: Optional[bytes] = None
@@ -99,37 +93,17 @@ class FuzzerReport:
     modeled_seconds: float = 0.0
     first_detection_wall_clock: Optional[float] = None
     first_detection_modeled: Optional[float] = None
-    #: Per-component seconds (startup / simulate / trace extraction / ...),
-    #: mirrored from the executor's ModeledTime so campaign artifacts can
-    #: show where the time went, not just totals.
-    modeled_breakdown: Dict[str, float] = field(default_factory=dict)
-    wall_clock_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Wall-clock seconds per round-pipeline phase ("generate", "contract",
-    #: "simulate", "detect"), measured around the phases themselves — this
-    #: is where a speedup (or a regression) is attributable.  "contract"
-    #: includes base-input generation and boosting; "simulate" is absent
-    #: until a round runs at least one O3 simulation.
-    phase_breakdown: Dict[str, float] = field(default_factory=dict)
-    #: Effect-closure counters summed over this instance's rounds:
-    #: ``cache_misses`` decoded programs whose closures were built,
-    #: ``cache_hits`` O3 cores (and repeat emulators) that found them built,
-    #: ``compile_seconds`` the build time.  Each round adds its own delta, so
-    #: instances sharing a worker process do not absorb each other's builds.
-    specialization: Dict[str, float] = field(default_factory=dict)
-    #: Fault accounting for supervised execution: per-reason counters
-    #: ("worker_death", "deadline", "force_kill", ...) plus the program
-    #: indices of rounds that were abandoned after ``max_retries``
-    #: (``lost_rounds``).  Empty for a fault-free run.
-    faults: Dict[str, object] = field(default_factory=dict)
+    #: The instance's accounting ledger (counts, wall-clock phase seconds,
+    #: modeled seconds) — the executor's own object while the instance runs.
+    tally: Tally = field(default_factory=Tally)
+    #: Program indices of rounds a supervised backend abandoned after its
+    #: retry budget.  Empty for a fault-free run.
+    lost_rounds: List[int] = field(default_factory=list)
 
-    def record_fault(self, reason: str, lost_round: Optional[int] = None) -> None:
-        """Count one supervised-execution fault (and optionally a lost round)."""
-        counters = self.faults.setdefault("counters", {})
-        counters[reason] = counters.get(reason, 0) + 1
-        if lost_round is not None:
-            lost = self.faults.setdefault("lost_rounds", [])
-            if lost_round not in lost:
-                lost.append(lost_round)
+    def record_fault(self, reason: str, lost_rounds: Sequence[int] = ()) -> None:
+        """Count one supervised-execution fault and the rounds it abandoned."""
+        self.tally.count(f"fault.{reason}")
+        self.lost_rounds = sorted(set(self.lost_rounds).union(lost_rounds))
 
     @property
     def detected(self) -> bool:
@@ -137,7 +111,7 @@ class FuzzerReport:
 
     @property
     def test_cases_skipped(self) -> int:
-        return sum(self.skip_counters.values())
+        return sum(self.tally.counts_under("skipped").values())
 
     def throughput(self) -> float:
         """Simulated (executed) test cases per wall-clock second.
@@ -215,7 +189,9 @@ class AmuletFuzzer:
         self._start_time: Optional[float] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
-        self.report = FuzzerReport(defense=config.defense, contract=self.contract_name)
+        self.report = FuzzerReport(
+            defense=config.defense, contract=self.contract_name, tally=self.executor.tally
+        )
 
     # -- single round -------------------------------------------------------------
     def run_round(self, program_index: int = 0) -> RoundResult:
@@ -223,16 +199,16 @@ class AmuletFuzzer:
         if self._start_time is None:
             self._start_time = time.perf_counter()
         config = self.config
+        tally = self.executor.tally
+        clock = time.perf_counter
         # The closure counters are process-wide; a round's delta is its own.
-        spec_start = stats_snapshot()
+        closures = stats_snapshot()
 
-        generation_started = time.perf_counter()
+        started = clock()
         round_program = self.program_source.next_program()
         program = round_program.program
-        self.executor.time.charge_test_generation()
-        generation_elapsed = time.perf_counter() - generation_started
-        self.executor.time.add_wall_clock(TEST_GENERATION, generation_elapsed)
-        self._charge_phase("generate", generation_elapsed)
+        tally.charge_test_generation()
+        tally.add_seconds("generate", clock() - started)
 
         test_case = self._build_test_case(program, round_program.seed_inputs)
         # Partition into contract-equivalence classes up front and simulate
@@ -241,20 +217,21 @@ class AmuletFuzzer:
         # the per-program gem5-startup charge).
         plan = self.scheduler.plan(test_case)
         if plan.executable:
-            simulate_started = time.perf_counter()
+            started = clock()
             self.executor.load_program(program)
             records = self.executor.run_batch(
                 [entry.test_input for entry in plan.executable]
             )
             for entry, record in zip(plan.executable, records):
                 entry.record = record
-            self._charge_phase("simulate", time.perf_counter() - simulate_started)
+            tally.add_seconds("simulate", clock() - started)
         skip_counts = plan.skip_counts()
-        if skip_counts:
-            self.executor.record_skips(skip_counts)
-        self.executor.time.charge_other()
+        for reason, count in skip_counts.items():
+            tally.count(f"skipped.{reason}", count)
+        tally.charge_other()
 
-        detect_started = time.perf_counter()
+        # Detection includes validation re-runs and signature analysis.
+        started = clock()
         violations = self.detector.detect(test_case, classes=plan.classes)
         confirmed: List[Violation] = []
         for violation in violations:
@@ -267,12 +244,13 @@ class AmuletFuzzer:
             if config.analyze_violations:
                 violation.signature = compute_signature(violation)
             confirmed.append(violation)
-        self._charge_phase("detect", time.perf_counter() - detect_started)
+        tally.add_seconds("detect", clock() - started)
 
         # Coverage feedback: hash the round's behavior features into the map
         # and feed novelty (and any violation witness) back into the corpus,
         # whatever the generation strategy — a random campaign still grows a
         # corpus that later mutational campaigns can load.
+        started = clock()
         round_coverage = self.coverage.observe_round(test_case, plan)
         witness: Optional[Tuple[Input, Input]] = None
         if confirmed:
@@ -283,18 +261,15 @@ class AmuletFuzzer:
             violation=bool(confirmed),
             input_pair=witness,
         )
+        tally.add_seconds("feedback", clock() - started)
 
         self.report.programs_tested += 1
         self.report.test_cases_generated += len(test_case)
         self.report.test_cases_executed += plan.executed
-        for reason, count in skip_counts.items():
-            self.report.skip_counters[reason] = (
-                self.report.skip_counters.get(reason, 0) + count
-            )
         self.report.violations.extend(confirmed)
-        spec_totals = self.report.specialization
-        for name, value in stats_snapshot().items():
-            spec_totals[name] = spec_totals.get(name, 0) + value - spec_start[name]
+        after = stats_snapshot()
+        for name in ("cache_hits", "cache_misses"):
+            tally.count(f"closure.{name}", after[name] - closures[name])
         self._refresh_report_times()
         if confirmed and self.report.first_detection_wall_clock is None:
             self.report.first_detection_wall_clock = self.report.wall_clock_seconds
@@ -355,9 +330,11 @@ class AmuletFuzzer:
 
     # -- checkpointing ------------------------------------------------------------------
     #: Schema tag for :meth:`state_dict` payloads; bumped whenever the seeded
-    #: input stream changes (v2: bulk sandbox-memory derivation; v3: pages
-    #: derived on first touch, boosted variants keyed by the new fingerprint).
-    STATE_FORMAT = "amulet-instance-state-v3"
+    #: input stream or the payload changes (v2: bulk sandbox-memory
+    #: derivation; v3: pages derived on first touch, boosted variants keyed
+    #: by the new fingerprint; v4: the pickled report carries the accounting
+    #: ledger, which replaced the separate time and executor counters).
+    STATE_FORMAT = "amulet-instance-state-v4"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.
@@ -366,10 +343,10 @@ class AmuletFuzzer:
         generators are pure functions of ``(seed, counter)``; the strategy's
         per-round RNG is a pure function of ``(seed, round)``), and the
         executor builds a fresh core per program — so the live state reduces
-        to integer counters, the feedback state (coverage map + corpus), the
-        accumulated report, and the executor's time ledger.  The snapshot is
-        JSON-serializable; a fuzzer built from the same config and fed it
-        through :meth:`restore_state` continues the round stream
+        to integer counters, the feedback state (coverage map + corpus) and
+        the accumulated report, which carries the accounting ledger.  The
+        snapshot is JSON-serializable; a fuzzer built from the same config
+        and fed it through :meth:`restore_state` continues the round stream
         byte-identically.
 
         Corpus energies are stored exactly (not display-rounded as in
@@ -397,12 +374,6 @@ class AmuletFuzzer:
             "report_pickle": base64.b64encode(
                 pickle.dumps(self.report, protocol=pickle.HIGHEST_PROTOCOL)
             ).decode("ascii"),
-            "time": {
-                "modeled_seconds": dict(self.executor.time.modeled_seconds),
-                "wall_clock_seconds": dict(self.executor.time.wall_clock_seconds),
-            },
-            "simulator_starts": self.executor.simulator_starts,
-            "test_cases_executed": self.executor.test_cases_executed,
             "stopped": self._stopped,
             "target_programs": self._target_programs,
         }
@@ -440,11 +411,7 @@ class AmuletFuzzer:
             self.corpus.merge_entry(CorpusEntry.from_json_dict(payload))
 
         self.report = pickle.loads(base64.b64decode(state["report_pickle"]))
-        saved_time = state["time"]
-        self.executor.time.modeled_seconds = dict(saved_time["modeled_seconds"])
-        self.executor.time.wall_clock_seconds = dict(saved_time["wall_clock_seconds"])
-        self.executor.simulator_starts = state["simulator_starts"]
-        self.executor.test_cases_executed = state["test_cases_executed"]
+        self.executor.tally = self.report.tally
         self._stopped = state["stopped"]
         self._target_programs = state.get("target_programs")
         # Continue the wall clock where the snapshot left it.
@@ -452,11 +419,6 @@ class AmuletFuzzer:
         self._refresh_report_feedback()
 
     # -- internals ----------------------------------------------------------------------
-    def _charge_phase(self, phase: str, seconds: float) -> None:
-        self.report.phase_breakdown[phase] = (
-            self.report.phase_breakdown.get(phase, 0.0) + seconds
-        )
-
     def _build_test_case(
         self, program, seed_inputs: Sequence[Input] = ()
     ) -> TestCase:
@@ -469,7 +431,9 @@ class AmuletFuzzer:
         """
         config = self.config
         test_case = TestCase(program=program)
-        contract_started = time.perf_counter()
+        clock = time.perf_counter
+        compiled = stats_snapshot()["compile_seconds"]
+        started = clock()
         usable_seeds = [
             seed_input
             for seed_input in seed_inputs
@@ -481,18 +445,21 @@ class AmuletFuzzer:
                 base_inputs.append(usable_seeds[base_index])
             else:
                 base_inputs.append(self.input_generator.generate_one())
+        inputs_seconds = clock() - started
         emulator = Emulator(program, self.sandbox)
         for base_index, base_input in enumerate(base_inputs):
             model_result = emulator.run(base_input, self.contract)
             base_entry = test_case.add(
                 base_input, model_result.trace, speculation=model_result.speculation
             )
+            boosting = clock()
             variants = self.input_generator.mutate_preserving(
                 base_input,
                 model_result.relevant_labels,
                 count=config.boost_factor,
                 salt=base_index,
             )
+            inputs_seconds += clock() - boosting
             # All boosted variants of a base input share the emulator's
             # effect closures and sandbox buffer (batched multi-input round).
             for variant, variant_result in zip(
@@ -504,10 +471,14 @@ class AmuletFuzzer:
                     boosted_from=base_entry.index,
                     speculation=variant_result.speculation,
                 )
-        elapsed = time.perf_counter() - contract_started
-        self.executor.time.charge_contract_traces(len(test_case))
-        self.executor.time.add_wall_clock(CONTRACT_TRACES, elapsed)
-        self._charge_phase("contract", elapsed)
+        compile_seconds = stats_snapshot()["compile_seconds"] - compiled
+        tally = self.executor.tally
+        tally.charge_contract_traces(len(test_case))
+        tally.add_seconds("inputs", inputs_seconds)
+        # Effect closures are built on the program's first emulation; that
+        # build is reported as ``compile``, not inside ``emulate``.
+        tally.add_seconds("compile", compile_seconds)
+        tally.add_seconds("emulate", clock() - started - inputs_seconds - compile_seconds)
         return test_case
 
     def _validate(self, violation: Violation) -> bool:
@@ -557,9 +528,7 @@ class AmuletFuzzer:
     def _refresh_report_times(self) -> None:
         if self._start_time is not None:
             self.report.wall_clock_seconds = time.perf_counter() - self._start_time
-        self.report.modeled_seconds = self.executor.time.total_modeled()
-        self.report.modeled_breakdown = dict(self.executor.time.modeled_seconds)
-        self.report.wall_clock_breakdown = dict(self.executor.time.wall_clock_seconds)
+        self.report.modeled_seconds = self.executor.tally.total_modeled()
         self._refresh_report_feedback()
 
     def _refresh_report_feedback(self) -> None:

@@ -120,56 +120,6 @@ class Defense:
     def on_commit(self, entry: "InFlightInstruction", cycle: int) -> None:
         """The entry committed architecturally."""
 
-    # -- shared helpers -----------------------------------------------------------------
-    def access_lines(
-        self,
-        entry: "InFlightInstruction",
-        cycle: int,
-        *,
-        install_l1: bool = True,
-        install_l2: bool = True,
-        update_replacement: bool = True,
-        require_mshr_on_miss: bool = True,
-        kind: str = "load",
-        record_key: str = "lines_accessed",
-    ) -> Optional[int]:
-        """Access every cache line of ``entry``, tolerating per-line retries.
-
-        Lines already accessed in a previous attempt (recorded under
-        ``record_key`` in the entry's defense annotations) are skipped so a
-        retry caused by MSHR exhaustion does not double-count footprint.
-        Returns the accumulated latency, or ``None`` if a line still cannot
-        proceed.
-        """
-        data = entry.defense_data
-        done = data.get(record_key)
-        if done is None:
-            done = data[record_key] = {}
-        results = data.get("access_results")
-        if results is None:
-            results = data["access_results"] = {}
-        total_latency = 0
-        for line in entry.line_addresses:
-            if line in done:
-                total_latency = max(total_latency, done[line])
-                continue
-            result = self.memory.data_access(
-                line,
-                cycle,
-                entry.pc,
-                install_l1=install_l1,
-                install_l2=install_l2,
-                update_replacement=update_replacement,
-                require_mshr_on_miss=require_mshr_on_miss,
-                kind=kind,
-            )
-            if result is None:
-                return None
-            done[line] = result.latency
-            results[line] = result
-            total_latency = max(total_latency, result.latency)
-        return total_latency
-
     def describe(self) -> Dict[str, object]:
         """Metadata used in reports and experiment logs."""
         return {

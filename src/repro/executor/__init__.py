@@ -27,7 +27,7 @@ from repro.executor.traces import (
     build_trace,
     get_trace_config,
 )
-from repro.executor.startup import ModeledTime, TimeModel
+from repro.executor.startup import Tally, TimeModel
 from repro.executor.executor import ExecutionMode, PrimeStrategy, SimulatorExecutor
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "UarchTrace",
     "build_trace",
     "get_trace_config",
-    "ModeledTime",
+    "Tally",
     "TimeModel",
     "ExecutionMode",
     "PrimeStrategy",

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.defenses.base import Defense
 from repro.defenses.registry import create_defense
-from repro.executor.startup import SIMULATE, STARTUP, TRACE_EXTRACTION, ModeledTime, TimeModel
+from repro.executor.startup import Tally, TimeModel
 from repro.executor.traces import BASELINE_TRACE, TraceConfig, UarchTrace, build_trace
 from repro.generator.inputs import Input
 from repro.generator.sandbox import Sandbox
@@ -106,13 +105,12 @@ class SimulatorExecutor:
                 probe_defense, "recommended_prime_strategy", PrimeStrategy.FILL
             )
         self.prime_strategy = PrimeStrategy(prime_strategy)
-        self.time = ModeledTime(model=time_model or TimeModel())
+        #: The accounting ledger this executor counts and charges into; a
+        #: fuzzer shares it with its report.
+        self.tally = Tally(model=time_model or TimeModel())
 
         self._program: Optional[Program] = None
         self._core: Optional[O3Core] = None
-        self.simulator_starts = 0
-        self.test_cases_executed = 0
-        self.test_cases_skipped = 0
 
     # -- lifecycle ------------------------------------------------------------
     def load_program(self, program: Program) -> None:
@@ -124,16 +122,14 @@ class SimulatorExecutor:
             self._core = None
 
     def _start_simulator(self, program: Program) -> O3Core:
-        started = time.perf_counter()
         core = O3Core(
             program,
             config=self.uarch_config,
             defense=self.defense_factory(),
             sandbox=self.sandbox,
         )
-        self.simulator_starts += 1
-        self.time.charge_startup()
-        self.time.add_wall_clock(STARTUP, time.perf_counter() - started)
+        self.tally.count("simulator_starts")
+        self.tally.charge_startup()
         return core
 
     # -- cache priming ----------------------------------------------------------
@@ -190,19 +186,13 @@ class SimulatorExecutor:
 
         priming_instructions = self._prime(core)
 
-        simulate_started = time.perf_counter()
         result = core.run(test_input)
-        self.time.charge_simulation(
+        self.tally.charge_simulation(
             priming_instructions + result.stats.instructions_committed
         )
-        self.time.add_wall_clock(SIMULATE, time.perf_counter() - simulate_started)
-
-        extraction_started = time.perf_counter()
         trace = build_trace(core, self.trace_config)
-        self.time.charge_trace_extraction()
-        self.time.add_wall_clock(TRACE_EXTRACTION, time.perf_counter() - extraction_started)
-
-        self.test_cases_executed += 1
+        self.tally.charge_trace_extraction()
+        self.tally.count("simulations")
         return ExecutionRecord(trace=trace, result=result, uarch_context=context_before)
 
     def run_batch(self, inputs: List[Input]) -> List[ExecutionRecord]:
@@ -214,11 +204,6 @@ class SimulatorExecutor:
         equivalence class's executable entries through the simulator.
         """
         return [self.run_input(test_input) for test_input in inputs]
-
-    def record_skips(self, counts: Dict[str, int]) -> None:
-        """Account for test cases the execution scheduler decided not to run."""
-        self.test_cases_skipped += sum(counts.values())
-        self.time.record_skips(counts)
 
     def trace_batch(
         self,
@@ -266,7 +251,8 @@ class SimulatorExecutor:
             records = self.run_batch([entry.test_input for entry in plan.executable])
             for entry, record in zip(plan.executable, records):
                 entry.record = record
-        self.record_skips(plan.skip_counts())
+        for reason, count in plan.skip_counts().items():
+            self.tally.count(f"skipped.{reason}", count)
         return [entry.record for entry in test_case.entries]
 
     def run_pair_with_shared_context(

@@ -10,8 +10,8 @@ simulation-dominated, yielding an order-of-magnitude throughput improvement.
 
 ``TimeModel`` charges calibrated per-event costs (per simulator start, per
 simulated instruction, per trace extraction, ...) so the benchmark harness
-can print a Table-2-style breakdown.  Real wall-clock time of this
-implementation is always reported alongside the modeled time.
+can print a Table-2-style breakdown.  :class:`Tally` keeps those modeled
+charges next to the instance's event counts and measured wall-clock phases.
 """
 
 from __future__ import annotations
@@ -56,25 +56,46 @@ TABLE2_COMPONENTS = (
 
 
 @dataclass
-class ModeledTime:
-    """Accumulates modeled seconds per component, plus real wall-clock time.
+class Tally:
+    """One instance's accounting ledger, mergeable across instances.
 
-    Also tracks test cases the execution scheduler *skipped* per filter
-    reason: a skipped test case pays generation and contract-trace costs but
-    neither simulation nor trace extraction, and campaign artifacts report
-    raw (generated) next to effective (executed) throughput.
+    * ``counts`` — events: ``simulator_starts``, ``simulations`` (every O3
+      run, validation re-runs included), ``skipped.<reason>`` (test cases
+      the execution scheduler did not simulate), ``closure.cache_hits`` /
+      ``closure.cache_misses`` (effect-closure builds) and ``fault.<reason>``
+      (supervised-execution faults).  Zero counts are never stored.
+    * ``seconds`` — wall-clock seconds per round phase.  Only
+      :meth:`AmuletFuzzer.run_round <repro.core.fuzzer.AmuletFuzzer.run_round>`
+      reads the clock, and its phases never overlap, so they sum to at most
+      the instance's wall clock.
+    * ``modeled`` — modeled gem5-equivalent seconds per Table 2 component,
+      charged through :class:`TimeModel`.
     """
 
     model: TimeModel = field(default_factory=TimeModel)
-    modeled_seconds: Dict[str, float] = field(default_factory=dict)
-    wall_clock_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Test cases skipped by the execution scheduler, per filter reason
-    #: ("singleton", "speculation").
-    skipped_test_cases: Dict[str, int] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
+    seconds: Dict[str, float] = field(default_factory=dict)
+    modeled: Dict[str, float] = field(default_factory=dict)
+
+    def count(self, name: str, value: int = 1) -> None:
+        if value:
+            self.counts[name] = self.counts.get(name, 0) + value
+
+    def counts_under(self, prefix: str) -> Dict[str, int]:
+        """The ``<prefix>.<key>`` counts, keyed by ``<key>``."""
+        head = prefix + "."
+        return {
+            name[len(head):]: value
+            for name, value in self.counts.items()
+            if name.startswith(head)
+        }
+
+    def add_seconds(self, phase: str, seconds: float) -> None:
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
 
     # -- modeled charges -----------------------------------------------------
     def charge(self, component: str, seconds: float) -> None:
-        self.modeled_seconds[component] = self.modeled_seconds.get(component, 0.0) + seconds
+        self.modeled[component] = self.modeled.get(component, 0.0) + seconds
 
     def charge_startup(self, count: int = 1) -> None:
         self.charge(STARTUP, count * self.model.simulator_startup_seconds)
@@ -94,43 +115,25 @@ class ModeledTime:
     def charge_other(self, programs: int = 1) -> None:
         self.charge(OTHERS, programs * self.model.other_per_program_seconds)
 
-    # -- scheduler skips ------------------------------------------------------
-    def record_skips(self, counts: Dict[str, int]) -> None:
-        for reason, count in counts.items():
-            self.skipped_test_cases[reason] = (
-                self.skipped_test_cases.get(reason, 0) + count
-            )
-
-    def total_skipped(self) -> int:
-        return sum(self.skipped_test_cases.values())
-
-    # -- wall clock ---------------------------------------------------------------
-    def add_wall_clock(self, component: str, seconds: float) -> None:
-        self.wall_clock_seconds[component] = (
-            self.wall_clock_seconds.get(component, 0.0) + seconds
-        )
-
     # -- reporting ------------------------------------------------------------------
     def total_modeled(self) -> float:
-        return sum(self.modeled_seconds.values())
-
-    def total_wall_clock(self) -> float:
-        return sum(self.wall_clock_seconds.values())
+        return sum(self.modeled.values())
 
     def breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-component modeled seconds and percentage of the total."""
         total = self.total_modeled() or 1.0
         return {
             component: {
-                "seconds": self.modeled_seconds.get(component, 0.0),
-                "percent": 100.0 * self.modeled_seconds.get(component, 0.0) / total,
+                "seconds": self.modeled.get(component, 0.0),
+                "percent": 100.0 * self.modeled.get(component, 0.0) / total,
             }
             for component in TABLE2_COMPONENTS
         }
 
-    def merge(self, other: "ModeledTime") -> None:
-        for component, seconds in other.modeled_seconds.items():
+    def merge(self, other: "Tally") -> None:
+        for name, value in other.counts.items():
+            self.count(name, value)
+        for phase, seconds in other.seconds.items():
+            self.add_seconds(phase, seconds)
+        for component, seconds in other.modeled.items():
             self.charge(component, seconds)
-        for component, seconds in other.wall_clock_seconds.items():
-            self.add_wall_clock(component, seconds)
-        self.record_skips(other.skipped_test_cases)

@@ -44,7 +44,7 @@ def render_breakdown_table(
     """Render Table-2-style time breakdowns.
 
     ``breakdowns`` maps a configuration label (e.g. "Naive", "Opt") to the
-    output of :meth:`repro.executor.startup.ModeledTime.breakdown`.
+    output of :meth:`repro.executor.startup.Tally.breakdown`.
     """
     components: List[str] = []
     for breakdown in breakdowns.values():

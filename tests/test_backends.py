@@ -85,29 +85,33 @@ class TestAdaptiveMapChunksize:
         assert backend.resolve_map_chunksize(64, 2) == 8
         assert backend.resolve_map_chunksize(8, 2) == 1
 
-    def test_override_pins_the_chunksize(self):
-        backend = ProcessPoolBackend(workers=2, map_chunksize=3)
-        assert backend.resolve_map_chunksize(64, 2) == 3
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(map_chunksize=0)
+    def test_adaptive_chunksize_scales_with_items_and_workers(self):
+        backend = ProcessPoolBackend(workers=2)
+        assert backend.resolve_map_chunksize(64, 1) == 16
+        assert backend.resolve_map_chunksize(64, 4) == 4
+        assert backend.resolve_map_chunksize(12, 1) == 3
+        # Never below one item per chunk, however few items there are.
+        assert backend.resolve_map_chunksize(3, 2) == 1
 
-    def test_get_backend_threads_the_override(self):
-        backend = get_backend("process", workers=2, map_chunksize=5)
-        assert backend.map_chunksize == 5
-        # The inline backend accepts and ignores it.
+    def test_get_backend_builds_the_adaptive_pool(self):
+        backend = get_backend("process", workers=2)
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.resolve_map_chunksize(64, backend.worker_count(64)) == 8
+        # The inline backend accepts and ignores the pool-sizing knobs.
         assert isinstance(
-            get_backend("inline", map_chunksize=5), InlineBackend
+            get_backend("inline", workers=2, chunk_size=3), InlineBackend
         )
 
     def test_mixed_duration_items_return_in_input_order(self):
-        # Long and short items interleaved: whatever the chunking, pool.map
-        # must stitch results back in input order.
+        # Long and short items interleaved: whatever the chunking (3 items
+        # per chunk on one worker, 1 on two or three), pool.map must stitch
+        # results back in input order.
         items = [30, 0, 25, 1, 20, 2, 15, 3, 10, 4, 5, 6]
         inline = InlineBackend().map_items(_busy_then_echo, items)
-        for map_chunksize in (None, 1, 4):
-            pooled = ProcessPoolBackend(
-                workers=2, map_chunksize=map_chunksize
-            ).map_items(_busy_then_echo, items)
+        for workers in (1, 2, 3):
+            pooled = ProcessPoolBackend(workers=workers).map_items(
+                _busy_then_echo, items
+            )
             assert pooled == inline == items
 
 
@@ -213,7 +217,8 @@ class TestBackendEquivalence:
             config, instances=2, backend=ProcessPoolBackend(workers=2)
         ).run()
         assert _fingerprint(pooled) == _fingerprint(inline)
-        assert pooled.skip_counters() == inline.skip_counters()
+        # Skip, closure and simulation counts — the whole counts block.
+        assert pooled.tally().counts == inline.tally().counts
         assert multiprocessing.active_children() == []
 
     # One worker interleaves three instances chunk by chunk; with two
@@ -231,15 +236,19 @@ class TestBackendEquivalence:
         ).run()
         assert _fingerprint(pooled) == _fingerprint(inline)
 
-    def test_pooled_phase_breakdown_covers_the_four_phases(self):
+    def test_pooled_seconds_cover_the_round_phases(self):
         pooled = Campaign(
             self.CONFIG, instances=2, backend=ProcessPoolBackend(workers=2)
         ).run()
-        seconds = pooled.phase_breakdown()["seconds"]
-        assert set(seconds) == {"generate", "contract", "simulate", "detect"}
+        seconds = pooled.tally().seconds
+        assert set(seconds) == {
+            "generate", "inputs", "emulate", "compile", "simulate", "detect", "feedback"
+        }
         assert all(value >= 0 for value in seconds.values())
         assert sum(seconds.values()) > 0
-        assert pooled.to_json_dict()["phase_breakdown"] == pooled.phase_breakdown()
+        assert pooled.to_json_dict()["seconds"] == {
+            phase: round(value, 6) for phase, value in seconds.items()
+        }
 
     def test_rounds_stream_through_the_callback(self):
         streamed = []
@@ -252,8 +261,8 @@ class TestBackendEquivalence:
         assert result.streamed_test_cases == result.total_test_cases
         assert {instance for instance, _ in streamed} == {0, 1}
 
-    def test_legacy_parallel_flag_selects_the_process_backend(self):
-        result = Campaign(self.CONFIG, instances=2).run(parallel=True)
+    def test_backend_name_selects_the_process_backend(self):
+        result = Campaign(self.CONFIG, instances=2).run(backend="process")
         assert result.backend == "process"
         assert result.total_test_cases == 2 * 4 * 14
 
@@ -452,7 +461,7 @@ class TestEarlyStopCancellation:
         # force-killed, and the campaign summary says so.
         assert backend.force_kills == 0
         assert result.force_kills == 0
-        assert result.fault_summary()["counters"] == {}
+        assert result.tally().counts_under("fault") == {}
 
     def test_inline_early_stop_skips_remaining_instances(self):
         result = Campaign(self.CONFIG, instances=3, backend=InlineBackend()).run()

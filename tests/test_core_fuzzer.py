@@ -258,7 +258,7 @@ class TestCampaign:
         programs = sum(report.programs_tested for report in pooled.reports)
         assert programs == 4 * 4
         for report in pooled.reports:
-            assert report.specialization["cache_misses"] == report.programs_tested
+            assert report.tally.counts["closure.cache_misses"] == report.programs_tested
         pooled_counters = pooled.specialization_counters()
         inline_counters = inline.specialization_counters()
         assert pooled_counters["cache_misses"] == programs
@@ -270,33 +270,35 @@ class TestCampaign:
         seeds = {campaign.instance_config(index).seed for index in range(3)}
         assert len(seeds) == 3
 
-    def test_json_dict_surfaces_time_breakdown(self):
+    def test_json_dict_surfaces_the_accounting_blocks(self):
         config = FuzzerConfig(
             defense="baseline", programs_per_instance=2, inputs_per_program=7, seed=11
         )
-        payload = Campaign(config, instances=1).run().to_json_dict()
-        breakdown = payload["time_breakdown"]
-        assert set(breakdown) == {
-            "modeled_seconds",
-            "modeled_percent",
-            "wall_clock_seconds",
-            "wall_clock_percent",
-        }
+        result = Campaign(config, instances=1).run()
+        payload = result.to_json_dict()
+        # Three accounting blocks; the five they replaced are gone.
+        assert {"counts", "seconds", "modeled"} <= set(payload)
+        assert not {
+            "faults", "skip_counters", "specialization", "time_breakdown", "phase_breakdown"
+        } & set(payload)
         # The Opt executor's modeled split must cover the Table-2 components
         # that dominate a campaign: startup, simulation and trace extraction.
-        modeled = breakdown["modeled_seconds"]
+        modeled = payload["modeled"]
         assert {"gem5 startup", "gem5 simulate", "uTrace extraction"} <= set(modeled)
         assert all(seconds >= 0 for seconds in modeled.values())
-        shares = breakdown["modeled_percent"]
-        assert abs(sum(shares.values()) - 100.0) < 1.0
-        assert sum(breakdown["wall_clock_seconds"].values()) > 0
-        # One round-execution path: the four pipeline phases and nothing
-        # else (no transport phase, no parallel-simulation block).
-        assert set(payload["phase_breakdown"]["seconds"]) == {
+        shares = [entry["percent"] for entry in result.tally().breakdown().values()]
+        assert abs(sum(shares) - 100.0) < 1.0
+        assert sum(payload["seconds"].values()) > 0
+        # One round-execution path: the round's phases and nothing else (no
+        # transport phase, no parallel-simulation block).
+        assert set(payload["seconds"]) == {
             "generate",
-            "contract",
+            "inputs",
+            "emulate",
+            "compile",
             "simulate",
             "detect",
+            "feedback",
         }
         assert "parallel_sim" not in payload
 

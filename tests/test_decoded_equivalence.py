@@ -225,7 +225,7 @@ class TestFilterTracePreservation:
                     for record in records
                 ]
             )
-        return traces, executor.test_cases_skipped
+        return traces, sum(executor.tally.counts_under("skipped").values())
 
     @pytest.mark.parametrize("mode", (ExecutionMode.NAIVE, ExecutionMode.OPT))
     @pytest.mark.parametrize("filter_level", ("singleton", "speculation"))

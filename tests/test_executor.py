@@ -13,7 +13,7 @@ from repro.executor import (
     get_trace_config,
 )
 from repro.executor.executor import PRIME_REGION_BASE, PrimeStrategy
-from repro.executor.startup import SIMULATE, STARTUP, ModeledTime, TimeModel
+from repro.executor.startup import SIMULATE, STARTUP, Tally, TimeModel
 from repro.executor.traces import UarchTrace, build_trace
 from repro.generator import Sandbox
 from repro.litmus.cases import make_input
@@ -75,15 +75,15 @@ class TestExecutorModes:
         executor.load_program(program)
         for test_input in inputs:
             executor.run_input(test_input)
-        assert executor.simulator_starts == 1
-        assert executor.test_cases_executed == 2
+        assert executor.tally.counts["simulator_starts"] == 1
+        assert executor.tally.counts["simulations"] == 2
 
     def test_naive_mode_starts_one_simulator_per_input(self, sandbox, program, inputs):
         executor = SimulatorExecutor("baseline", sandbox=sandbox, mode=ExecutionMode.NAIVE)
         executor.load_program(program)
         for test_input in inputs:
             executor.run_input(test_input)
-        assert executor.simulator_starts == 2
+        assert executor.tally.counts["simulator_starts"] == 2
 
     def test_run_without_program_raises(self, sandbox, inputs):
         executor = SimulatorExecutor("baseline", sandbox=sandbox)
@@ -98,8 +98,8 @@ class TestExecutorModes:
             for test_input in inputs:
                 executor.run_input(test_input)
         assert (
-            naive.time.modeled_seconds[STARTUP]
-            > opt.time.modeled_seconds[STARTUP]
+            naive.tally.modeled[STARTUP]
+            > opt.tally.modeled[STARTUP]
         )
 
     def test_opt_mode_carries_predictor_state_between_inputs(self, sandbox, program, inputs):
@@ -203,7 +203,7 @@ class TestTraceFormats:
 
 class TestTimeModel:
     def test_breakdown_percentages_sum_to_100(self):
-        time_model = ModeledTime(model=TimeModel())
+        time_model = Tally(model=TimeModel())
         time_model.charge_startup(10)
         time_model.charge_simulation(1000)
         time_model.charge_trace_extraction(10)
@@ -211,17 +211,33 @@ class TestTimeModel:
         assert sum(entry["percent"] for entry in breakdown.values()) == pytest.approx(100.0)
 
     def test_merge_accumulates(self):
-        a = ModeledTime()
-        b = ModeledTime()
+        a = Tally()
+        b = Tally()
         a.charge_startup(1)
         b.charge_startup(2)
         b.charge_simulation(100)
+        a.count("skipped.singleton", 2)
+        b.count("skipped.singleton", 3)
+        b.count("fault.deadline")
+        a.add_seconds("detect", 0.5)
+        b.add_seconds("detect", 0.25)
         a.merge(b)
-        assert a.modeled_seconds[STARTUP] == pytest.approx(3 * a.model.simulator_startup_seconds)
-        assert SIMULATE in a.modeled_seconds
+        assert a.modeled[STARTUP] == pytest.approx(3 * a.model.simulator_startup_seconds)
+        assert SIMULATE in a.modeled
+        assert a.counts == {"skipped.singleton": 5, "fault.deadline": 1}
+        assert a.seconds == {"detect": pytest.approx(0.75)}
 
-    def test_wall_clock_tracking(self):
-        time_model = ModeledTime()
-        time_model.add_wall_clock(STARTUP, 0.5)
-        time_model.add_wall_clock(STARTUP, 0.25)
-        assert time_model.total_wall_clock() == pytest.approx(0.75)
+    def test_seconds_accumulate_per_phase(self):
+        tally = Tally()
+        tally.add_seconds("simulate", 0.5)
+        tally.add_seconds("simulate", 0.25)
+        assert sum(tally.seconds.values()) == pytest.approx(0.75)
+
+    def test_counts_skip_zeros_and_group_by_prefix(self):
+        tally = Tally()
+        tally.count("skipped.singleton", 0)
+        assert tally.counts == {}
+        tally.count("skipped.singleton", 4)
+        tally.count("skipped.speculation")
+        tally.count("simulations", 7)
+        assert tally.counts_under("skipped") == {"singleton": 4, "speculation": 1}

@@ -74,6 +74,22 @@ def _fingerprint(result):
     }
 
 
+def _faults(result):
+    """The campaign JSON's fault counts and each instance row's lost rounds."""
+    payload = result.to_json_dict()
+    counts = {
+        name[len("fault."):]: count
+        for name, count in payload["counts"].items()
+        if name.startswith("fault.")
+    }
+    return counts, [row["lost_rounds"] for row in payload["instance_reports"]]
+
+
+def _deterministic_counts(counts):
+    """A counts block without its supervision-fault entries."""
+    return {name: count for name, count in counts.items() if not name.startswith("fault.")}
+
+
 def _config(defense="baseline", **overrides):
     return FuzzerConfig(
         defense=defense,
@@ -173,11 +189,45 @@ class TestInstanceState:
         assert [entry.entry_id for entry in second.report.corpus_entries] == [
             entry.entry_id for entry in straight.report.corpus_entries
         ]
+        # The restored report's ledger is the one the executor keeps adding to.
+        assert second.executor.tally is second.report.tally
+        assert second.report.tally.counts == straight.report.tally.counts
 
     def test_restore_rejects_unknown_format(self):
         fuzzer = AmuletFuzzer(_config())
         with pytest.raises(ValueError, match="format"):
             fuzzer.restore_state({"format": "not-a-state"})
+
+    def test_v3_state_is_refused_naming_both_formats(self, tmp_path):
+        """v3 states kept the time ledger and executor counters beside the
+        report; v4 reports carry the ledger itself."""
+        config = _config()
+        fuzzer = AmuletFuzzer(config)
+        fuzzer.run_round(0)
+        state = fuzzer.state_dict()
+        assert state["format"] == AmuletFuzzer.STATE_FORMAT == "amulet-instance-state-v4"
+        state["format"] = "amulet-instance-state-v3"
+        with pytest.raises(ValueError) as excinfo:
+            AmuletFuzzer(config).restore_state(state)
+        assert "amulet-instance-state-v3" in str(excinfo.value)
+        assert "amulet-instance-state-v4" in str(excinfo.value)
+
+        checkpoint = str(tmp_path / "campaign.ckpt")
+        atomic_write_json(
+            checkpoint,
+            {
+                "format": CHECKPOINT_FORMAT,
+                "fingerprint": campaign_fingerprint(config, 1),
+                "instances": 1,
+                "rounds_completed": 1,
+                "interrupted": True,
+                "states": [state],
+            },
+        )
+        with pytest.raises(ValueError) as excinfo:
+            _resumed_run(config, 1, checkpoint)
+        assert "amulet-instance-state-v3" in str(excinfo.value)
+        assert "amulet-instance-state-v4" in str(excinfo.value)
 
     def test_restore_ignores_the_retired_task_counter(self):
         # States written while rounds could be split across simulation
@@ -201,6 +251,52 @@ class TestInstanceState:
         assert "next_task_id" not in second.state_dict()
         assert second.report.test_cases_executed == straight.report.test_cases_executed
         assert second.report.coverage_bitmap == straight.report.coverage_bitmap
+
+
+@pytest.fixture(scope="class")
+def ledger_runs(tmp_path_factory):
+    """One skip-heavy campaign run inline, pooled (chunk sizes 1 and 3) and
+    interrupted then resumed from its checkpoint."""
+    config = _config(programs=4, inputs=8, boost_factor=0, filter="singleton")
+    checkpoint = str(tmp_path_factory.mktemp("ledger") / "campaign.ckpt")
+    runs = {"inline": Campaign(config, instances=3).run()}
+    for chunk_size in (1, 3):
+        runs[f"pool-chunk-{chunk_size}"] = Campaign(
+            config,
+            instances=3,
+            backend=ProcessPoolBackend(workers=2, chunk_size=chunk_size),
+        ).run()
+    partial = _interrupted_run(config, 3, checkpoint, stop_after=5)
+    assert partial.interrupted
+    runs["resumed"] = _resumed_run(config, 3, checkpoint)
+    assert runs["resumed"].resumed_from == checkpoint
+    return runs
+
+
+class TestAccountingLedger:
+    def test_phase_seconds_fit_in_the_instance_wall_clock(self, ledger_runs):
+        # Overlapping or doubly charged intervals would overshoot.
+        for name, result in ledger_runs.items():
+            for report in result.reports:
+                assert report.tally.seconds, name
+                assert sum(report.tally.seconds.values()) <= report.wall_clock_seconds, name
+
+    def test_counts_and_modeled_seconds_are_backend_and_resume_independent(
+        self, ledger_runs
+    ):
+        inline = ledger_runs["inline"]
+        assert inline.tally().counts_under("skipped")
+        for name, result in ledger_runs.items():
+            for report, reference in zip(result.reports, inline.reports):
+                assert _deterministic_counts(report.tally.counts) == (
+                    _deterministic_counts(reference.tally.counts)
+                ), name
+                assert set(report.tally.modeled) == set(reference.tally.modeled), name
+                for component, seconds in reference.tally.modeled.items():
+                    assert report.tally.modeled[component] == pytest.approx(
+                        seconds, rel=1e-9
+                    ), (name, component)
+        assert multiprocessing.active_children() == []
 
 
 class TestCheckpointResume:
@@ -462,9 +558,9 @@ class TestPoolWorkerFaults:
         ).run(checkpoint_every=2)
 
         assert _fingerprint(faulted) == _fingerprint(clean)
-        faults = faulted.fault_summary()
-        assert faults["counters"] == {"worker_death": 1}
-        assert faults["lost_rounds"] == {}
+        counts, lost_rounds = _faults(faulted)
+        assert counts == {"worker_death": 1}
+        assert lost_rounds == [[], []]
         assert multiprocessing.active_children() == []
 
     def test_persistent_death_degrades_and_records_lost_rounds(
@@ -487,10 +583,12 @@ class TestPoolWorkerFaults:
         backend = ProcessPoolBackend(workers=2)
         result = Campaign(config, instances=2, backend=backend).run()
 
-        faults = result.fault_summary()
-        assert faults["counters"].get("worker_death", 0) >= 2
-        assert "0" in faults["lost_rounds"]
-        assert faults["lost_rounds"]["0"]
+        counts, lost_rounds = _faults(result)
+        assert counts.get("worker_death", 0) >= 2
+        assert lost_rounds[0]
+        assert lost_rounds[0] == list(
+            range(result.reports[0].programs_tested, config.programs_per_instance)
+        )
         # The healthy instance finished its full budget regardless.
         assert result.reports[1].programs_tested == config.programs_per_instance
         assert result.reports[0].programs_tested < config.programs_per_instance
@@ -520,7 +618,7 @@ class TestPoolWorkerFaults:
         faulted = Campaign(config, instances=2, backend=backend).run()
 
         assert _fingerprint(faulted) == _fingerprint(clean)
-        assert faulted.fault_summary()["counters"].get("deadline", 0) >= 1
+        assert _faults(faulted)[0].get("deadline", 0) >= 1
         assert faulted.force_kills >= 1
         assert backend.force_kills >= 1
         assert multiprocessing.active_children() == []
@@ -636,7 +734,11 @@ class TestCliKillAndResume:
             "test_cases_generated",
             "violations",
             "unique_violations",
-            "skip_counters",
+            "modeled",
             "feedback",
         ):
             assert resumed[key] == straight[key], key
+        # The whole counts block, supervision faults aside.
+        assert _deterministic_counts(resumed["counts"]) == _deterministic_counts(
+            straight["counts"]
+        )

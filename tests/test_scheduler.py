@@ -302,7 +302,8 @@ class TestReportAccounting:
             == report.test_cases_generated
         )
         assert report.test_cases_skipped > 0
-        assert report.skip_counters.get(SKIP_SINGLETON, 0) == report.test_cases_skipped
+        skipped = report.tally.counts_under("skipped")
+        assert skipped.get(SKIP_SINGLETON, 0) == report.test_cases_skipped
         # throughput() uses *executed* cases; effective_throughput() generated.
         assert report.throughput() == pytest.approx(
             report.test_cases_executed / report.wall_clock_seconds
@@ -310,11 +311,11 @@ class TestReportAccounting:
         assert report.effective_throughput() == pytest.approx(
             report.test_cases_generated / report.wall_clock_seconds
         )
-        # The executor and the time model kept matching books (the executor
-        # counter also includes violation-validation re-runs, so >=).
-        assert fuzzer.executor.test_cases_executed >= report.test_cases_executed
-        assert fuzzer.executor.test_cases_skipped == report.test_cases_skipped
-        assert fuzzer.executor.time.total_skipped() == report.test_cases_skipped
+        # The executor and the report keep one set of books (the executor's
+        # simulation count also includes violation-validation re-runs, so >=).
+        assert fuzzer.executor.tally is report.tally
+        assert fuzzer.executor.tally.counts["simulations"] >= report.test_cases_executed
+        assert sum(skipped.values()) == report.test_cases_skipped
 
     def test_round_result_carries_skip_accounting(self):
         config = FuzzerConfig(
@@ -345,7 +346,12 @@ class TestReportAccounting:
         payload = result.to_json_dict()
         assert payload["test_cases_generated"] == 30
         assert payload["test_cases"] == result.total_test_cases
-        assert sum(payload["skip_counters"].values()) == 30 - payload["test_cases"]
+        skipped = {
+            name: count
+            for name, count in payload["counts"].items()
+            if name.startswith("skipped.")
+        }
+        assert sum(skipped.values()) == 30 - payload["test_cases"]
         assert (
             payload["effective_throughput_per_second"]
             >= payload["throughput_per_second"]
@@ -371,7 +377,7 @@ class TestTraceBatchScheduling:
         records = executor.trace_batch(program, inputs)
         assert len(records) == len(inputs)
         assert all(record is not None for record in records)
-        assert executor.test_cases_skipped == 0
+        assert executor.tally.counts_under("skipped") == {}
 
     def test_filtered_batch_skips_singletons(self):
         sandbox, program, inputs = self._workload()
@@ -385,8 +391,8 @@ class TestTraceBatchScheduling:
         # The duplicated inputs form classes of two; the rest are singletons.
         assert len(executed) == 4
         assert len(skipped) == 2
-        assert executor.test_cases_skipped == 2
-        assert executor.time.skipped_test_cases == {SKIP_SINGLETON: 2}
+        assert sum(executor.tally.counts_under("skipped").values()) == 2
+        assert executor.tally.counts_under("skipped") == {SKIP_SINGLETON: 2}
 
     def test_filtering_requires_a_contract(self):
         sandbox, program, inputs = self._workload()
