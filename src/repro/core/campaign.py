@@ -127,10 +127,19 @@ class CampaignResult:
         return total
 
     def specialization_counters(self) -> Dict[str, float]:
-        """Effect-closure counters summed across instances (a view of :meth:`tally`)."""
+        """Per-program build counters summed across instances (a view of :meth:`tally`).
+
+        ``cache_hits`` / ``cache_misses`` add the emulator's step tables
+        (``steps.*``) and the O3 core's effect closures (``closure.*``);
+        ``compile_seconds`` is the ``compile`` phase, which builds both.
+        """
         tally = self.tally()
-        closures = {"cache_hits": 0, "cache_misses": 0, **tally.counts_under("closure")}
-        return {**closures, "compile_seconds": tally.seconds.get("compile", 0.0)}
+        counters: Dict[str, float] = {"cache_hits": 0, "cache_misses": 0}
+        for prefix in ("steps", "closure"):
+            for name, value in tally.counts_under(prefix).items():
+                counters[name] += value
+        counters["compile_seconds"] = tally.seconds.get("compile", 0.0)
+        return counters
 
     def violation_count(self) -> int:
         return len(self.violations)

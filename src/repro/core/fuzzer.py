@@ -37,9 +37,20 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import Input, InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.isa.specialized import stats_snapshot
+from repro.isa.specialized import STATS as CLOSURE_STATS
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
+from repro.model.steps import STATS as STEP_STATS
+
+#: Per-program build counters by ledger prefix: the contract emulator's step
+#: tables and the O3 core's effect closures.  Both are process-wide, so each
+#: round records its own delta.
+_BUILD_STATS = (("steps", STEP_STATS), ("closure", CLOSURE_STATS))
+
+
+def _compile_seconds() -> float:
+    """Process-wide seconds spent building step tables and effect closures."""
+    return STEP_STATS.compile_seconds + CLOSURE_STATS.compile_seconds
 
 
 @dataclass
@@ -201,8 +212,7 @@ class AmuletFuzzer:
         config = self.config
         tally = self.executor.tally
         clock = time.perf_counter
-        # The closure counters are process-wide; a round's delta is its own.
-        closures = stats_snapshot()
+        builds = [(stats.hits, stats.misses) for _, stats in _BUILD_STATS]
 
         started = clock()
         round_program = self.program_source.next_program()
@@ -218,13 +228,18 @@ class AmuletFuzzer:
         plan = self.scheduler.plan(test_case)
         if plan.executable:
             started = clock()
+            compiled = _compile_seconds()
             self.executor.load_program(program)
             records = self.executor.run_batch(
                 [entry.test_input for entry in plan.executable]
             )
             for entry, record in zip(plan.executable, records):
                 entry.record = record
-            tally.add_seconds("simulate", clock() - started)
+            # The core builds the program's effect closures when the program
+            # first reaches it; that build is ``compile``, not ``simulate``.
+            compile_seconds = _compile_seconds() - compiled
+            tally.add_seconds("compile", compile_seconds)
+            tally.add_seconds("simulate", clock() - started - compile_seconds)
         skip_counts = plan.skip_counts()
         for reason, count in skip_counts.items():
             tally.count(f"skipped.{reason}", count)
@@ -267,9 +282,9 @@ class AmuletFuzzer:
         self.report.test_cases_generated += len(test_case)
         self.report.test_cases_executed += plan.executed
         self.report.violations.extend(confirmed)
-        after = stats_snapshot()
-        for name in ("cache_hits", "cache_misses"):
-            tally.count(f"closure.{name}", after[name] - closures[name])
+        for (prefix, stats), (hits, misses) in zip(_BUILD_STATS, builds):
+            tally.count(f"{prefix}.cache_hits", stats.hits - hits)
+            tally.count(f"{prefix}.cache_misses", stats.misses - misses)
         self._refresh_report_times()
         if confirmed and self.report.first_detection_wall_clock is None:
             self.report.first_detection_wall_clock = self.report.wall_clock_seconds
@@ -432,7 +447,7 @@ class AmuletFuzzer:
         config = self.config
         test_case = TestCase(program=program)
         clock = time.perf_counter
-        compiled = stats_snapshot()["compile_seconds"]
+        compiled = _compile_seconds()
         started = clock()
         usable_seeds = [
             seed_input
@@ -461,7 +476,7 @@ class AmuletFuzzer:
             )
             inputs_seconds += clock() - boosting
             # All boosted variants of a base input share the emulator's
-            # effect closures and sandbox buffer (batched multi-input round).
+            # steps and sandbox buffer (batched multi-input round).
             for variant, variant_result in zip(
                 variants, emulator.collect_traces_batch(variants, self.contract)
             ):
@@ -471,11 +486,11 @@ class AmuletFuzzer:
                     boosted_from=base_entry.index,
                     speculation=variant_result.speculation,
                 )
-        compile_seconds = stats_snapshot()["compile_seconds"] - compiled
+        compile_seconds = _compile_seconds() - compiled
         tally = self.executor.tally
         tally.charge_contract_traces(len(test_case))
         tally.add_seconds("inputs", inputs_seconds)
-        # Effect closures are built on the program's first emulation; that
+        # The step table is built on the program's first emulation; that
         # build is reported as ``compile``, not inside ``emulate``.
         tally.add_seconds("compile", compile_seconds)
         tally.add_seconds("emulate", clock() - started - inputs_seconds - compile_seconds)

@@ -161,7 +161,8 @@ class ProgramMutator:
             index = 0
             while index < len(block.instructions):
                 instruction = block.instructions[index]
-                memory = instruction.memory_operand
+                shape = instruction.shape()
+                memory = shape.memory_operand
                 if (
                     memory is not None
                     and memory.index is not None
@@ -179,10 +180,8 @@ class ProgramMutator:
                     continue
                 if self._is_confining_and(instruction):
                     confined.add(instruction.operands[0].name)
-                else:
-                    destination = instruction.destination_register()
-                    if destination is not None:
-                        confined.discard(destination)
+                elif shape.destination_register is not None:
+                    confined.discard(shape.destination_register)
                 index += 1
 
     # -- operators ------------------------------------------------------------

@@ -347,8 +347,11 @@ class InputGenerator:
 
         Variant ``index`` gets the key ``mix_seed(mix_seed(fingerprint,
         salt), index + 1)``: it seeds the variant's register draws and, per
-        page, its memory.  No page is derived here.
+        page, its memory.  No page is derived here, and ``count <= 0``
+        returns at once, without fingerprinting ``base``.
         """
+        if count <= 0:
+            return []
         # Preserved granules become overrides copied from the base, so they
         # stay byte-identical whatever the variant's key derives.
         overrides = tuple(

@@ -11,9 +11,16 @@ pc-indexed table that replaces the per-step dictionary lookup of
 ``Program.instruction_at``.
 
 The decode step only *caches* answers computed by :mod:`repro.isa.instructions`
-and :mod:`repro.isa.semantics`; it never re-derives semantics of its own, so
+(one :func:`~repro.isa.instructions.classify` call per instruction) and
+:mod:`repro.isa.semantics`; it never re-derives semantics of its own, so
 ``isa/semantics.py`` remains the single source of architectural truth and the
 two interpreters cannot diverge through this layer.
+
+Each interpreter attaches its own executable form to the decoded
+instructions, built once per program when that interpreter first runs it:
+the contract emulator a fused ``step`` (:mod:`repro.model.steps`), the O3
+core an ``effect_fn`` closure that returns a deferrable
+:class:`~repro.isa.semantics.ExecutionEffect` (:mod:`repro.isa.specialized`).
 """
 
 from __future__ import annotations
@@ -21,13 +28,17 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.isa.instructions import Instruction, InstructionClass, Opcode
+from repro.isa.instructions import Instruction, InstructionClass, Opcode, classify
 from repro.isa.operands import MemoryOperand
 from repro.isa.program import INSTRUCTION_SIZE, Program
-from repro.isa.semantics import ReadRegister, compute_effective_address, condition_predicate
+from repro.isa.semantics import condition_predicate
 
 #: Flag predicate bound at decode time: ``predicate(zf, sf, cf, of, pf)``.
 CondPredicate = Callable[[bool, bool, bool, bool, bool], bool]
+
+
+#: Flag writers whose result still depends on the previous flags.
+_PARTIAL_FLAG_WRITERS = (Opcode.INC, Opcode.DEC, Opcode.SHL, Opcode.SHR)
 
 
 def _always_false(zf: bool, sf: bool, cf: bool, of: bool, pf: bool) -> bool:
@@ -38,7 +49,9 @@ class DecodedInstruction:
     """Per-static-instruction metadata, precomputed once.
 
     Every attribute mirrors the like-named :class:`Instruction` property or
-    method; the constructor is the only place they are evaluated.
+    method.  The constructor fills them in one pass from
+    :func:`~repro.isa.instructions.classify`, the function those properties
+    delegate to.
     """
 
     __slots__ = (
@@ -74,6 +87,7 @@ class DecodedInstruction:
         "mem_size",
         "exec_kind",
         "effect_fn",
+        "step",
     )
 
     #: ``exec_kind`` values: integer dispatch for the O3 execute stage,
@@ -84,9 +98,11 @@ class DecodedInstruction:
     KIND_ALU = 3  # everything else (register ALU, SETCC, CMOV, CMP/TEST)
 
     def __init__(self, instruction: Instruction) -> None:
+        shape = classify(instruction.opcode, instruction.operands)
+        opcode = instruction.opcode
         self.instruction = instruction
         self.pc: int = instruction.pc
-        self.opcode: Opcode = instruction.opcode
+        self.opcode: Opcode = opcode
         self.condition: Optional[str] = instruction.condition
         self.cond_predicate: CondPredicate = (
             condition_predicate(instruction.condition)
@@ -95,43 +111,34 @@ class DecodedInstruction:
         )
         self.target_pc: Optional[int] = instruction.target_pc
         self.fallthrough_pc: Optional[int] = instruction.fallthrough_pc
-        self.instruction_class: InstructionClass = instruction.instruction_class
-        self.is_branch: bool = instruction.is_branch
-        self.is_cond_branch: bool = instruction.is_cond_branch
-        self.is_jmp: bool = instruction.opcode is Opcode.JMP
-        self.is_exit: bool = instruction.is_exit
-        self.is_fence: bool = instruction.opcode is Opcode.LFENCE
-        self.is_load: bool = instruction.is_load
-        self.is_store: bool = instruction.is_store
-        self.is_memory_access: bool = instruction.is_memory_access
-        self.writes_flags: bool = instruction.writes_flags
-        self.reads_flags: bool = instruction.reads_flags
+        self.instruction_class: InstructionClass = shape.instruction_class
+        self.is_branch: bool = shape.is_branch
+        self.is_cond_branch: bool = shape.is_cond_branch
+        self.is_jmp: bool = opcode is Opcode.JMP
+        self.is_exit: bool = shape.is_exit
+        self.is_fence: bool = opcode is Opcode.LFENCE
+        self.is_load: bool = shape.is_load
+        self.is_store: bool = shape.is_store
+        self.is_memory_access: bool = shape.is_load or shape.is_store
+        self.writes_flags: bool = shape.writes_flags
+        self.reads_flags: bool = shape.reads_flags
+        partial = opcode in _PARTIAL_FLAG_WRITERS
         # Instructions that must wait on the previous flag producer in the
         # O3 core: explicit flag readers plus partial flag updaters (INC/DEC
         # preserve the carry; shifts leave flags untouched for a zero count).
-        self.needs_flags_order: bool = instruction.reads_flags or instruction.opcode in (
-            Opcode.INC,
-            Opcode.DEC,
-            Opcode.SHL,
-            Opcode.SHR,
-        )
+        self.needs_flags_order: bool = shape.reads_flags or partial
         # Partial flag updaters carry old flag state through: INC/DEC preserve
         # the carry and zero-count shifts leave every flag untouched, so their
         # resulting flags (and flag taint) still depend on the previous flags.
-        self.partial_flag_writer: bool = instruction.writes_flags and instruction.opcode in (
-            Opcode.INC,
-            Opcode.DEC,
-            Opcode.SHL,
-            Opcode.SHR,
-        )
-        self.writes_dest_register: bool = instruction.writes_dest_register
-        self.source_registers: Tuple[str, ...] = instruction.source_registers()
-        self.destination_register: Optional[str] = instruction.destination_register()
-        self.address_registers: Tuple[str, ...] = instruction.address_registers()
+        self.partial_flag_writer: bool = shape.writes_flags and partial
+        self.writes_dest_register: bool = shape.writes_dest_register
+        self.source_registers: Tuple[str, ...] = shape.source_registers
+        self.destination_register: Optional[str] = shape.destination_register
+        self.address_registers: Tuple[str, ...] = shape.address_registers
         self.needed_registers: Tuple[str, ...] = tuple(
-            dict.fromkeys(self.source_registers + self.address_registers)
+            dict.fromkeys(shape.source_registers + shape.address_registers)
         )
-        memory_operand: Optional[MemoryOperand] = instruction.memory_operand
+        memory_operand: Optional[MemoryOperand] = shape.memory_operand
         self.memory_operand = memory_operand
         if memory_operand is not None:
             self.mem_base: Optional[str] = memory_operand.base
@@ -147,23 +154,18 @@ class DecodedInstruction:
             self.exec_kind: int = DecodedInstruction.KIND_BRANCH
         elif self.is_memory_access:
             self.exec_kind = DecodedInstruction.KIND_MEMORY
-        elif self.opcode in (Opcode.NOP, Opcode.LFENCE, Opcode.EXIT):
+        elif opcode in (Opcode.NOP, Opcode.LFENCE, Opcode.EXIT):
             self.exec_kind = DecodedInstruction.KIND_SIMPLE
         else:
             self.exec_kind = DecodedInstruction.KIND_ALU
-        #: Specialized ``evaluate`` closure, attached lazily by
-        #: :func:`repro.isa.specialized.attach_effect_closures` before the
-        #: program first runs; both interpreters execute through it.
+        #: The O3 core's ``evaluate`` closure, attached by
+        #: :func:`repro.isa.specialized.attach_effect_closures` when the
+        #: program first reaches the simulator.
         self.effect_fn: Optional[Callable] = None
-
-    def effective_address(self, read_register: ReadRegister) -> int:
-        """Resolve this instruction's memory address.
-
-        Thin wrapper over :func:`~repro.isa.semantics.compute_effective_address`
-        with the operand lookup already done — the addressing arithmetic
-        itself stays in semantics, shared by both interpreters.
-        """
-        return compute_effective_address(self.memory_operand, read_register)
+        #: The contract emulator's fused step, attached by
+        #: :func:`repro.model.steps.build_steps` on the program's first
+        #: emulation.
+        self.step: Optional[Callable] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecodedInstruction({self.instruction!s} @ {self.pc:#x})"
@@ -183,7 +185,7 @@ class DecodedProgram:
 
     __slots__ = (
         "entries", "code_base", "entry_pc", "end_pc", "_table",
-        "effects_attached", "__weakref__",
+        "effects_attached", "steps_built", "__weakref__",
     )
 
     def __init__(self, program: Program) -> None:
@@ -203,6 +205,9 @@ class DecodedProgram:
         #: Set by :func:`repro.isa.specialized.attach_effect_closures` once
         #: every entry's ``effect_fn`` has been built.
         self.effects_attached = False
+        #: Set by :func:`repro.model.steps.build_steps` once every entry's
+        #: ``step`` has been built.
+        self.steps_built = False
 
     def at_pc(self, pc: int) -> Optional[DecodedInstruction]:
         """The decoded instruction at ``pc``, or None outside the program."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.isa.operands import (
     Immediate,
@@ -121,6 +121,160 @@ _WRITES_FLAGS = {
 #: Opcodes that read the flags register.
 _READS_FLAGS = {Opcode.CMOV, Opcode.SETCC, Opcode.JCC}
 
+#: ALU opcodes whose memory operand is read (and, as the destination, written).
+_MEMORY_ALU = {
+    Opcode.ADD,
+    Opcode.SUB,
+    Opcode.AND,
+    Opcode.OR,
+    Opcode.XOR,
+    Opcode.INC,
+    Opcode.DEC,
+    Opcode.NEG,
+    Opcode.NOT,
+}
+
+# Memory-operand rules: when a memory operand makes the instruction a load
+# (resp. a store).
+_NEVER, _ALWAYS, _AS_SOURCE, _AS_DEST = range(4)
+
+
+class _OpcodeTraits(NamedTuple):
+    is_branch: bool
+    is_cond_branch: bool
+    is_exit: bool
+    writes_dest: bool
+    writes_flags: bool
+    reads_flags: bool
+    #: Register operand 0 is written, not read (MOV and SETCC; CMOV keeps
+    #: the old destination on a false condition, so it reads it).
+    pure_dest: bool
+    load_rule: int
+    store_rule: int
+    #: Class of the instruction when it has no memory operand.
+    plain_class: InstructionClass
+
+
+def _opcode_traits(opcode: Opcode) -> _OpcodeTraits:
+    if opcode in (Opcode.MOV, Opcode.CMOV):
+        load_rule = _AS_SOURCE
+    elif opcode in (Opcode.CMP, Opcode.TEST) or opcode in _MEMORY_ALU:
+        load_rule = _ALWAYS
+    else:
+        load_rule = _NEVER
+    if opcode in (Opcode.MOV, Opcode.SETCC) or opcode in _MEMORY_ALU:
+        store_rule = _AS_DEST
+    else:
+        store_rule = _NEVER
+    is_branch = opcode in (Opcode.JMP, Opcode.JCC)
+    plain_class = {
+        Opcode.EXIT: InstructionClass.EXIT,
+        Opcode.NOP: InstructionClass.NOP,
+        Opcode.LFENCE: InstructionClass.FENCE,
+    }.get(opcode, InstructionClass.BRANCH if is_branch else InstructionClass.ALU)
+    return _OpcodeTraits(
+        is_branch=is_branch,
+        is_cond_branch=opcode is Opcode.JCC,
+        is_exit=opcode is Opcode.EXIT,
+        writes_dest=opcode in _WRITES_DEST,
+        writes_flags=opcode in _WRITES_FLAGS,
+        reads_flags=opcode in _READS_FLAGS,
+        pure_dest=opcode in (Opcode.MOV, Opcode.SETCC),
+        load_rule=load_rule,
+        store_rule=store_rule,
+        plain_class=plain_class,
+    )
+
+
+#: Per-opcode traits, resolved once so classification hashes each opcode once.
+_TRAITS: Dict[Opcode, _OpcodeTraits] = {opcode: _opcode_traits(opcode) for opcode in Opcode}
+
+
+class InstructionShape(NamedTuple):
+    """Every structural fact about one instruction, from :func:`classify`."""
+
+    memory_operand: Optional[MemoryOperand]
+    instruction_class: InstructionClass
+    is_branch: bool
+    is_cond_branch: bool
+    is_exit: bool
+    is_load: bool
+    is_store: bool
+    writes_dest_register: bool
+    writes_flags: bool
+    reads_flags: bool
+    #: Registers whose values the instruction reads, address registers included.
+    source_registers: Tuple[str, ...]
+    destination_register: Optional[str]
+    #: Registers that feed the effective-address computation.
+    address_registers: Tuple[str, ...]
+
+
+def classify(
+    opcode: Opcode, operands: Tuple[Operand, ...]
+) -> InstructionShape:
+    """Answer every structural question about an instruction in one pass.
+
+    This is the one source of structural truth: the :class:`Instruction`
+    properties and the decoder (:mod:`repro.isa.decoded`) both read it.
+    At most one memory operand is supported; the first one counts.
+    """
+    traits = _TRAITS[opcode]
+    memory_operand: Optional[MemoryOperand] = None
+    dest_is_memory = source_is_memory = False
+    sources = []
+    for position, operand in enumerate(operands):
+        if isinstance(operand, Register):
+            if position or not traits.pure_dest:
+                sources.append(operand.name)
+        elif isinstance(operand, MemoryOperand):
+            if memory_operand is None:
+                memory_operand = operand
+            if position == 0:
+                dest_is_memory = True
+            elif position == 1:
+                source_is_memory = True
+            sources.append(operand.base)
+            if operand.index is not None:
+                sources.append(operand.index)
+    if memory_operand is None:
+        is_load = is_store = False
+        address_registers: Tuple[str, ...] = ()
+    else:
+        load_rule = traits.load_rule
+        is_load = load_rule == _ALWAYS or (load_rule == _AS_SOURCE and source_is_memory)
+        is_store = traits.store_rule == _AS_DEST and dest_is_memory
+        address_registers = (
+            (memory_operand.base,)
+            if memory_operand.index is None or memory_operand.index == memory_operand.base
+            else (memory_operand.base, memory_operand.index)
+        )
+    if is_load:
+        instruction_class = InstructionClass.RMW if is_store else InstructionClass.LOAD
+    elif is_store:
+        instruction_class = InstructionClass.STORE
+    else:
+        instruction_class = traits.plain_class
+    writes_dest_register = (
+        traits.writes_dest and bool(operands) and isinstance(operands[0], Register)
+    )
+    return InstructionShape(
+        memory_operand,
+        instruction_class,
+        traits.is_branch,
+        traits.is_cond_branch,
+        traits.is_exit,
+        is_load,
+        is_store,
+        writes_dest_register,
+        traits.writes_flags,
+        traits.reads_flags,
+        tuple(dict.fromkeys(sources)),
+        operands[0].name if writes_dest_register else None,  # type: ignore[union-attr]
+        address_registers,
+    )
+
+
 _SEQUENCE = itertools.count()
 
 
@@ -132,6 +286,9 @@ class Instruction:
     only meaningful for :data:`Opcode.CMOV`, :data:`Opcode.SETCC` and
     :data:`Opcode.JCC`.  The program assembler fills in ``pc`` (byte address)
     and, for branches, ``target_pc``/``fallthrough_pc``.
+
+    The structural queries below all delegate to :func:`classify` (the
+    opcode-only ones to its per-opcode traits).
     """
 
     opcode: Opcode
@@ -151,153 +308,68 @@ class Instruction:
                 )
 
     # -- structural queries --------------------------------------------------
+    def shape(self) -> InstructionShape:
+        """Every structural fact about this instruction (see :func:`classify`)."""
+        return classify(self.opcode, self.operands)
+
     @property
     def memory_operand(self) -> Optional[MemoryOperand]:
         """Return the memory operand, if any (at most one is supported)."""
-        for operand in self.operands:
-            if isinstance(operand, MemoryOperand):
-                return operand
-        return None
+        return self.shape().memory_operand
 
     @property
     def is_branch(self) -> bool:
-        return self.opcode in (Opcode.JMP, Opcode.JCC)
+        return _TRAITS[self.opcode].is_branch
 
     @property
     def is_cond_branch(self) -> bool:
-        return self.opcode is Opcode.JCC
+        return _TRAITS[self.opcode].is_cond_branch
 
     @property
     def is_exit(self) -> bool:
-        return self.opcode is Opcode.EXIT
+        return _TRAITS[self.opcode].is_exit
 
     @property
     def is_load(self) -> bool:
         """True if the instruction reads memory."""
-        mem = self.memory_operand
-        if mem is None:
-            return False
-        if self.opcode is Opcode.MOV:
-            # MOV reads memory only when the memory operand is the source.
-            return isinstance(self.operands[1], MemoryOperand)
-        if self.opcode is Opcode.CMOV:
-            return isinstance(self.operands[1], MemoryOperand)
-        if self.opcode in (Opcode.CMP, Opcode.TEST):
-            return True
-        # ALU op with a memory destination is a read-modify-write.
-        if self.opcode in (
-            Opcode.ADD,
-            Opcode.SUB,
-            Opcode.AND,
-            Opcode.OR,
-            Opcode.XOR,
-            Opcode.INC,
-            Opcode.DEC,
-            Opcode.NEG,
-            Opcode.NOT,
-        ):
-            return True
-        return False
+        return self.shape().is_load
 
     @property
     def is_store(self) -> bool:
         """True if the instruction writes memory."""
-        mem = self.memory_operand
-        if mem is None:
-            return False
-        if self.opcode in (Opcode.CMP, Opcode.TEST):
-            return False
-        if self.opcode in (Opcode.MOV, Opcode.SETCC):
-            return isinstance(self.operands[0], MemoryOperand)
-        if self.opcode is Opcode.CMOV:
-            return False
-        if self.opcode in (
-            Opcode.ADD,
-            Opcode.SUB,
-            Opcode.AND,
-            Opcode.OR,
-            Opcode.XOR,
-            Opcode.INC,
-            Opcode.DEC,
-            Opcode.NEG,
-            Opcode.NOT,
-        ):
-            return isinstance(self.operands[0], MemoryOperand)
-        return False
+        return self.shape().is_store
 
     @property
     def is_memory_access(self) -> bool:
-        return self.is_load or self.is_store
+        shape = self.shape()
+        return shape.is_load or shape.is_store
 
     @property
     def instruction_class(self) -> InstructionClass:
-        if self.opcode is Opcode.EXIT:
-            return InstructionClass.EXIT
-        if self.opcode is Opcode.NOP:
-            return InstructionClass.NOP
-        if self.opcode is Opcode.LFENCE:
-            return InstructionClass.FENCE
-        if self.is_branch:
-            return InstructionClass.BRANCH
-        if self.is_load and self.is_store:
-            return InstructionClass.RMW
-        if self.is_load:
-            return InstructionClass.LOAD
-        if self.is_store:
-            return InstructionClass.STORE
-        return InstructionClass.ALU
+        return self.shape().instruction_class
 
     @property
     def writes_dest_register(self) -> bool:
-        return (
-            self.opcode in _WRITES_DEST
-            and bool(self.operands)
-            and isinstance(self.operands[0], Register)
-        )
+        return self.shape().writes_dest_register
 
     @property
     def writes_flags(self) -> bool:
-        return self.opcode in _WRITES_FLAGS
+        return _TRAITS[self.opcode].writes_flags
 
     @property
     def reads_flags(self) -> bool:
-        return self.opcode in _READS_FLAGS
+        return _TRAITS[self.opcode].reads_flags
 
     def source_registers(self) -> Tuple[str, ...]:
         """Names of registers whose values the instruction reads."""
-        sources = []
-        for position, operand in enumerate(self.operands):
-            if isinstance(operand, Register):
-                is_pure_dest = (
-                    position == 0
-                    and self.opcode in (Opcode.MOV, Opcode.CMOV, Opcode.SETCC)
-                )
-                # CMOV keeps the old destination on a false condition, so the
-                # destination is also a source.
-                if self.opcode is Opcode.CMOV and position == 0:
-                    is_pure_dest = False
-                if not is_pure_dest:
-                    sources.append(operand.name)
-            elif isinstance(operand, MemoryOperand):
-                sources.append(operand.base)
-                if operand.index is not None:
-                    sources.append(operand.index)
-        return tuple(dict.fromkeys(sources))
+        return self.shape().source_registers
 
     def destination_register(self) -> Optional[str]:
-        if self.writes_dest_register:
-            return self.operands[0].name  # type: ignore[union-attr]
-        return None
+        return self.shape().destination_register
 
     def address_registers(self) -> Tuple[str, ...]:
         """Registers that feed the effective-address computation."""
-        mem = self.memory_operand
-        if mem is None:
-            return ()
-        registers = [mem.base]
-        if mem.index is not None:
-            registers.append(mem.index)
-        return tuple(dict.fromkeys(registers))
+        return self.shape().address_registers
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:

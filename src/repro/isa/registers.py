@@ -62,6 +62,11 @@ class RegisterFile:
             for name, value in initial.items():
                 self.write(name, value)
 
+    @property
+    def values(self) -> Dict[str, int]:
+        """The live name -> value dict; writers must store 64-bit values."""
+        return self._values
+
     def read(self, name: str) -> int:
         """Return the 64-bit value of register ``name``."""
         return self._values[name]

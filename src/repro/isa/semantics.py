@@ -28,14 +28,6 @@ def _width_mask(size: int) -> int:
     return (1 << (8 * size)) - 1
 
 
-def _sign_bit(value: int, size: int) -> int:
-    return (value >> (8 * size - 1)) & 1
-
-
-def _parity_even(value: int) -> bool:
-    return (value & 0xFF).bit_count() % 2 == 0
-
-
 #: One predicate per condition code, taking the five flags positionally.
 #: :class:`~repro.isa.decoded.DecodedInstruction` binds the predicate once at
 #: decode time so the hot path never rebuilds a lookup table per evaluation.
@@ -81,6 +73,121 @@ def condition_holds(condition: str, flags: Dict[str, bool]) -> bool:
     )
 
 
+#: The five flags in :data:`~repro.isa.registers.FLAG_NAMES` order.
+FlagTuple = Tuple[bool, bool, bool, bool, bool]
+
+#: ``fn(a, b, carry_in) -> (result, flags)`` for one ALU opcode at one width:
+#: ``a``/``b`` already masked to the width, ``flags`` None when the operation
+#: leaves every flag untouched (NOT, zero-count shifts).
+AluFunction = Callable[[int, int, bool], Tuple[int, Optional[FlagTuple]]]
+
+#: Even parity of every byte value (x86 PF looks at the low byte only).
+_PARITY = tuple(value.bit_count() % 2 == 0 for value in range(256))
+
+
+def _alu_functions(size: int) -> Dict[Opcode, AluFunction]:
+    """The per-opcode ALU functions for one operand width."""
+    mask = _width_mask(size)
+    top = 1 << (8 * size - 1)  # the sign bit
+    bits = 8 * size
+
+    def add(a: int, b: int, carry_in: bool):
+        raw = a + b
+        result = raw & mask
+        negative = result >= top
+        sign_a = a >= top
+        overflow = sign_a == (b >= top) and negative != sign_a
+        return result, (result == 0, negative, raw > mask, overflow, _PARITY[result & 0xFF])
+
+    def sub(a: int, b: int, carry_in: bool):
+        result = (a - b) & mask
+        negative = result >= top
+        sign_a = a >= top
+        overflow = sign_a != (b >= top) and negative != sign_a
+        return result, (result == 0, negative, a < b, overflow, _PARITY[result & 0xFF])
+
+    def logical(operation: Callable[[int, int], int]) -> AluFunction:
+        def apply(a: int, b: int, carry_in: bool):
+            result = operation(a, b)
+            return result, (result == 0, result >= top, False, False, _PARITY[result & 0xFF])
+        return apply
+
+    # INC/DEC preserve the carry flag (x86 behaviour).
+    def inc(a: int, b: int, carry_in: bool):
+        result = (a + 1) & mask
+        return result, (result == 0, result >= top, carry_in, result == top, _PARITY[result & 0xFF])
+
+    def dec(a: int, b: int, carry_in: bool):
+        result = (a - 1) & mask
+        return result, (result == 0, result >= top, carry_in, a == top, _PARITY[result & 0xFF])
+
+    def neg(a: int, b: int, carry_in: bool):
+        result = (-a) & mask
+        return result, (result == 0, result >= top, a != 0, a == top, _PARITY[result & 0xFF])
+
+    # NOT does not modify flags on x86.
+    def not_(a: int, b: int, carry_in: bool):
+        return (~a) & mask, None
+
+    # A zero shift count leaves every flag untouched.
+    def shl(a: int, b: int, carry_in: bool):
+        amount = b & 0x3F
+        if amount == 0:
+            return a, None
+        shifted = a << amount
+        result = shifted & mask
+        carry = bool((shifted >> bits) & 1)
+        return result, (result == 0, result >= top, carry, False, _PARITY[result & 0xFF])
+
+    def shr(a: int, b: int, carry_in: bool):
+        amount = b & 0x3F
+        if amount == 0:
+            return a, None
+        carry = bool((a >> (amount - 1)) & 1) if amount <= bits else False
+        result = (a >> amount) & mask
+        return result, (result == 0, result >= top, carry, False, _PARITY[result & 0xFF])
+
+    bitwise_and = logical(lambda a, b: a & b)
+    return {
+        Opcode.ADD: add,
+        Opcode.SUB: sub,
+        Opcode.CMP: sub,
+        Opcode.AND: bitwise_and,
+        Opcode.TEST: bitwise_and,
+        Opcode.OR: logical(lambda a, b: a | b),
+        Opcode.XOR: logical(lambda a, b: a ^ b),
+        Opcode.INC: inc,
+        Opcode.DEC: dec,
+        Opcode.NEG: neg,
+        Opcode.NOT: not_,
+        Opcode.SHL: shl,
+        Opcode.SHR: shr,
+    }
+
+
+_ALU_FUNCTIONS: Dict[int, Dict[Opcode, AluFunction]] = {
+    size: _alu_functions(size) for size in (1, 2, 4, 8)
+}
+
+
+def alu_function(opcode: Opcode, size: int = 8) -> AluFunction:
+    """The ALU function of ``opcode`` at ``size`` bytes (see :data:`AluFunction`).
+
+    These functions are the one definition of ALU results and flags; the
+    interpreters bind them once per static instruction.
+    """
+    try:
+        return _ALU_FUNCTIONS[size][opcode]
+    except KeyError:
+        raise ValueError(f"no ALU function for {opcode} at {size} bytes") from None
+
+
+def flag_dict(flags: FlagTuple) -> Dict[str, bool]:
+    """A flag tuple as the name -> value mapping effects carry."""
+    zf, sf, cf, of, pf = flags
+    return {"zf": zf, "sf": sf, "cf": cf, "of": of, "pf": pf}
+
+
 def alu_compute(
     opcode: Opcode,
     a: int,
@@ -91,76 +198,14 @@ def alu_compute(
     """Compute the result and flags of an ALU operation.
 
     ``a`` is the destination/first operand and ``b`` the source/second
-    operand, both already masked to the operation width.  ``carry_in`` is the
-    current carry flag, needed only because INC/DEC preserve it.
+    operand; both are masked to the operation width here.  ``carry_in`` is
+    the current carry flag, needed only because INC/DEC preserve it.  The
+    flags come back as a dict, empty when the operation leaves them
+    untouched; :func:`alu_function` is the tuple-returning form.
     """
     mask = _width_mask(size)
-    a &= mask
-    b &= mask
-    carry = carry_in
-    overflow = False
-
-    if opcode is Opcode.ADD:
-        raw = a + b
-        result = raw & mask
-        carry = raw > mask
-        overflow = _sign_bit(a, size) == _sign_bit(b, size) and _sign_bit(
-            result, size
-        ) != _sign_bit(a, size)
-    elif opcode in (Opcode.SUB, Opcode.CMP):
-        raw = a - b
-        result = raw & mask
-        carry = a < b
-        overflow = _sign_bit(a, size) != _sign_bit(b, size) and _sign_bit(
-            result, size
-        ) != _sign_bit(a, size)
-    elif opcode in (Opcode.AND, Opcode.TEST):
-        result = a & b
-        carry = False
-    elif opcode is Opcode.OR:
-        result = a | b
-        carry = False
-    elif opcode is Opcode.XOR:
-        result = a ^ b
-        carry = False
-    elif opcode is Opcode.INC:
-        result = (a + 1) & mask
-        overflow = result == (1 << (8 * size - 1))
-    elif opcode is Opcode.DEC:
-        result = (a - 1) & mask
-        overflow = a == (1 << (8 * size - 1))
-    elif opcode is Opcode.NEG:
-        result = (-a) & mask
-        carry = a != 0
-        overflow = a == (1 << (8 * size - 1))
-    elif opcode is Opcode.NOT:
-        result = (~a) & mask
-        # NOT does not modify flags on x86; callers check writes_flags.
-        return result, {}
-    elif opcode is Opcode.SHL:
-        amount = b & 0x3F
-        if amount == 0:
-            return a, {}
-        shifted = a << amount
-        result = shifted & mask
-        carry = bool((shifted >> (8 * size)) & 1)
-    elif opcode is Opcode.SHR:
-        amount = b & 0x3F
-        if amount == 0:
-            return a, {}
-        carry = bool((a >> (amount - 1)) & 1) if amount <= 8 * size else False
-        result = (a >> amount) & mask
-    else:
-        raise ValueError(f"not an ALU opcode: {opcode}")
-
-    flags = {
-        "zf": result == 0,
-        "sf": bool(_sign_bit(result, size)),
-        "cf": bool(carry),
-        "of": bool(overflow),
-        "pf": _parity_even(result),
-    }
-    return result, flags
+    result, flags = alu_function(opcode, size)(a & mask, b & mask, bool(carry_in))
+    return result, {} if flags is None else flag_dict(flags)
 
 
 def compute_effective_address(
@@ -331,8 +376,9 @@ def execute_on_state(instruction: Instruction, state: ArchState) -> ExecutionEff
 
     Returns the effect after applying it (register writes, flag updates and
     memory writes are performed in place).  The reference for one
-    architectural step; the interpreters run the closures of
-    :mod:`repro.isa.specialized` instead.
+    architectural step; the interpreters run the steps of
+    :mod:`repro.model.steps` (emulator) and the closures of
+    :mod:`repro.isa.specialized` (O3 core) instead.
     """
     effect = evaluate(
         instruction,

@@ -1,4 +1,4 @@
-"""Per-instruction specialized execution: compile evaluate() dispatch away.
+"""Per-instruction effect closures for the O3 core: compile evaluate() dispatch away.
 
 :func:`compile_effect` builds, for one
 :class:`~repro.isa.decoded.DecodedInstruction`, a closure equivalent to
@@ -6,42 +6,47 @@
 dispatch, operand kinds, sizes, masks, the condition predicate) answered at
 build time.  The closures are strictly *derived* from
 :mod:`repro.isa.semantics`, the single source of architectural truth:
-arithmetic and flag semantics are not re-implemented, the closure calls
-:func:`semantics.alu_compute` and the :data:`semantics.CONDITION_PREDICATES`
-entries, pre-bound.
+arithmetic and flag semantics are not re-implemented, the closure calls the
+pre-bound :func:`semantics.alu_function` and
+:data:`semantics.CONDITION_PREDICATES` entries.
 
-:func:`attach_effect_closures` fills them in once per decoded program.  The
-decoded program is shared through the decode cache, so the functional
-emulator (architectural and speculative paths) and the O3 core's execute
-stage all run on the same closures; they are the only way either
-interpreter executes an instruction.  Generic
+A closure returns an :class:`~repro.isa.semantics.ExecutionEffect` instead
+of applying it, because the out-of-order core defers an instruction's
+effect: it keeps it in the ROB entry and writes memory only at commit.
+:func:`attach_effect_closures` fills them in once per decoded program, when
+the program first reaches the simulator; they are the only way the core
+executes an instruction.  The contract emulator needs no deferral and runs
+the fused steps of :mod:`repro.model.steps` instead.  Generic
 :func:`~repro.isa.semantics.evaluate` stays as the reference the
-equivalence suite compares them against.
+equivalence suite compares both against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict
+from typing import Callable, Optional, Tuple
 
 from repro.isa.decoded import DecodedInstruction, DecodedProgram
 from repro.isa.instructions import Opcode
 from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.registers import MASK64
-from repro.isa.semantics import ExecutionEffect, alu_compute
+from repro.isa.semantics import ExecutionEffect, alu_function, flag_dict
 
-#: ALU opcodes :func:`compile_effect` specializes.
-_ALU_BINARY = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-               Opcode.SHL, Opcode.SHR)
-_ALU_UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
+#: Two- and one-operand ALU opcodes, as :func:`compile_effect` and the
+#: emulator's steps dispatch them.
+ALU_BINARY = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SHL, Opcode.SHR)
+ALU_UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
 
 
 class SpecializationStats:
-    """Process-wide closure-building counters (surfaced in fuzzer reports).
+    """Process-wide build counters of one per-program table kind.
 
-    ``misses`` counts decoded programs whose closures were built, ``hits``
-    calls that found them already built, and ``compile_seconds`` the time
-    spent building.
+    ``misses`` counts decoded programs whose table was built, ``hits``
+    calls that found it already built, and ``compile_seconds`` the time
+    spent building.  :data:`STATS` counts effect closures;
+    :data:`repro.model.steps.STATS` counts the emulator's step tables.
+    The fuzzer records each round's delta in its ledger.
     """
 
     __slots__ = ("hits", "misses", "compile_seconds")
@@ -51,37 +56,20 @@ class SpecializationStats:
         self.misses = 0
         self.compile_seconds = 0.0
 
-    def snapshot(self) -> Dict[str, float]:
-        """The counters under their report names."""
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "compile_seconds": self.compile_seconds,
-        }
-
 
 STATS = SpecializationStats()
 
 
-def stats_snapshot() -> Dict[str, float]:
-    """Current process-wide specialization counters."""
-    return STATS.snapshot()
-
-
-def _width_mask(size: int) -> int:
-    return (1 << (8 * size)) - 1
-
-
-def _address_fn(mem: MemoryOperand) -> Callable:
-    """Closure computing the effective address, operands pre-bound."""
-    base = mem.base
-    disp = mem.displacement
-    index = mem.index
-    if index is None:
-        if disp == 0:
-            return lambda rr: rr(base) & MASK64
-        return lambda rr: (rr(base) + disp) & MASK64
-    return lambda rr: (rr(base) + disp + rr(index)) & MASK64
+def value_operand(operand, mask: int) -> Tuple[Optional[str], Optional[int]]:
+    """``(register name, immediate)`` of one value operand, the immediate
+    masked to the operation width; ``(None, None)`` is the memory operand."""
+    if isinstance(operand, Register):
+        return operand.name, None
+    if isinstance(operand, MemoryOperand):
+        return None, None
+    if isinstance(operand, Immediate):
+        return None, operand.value & mask
+    raise TypeError(f"cannot read operand {operand!r}")
 
 
 def compile_effect(decoded: DecodedInstruction) -> Callable:
@@ -90,28 +78,27 @@ def compile_effect(decoded: DecodedInstruction) -> Callable:
     Returns ``fn(read_register, flags, read_memory) -> ExecutionEffect``
     producing field-identical effects.  Every opcode is handled; one added
     to :class:`Opcode` without a closure here raises ``NotImplementedError``.
+
+    The static facts are bound as default arguments after the three that
+    callers pass: they load as locals, and a closure costs one defaults
+    tuple rather than one cell per fact while its program lives.
     """
-    instruction = decoded.instruction
     opcode = decoded.opcode
-    fall = instruction.fallthrough_pc
+    fall = decoded.fallthrough_pc
 
     if opcode in (Opcode.NOP, Opcode.LFENCE, Opcode.EXIT):
-        def fn_simple(rr, flags, rm):
+        def fn_simple(rr, flags, rm, fall=fall):
             return ExecutionEffect(next_pc=fall)
         return fn_simple
 
     if opcode is Opcode.JMP:
-        target = instruction.target_pc
-
-        def fn_jmp(rr, flags, rm):
+        def fn_jmp(rr, flags, rm, target=decoded.target_pc):
             return ExecutionEffect(branch_taken=True, next_pc=target)
         return fn_jmp
 
     if opcode is Opcode.JCC:
-        predicate = decoded.cond_predicate
-        target = instruction.target_pc
-
-        def fn_jcc(rr, flags, rm):
+        def fn_jcc(rr, flags, rm, predicate=decoded.cond_predicate,
+                   target=decoded.target_pc, fall=fall):
             get = flags.get
             taken = bool(
                 predicate(get("zf", False), get("sf", False), get("cf", False),
@@ -122,157 +109,106 @@ def compile_effect(decoded: DecodedInstruction) -> Callable:
             )
         return fn_jcc
 
-    mem = instruction.memory_operand
-    size = mem.size if mem is not None else 8
-    mask = _width_mask(size)
-    addr_of = _address_fn(mem) if mem is not None else None
+    operands = decoded.instruction.operands
+    size = decoded.mem_size or 8
+    mask = (1 << (8 * size)) - 1
+    # Every closure below resolves the memory operand, when there is one, as
+    #     (rr(base) + displacement + (0 if index is None else rr(index))) & MASK64
+    # and reads an operand (register, immediate) as rr(register) & mask, the
+    # immediate, or, when both are None, rm(address, size) & mask.
+    memory = decoded.memory_operand is not None
+    base = decoded.mem_base
+    index = decoded.mem_index
+    displacement = decoded.mem_displacement
 
-    def read_reg(name: str) -> Callable:
-        if size == 8:
-            return lambda rr, rm, a: rr(name)
-        return lambda rr, rm, a: rr(name) & mask
+    if opcode is Opcode.MOV or opcode is Opcode.CMOV:
+        src, src_imm = value_operand(operands[1], mask)
+        dest = decoded.destination_register
+        predicate = decoded.cond_predicate if opcode is Opcode.CMOV else None
 
-    def read_imm(value: int) -> Callable:
-        folded = value & mask
-        return lambda rr, rm, a: folded
-
-    def read_mem() -> Callable:
-        return lambda rr, rm, a: rm(a, size) & mask
-
-    def reader(operand) -> Callable:
-        if isinstance(operand, Register):
-            return read_reg(operand.name)
-        if isinstance(operand, Immediate):
-            return read_imm(operand.value)
-        return read_mem()
-
-    if opcode is Opcode.MOV:
-        dest, src = instruction.operands
-        read_src = reader(src)
-        src_is_mem = isinstance(src, MemoryOperand)
-        if isinstance(dest, Register):
-            dest_name = dest.name
-
-            def fn_mov_reg(rr, flags, rm):
-                address = addr_of(rr) if addr_of is not None else None
-                value = read_src(rr, rm, address)
-                effect = ExecutionEffect(
-                    register_writes={dest_name: value}, next_pc=fall
-                )
-                if src_is_mem:
-                    effect.memory_read = (address, size)
-                    effect.memory_read_value = value
-                return effect
-            return fn_mov_reg
-
-        def fn_mov_mem(rr, flags, rm):
-            address = addr_of(rr)
-            value = read_src(rr, rm, address)
-            return ExecutionEffect(
-                memory_write=(address, size, value & mask), next_pc=fall
+        def fn_move(rr, flags, rm, src=src, src_imm=src_imm, dest=dest,
+                    predicate=predicate, memory=memory, base=base, index=index,
+                    displacement=displacement, size=size, mask=mask, fall=fall):
+            address = (
+                (rr(base) + displacement + (0 if index is None else rr(index))) & MASK64
+                if memory else None
             )
-        return fn_mov_mem
-
-    if opcode is Opcode.CMOV:
-        dest, src = instruction.operands
-        dest_name = dest.name
-        read_src = reader(src)
-        src_is_mem = isinstance(src, MemoryOperand)
-        predicate = decoded.cond_predicate
-
-        def fn_cmov(rr, flags, rm):
-            address = addr_of(rr) if addr_of is not None else None
-            value = read_src(rr, rm, address)
-            get = flags.get
-            taken = predicate(get("zf", False), get("sf", False), get("cf", False),
-                              get("of", False), get("pf", False))
-            effect = ExecutionEffect(
-                register_writes={dest_name: value if taken else rr(dest_name)},
-                next_pc=fall,
-            )
-            if src_is_mem:
+            if src is not None:
+                value = rr(src) & mask
+            elif src_imm is not None:
+                value = src_imm
+            else:
+                value = rm(address, size) & mask
+            if dest is None:
+                return ExecutionEffect(memory_write=(address, size, value), next_pc=fall)
+            written = value
+            if predicate is not None:
+                get = flags.get
+                if not predicate(get("zf", False), get("sf", False), get("cf", False),
+                                 get("of", False), get("pf", False)):
+                    written = rr(dest)  # CMOVcc not taken: the old value
+            effect = ExecutionEffect(register_writes={dest: written}, next_pc=fall)
+            if memory:
                 effect.memory_read = (address, size)
                 effect.memory_read_value = value
             return effect
-        return fn_cmov
+        return fn_move
 
     if opcode is Opcode.SETCC:
-        dest = instruction.operands[0]
-        predicate = decoded.cond_predicate
-        if isinstance(dest, Register):
-            dest_name = dest.name
-
-            def fn_setcc_reg(rr, flags, rm):
-                get = flags.get
-                taken = predicate(get("zf", False), get("sf", False), get("cf", False),
-                                  get("of", False), get("pf", False))
-                return ExecutionEffect(
-                    register_writes={dest_name: 1 if taken else 0}, next_pc=fall
-                )
-            return fn_setcc_reg
-
-        def fn_setcc_mem(rr, flags, rm):
-            address = addr_of(rr)
+        def fn_setcc(rr, flags, rm, dest=decoded.destination_register,
+                     predicate=decoded.cond_predicate, base=base, index=index,
+                     displacement=displacement, size=size, fall=fall):
             get = flags.get
-            taken = predicate(get("zf", False), get("sf", False), get("cf", False),
-                              get("of", False), get("pf", False))
-            return ExecutionEffect(
-                memory_write=(address, size, 1 if taken else 0), next_pc=fall
+            value = 1 if predicate(get("zf", False), get("sf", False), get("cf", False),
+                                   get("of", False), get("pf", False)) else 0
+            if dest is not None:
+                return ExecutionEffect(register_writes={dest: value}, next_pc=fall)
+            address = (rr(base) + displacement + (0 if index is None else rr(index))) & MASK64
+            return ExecutionEffect(memory_write=(address, size, value), next_pc=fall)
+        return fn_setcc
+
+    if opcode in (Opcode.CMP, Opcode.TEST) or opcode in ALU_UNARY or opcode in ALU_BINARY:
+        a_reg, a_imm = value_operand(operands[0], mask)
+        b_reg, b_imm = (None, 0) if opcode in ALU_UNARY else value_operand(operands[1], mask)
+        # The memory operand is the first one (read-modify-write) or the second.
+        memory_first = a_reg is None and a_imm is None
+        compare = opcode in (Opcode.CMP, Opcode.TEST)
+
+        def fn_alu(rr, flags, rm, operation=alu_function(opcode, size), a_reg=a_reg,
+                   a_imm=a_imm, b_reg=b_reg, b_imm=b_imm, memory=memory,
+                   memory_first=memory_first, compare=compare,
+                   dest=decoded.destination_register, flag_writer=decoded.writes_flags,
+                   base=base, index=index, displacement=displacement, size=size,
+                   mask=mask, fall=fall):
+            address = (
+                (rr(base) + displacement + (0 if index is None else rr(index))) & MASK64
+                if memory else None
             )
-        return fn_setcc_mem
-
-    if opcode in (Opcode.CMP, Opcode.TEST):
-        first, second = instruction.operands
-        read_a = reader(first)
-        read_b = reader(second)
-        first_is_mem = isinstance(first, MemoryOperand)
-        second_is_mem = isinstance(second, MemoryOperand)
-
-        def fn_cmp(rr, flags, rm):
-            address = addr_of(rr) if addr_of is not None else None
-            a = read_a(rr, rm, address)
-            b = read_b(rr, rm, address)
-            effect = ExecutionEffect(next_pc=fall)
-            if first_is_mem or second_is_mem:
-                effect.memory_read = (address, size)
-                effect.memory_read_value = a if first_is_mem else b
-            _, new_flags = alu_compute(opcode, a, b, size)
-            effect.flag_writes = new_flags
-            return effect
-        return fn_cmp
-
-    if opcode in _ALU_UNARY or opcode in _ALU_BINARY:
-        dest = instruction.operands[0]
-        dest_is_mem = isinstance(dest, MemoryOperand)
-        read_a = reader(dest)
-        unary = opcode in _ALU_UNARY
-        read_b = None if unary else reader(instruction.operands[1])
-        src_is_mem = (not unary) and isinstance(instruction.operands[1], MemoryOperand)
-        writes_flags = instruction.writes_flags
-        preserves_carry = opcode in (Opcode.INC, Opcode.DEC)
-        dest_name = None if dest_is_mem else dest.name
-
-        def fn_alu(rr, flags, rm):
-            address = addr_of(rr) if addr_of is not None else None
-            a = read_a(rr, rm, address)
-            b = 0 if read_b is None else read_b(rr, rm, address)
-            effect = ExecutionEffect(next_pc=fall)
-            if src_is_mem:
-                effect.memory_read = (address, size)
-                effect.memory_read_value = b
-            if dest_is_mem:
-                effect.memory_read = (address, size)
-                effect.memory_read_value = a
-            carry_in = flags.get("cf", False)
-            result, new_flags = alu_compute(opcode, a, b, size, carry_in=carry_in)
-            if writes_flags:
-                if preserves_carry and "cf" in new_flags:
-                    new_flags["cf"] = carry_in
-                effect.flag_writes = new_flags
-            if dest_is_mem:
-                effect.memory_write = (address, size, result & mask)
+            if a_reg is not None:
+                a = rr(a_reg) & mask
+            elif a_imm is not None:
+                a = a_imm
             else:
-                effect.register_writes = {dest_name: result & MASK64}
+                a = rm(address, size) & mask
+            if b_reg is not None:
+                b = rr(b_reg) & mask
+            elif b_imm is not None:
+                b = b_imm
+            else:
+                b = rm(address, size) & mask
+            effect = ExecutionEffect(next_pc=fall)
+            if memory:
+                effect.memory_read = (address, size)
+                effect.memory_read_value = a if memory_first else b
+            result, new_flags = operation(a, b, flags.get("cf", False))
+            if flag_writer and new_flags is not None:
+                effect.flag_writes = flag_dict(new_flags)
+            if compare:
+                return effect
+            if memory_first:
+                effect.memory_write = (address, size, result)
+            else:
+                effect.register_writes = {dest: result}
             return effect
         return fn_alu
 
@@ -283,8 +219,8 @@ def attach_effect_closures(decoded: DecodedProgram) -> None:
     """Fill ``effect_fn`` on every instruction of ``decoded`` (idempotent).
 
     The first call per decoded program builds the closures and counts a
-    miss in :data:`STATS`; later calls (such as the O3 core's, for a program
-    the emulator already ran) count a hit.
+    miss in :data:`STATS`; later calls (every further O3 core built for the
+    program: one per input in Naive mode) count a hit.
     """
     if decoded.effects_attached:
         STATS.hits += 1

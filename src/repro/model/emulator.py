@@ -8,10 +8,12 @@ tracks which input locations influence the resulting contract trace.
 
 The hot loops run over a :class:`~repro.isa.decoded.DecodedProgram`: every
 structural question (is this a load? which registers feed the address?)
-was answered once at decode time, and architectural effects still come
-exclusively from :mod:`repro.isa.semantics` through the per-instruction
-closures of :mod:`repro.isa.specialized` (the equivalence suite checks them
-against generic ``evaluate``).
+was answered once at decode time.  Each instruction executes through its
+fused step (:mod:`repro.model.steps`), which computes values and flags with
+the per-opcode functions of :mod:`repro.isa.semantics` and sets the taint
+in the same call.  There is one execution path, shared by the
+architectural and the speculative loops; the test suite holds it to a
+reference built on generic ``evaluate``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from repro.generator.inputs import Input, TaintLabel
 from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.program import Program
-from repro.isa.registers import ArchState
-from repro.isa.semantics import ExecutionEffect
-from repro.isa.specialized import attach_effect_closures
+from repro.isa.registers import MASK64, ArchState
 from repro.model.contracts import Contract
+from repro.model.steps import Machine, build_steps
 from repro.model.taint import TaintState
 
 #: Safety bound on the number of executed instructions (generated programs
@@ -112,30 +113,30 @@ class ModelResult:
     speculation: SpeculationProfile = field(default_factory=SpeculationProfile)
 
 
-class _UndoLog:
-    """Undo log used to roll back speculative contract execution."""
+class _MemoryJournal:
+    """Undo journal for memory writes on speculative contract paths.
 
-    __slots__ = ("state", "register_old", "flags_old", "memory_old")
+    While the emulator explores a speculative path, :meth:`write` replaces
+    the machine's memory writer and records each old value; :meth:`rollback`
+    restores them back to a mark, so nested paths stack marks.
+    """
+
+    __slots__ = ("read", "write_memory", "entries")
 
     def __init__(self, state: ArchState) -> None:
-        self.state = state
-        self.register_old: List[Tuple[str, int]] = []
-        self.flags_old = state.flags.as_tuple()
-        self.memory_old: List[Tuple[int, int, int]] = []
+        self.read = state.read_memory
+        self.write_memory = state.write_memory
+        self.entries: List[Tuple[int, int, int]] = []
 
-    def record_effect(self, effect: ExecutionEffect) -> None:
-        for name in effect.register_writes:
-            self.register_old.append((name, self.state.registers.read(name)))
-        if effect.memory_write is not None:
-            address, size, _ = effect.memory_write
-            self.memory_old.append((address, size, self.state.read_memory(address, size)))
+    def write(self, address: int, size: int, value: int) -> None:
+        self.entries.append((address, size, self.read(address, size)))
+        self.write_memory(address, size, value)
 
-    def rollback(self) -> None:
-        for address, size, value in reversed(self.memory_old):
-            self.state.write_memory(address, size, value)
-        for name, value in reversed(self.register_old):
-            self.state.registers.write(name, value)
-        self.state.flags.load_tuple(self.flags_old)
+    def rollback(self, mark: int) -> None:
+        entries = self.entries
+        while len(entries) > mark:
+            address, size, value = entries.pop()
+            self.write_memory(address, size, value)
 
 
 class Emulator:
@@ -155,14 +156,23 @@ class Emulator:
         # every page missing, and each run fills only the pages it touches.
         self._sandbox_buffer = bytearray(self.sandbox.size)
         self._resident_pages: Set[int] = set()
+        # Initial granule taint sets, shared by this emulator's runs.
+        self._granule_labels: Dict[int, frozenset] = {}
+        # The instructions that execute, by pc: EXIT, misaligned pcs and pcs
+        # outside the program all end a path.
+        self._live: Dict[int, DecodedInstruction] = {
+            entry.pc: entry for entry in self.decoded.entries if not entry.is_exit
+        }
+        self._steps_ready = False
 
     # -- public API ---------------------------------------------------------
     def run(self, test_input: Input, contract: Contract) -> ModelResult:
         """Run ``test_input`` through the program under ``contract``."""
-        if not self.decoded.effects_attached:
-            # Built on the first run, so the build counts as emulation work;
-            # the closures are shared with the O3 core via the decode cache.
-            attach_effect_closures(self.decoded)
+        if not self._steps_ready:
+            # Built on the first run, so a program that is never emulated
+            # costs no build; the fuzzer charges the build to ``compile``.
+            build_steps(self.decoded)
+            self._steps_ready = True
         state = ArchState(
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
@@ -170,7 +180,8 @@ class Emulator:
             resident=self._resident_pages,
         )
         state.load_input(test_input.register_dict(), test_input.memory)
-        taint = TaintState(self.sandbox)
+        taint = TaintState(self.sandbox, self._granule_labels)
+        machine = Machine(state, taint)
 
         observations: List[Tuple] = []
         executed_pcs: List[int] = []
@@ -183,7 +194,7 @@ class Emulator:
         }
 
         self._run_architectural(
-            state, taint, contract, observations, executed_pcs, accesses, counters
+            machine, state, taint, contract, observations, executed_pcs, accesses, counters
         )
 
         return ModelResult(
@@ -191,7 +202,7 @@ class Emulator:
             relevant_labels=taint.relevant_labels(),
             instruction_count=counters["architectural"],
             executed_pcs=tuple(executed_pcs),
-            final_registers=state.registers.as_dict(),
+            final_registers=dict(machine.regs),
             speculative_instruction_count=counters["speculative"],
             architectural_accesses=tuple(accesses),
             speculation=SpeculationProfile(
@@ -209,17 +220,18 @@ class Emulator:
     ) -> List[ModelResult]:
         """Run many inputs back-to-back through one decoded program.
 
-        The program is decoded once (in ``__init__``) and its effect
-        closures built once (on the first ``run``); every input then reuses
-        the same sandbox buffer and closures.  This is the model-side half of batched test-case
-        execution: all boosted inputs of a test case share the per-program
-        setup cost.
+        The program is decoded once (in ``__init__``) and its steps built
+        once (on the first ``run``); every input then reuses the same
+        steps, sandbox buffer and granule taint sets.  This is the
+        model-side half of batched test-case execution: all boosted inputs
+        of a test case share the per-program setup cost.
         """
         return [self.run(test_input, contract) for test_input in inputs]
 
     # -- execution ------------------------------------------------------------
     def _run_architectural(
         self,
+        machine: Machine,
         state: ArchState,
         taint: TaintState,
         contract: Contract,
@@ -230,18 +242,20 @@ class Emulator:
     ) -> None:
         """Execute the architectural path from the program entry until EXIT.
 
-        This is the emulator's hot loop: every contract facet and bound
-        method it uses is hoisted out of the per-instruction body, and the
-        observation step is inlined (the speculative path calls
-        :meth:`_observe_speculative`, its counterpart).  The order of
+        This is the emulator's hot loop: per instruction it records the
+        contract's observations, explores the mispredicted direction of a
+        conditional branch, and calls the instruction's step.  Every
+        contract facet and bound method it uses is hoisted out of the loop.
+        :meth:`_run_speculative` is its counterpart; the order of
         observations, taint updates and counter steps is the same on both
         paths.
         """
-        at_pc = self.decoded.at_pc
+        live = self._live.get
         limit = self.instruction_limit
-        flags = state.flags
-        read_register = state.registers.read
+        regs = machine.regs
+        taints = machine.taints
         read_memory = state.read_memory
+        memory_taint = taint.memory
         expose_pc = contract.expose_pc
         expose_address = contract.expose_memory_address
         expose_values = contract.expose_load_values
@@ -249,37 +263,168 @@ class Emulator:
         observe = observations.append
         record_access = accesses.append
         record_pc = executed_pcs.append
-        mark_relevant = taint.mark_relevant
-        register_taint = taint.registers
-        memory_taint = taint.memory
-        propagate_taint = self._propagate_taint
-        apply_effect = self._apply_effect
+        mark_relevant = taint.relevant.update
+        journal: Optional[_MemoryJournal] = None
         executed = 0
         cond_branches = 0
         tainted_accesses = 0
         pc: Optional[int] = self.decoded.entry_pc
-        while pc is not None:
-            entry = at_pc(pc)
-            if entry is None or entry.is_exit:
+        while True:
+            entry = live(pc)
+            if entry is None:
                 break
             if executed >= limit:
                 raise EmulationError(
                     f"program {self.program.name} exceeded the instruction limit "
                     f"({limit})"
                 )
-
-            is_cond_branch = entry.is_cond_branch
-            if is_cond_branch:
-                cond_branches += 1
             if expose_pc:
                 observe(("pc", pc))
-                if is_cond_branch:
+            address = None
+            if entry.is_cond_branch:
+                cond_branches += 1
+                if expose_pc:
                     # The branch direction (and hence the PC sequence) depends
                     # on the flags, so their input sources are contract-relevant.
-                    mark_relevant(taint.flag_taint)
-            if entry.is_memory_access:
-                address = entry.effective_address(read_register)
-                address_taint = register_taint(entry.address_registers)
+                    mark_relevant(machine.flag_taint)
+                if explore_branches:
+                    # Explore the mispredicted direction.
+                    taken = entry.cond_predicate(*machine.flags)
+                    if journal is None:
+                        journal = _MemoryJournal(state)
+                    self._explore(
+                        machine, taint, contract,
+                        entry.fallthrough_pc if taken else entry.target_pc,
+                        observations, counters, 1, journal,
+                    )
+            elif entry.is_memory_access:
+                base, index = entry.mem_base, entry.mem_index
+                address = regs[base] + entry.mem_displacement
+                if index is None:
+                    address_taint = taints[base]
+                else:
+                    address += regs[index]
+                    address_taint = taints[base] | taints[index]
+                address &= MASK64
+                if address_taint:
+                    tainted_accesses += 1
+                if expose_address:
+                    if entry.is_load:
+                        observe(("load", address))
+                    if entry.is_store:
+                        observe(("store", address))
+                    mark_relevant(address_taint)
+                if entry.is_load:
+                    if expose_values:
+                        observe(("val", read_memory(address, entry.mem_size)))
+                        mark_relevant(memory_taint(address, entry.mem_size))
+                        mark_relevant(address_taint)
+                    record_access(("load", pc, address))
+                if entry.is_store:
+                    record_access(("store", pc, address))
+
+            next_pc = entry.step(machine, address)
+            record_pc(pc)
+            executed += 1
+            pc = next_pc
+        counters["architectural"] += executed
+        counters["cond_branches"] += cond_branches
+        counters["tainted_accesses"] += tainted_accesses
+
+    def _explore(
+        self,
+        machine: Machine,
+        taint: TaintState,
+        contract: Contract,
+        start_pc: Optional[int],
+        observations: List[Tuple],
+        counters: Dict[str, int],
+        nesting: int,
+        journal: _MemoryJournal,
+    ) -> None:
+        """Run a speculative path from ``start_pc``, then roll it back.
+
+        The path runs on copies of the register and register-taint dicts;
+        the flags and flag taint are immutable values, so saving them is a
+        reference.  Memory writes and memory-taint writes are journaled and
+        undone.  Relevance is not rolled back: speculative observations stay
+        contract-relevant.
+        """
+        saved = (
+            machine.regs, machine.flags, machine.taints, machine.flag_taint,
+            machine.write_memory,
+        )
+        machine.regs = dict(saved[0])
+        machine.taints = dict(saved[2])
+        machine.write_memory = journal.write
+        memory_mark = len(journal.entries)
+        taint_mark = taint.snapshot()
+        self._run_speculative(
+            machine, taint, contract, start_pc, observations, counters, nesting, journal
+        )
+        journal.rollback(memory_mark)
+        taint.restore(taint_mark)
+        (
+            machine.regs, machine.flags, machine.taints, machine.flag_taint,
+            machine.write_memory,
+        ) = saved
+
+    def _run_speculative(
+        self,
+        machine: Machine,
+        taint: TaintState,
+        contract: Contract,
+        pc: Optional[int],
+        observations: List[Tuple],
+        counters: Dict[str, int],
+        nesting: int,
+        journal: _MemoryJournal,
+    ) -> None:
+        """Run a bounded speculative path (rolled back by :meth:`_explore`).
+
+        Mirrors the architectural loop, minus what only the architectural
+        path records: the conditional-branch count and the access list.
+        """
+        live = self._live.get
+        regs = machine.regs
+        taints = machine.taints
+        read_memory = machine.read_memory
+        memory_taint = taint.memory
+        expose_pc = contract.expose_pc
+        expose_address = contract.expose_memory_address
+        expose_values = contract.expose_load_values
+        nest_branches = contract.speculate_branches and nesting < contract.max_nesting
+        window = contract.speculation_window
+        observe = observations.append
+        mark_relevant = taint.relevant.update
+        executed = 0
+        tainted_accesses = 0
+        while executed < window:
+            entry = live(pc)
+            if entry is None or entry.is_fence:
+                break
+            if expose_pc:
+                observe(("pc", pc))
+            address = None
+            if entry.is_cond_branch:
+                if expose_pc:
+                    mark_relevant(machine.flag_taint)
+                if nest_branches:
+                    taken = entry.cond_predicate(*machine.flags)
+                    self._explore(
+                        machine, taint, contract,
+                        entry.fallthrough_pc if taken else entry.target_pc,
+                        observations, counters, nesting + 1, journal,
+                    )
+            elif entry.is_memory_access:
+                base, index = entry.mem_base, entry.mem_index
+                address = regs[base] + entry.mem_displacement
+                if index is None:
+                    address_taint = taints[base]
+                else:
+                    address += regs[index]
+                    address_taint = taints[base] | taints[index]
+                address &= MASK64
                 if address_taint:
                     tainted_accesses += 1
                 if expose_address:
@@ -292,165 +437,8 @@ class Emulator:
                     observe(("val", read_memory(address, entry.mem_size)))
                     mark_relevant(memory_taint(address, entry.mem_size))
                     mark_relevant(address_taint)
-                if entry.is_load:
-                    record_access(("load", pc, address))
-                if entry.is_store:
-                    record_access(("store", pc, address))
 
-            # Explore the mispredicted direction of conditional branches.
-            if is_cond_branch and explore_branches:
-                taken = entry.cond_predicate(
-                    flags.zf, flags.sf, flags.cf, flags.of, flags.pf
-                )
-                wrong_pc = entry.fallthrough_pc if taken else entry.target_pc
-                spec_undo = _UndoLog(state)
-                spec_taint_mark = taint.snapshot()
-                self._run_speculative(
-                    state, taint, contract, wrong_pc, observations, counters,
-                    1, spec_undo,
-                )
-                spec_undo.rollback()
-                taint.restore(spec_taint_mark)
-
-            effect = entry.effect_fn(read_register, flags, read_memory)
-            apply_effect(effect, state)
-            propagate_taint(entry, effect, taint)
-
-            record_pc(pc)
+            pc = entry.step(machine, address)
             executed += 1
-            pc = effect.next_pc
-        counters["architectural"] += executed
-        counters["cond_branches"] += cond_branches
+        counters["speculative"] += executed
         counters["tainted_accesses"] += tainted_accesses
-
-    def _run_speculative(
-        self,
-        state: ArchState,
-        taint: TaintState,
-        contract: Contract,
-        start_pc: Optional[int],
-        observations: List[Tuple],
-        counters: Dict[str, int],
-        nesting: int,
-        undo: _UndoLog,
-    ) -> None:
-        """Run a bounded speculative path, recording undo information."""
-        if start_pc is None:
-            return
-        at_pc = self.decoded.at_pc
-        flags = state.flags
-        nest_branches = contract.speculate_branches and nesting < contract.max_nesting
-        pc: Optional[int] = start_pc
-        executed = 0
-        while pc is not None and executed < contract.speculation_window:
-            entry = at_pc(pc)
-            if entry is None or entry.is_exit:
-                break
-            if entry.is_fence:
-                break
-
-            self._observe_speculative(
-                entry, state, taint, contract, observations, counters
-            )
-
-            if entry.is_cond_branch and nest_branches:
-                taken = entry.cond_predicate(
-                    flags.zf, flags.sf, flags.cf, flags.of, flags.pf
-                )
-                wrong_pc = entry.fallthrough_pc if taken else entry.target_pc
-                nested_undo = _UndoLog(state)
-                nested_mark = taint.snapshot()
-                self._run_speculative(
-                    state, taint, contract, wrong_pc, observations, counters,
-                    nesting + 1, nested_undo,
-                )
-                nested_undo.rollback()
-                taint.restore(nested_mark)
-
-            # Record old values before applying so the caller can roll back.
-            effect = entry.effect_fn(state.registers.read, flags, state.read_memory)
-            undo.record_effect(effect)
-            self._apply_effect(effect, state)
-            self._propagate_taint(entry, effect, taint)
-
-            counters["speculative"] += 1
-            executed += 1
-            pc = effect.next_pc
-
-    @staticmethod
-    def _apply_effect(effect: ExecutionEffect, state: ArchState) -> None:
-        for name, value in effect.register_writes.items():
-            state.registers.write(name, value)
-        if effect.flag_writes:
-            state.flags.update(effect.flag_writes)
-        if effect.memory_write is not None:
-            address, size, value = effect.memory_write
-            state.write_memory(address, size, value)
-
-    # -- observation and taint --------------------------------------------------
-    def _observe_speculative(
-        self,
-        entry: DecodedInstruction,
-        state: ArchState,
-        taint: TaintState,
-        contract: Contract,
-        observations: List[Tuple],
-        counters: Dict[str, int],
-    ) -> None:
-        """The observation step of a speculative instruction.
-
-        Mirrors the architectural loop's inlined step, minus what only the
-        architectural path records: the conditional-branch count and the
-        access list.
-        """
-        if contract.expose_pc:
-            observations.append(("pc", entry.pc))
-            if entry.is_cond_branch:
-                # The branch direction (and hence the PC sequence) depends on
-                # the flags, so the flags' input sources are contract-relevant.
-                taint.mark_relevant(taint.flag_taint)
-
-        if entry.is_memory_access:
-            address = entry.effective_address(state.registers.read)
-            address_taint = taint.registers(entry.address_registers)
-            if address_taint:
-                counters["tainted_accesses"] += 1
-            if contract.expose_memory_address:
-                if entry.is_load:
-                    observations.append(("load", address))
-                if entry.is_store:
-                    observations.append(("store", address))
-                taint.mark_relevant(address_taint)
-            if entry.is_load and contract.expose_load_values:
-                value = state.read_memory(address, entry.mem_size)
-                observations.append(("val", value))
-                taint.mark_relevant(taint.memory(address, entry.mem_size))
-                taint.mark_relevant(address_taint)
-
-    def _propagate_taint(
-        self,
-        entry: DecodedInstruction,
-        effect: ExecutionEffect,
-        taint: TaintState,
-    ) -> None:
-        value_taint = taint.registers(entry.source_registers)
-        if entry.reads_flags:
-            value_taint |= taint.flag_taint
-        if effect.memory_read is not None:
-            address, size = effect.memory_read
-            value_taint |= taint.memory(address, size)
-            value_taint |= taint.registers(entry.address_registers)
-
-        destination = entry.destination_register
-        if destination is not None:
-            taint.set_register(destination, value_taint)
-        if entry.writes_flags:
-            if entry.partial_flag_writer:
-                # INC/DEC preserve the carry and zero-count shifts preserve
-                # every flag, so the old flag provenance survives the write.
-                taint.set_flags(value_taint | taint.flag_taint)
-            else:
-                taint.set_flags(value_taint)
-        if effect.memory_write is not None:
-            address, size, _ = effect.memory_write
-            taint.set_memory(address, size, value_taint)

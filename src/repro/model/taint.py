@@ -15,7 +15,7 @@ boosted input before using it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.generator.inputs import (
     TaintLabel,
@@ -30,23 +30,38 @@ EMPTY: FrozenSet[TaintLabel] = frozenset()
 #: Journal sentinel: the granule had no explicit entry before the write.
 _ABSENT = object()
 
+#: Register taints at the start of a run: every input register carries its
+#: own label; the other registers (the sandbox base included) carry none.
+_INITIAL_REGISTER_TAINTS: Dict[str, FrozenSet[TaintLabel]] = {
+    name: frozenset({register_taint_label(name)}) if name in INPUT_REGISTERS else EMPTY
+    for name in GPR_NAMES
+}
+
 
 class TaintState:
-    """Tracks taint sets for registers, flags and sandbox memory granules."""
+    """Tracks taint sets for registers, flags and sandbox memory granules.
 
-    def __init__(self, sandbox: Sandbox) -> None:
+    ``granule_labels`` caches the initial self-taint of each granule
+    (``{memory_taint_label(offset)}``) by granule offset; runs that share
+    it (the runs of one emulator) build each of those sets once.
+    """
+
+    def __init__(
+        self,
+        sandbox: Sandbox,
+        granule_labels: Optional[Dict[int, FrozenSet[TaintLabel]]] = None,
+    ) -> None:
         self.sandbox = sandbox
-        self.register_taints: Dict[str, FrozenSet[TaintLabel]] = {
-            name: EMPTY for name in GPR_NAMES
-        }
-        for name in INPUT_REGISTERS:
-            self.register_taints[name] = frozenset({register_taint_label(name)})
-        # The sandbox base register is a constant and never carries taint.
-        self.register_taints[SANDBOX_BASE_REGISTER] = EMPTY
+        self._base = sandbox.base
+        self._size = sandbox.size
+        self.register_taints: Dict[str, FrozenSet[TaintLabel]] = dict(
+            _INITIAL_REGISTER_TAINTS
+        )
         self.flag_taint: FrozenSet[TaintLabel] = EMPTY
         #: taints of memory granules that have been overwritten; granules not
         #: present still carry their initial self-taint.
         self._memory_taints: Dict[int, FrozenSet[TaintLabel]] = {}
+        self._granule_labels = {} if granule_labels is None else granule_labels
         #: input locations that influence the contract trace.
         self.relevant: Set[TaintLabel] = set()
         #: undo journal for speculative exploration; entries are
@@ -66,17 +81,30 @@ class TaintState:
             result |= taints.get(name, EMPTY)
         return result
 
+    def _granule(self, offset: int) -> FrozenSet[TaintLabel]:
+        """Current taint of the granule at (aligned) sandbox ``offset``."""
+        taint = self._memory_taints.get(offset)
+        if taint is None:
+            taint = self._granule_labels.get(offset)
+            if taint is None:
+                taint = self._granule_labels[offset] = frozenset(
+                    {memory_taint_label(offset)}
+                )
+        return taint
+
     def memory(self, address: int, size: int) -> FrozenSet[TaintLabel]:
         """Taint of the memory bytes at ``address`` (sandbox-granule based)."""
-        if not self.sandbox.contains(address, 1):
+        first = address - self._base
+        if first < 0 or first >= self._size:
             return EMPTY
-        first = self.sandbox.offset_of(address)
-        last = min(first + max(size, 1) - 1, self.sandbox.size - 1)
+        if first >> 3 == (first + size - 1) >> 3:
+            # One granule: its taint set as is.
+            return self._granule(first & ~7)
+        last = min(first + max(size, 1) - 1, self._size - 1)
         result: FrozenSet[TaintLabel] = EMPTY
-        offset = (first // 8) * 8
+        offset = first & ~7
         while offset <= last:
-            label = memory_taint_label(offset)
-            result |= self._memory_taints.get(offset, frozenset({label}))
+            result |= self._granule(offset)
             offset += 8
         return result
 
@@ -94,25 +122,21 @@ class TaintState:
         self.flag_taint = taint
 
     def set_memory(self, address: int, size: int, taint: FrozenSet[TaintLabel]) -> None:
-        if not self.sandbox.contains(address, 1):
+        first = address - self._base
+        if first < 0 or first >= self._size:
             return
-        first = self.sandbox.offset_of(address)
-        last = min(first + max(size, 1) - 1, self.sandbox.size - 1)
-        offset = (first // 8) * 8
+        last = min(first + max(size, 1) - 1, self._size - 1)
+        offset = first & ~7
+        memory = self._memory_taints
         journaling = self._speculation_depth > 0
         while offset <= last:
-            # A partial-granule store merges with what is already there.
-            existing = self._memory_taints.get(
-                offset, frozenset({memory_taint_label(offset)})
-            )
             if journaling:
-                self._journal.append(
-                    ("mem", offset, self._memory_taints.get(offset, _ABSENT))
-                )
-            if size >= 8 and first <= offset and offset + 8 <= first + size:
-                self._memory_taints[offset] = taint
+                self._journal.append(("mem", offset, memory.get(offset, _ABSENT)))
+            if first <= offset and offset + 8 <= first + size:
+                memory[offset] = taint
             else:
-                self._memory_taints[offset] = existing | taint
+                # A partial-granule store merges with what is already there.
+                memory[offset] = self._granule(offset) | taint
             offset += 8
 
     # -- relevance ----------------------------------------------------------------

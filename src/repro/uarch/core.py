@@ -255,9 +255,10 @@ class O3Core:
 
         self.program = program
         self.decoded = decode_program(program)
-        # Pre-resolved effect closures for the execute stage; the
-        # decoded program is shared (and so are the closures) with the
-        # functional emulator via the decode cache.
+        # Pre-resolved effect closures for the execute stage, built when a
+        # program first reaches the simulator (the contract emulator runs
+        # its own steps); later cores of the program reuse them through the
+        # decode cache.
         attach_effect_closures(self.decoded)
         self.config = config or UarchConfig()
         self.sandbox = sandbox or Sandbox()

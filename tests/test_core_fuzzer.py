@@ -222,7 +222,7 @@ class TestCampaign:
         assert row["defense"] == "baseline"
         assert row["test_cases"] == result.total_test_cases
 
-    def test_specialization_counters_count_closure_builds(self):
+    def test_specialization_counters_count_step_and_closure_builds(self):
         config = FuzzerConfig(
             defense="invisispec",
             patched=True,
@@ -231,15 +231,36 @@ class TestCampaign:
             seed=5,
         )
         result = Campaign(config, instances=2).run()
-        counters = result.specialization_counters()
-        assert set(counters) == {"cache_hits", "cache_misses", "compile_seconds"}
-        # One closure build per distinct program; the O3 core then finds
-        # the emulator's closures on the shared decoded program.
         programs = sum(report.programs_tested for report in result.reports)
         assert programs == 2 * 4
-        assert counters["cache_misses"] == programs
-        assert counters["cache_hits"] >= programs
+        counts = result.tally().counts
+        # One step table per program emulated, and (filter none) one
+        # effect-closure table per program, built by its O3 core.
+        assert counts["steps.cache_misses"] == programs
+        assert "steps.cache_hits" not in counts
+        assert counts["closure.cache_misses"] == programs
+        counters = result.specialization_counters()
+        assert set(counters) == {"cache_hits", "cache_misses", "compile_seconds"}
+        assert counters["cache_misses"] == 2 * programs
+        assert counters["cache_hits"] == counts.get("closure.cache_hits", 0)
         assert counters["compile_seconds"] > 0
+
+    def test_programs_the_scheduler_skips_build_no_closures(self):
+        config = FuzzerConfig(
+            defense="baseline",
+            programs_per_instance=12,
+            inputs_per_program=14,
+            boost_factor=0,
+            filter="speculation",
+            seed=3,
+        )
+        fuzzer = AmuletFuzzer(config)
+        rounds = [fuzzer.run_round(index) for index in range(12)]
+        counts = fuzzer.report.tally.counts
+        simulated = sum(1 for result in rounds if result.test_cases_executed)
+        assert counts["steps.cache_misses"] == 12
+        assert simulated < 12, "the workload must skip a whole program"
+        assert counts.get("closure.cache_misses", 0) == simulated
 
     def test_specialization_counters_are_per_instance_on_a_pool(self):
         # A pool worker runs several instances in one process; each report
@@ -258,10 +279,11 @@ class TestCampaign:
         programs = sum(report.programs_tested for report in pooled.reports)
         assert programs == 4 * 4
         for report in pooled.reports:
+            assert report.tally.counts["steps.cache_misses"] == report.programs_tested
             assert report.tally.counts["closure.cache_misses"] == report.programs_tested
         pooled_counters = pooled.specialization_counters()
         inline_counters = inline.specialization_counters()
-        assert pooled_counters["cache_misses"] == programs
+        assert pooled_counters["cache_misses"] == 2 * programs
         for name in ("cache_misses", "cache_hits"):
             assert pooled_counters[name] == inline_counters[name]
 

@@ -28,15 +28,17 @@ from golden_utils import (
     GOLDEN_SEED,
     collect_golden,
 )
+from reference_emulator import odd_shapes_program
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import DecodedProgram, decode_program
-from repro.isa.instructions import CONDITION_CODES
+from repro.isa.instructions import CONDITION_CODES, InstructionClass
 from repro.isa.program import INSTRUCTION_SIZE
 from repro.isa.semantics import condition_holds, condition_predicate
+from repro.litmus import all_cases
 from repro.model.contracts import Contract
 from repro.model.emulator import Emulator
 from repro.model.taint import TaintState
@@ -114,31 +116,47 @@ class TestDecodedProgram:
             else:
                 assert entry is not None and entry.instruction is instruction
 
-    def test_metadata_matches_instruction_properties(self, program):
-        for entry in DecodedProgram(program).entries:
-            instruction = entry.instruction
-            assert entry.pc == instruction.pc
-            assert entry.is_load == instruction.is_load
-            assert entry.is_store == instruction.is_store
-            assert entry.is_memory_access == instruction.is_memory_access
-            assert entry.is_cond_branch == instruction.is_cond_branch
-            assert entry.is_exit == instruction.is_exit
-            assert entry.writes_flags == instruction.writes_flags
-            assert entry.reads_flags == instruction.reads_flags
-            assert entry.source_registers == instruction.source_registers()
-            assert entry.destination_register == instruction.destination_register()
-            assert entry.address_registers == instruction.address_registers()
-            assert set(entry.needed_registers) == set(
-                instruction.source_registers()
-            ) | set(instruction.address_registers())
-            mem = instruction.memory_operand
-            if mem is None:
-                assert entry.memory_operand is None and entry.mem_base is None
-            else:
-                assert entry.mem_base == mem.base
-                assert entry.mem_index == mem.index
-                assert entry.mem_displacement == mem.displacement
-                assert entry.mem_size == mem.size
+    #: Decoded slots that mirror the like-named Instruction attribute,
+    #: property or method.
+    MIRRORED = (
+        "pc", "opcode", "condition", "target_pc", "fallthrough_pc",
+        "instruction_class", "is_branch", "is_cond_branch", "is_exit", "is_load",
+        "is_store", "is_memory_access", "writes_flags", "reads_flags",
+        "writes_dest_register", "source_registers", "destination_register",
+        "address_registers", "memory_operand",
+    )
+
+    @staticmethod
+    def _programs():
+        generator = ProgramGenerator(GeneratorConfig(sandbox=Sandbox()), seed=99)
+        yield from (generator.generate() for _ in range(40))
+        for case in all_cases():
+            yield case.build()[0]
+        yield odd_shapes_program()
+
+    def test_every_slot_equals_the_instruction_property_it_mirrors(self):
+        checked = set()
+        for program in self._programs():
+            for entry in DecodedProgram(program).entries:
+                instruction = entry.instruction
+                for name in self.MIRRORED:
+                    expected = getattr(instruction, name)
+                    if callable(expected):
+                        expected = expected()
+                    assert getattr(entry, name) == expected, (name, str(instruction))
+                assert set(entry.needed_registers) == set(
+                    instruction.source_registers()
+                ) | set(instruction.address_registers())
+                mem = instruction.memory_operand
+                if mem is None:
+                    assert entry.mem_base is None and entry.mem_size == 0
+                else:
+                    assert (
+                        entry.mem_base, entry.mem_index, entry.mem_displacement,
+                        entry.mem_size,
+                    ) == (mem.base, mem.index, mem.displacement, mem.size)
+                checked.add(entry.instruction_class)
+        assert checked == set(InstructionClass)
 
     def test_cache_does_not_pin_dead_programs(self):
         """The decode cache must not leak: a campaign decodes thousands of

@@ -229,6 +229,19 @@ class TestInputs:
             )
             assert InputGenerator.preserved_equal(base, variant, preserve)
 
+    def test_zero_count_returns_at_once(self, input_generator, monkeypatch):
+        base = input_generator.generate_one()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero-count boost must not touch its base")
+
+        # A frozen dataclass: patch the class, not the instance.
+        monkeypatch.setattr(Input, "fingerprint", refuse)
+        monkeypatch.setattr(Input, "read", refuse)
+        for count in (0, -1):
+            assert input_generator.mutate_preserving(base, {("mem", 0)}, count=count) == []
+        assert base._pages == {}
+
     def test_mutation_changes_something(self, input_generator):
         base = input_generator.generate_one()
         variants = input_generator.mutate_preserving(base, set(), count=3)

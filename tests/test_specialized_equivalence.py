@@ -1,22 +1,28 @@
-"""The effect closures must match the generic ``evaluate`` reference.
+"""The interpreters' per-program code must match the generic references.
 
-The specialization layer (:mod:`repro.isa.specialized`) builds one
-``evaluate`` closure per decoded instruction, and those closures are the
-only way the emulator and the O3 core execute an instruction.  Generic
-:func:`repro.isa.semantics.evaluate` stays as the reference:
-:func:`reference_program` gives a program its own decoded form whose
-``effect_fn`` entries call ``evaluate`` directly.  These tests drive seeded
-random programs through both — the functional emulator under every
-registered contract (architectural and speculative paths), the O3
-simulator under every defense in both execution modes — and require
-identical results everywhere: contract traces, taint sets, speculation
-profiles, micro-architectural traces, cycle counts and final register
-files.
+Each interpreter runs per-program code built from :mod:`repro.isa.semantics`:
+the contract emulator its fused steps (:mod:`repro.model.steps`), the O3
+core its effect closures (:mod:`repro.isa.specialized`).  Each has a
+reference built on generic :func:`repro.isa.semantics.evaluate`:
+
+* :class:`~reference_emulator.ReferenceEmulator`, the effect-based
+  emulator loop (``evaluate``, apply, a generic taint walk and an undo
+  log), for the emulator;
+* :func:`reference_program`, a program whose decoded form runs
+  ``evaluate`` in every ``effect_fn``, for the O3 core.
+
+These tests drive seeded random programs through both sides — the
+emulator under every registered contract (architectural and speculative
+paths), the O3 simulator under every defense in both execution modes —
+and require identical results everywhere: contract traces, taint sets,
+speculation profiles, micro-architectural traces, cycle counts and final
+register files.
 """
 
 from __future__ import annotations
 
 import copy
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -33,11 +39,24 @@ from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import decode_program
-from repro.isa.program import Program
+from repro.isa.instructions import (
+    CONDITION_CODES,
+    Instruction,
+    Opcode,
+    exit_instruction,
+    jump,
+)
+from repro.isa.operands import Immediate, MemoryOperand, Register
+from repro.isa.program import BasicBlock, Program
 from repro.isa.semantics import evaluate
 from repro.isa.specialized import compile_effect
+from repro.litmus import all_cases
 from repro.model.contracts import list_contracts
 from repro.model.emulator import Emulator
+from repro.model.steps import compile_step
+from repro.uarch.core import O3Core
+
+from reference_emulator import ReferenceEmulator, odd_shapes_program
 
 SEED = 20250807
 EMULATOR_PROGRAMS = 6
@@ -51,7 +70,7 @@ def reference_program(program: Program) -> Program:
     """A copy of ``program`` whose decoded instructions run generic ``evaluate``.
 
     The copy is a distinct key in the decode cache, so it gets its own
-    decoded program; marking it ``effects_attached`` keeps the interpreters
+    decoded program; marking it ``effects_attached`` keeps the O3 core
     from replacing the reference closures with specialized ones.
     """
     clone = copy.deepcopy(program)
@@ -89,10 +108,10 @@ def _model_result_key(result):
 
 
 def _assert_emulators_agree(program, sandbox, inputs, contract):
-    closures = Emulator(program, sandbox)
-    reference = Emulator(reference_program(program), sandbox)
+    steps = Emulator(program, sandbox)
+    reference = ReferenceEmulator(program, sandbox)
     for test_input in inputs:
-        fast = closures.run(test_input, contract)
+        fast = steps.run(test_input, contract)
         slow = reference.run(test_input, contract)
         assert _model_result_key(fast) == _model_result_key(slow), (
             f"model divergence: program {program.name} "
@@ -133,11 +152,15 @@ class TestReferenceHelper:
         decoded = decode_program(reference)
         assert decoded is not decode_program(programs[0])
         before = [entry.effect_fn for entry in decoded.entries]
-        Emulator(reference, sandbox).run(
-            InputGenerator(sandbox, seed=SEED).generate_one(), list_contracts()[0]
-        )
-        # The emulator found the reference closures attached and kept them.
+        O3Core(reference, sandbox=sandbox)
+        # The core found the reference closures attached and kept them.
         assert [entry.effect_fn for entry in decoded.entries] == before
+
+    def test_reference_emulator_does_not_run_the_steps(self):
+        sandbox = Sandbox()
+        programs, inputs = _workload(sandbox, 1, 1)
+        ReferenceEmulator(programs[0], sandbox).run(inputs[0], list_contracts()[1])
+        assert not decode_program(programs[0]).steps_built
 
 
 class TestEmulatorEquivalence:
@@ -159,26 +182,40 @@ class TestEmulatorEquivalence:
                 single = Emulator(program, sandbox).run(test_input, contract)
                 assert _model_result_key(batched) == _model_result_key(single)
 
-    def test_architectural_path_runs_the_effect_closures(self):
+    def test_step_calls_equal_the_executed_pcs(self):
         sandbox = Sandbox()
         programs, inputs = _workload(sandbox, 1, 1, seed=SEED + 1)
         contract = list_contracts()[0]  # CT-SEQ: architectural path only
         assert not contract.speculate_branches
         emulator = Emulator(programs[0], sandbox)
-        emulator.run(inputs[0], contract)  # builds the closures
+        emulator.run(inputs[0], contract)  # builds the steps
         calls = Counter()
 
-        def counting(effect_fn, pc):
+        def counting(step, pc):
             def wrapper(*args):
                 calls[pc] += 1
-                return effect_fn(*args)
+                return step(*args)
             return wrapper
 
         for entry in emulator.decoded.entries:
-            entry.effect_fn = counting(entry.effect_fn, entry.pc)
+            entry.step = counting(entry.step, entry.pc)
         result = emulator.run(inputs[0], contract)
         assert result.instruction_count > 0
         assert calls == Counter(result.executed_pcs)
+
+    def test_odd_instruction_shapes_match_the_reference(self):
+        sandbox = Sandbox()
+        _, inputs = _workload(sandbox, 0, EMULATOR_INPUTS)
+        for contract in list_contracts():
+            _assert_emulators_agree(odd_shapes_program(), sandbox, inputs, contract)
+
+    def test_litmus_programs_match_the_reference(self):
+        for case in all_cases():
+            program, input_a, input_b = case.build()
+            for contract in list_contracts():
+                _assert_emulators_agree(
+                    program, case.sandbox(), [input_a, input_b], contract
+                )
 
 
 class TestSimulatorEquivalence:
@@ -207,17 +244,105 @@ def test_closures_match_the_reference_for_any_generator_seed(seed):
         _assert_emulators_agree(programs[0], sandbox, inputs, contract)
 
 
+_OPERAND_REGISTERS = ("rax", "rbx", "rcx", "rdx", "r8", "r9")
+_BINARY = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR)
+_UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
+
+
+def flag_heavy_program(seed: int) -> Program:
+    """A straight-line program dense in partial flag writers and flag readers.
+
+    Generated programs rarely put a flag reader right behind INC/DEC or a
+    zero-count shift, so this draws every ALU shape, comparisons and masked
+    memory accesses in any order, follows each with a SETcc or CMOVcc on a
+    random condition, and draws shift counts that include zero and counts
+    above 63.  An epilogue copies the final flags into registers the body
+    never touches.  The program is drawn from ``random.Random(seed)``:
+    Hypothesis draws of each choice cluster on the first option.
+    """
+    rng = random.Random(seed)
+
+    def register() -> Register:
+        return Register(rng.choice(_OPERAND_REGISTERS))
+
+    def value():
+        return register() if rng.random() < 0.5 else Immediate(rng.randint(0, 70))
+
+    body = []
+    for _ in range(rng.randint(8, 24)):
+        kind = rng.choice(("binary", "unary", "unary", "compare", "compare", "memory"))
+        if kind == "binary":
+            body.append(Instruction(rng.choice(_BINARY), (register(), value())))
+        elif kind == "unary":
+            body.append(Instruction(rng.choice(_UNARY), (register(),)))
+        elif kind == "compare":
+            body.append(Instruction(rng.choice((Opcode.CMP, Opcode.TEST)), (register(), value())))
+        else:
+            index = register()
+            memory = MemoryOperand(index=index.name, size=rng.choice((1, 2, 4, 8)))
+            body.append(Instruction(Opcode.AND, (index, Immediate(0xFF8))))
+            access = rng.choice(("load", "store", "load_op", "rmw", "inc"))
+            if access == "load":
+                body.append(Instruction(Opcode.MOV, (register(), memory)))
+            elif access == "store":
+                body.append(Instruction(Opcode.MOV, (memory, register())))
+            elif access == "load_op":
+                body.append(Instruction(rng.choice((Opcode.ADD, Opcode.XOR)), (register(), memory)))
+            elif access == "rmw":
+                body.append(Instruction(rng.choice((Opcode.ADD, Opcode.XOR)), (memory, register())))
+            else:
+                body.append(Instruction(rng.choice((Opcode.INC, Opcode.DEC)), (memory,)))
+        condition = rng.choice(CONDITION_CODES)
+        if rng.random() < 0.7:
+            body.append(Instruction(Opcode.SETCC, (register(),), condition=condition))
+        else:
+            body.append(Instruction(Opcode.CMOV, (register(), register()), condition=condition))
+    for name, condition in zip(("r10", "r11", "r12", "r13", "r15"), ("b", "z", "s", "o", "p")):
+        body.append(Instruction(Opcode.SETCC, (Register(name),), condition=condition))
+    return Program(
+        [BasicBlock("bb_main.0", body, jump("bb_main.exit")),
+         BasicBlock("bb_main.exit", [], exit_instruction())],
+        name=f"flag_heavy_{seed}",
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_steps_match_the_reference_on_flag_heavy_programs(seed):
+    sandbox = Sandbox()
+    program = flag_heavy_program(seed)
+    input_generator = InputGenerator(sandbox, seed=seed)
+    inputs = [input_generator.generate_one() for _ in range(2)]
+    for contract in list_contracts():
+        _assert_emulators_agree(program, sandbox, inputs, contract)
+
+
 class TestOneExecutionPath:
     def test_interpreters_do_not_bind_the_reference(self):
         for module in (emulator_module, core_module):
             for name in ("evaluate", "execute_on_state"):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
-    def test_compile_effect_raises_on_an_unhandled_opcode(self):
+    def test_emulator_does_not_bind_effects(self):
+        for name in ("ExecutionEffect", "attach_effect_closures", "_UndoLog"):
+            assert not hasattr(emulator_module, name), name
+        for name in ("_apply_effect", "_propagate_taint", "_observe_speculative"):
+            assert not hasattr(Emulator, name), name
+
+    def test_compilers_raise_on_an_unhandled_opcode(self):
         unknown = SimpleNamespace(name="UNKNOWN")
         decoded = SimpleNamespace(
-            instruction=SimpleNamespace(fallthrough_pc=0, memory_operand=None),
+            instruction=SimpleNamespace(operands=()),
             opcode=unknown,
+            fallthrough_pc=0,
+            memory_operand=None,
+            mem_base=None,
+            mem_index=None,
+            mem_displacement=0,
+            mem_size=0,
+            source_registers=(),
+            destination_register=None,
         )
-        with pytest.raises(NotImplementedError, match="UNKNOWN"):
-            compile_effect(decoded)
+        for compile_one in (compile_effect, compile_step):
+            with pytest.raises(NotImplementedError, match="UNKNOWN"):
+                compile_one(decoded)
