@@ -183,21 +183,13 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: Optional[int] = None,
         chunk_size: int = 1,
-        max_retries: int = 2,
-        retry_backoff_seconds: float = 0.05,
-        task_timeout_seconds: Optional[float] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.task_timeout_seconds = task_timeout_seconds
         self.force_kills = 0
 
     def worker_count(self, instances: int) -> int:
@@ -233,19 +225,6 @@ class ProcessPoolBackend(ExecutionBackend):
         with context.Pool(processes=workers) as pool:
             return pool.map(fn, items, chunksize=chunksize)
 
-    def _supervision_knobs(
-        self, plan: CampaignPlan
-    ) -> Tuple[int, float, Optional[float]]:
-        """Retry/deadline knobs: the plan's config overrides the defaults."""
-        if plan.configs:
-            config = plan.configs[0]
-            return (
-                getattr(config, "max_retries", self.max_retries),
-                getattr(config, "retry_backoff_seconds", self.retry_backoff_seconds),
-                getattr(config, "task_timeout_seconds", self.task_timeout_seconds),
-            )
-        return self.max_retries, self.retry_backoff_seconds, self.task_timeout_seconds
-
     def run(
         self,
         plan: CampaignPlan,
@@ -255,7 +234,13 @@ class ProcessPoolBackend(ExecutionBackend):
         state_interval: int = 10,
     ) -> List[FuzzerReport]:
         self.force_kills = 0
-        max_retries, backoff_seconds, task_timeout = self._supervision_knobs(plan)
+        if not plan.configs:
+            return []
+        # Supervision knobs travel with the plan's (campaign-wide) config.
+        config = plan.configs[0]
+        max_retries = config.max_retries
+        backoff_seconds = config.retry_backoff_seconds
+        task_timeout = config.task_timeout_seconds
         workers = self.worker_count(plan.instances)
         context = multiprocessing.get_context()
         mp_stop = context.Event()

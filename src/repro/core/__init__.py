@@ -25,7 +25,6 @@ from repro.core.amplification import AmplificationLevel, amplification_ladder
 from repro.core.minimize import (
     MinimizationBudget,
     MinimizationResult,
-    minimize_program,
     minimize_violation,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "amplification_ladder",
     "MinimizationBudget",
     "MinimizationResult",
-    "minimize_program",
     "minimize_violation",
 ]

@@ -45,23 +45,13 @@ class ViolationAnalysis:
         )
 
 
-def _collect_access_order(violation: Violation, executor: SimulatorExecutor):
-    executor.load_program(violation.program)
-    context = violation.uarch_context
-    record_a = executor.run_input(violation.input_a, uarch_context=context)
-    record_b = executor.run_input(violation.input_b, uarch_context=context)
-    return (
-        record_a.trace.component("memory_access_order"),
-        record_b.trace.component("memory_access_order"),
-    )
-
-
 def analyze_violation(
     violation: Violation,
     executor: Optional[SimulatorExecutor] = None,
     sandbox: Optional[Sandbox] = None,
 ) -> ViolationAnalysis:
-    """Re-run the violating pair and locate the first diverging memory access.
+    """Re-run the violating pair (:meth:`Violation.rerun`) and locate the
+    first diverging memory access.
 
     ``executor`` may be supplied to reuse an existing executor configuration
     (defense, micro-architecture); otherwise one is rebuilt from the
@@ -76,7 +66,9 @@ def analyze_violation(
         executor = violation.build_executor(
             trace_config=MEMORY_ACCESS_ORDER_TRACE, sandbox=sandbox
         )
-    accesses_a, accesses_b = _collect_access_order(violation, executor)
+    rerun = violation.rerun(executor)
+    accesses_a = rerun.trace_a.component("memory_access_order")
+    accesses_b = rerun.trace_b.component("memory_access_order")
 
     analysis = ViolationAnalysis(
         violation=violation, accesses_a=accesses_a, accesses_b=accesses_b

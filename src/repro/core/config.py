@@ -8,7 +8,6 @@ from typing import Optional
 from repro.executor.executor import ExecutionMode, PrimeStrategy
 from repro.executor.traces import BASELINE_TRACE, TraceConfig
 from repro.feedback.strategy import GenerationStrategy
-from repro.generator.config import GeneratorConfig
 from repro.core.scheduler import FilterLevel
 from repro.uarch.config import UarchConfig
 
@@ -54,14 +53,6 @@ class FuzzerConfig:
     #: Simulated core configuration (use ``UarchConfig.with_amplification``
     #: for the reduced-structure amplified configurations of Table 6).
     uarch_config: UarchConfig = field(default_factory=UarchConfig)
-    #: Program generator settings (sandbox is overridden to match
-    #: ``sandbox_pages``).
-    generator_config: Optional[GeneratorConfig] = None
-    #: Validate detected violations by re-running both inputs from the same
-    #: initial micro-architectural context.
-    validate_violations: bool = True
-    #: Analyze violations immediately (compute signatures for deduplication).
-    analyze_violations: bool = True
     #: Stop the instance at the first confirmed violation.  In a campaign the
     #: first confirmed violation also cancels all *other* instances'
     #: outstanding work (whatever the backend).
@@ -77,8 +68,6 @@ class FuzzerConfig:
     #: Seed each instance's corpus from the directed litmus gadgets relevant
     #: to the configured defense (plus the baseline Spectre gadgets).
     corpus_litmus: bool = False
-    #: Probability that a hybrid-strategy round mutates (vs generates fresh).
-    hybrid_mutation_probability: float = 0.5
     #: Seed of this instance (campaigns derive one seed per instance).
     seed: int = 0
     #: Campaign execution backend ("inline" or "process"); see

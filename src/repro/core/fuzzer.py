@@ -5,10 +5,10 @@ base inputs plus contract-preserving boosted variants — collects contract
 traces from the leakage model, partitions the entries into
 contract-equivalence classes, simulates only the entries that could witness
 a Definition 2.1 violation (see :mod:`repro.core.scheduler`), and runs the
-detector.  Detected violations are optionally validated (re-run from a
-matched micro-architectural context, to rule out differences caused by
-AMuLeT-Opt carrying predictor state between inputs) and analysed for a
-deduplication signature.
+detector.  Detected violations are validated (re-run from a matched
+micro-architectural context, to rule out differences caused by AMuLeT-Opt
+carrying predictor state between inputs; see :meth:`Violation.rerun`) and
+analysed for a deduplication signature.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ class AmuletFuzzer:
         )
         self.sandbox = Sandbox(pages=sandbox_pages)
 
-        generator_config = config.generator_config or GeneratorConfig()
-        generator_config.sandbox = self.sandbox
+        generator_config = GeneratorConfig(sandbox=self.sandbox)
         self.program_generator = ProgramGenerator(generator_config, seed=config.seed)
         self.input_generator = InputGenerator(self.sandbox, seed=config.seed)
 
@@ -183,7 +182,6 @@ class AmuletFuzzer:
             corpus=corpus,
             mutator=ProgramMutator(generator_config),
             seed=config.seed,
-            hybrid_mutation_probability=config.hybrid_mutation_probability,
         )
 
         self.executor = SimulatorExecutor(
@@ -245,19 +243,21 @@ class AmuletFuzzer:
             tally.count(f"skipped.{reason}", count)
         tally.charge_other()
 
-        # Detection includes validation re-runs and signature analysis.
+        # Detection includes validation re-runs and signature analysis.  A
+        # violation is kept only if its witness pair still diverges when both
+        # inputs start from a shared context (re-run on the round's core).
         started = clock()
         violations = self.detector.detect(test_case, classes=plan.classes)
         confirmed: List[Violation] = []
         for violation in violations:
             violation.record_provenance(self.executor, patched=config.patched)
-            if config.validate_violations and not self._validate(violation):
+            rerun = violation.rerun(self.executor)
+            if not rerun.diverges:
                 violation.validated = False
                 continue
-            violation.validated = True if config.validate_violations else None
+            violation.adopt(rerun)
             self._annotate_detection(violation, program_index, len(test_case))
-            if config.analyze_violations:
-                violation.signature = compute_signature(violation)
+            violation.signature = compute_signature(violation)
             confirmed.append(violation)
         tally.add_seconds("detect", clock() - started)
 
@@ -495,41 +495,6 @@ class AmuletFuzzer:
         tally.add_seconds("compile", compile_seconds)
         tally.add_seconds("emulate", clock() - started - inputs_seconds - compile_seconds)
         return test_case
-
-    def _validate(self, violation: Violation) -> bool:
-        """Re-run the violating pair from shared micro-architectural contexts.
-
-        AMuLeT-Opt deliberately carries predictor state between inputs, so a
-        trace difference can be an artefact of different starting contexts
-        rather than of the inputs.  Following the paper, the violating pair
-        is re-run from each witness's starting context in turn; the violation
-        is kept only if the traces still differ under at least one *shared*
-        context.
-        """
-        contexts = [
-            context
-            for context in (violation.uarch_context, violation.uarch_context_b)
-            if context is not None
-        ]
-        if not contexts:
-            return True
-        for context in contexts:
-            trace_a, trace_b = self.executor.run_pair_with_shared_context(
-                violation.input_a, violation.input_b, context
-            )
-            if trace_a != trace_b:
-                # Keep the freshly collected traces: they were observed under
-                # a controlled context and are what analysis should look at.
-                violation.trace_a = trace_a
-                violation.trace_b = trace_b
-                violation.differing_components = trace_a.differing_components(trace_b)
-                # Both witnesses were re-run from the same context; leaving
-                # ``uarch_context_b`` at its original value would hand
-                # downstream minimization/analysis a mismatched context pair.
-                violation.uarch_context = context
-                violation.uarch_context_b = context
-                return True
-        return False
 
     def _annotate_detection(
         self, violation: Violation, program_index: int, test_cases: int

@@ -119,51 +119,6 @@ def _rebuild_without(program: Program, skip_uid: int) -> Optional[Program]:
         return None
 
 
-def _reproduces(
-    program: Program,
-    violation: Violation,
-    executor: SimulatorExecutor,
-    input_a: Input,
-    input_b: Input,
-) -> bool:
-    """Definition 2.1 check on one candidate, reusing a live executor."""
-    emulator = Emulator(program, executor.sandbox)
-    contract = get_contract(violation.contract)
-    trace_a = emulator.contract_trace(input_a, contract)
-    trace_b = emulator.contract_trace(input_b, contract)
-    if trace_a != trace_b:
-        return False
-    executor.load_program(program)
-    context = violation.uarch_context
-    record_a = executor.run_input(input_a, uarch_context=context)
-    record_b = executor.run_input(input_b, uarch_context=context)
-    return record_a.trace != record_b.trace
-
-
-def violation_reproduces(
-    program: Program,
-    violation: Violation,
-    executor_factory: Callable[[], SimulatorExecutor],
-    input_a: Optional[Input] = None,
-    input_b: Optional[Input] = None,
-) -> bool:
-    """Check Definition 2.1 for an input pair on ``program``.
-
-    The pair defaults to the violation's witnesses.  One executor serves both
-    the contract-trace check (which only borrows its sandbox) and the
-    micro-architectural re-run — constructing a throwaway executor just for
-    the sandbox would double the per-candidate setup cost.
-    """
-    executor = executor_factory()
-    return _reproduces(
-        program,
-        violation,
-        executor,
-        input_a if input_a is not None else violation.input_a,
-        input_b if input_b is not None else violation.input_b,
-    )
-
-
 def differing_locations(input_a: Input, input_b: Input) -> List[Tuple[str, object]]:
     """Input locations (registers / granules) where the two witnesses differ.
 
@@ -214,11 +169,22 @@ def minimize_violation(
     budget = budget or MinimizationBudget()
     tracker = _BudgetTracker(budget)
     executor = executor_factory()
+    contract = get_contract(violation.contract)
+    input_a, input_b = violation.input_a, violation.input_b
+
+    def reproduces(program: Program, candidate_b: Input) -> bool:
+        """Definition 2.1 on a candidate: equal contract traces, and the
+        witness re-run (see :meth:`Violation.rerun`) still diverges."""
+        emulator = Emulator(program, executor.sandbox)
+        if emulator.contract_trace(input_a, contract) != emulator.contract_trace(
+            candidate_b, contract
+        ):
+            return False
+        return violation.rerun(executor, program, input_a, candidate_b).diverges
 
     # -- program pass: greedy instruction removal -----------------------------
     current = violation.program
     original_count = len(current)
-    input_a, input_b = violation.input_a, violation.input_b
     for _ in range(budget.max_passes):
         removed_any = False
         for instruction in list(current.linear_instructions()):
@@ -229,7 +195,7 @@ def minimize_violation(
                 continue
             if not tracker.charge():
                 break
-            if _reproduces(candidate, violation, executor, input_a, input_b):
+            if reproduces(candidate, input_b):
                 current = candidate
                 removed_any = True
         if not removed_any or tracker.exhausted:
@@ -242,7 +208,7 @@ def minimize_violation(
             if not tracker.charge():
                 break
             candidate_b = copy_location(input_a, input_b, location)
-            if _reproduces(current, violation, executor, input_a, candidate_b):
+            if reproduces(current, candidate_b):
                 input_b = candidate_b
                 shrunk += 1
 
@@ -259,21 +225,3 @@ def minimize_violation(
         budget_exhausted=tracker.exhausted,
     )
 
-
-def minimize_program(
-    violation: Violation,
-    executor_factory: Callable[[], SimulatorExecutor],
-    max_passes: int = 3,
-) -> Program:
-    """Greedily remove instructions while the violation keeps reproducing.
-
-    Back-compat wrapper around :func:`minimize_violation` that runs only the
-    program pass (no input shrinking, no candidate cap).
-    """
-    result = minimize_violation(
-        violation,
-        executor_factory,
-        budget=MinimizationBudget(max_passes=max_passes, max_candidates=None),
-        shrink_inputs=False,
-    )
-    return result.program

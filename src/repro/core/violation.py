@@ -10,7 +10,7 @@ violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.executor.traces import UarchTrace
 from repro.generator.inputs import Input
@@ -21,6 +21,20 @@ from repro.uarch.config import UarchConfig
 if TYPE_CHECKING:  # imported lazily at runtime to keep this module light
     from repro.executor.executor import SimulatorExecutor
     from repro.executor.traces import TraceConfig
+
+
+class Rerun(NamedTuple):
+    """The trace pair one shared-context re-run of a witness pair observed."""
+
+    trace_a: UarchTrace
+    trace_b: UarchTrace
+    #: The recorded context both inputs started from (None: the violation
+    #: recorded none, and input b started from input a's starting context).
+    context: Optional[dict]
+
+    @property
+    def diverges(self) -> bool:
+        return self.trace_a != self.trace_b
 
 
 @dataclass
@@ -128,6 +142,58 @@ class Violation:
             prime_strategy=self.prime_strategy,
             **kwargs,
         )
+
+    def rerun(
+        self,
+        executor: "SimulatorExecutor",
+        program: Optional[Program] = None,
+        input_a: Optional[Input] = None,
+        input_b: Optional[Input] = None,
+    ) -> Rerun:
+        """Re-run the witness pair from a shared micro-architectural context.
+
+        AMuLeT-Opt carries predictor state between inputs, so a trace
+        difference can come from different starting contexts rather than from
+        the inputs.  The one rule every re-run follows: start both inputs
+        from input a's recorded context, then from input b's (skipped when it
+        *is* a's, as after validation); with no recorded context, input b
+        starts from input a's starting context.  The first diverging pair is
+        returned, else the last pair tried.  ``program`` and the inputs
+        default to the witness's (the minimizer passes candidates).  The
+        program is loaded when ``executor`` does not hold it already, so the
+        fuzzer's validation reuses the round's core, and whenever there is no
+        recorded context, so input a starts from a fresh core (as in
+        :func:`repro.litmus.runner.run_case`), not from what an earlier
+        re-run left behind.  Nothing on the violation changes; see
+        :meth:`adopt`.
+        """
+        program = self.program if program is None else program
+        input_a = self.input_a if input_a is None else input_a
+        input_b = self.input_b if input_b is None else input_b
+        contexts = [self.uarch_context]
+        if self.uarch_context_b is not self.uarch_context:
+            contexts.append(self.uarch_context_b)
+        contexts = [c for c in contexts if c is not None]
+        if executor.program is not program or not contexts:
+            executor.load_program(program)
+        for context in contexts or [None]:
+            rerun = Rerun(
+                *executor.run_pair_with_shared_context(input_a, input_b, context), context
+            )
+            if rerun.diverges:
+                break
+        return rerun
+
+    def adopt(self, rerun: Rerun) -> None:
+        """Take a diverging :meth:`rerun` as the violation's validated evidence.
+
+        Both witnesses now point at the confirming context, so later re-runs
+        (minimization, analysis) start from it alone.
+        """
+        self.trace_a, self.trace_b = rerun.trace_a, rerun.trace_b
+        self.differing_components = rerun.trace_a.differing_components(rerun.trace_b)
+        self.uarch_context = self.uarch_context_b = rerun.context
+        self.validated = True
 
     def trace_diff(self) -> Dict[str, Dict[str, Tuple]]:
         return self.trace_a.diff(self.trace_b)

@@ -67,6 +67,12 @@ class Defense:
         """Bind the defense to a core (called by the core constructor)."""
         self.core = core
 
+    def detach(self) -> None:
+        """Unbind from the core, breaking the core <-> defense reference
+        cycle so a dropped core is freed at once, not at the next cyclic
+        garbage collection."""
+        self.core = None
+
     @property
     def memory(self):
         return self.core.memory

@@ -113,12 +113,27 @@ class SimulatorExecutor:
         self._core: Optional[O3Core] = None
 
     # -- lifecycle ------------------------------------------------------------
+    @property
+    def program(self) -> Optional[Program]:
+        """The loaded test program (None before :meth:`load_program`)."""
+        return self._program
+
     def load_program(self, program: Program) -> None:
         """Prepare the executor for a new test program."""
         self._program = program
+        self._drop_core()
         if self.mode is ExecutionMode.OPT:
             self._core = self._start_simulator(program)
-        else:
+
+    def _drop_core(self) -> None:
+        """Forget the current core.
+
+        Its defense is detached first: the two reference each other, so
+        otherwise the dropped core (sandbox state included) would live until
+        the next cyclic garbage collection.
+        """
+        if self._core is not None:
+            self._core.defense.detach()
             self._core = None
 
     def _start_simulator(self, program: Program) -> O3Core:
@@ -165,11 +180,9 @@ class SimulatorExecutor:
             raise RuntimeError("load_program() must be called before run_input()")
 
         if self.mode is ExecutionMode.NAIVE or self._core is None:
-            core = self._start_simulator(self._program)
-            if self.mode is ExecutionMode.OPT:
-                self._core = core
-        else:
-            core = self._core
+            self._drop_core()
+            self._core = self._start_simulator(self._program)
+        core = self._core
 
         if uarch_context is not None:
             # restore_uarch_context materializes the (possibly lazy) context
@@ -259,12 +272,17 @@ class SimulatorExecutor:
         self,
         test_input_a: Input,
         test_input_b: Input,
-        uarch_context: dict,
+        uarch_context: Optional[dict],
     ) -> Tuple[UarchTrace, UarchTrace]:
         """Re-run two inputs from an identical starting micro-architectural
-        context (the paper's violation-validation step for Opt mode)."""
+        context (the paper's violation-validation step for Opt mode).
+
+        With ``uarch_context=None``, input b starts from the context input a
+        started from, as in :func:`repro.litmus.runner.run_case`.
+        """
         record_a = self.run_input(test_input_a, uarch_context=uarch_context)
-        record_b = self.run_input(test_input_b, uarch_context=uarch_context)
+        shared = record_a.uarch_context if uarch_context is None else uarch_context
+        record_b = self.run_input(test_input_b, uarch_context=shared)
         return record_a.trace, record_b.trace
 
     # -- metadata ------------------------------------------------------------------

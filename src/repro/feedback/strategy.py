@@ -29,6 +29,7 @@ from repro.isa.program import Program
 #: Domain-separation constants mixed into the per-round RNG derivation so the
 #: strategy stream never aliases the generator's or input generator's streams.
 _STRATEGY_STREAM = 0x5EEDF00D
+#: Probability that a hybrid-strategy round mutates (vs generates fresh).
 _HYBRID_MUTATION_PROBABILITY = 0.5
 
 
@@ -67,16 +68,12 @@ class FeedbackProgramSource:
         corpus: Optional[Corpus] = None,
         mutator: Optional[ProgramMutator] = None,
         seed: int = 0,
-        hybrid_mutation_probability: float = _HYBRID_MUTATION_PROBABILITY,
     ) -> None:
         self.strategy = GenerationStrategy(strategy)
         self.generator = generator
         self.corpus = corpus if corpus is not None else Corpus()
         self.mutator = mutator or ProgramMutator(generator.config)
         self.seed = seed
-        if not 0.0 <= hybrid_mutation_probability <= 1.0:
-            raise ValueError("hybrid_mutation_probability must be in [0, 1]")
-        self.hybrid_mutation_probability = hybrid_mutation_probability
         self._round = 0
         #: Programs produced per path, for reports.
         self.generated_random = 0
@@ -96,7 +93,7 @@ class FeedbackProgramSource:
         rng = self._round_rng()
         if (
             self.strategy is GenerationStrategy.HYBRID
-            and rng.random() >= self.hybrid_mutation_probability
+            and rng.random() >= _HYBRID_MUTATION_PROBABILITY
         ):
             return self._fresh()
         return self._mutant(rng)

@@ -35,17 +35,13 @@ def _count_module_loc(module) -> int:
         line = raw_line.strip()
         if not line:
             continue
-        if line.startswith('"""') or line.startswith("'''"):
-            # Toggle docstring state; single-line docstrings toggle twice.
-            quote = line[:3]
-            if in_docstring:
-                in_docstring = False
-                continue
-            if line.count(quote) >= 2 and len(line) > 3:
-                continue
-            in_docstring = True
-            continue
         if in_docstring:
+            # A docstring ends on the line its closing quotes end.
+            in_docstring = not line.endswith(('"""', "'''"))
+            continue
+        if line.startswith(('"""', "'''")):
+            # Opening quotes; a single-line docstring closes on the same line.
+            in_docstring = line.count(line[:3]) < 2
             continue
         if line.startswith("#"):
             continue

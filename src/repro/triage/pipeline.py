@@ -10,7 +10,8 @@ over a campaign's violations:
 1. **Re-validation** — rebuild the executor from the violation's recorded
    provenance (defense + ``patched`` flag + possibly amplified
    :class:`~repro.uarch.config.UarchConfig` + sandbox + priming) and re-run
-   the witness pair from a shared context.  Optionally, when the violation
+   the witness pair from a shared context
+   (:meth:`~repro.core.violation.Violation.rerun`).  Optionally, when the violation
    does not reappear, escalate through the Table-6 **amplification ladder**
    (fewer L1D ways / MSHRs) until it does or the ladder is exhausted.
 2. **Minimization** — budgeted greedy instruction removal plus an input-pair
@@ -41,8 +42,6 @@ from repro.core.campaign import CampaignResult
 from repro.core.filtering import ViolationFilter
 from repro.core.minimize import MinimizationBudget, minimize_violation
 from repro.core.violation import Violation
-from repro.executor.executor import SimulatorExecutor
-from repro.executor.traces import UarchTrace
 from repro.feedback.corpus import input_to_dict as _input_to_dict
 from repro.triage.report import TriageCluster, TriagedViolation, TriageReport
 from repro.uarch.config import UarchConfig
@@ -68,47 +67,6 @@ class TriageConfig:
 TriageWorkItem = Tuple[int, Violation, TriageConfig]
 
 
-def _shared_context_reproduction(
-    violation: Violation, executor: SimulatorExecutor
-) -> Optional[Tuple[UarchTrace, UarchTrace, Optional[dict]]]:
-    """Re-run the witness pair from each recorded shared context in turn.
-
-    Returns the freshly observed trace pair (and the context it was observed
-    under) if the traces still differ, else ``None``.
-    """
-    contexts: List[Optional[dict]] = []
-    for context in (violation.uarch_context, violation.uarch_context_b):
-        if context is not None and context not in contexts:
-            contexts.append(context)
-    if not contexts:
-        # No recorded context (e.g. a hand-built litmus violation): re-run
-        # the pair back to back and let predictor state carry over, exactly
-        # as the original detection did.
-        contexts = [None]
-    executor.load_program(violation.program)
-    for context in contexts:
-        record_a = executor.run_input(violation.input_a, uarch_context=context)
-        record_b = executor.run_input(violation.input_b, uarch_context=context)
-        if record_a.trace != record_b.trace:
-            return record_a.trace, record_b.trace, context
-    return None
-
-
-def _apply_reproduction(
-    violation: Violation,
-    observed: Tuple[UarchTrace, UarchTrace, Optional[dict]],
-) -> None:
-    """Fold a successful re-validation back into the violation's evidence."""
-    trace_a, trace_b, context = observed
-    violation.trace_a = trace_a
-    violation.trace_b = trace_b
-    violation.differing_components = trace_a.differing_components(trace_b)
-    if context is not None:
-        violation.uarch_context = context
-        violation.uarch_context_b = context
-    violation.validated = True
-
-
 def _revalidate(
     violation: Violation, config: TriageConfig
 ) -> Tuple[bool, Optional[str], int]:
@@ -120,9 +78,9 @@ def _revalidate(
     the later minimization/analysis re-runs happen under it.
     """
     executor = violation.build_executor()
-    observed = _shared_context_reproduction(violation, executor)
-    if observed is not None:
-        _apply_reproduction(violation, observed)
+    rerun = violation.rerun(executor)
+    if rerun.diverges:
+        violation.adopt(rerun)
         return True, None, 0
     if not config.amplify:
         violation.validated = False
@@ -137,12 +95,10 @@ def _revalidate(
             continue  # identical to a configuration already re-run
         tried.append(amplified)
         levels_tried += 1
-        observed = _shared_context_reproduction(
-            violation, violation.build_executor(uarch_config=amplified)
-        )
-        if observed is not None:
+        rerun = violation.rerun(violation.build_executor(uarch_config=amplified))
+        if rerun.diverges:
             violation.uarch_config = amplified
-            _apply_reproduction(violation, observed)
+            violation.adopt(rerun)
             return True, level.name, levels_tried
     violation.validated = False
     return False, None, levels_tried

@@ -1,5 +1,8 @@
 """Tests for micro-architectural traces and the simulator executor."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.executor import (
@@ -16,6 +19,8 @@ from repro.executor.executor import PRIME_REGION_BASE, PrimeStrategy
 from repro.executor.startup import SIMULATE, STARTUP, Tally, TimeModel
 from repro.executor.traces import UarchTrace, build_trace
 from repro.generator import Sandbox
+from repro.defenses.registry import create_defense
+from repro.litmus import get_case, run_case
 from repro.litmus.cases import make_input
 from repro.litmus.programs import spectre_v1
 
@@ -119,6 +124,58 @@ class TestExecutorModes:
             inputs[0], inputs[0], first.uarch_context
         )
         assert again_a == again_b
+
+    def test_context_less_pair_matches_the_litmus_runner(self):
+        """With no context, input b starts from input a's starting context:
+        the pair the litmus runner compares.  On the patched InvisiSpec
+        eviction gadget, carrying a's predictor state into b diverges."""
+        case = get_case("invisispec_eviction")
+        program, input_a, input_b = case.build()
+        executor = SimulatorExecutor(
+            lambda: create_defense(case.defense, patched=True),
+            uarch_config=case.uarch_config,
+            sandbox=case.sandbox(),
+            trace_config=case.trace_config,
+            prime_strategy=case.prime_strategy,
+        )
+        executor.load_program(program)
+        outcome = run_case(case, patched=True)
+        assert not outcome.violation
+        assert executor.run_pair_with_shared_context(input_a, input_b, None) == (
+            outcome.trace_a,
+            outcome.trace_b,
+        )
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_a_dropped_core_is_freed_without_the_cyclic_collector(
+        self, sandbox, program, inputs, mode, monkeypatch
+    ):
+        """Regression: the defense a core owns pointed back at the core, so a
+        core replaced by ``load_program`` (Opt) or by the next input (Naive)
+        lived, sandbox state included, until the next cyclic collection."""
+        started = []
+        start_simulator = SimulatorExecutor._start_simulator
+
+        def recording(executor, loaded):
+            core = start_simulator(executor, loaded)
+            started.append(weakref.ref(core))
+            return core
+
+        monkeypatch.setattr(SimulatorExecutor, "_start_simulator", recording)
+        executor = SimulatorExecutor("baseline", sandbox=sandbox, mode=mode)
+        gc.collect()
+        gc.disable()
+        try:
+            executor.load_program(program)
+            executor.run_input(inputs[0])
+            if mode is ExecutionMode.OPT:
+                executor.load_program(program)
+            executor.run_input(inputs[1])
+            assert len(started) == 2
+            assert started[0]() is None
+            assert started[1]() is not None
+        finally:
+            gc.enable()
 
     def test_describe_includes_defense_and_mode(self, sandbox):
         executor = SimulatorExecutor("invisispec", sandbox=sandbox)

@@ -369,7 +369,7 @@ class TestCheckpointResume:
         # if it moves, every existing checkpoint is refused on resume.
         assert (
             campaign_fingerprint(FuzzerConfig(), 1)
-            == "35a10a928ea3927082399049bf3f506e"
+            == "44422fdc1795fdf660126050b1537ba1"
         )
 
     def test_resume_of_a_finished_campaign_is_a_no_op(self, tmp_path):

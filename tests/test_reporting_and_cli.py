@@ -1,6 +1,8 @@
 """Tests for reporting utilities, the experiment registry and the CLI."""
 
+import importlib.util
 import os
+import textwrap
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.reporting import (
     loc_table,
     render_breakdown_table,
 )
+from repro.reporting.loc import _count_module_loc
 from repro.reporting.tables import rows_to_markdown
 
 
@@ -58,6 +61,41 @@ class TestLocAccounting:
                 + row["executor_plumbing_loc"]
                 + row["trace_extraction_loc"]
             )
+
+    def test_module_counter_skips_docstrings_comments_and_blanks(self, tmp_path):
+        """Pins the counter behind Table 11: every docstring shape ends where
+        its closing quotes end, whether they close the opening line, end a
+        text line or stand alone."""
+        path = tmp_path / "counted.py"
+        path.write_text(
+            textwrap.dedent(
+                '''\
+                """A module docstring on one line."""
+
+                import os  # counted: 1
+
+
+                def multi_line():  # 2
+                    """A docstring whose
+                    closing quotes end a text line."""
+                    # a comment
+                    value = os.sep  # 3
+                    """
+                    A docstring whose closing quotes stand alone.
+                    """
+                    return value  # 4
+
+
+                def single_quoted():  # 5
+                    \'\'\'One line.\'\'\'
+                    return 2  # 6
+                '''
+            )
+        )
+        spec = importlib.util.spec_from_file_location("counted", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert _count_module_loc(module) == 6
 
     def test_defense_model_is_the_smaller_part(self):
         """Most integration code is shared plumbing, as in the paper."""

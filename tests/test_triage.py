@@ -5,19 +5,17 @@ import pytest
 from repro.core import Campaign, FuzzerConfig
 from repro.core.amplification import DEFAULT_LADDER
 from repro.core.analysis import analyze_violation
-from repro.core.minimize import (
-    MinimizationBudget,
-    minimize_violation,
-    violation_reproduces,
-)
-from repro.core.violation import Violation
+from repro.core.minimize import MinimizationBudget, minimize_violation
+from repro.core.violation import Rerun, Violation
 from repro.defenses.registry import create_defense
 from repro.executor.executor import ExecutionMode, PrimeStrategy, SimulatorExecutor
 from repro.executor.traces import L1D_ONLY_TRACE
 from repro.generator.inputs import Input
 from repro.generator.sandbox import Sandbox
-from repro.litmus import get_case
-from repro.model.emulator import ContractTrace
+from repro.litmus import all_cases, get_case, run_case
+from repro.isa.registers import INPUT_REGISTERS, SCRATCH_REGISTERS
+from repro.model.contracts import get_contract
+from repro.model.emulator import ContractTrace, Emulator
 from repro.triage import TriageConfig, TriagePipeline, triage_one
 from repro.triage.pipeline import _revalidate
 from repro.uarch.config import UarchConfig
@@ -107,7 +105,7 @@ class TestProvenance:
         assert analysis.leaking_pc is not None
 
     def test_validation_updates_both_contexts(self, baseline_campaign):
-        """Regression: ``AmuletFuzzer._validate`` used to leave
+        """Regression: the fuzzer's validation used to leave
         ``uarch_context_b`` stale after re-collecting traces under a shared
         context, handing downstream stages a mismatched context pair."""
         for violation in baseline_campaign.violations:
@@ -123,14 +121,17 @@ class TestMinimization:
         )
         assert len(result.program) < len(violation.program)
         assert result.removed_instructions > 0
-        # The shrunk witness (program AND input pair) must still reproduce.
-        assert violation_reproduces(
-            result.program,
-            violation,
-            violation.build_executor,
-            input_a=result.input_a,
-            input_b=result.input_b,
+        # The shrunk witness (program AND input pair) must still reproduce:
+        # equal contract traces, and micro-architectural traces that differ.
+        executor = violation.build_executor()
+        contract = get_contract(violation.contract)
+        emulator = Emulator(result.program, executor.sandbox)
+        assert emulator.contract_trace(result.input_a, contract) == (
+            emulator.contract_trace(result.input_b, contract)
         )
+        assert violation.rerun(
+            executor, result.program, result.input_a, result.input_b
+        ).diverges
 
     def test_input_pair_shrink_reduces_differing_locations(self, baseline_campaign):
         violation = baseline_campaign.violations[0]
@@ -147,9 +148,10 @@ class TestMinimization:
         assert result.candidates_tried <= 5
         assert result.budget_exhausted
 
-    def test_violation_reproduces_builds_one_executor_per_check(self):
-        """Regression: ``violation_reproduces`` used to construct a throwaway
-        executor just to borrow its sandbox (two factory calls per check)."""
+    def test_minimizer_builds_one_executor(self):
+        """Regression: the minimizer's reproduce check used to construct a
+        throwaway executor just to borrow its sandbox (two factory calls per
+        check); one executor now serves every candidate."""
         case = get_case("spectre_v1")
         sandbox = case.sandbox()
         program, input_a, input_b = case.build()
@@ -186,8 +188,125 @@ class TestMinimization:
                 prime_strategy=case.prime_strategy,
             )
 
-        assert violation_reproduces(program, violation, counting_factory)
+        assert violation.rerun(counting_factory()).diverges
+        calls.clear()
+        result = minimize_violation(
+            violation, counting_factory, budget=MinimizationBudget(max_candidates=4)
+        )
+        assert result.candidates_tried == 4
         assert len(calls) == 1
+
+
+def _non_diverging_rerun(checked_violation, executor):
+    return Rerun(checked_violation.trace_a, checked_violation.trace_a, None)
+
+
+def _context_less_witness(case, patched):
+    """A litmus pair as a violation that recorded no context, and the litmus
+    runner's verdict on it."""
+    outcome = run_case(case, patched=patched)
+    program, input_a, input_b = case.build()
+    witness = Violation(
+        program=program,
+        defense=case.defense,
+        contract=case.contract,
+        input_a=input_a,
+        input_b=input_b,
+        trace_a=outcome.trace_a,
+        trace_b=outcome.trace_b,
+        contract_trace=ContractTrace(observations=()),
+        patched=patched,
+        uarch_config=case.uarch_config,
+        sandbox_pages=case.sandbox().pages,
+        prime_strategy=case.prime_strategy,
+        trace_config_name=case.trace_config.name,
+    )
+    return witness, outcome.violation
+
+
+_LITMUS_VARIANTS = [
+    pytest.param(case, patched, id=f"{case.name}-{variant}")
+    for case in all_cases()
+    for patched, variant in ((False, "buggy"), (True, "patched"))
+]
+
+
+class TestOneRerunRule:
+    @pytest.mark.parametrize("case, patched", _LITMUS_VARIANTS)
+    def test_context_less_witness_verdicts_match_the_litmus_runner(self, case, patched):
+        """Regression: with no recorded context, triage and the minimizer ran
+        input b from the predictor state input a left behind, so the patched
+        ``invisispec_eviction``, ``stt_store_tlb`` and ``speclfb_first_load``
+        pairs re-validated as leaks the litmus runner does not report."""
+        witness, leaks = _context_less_witness(case, patched)
+        assert _revalidate(witness, TriageConfig()) == (leaks, None, 0)
+        assert witness.validated is leaks
+
+        witness, _ = _context_less_witness(case, patched)
+        # The minimizer's reproduce check on the unshrunk witness, repeated on
+        # one executor: each re-run starts from a fresh core, not from the
+        # state the previous re-run left behind ...
+        executor = witness.build_executor()
+        assert [witness.rerun(executor).diverges for _ in range(3)] == [leaks] * 3
+        # ... and on its candidates: a clean pair has none that reproduce.
+        result = minimize_violation(
+            witness, budget=MinimizationBudget(max_passes=1, max_candidates=8)
+        )
+        if leaks:
+            assert witness.rerun(
+                witness.build_executor(), result.program, result.input_a, result.input_b
+            ).diverges
+        else:
+            assert result.removed_instructions == 0
+            assert result.shrunk_locations == 0
+
+    @pytest.mark.parametrize("case, patched", _LITMUS_VARIANTS)
+    def test_input_pair_pass_over_a_context_less_witness(self, case, patched):
+        """The input-pair pass checks every candidate against one program on
+        one executor.  Input b also differs from input a in registers the
+        gadget never reads: a leaking pair sheds all of them and keeps its
+        secret; a clean pair has no candidate that reproduces."""
+        witness, leaks = _context_less_witness(case, patched)
+        asm = witness.program.to_asm()
+        unread = [
+            r for r in INPUT_REGISTERS + SCRATCH_REGISTERS if r.upper() not in asm
+        ]
+        assert unread
+        for name, value in (("input_a", 0), ("input_b", 0x40)):
+            test_input = getattr(witness, name)
+            registers = {**test_input.register_dict(), **dict.fromkeys(unread, value)}
+            setattr(witness, name, test_input.with_registers(registers))
+        result = minimize_violation(
+            witness, budget=MinimizationBudget(max_passes=0, max_candidates=None)
+        )
+        assert result.candidates_tried == len(unread) + 1
+        assert result.shrunk_locations == (len(unread) if leaks else 0)
+        assert result.remaining_locations == (1 if leaks else len(unread) + 1)
+
+    @pytest.mark.parametrize(
+        "defense", ["baseline", "invisispec", "cleanupspec", "stt", "speclfb"]
+    )
+    def test_campaign_violations_revalidate_without_amplification(self, defense):
+        config = FuzzerConfig(defense=defense, programs_per_instance=10, seed=4)
+        result = Campaign(config, instances=1).run()
+        assert result.violations
+        for violation in result.violations:
+            assert _revalidate(violation, TriageConfig()) == (True, None, 0)
+            assert violation.uarch_context is violation.uarch_context_b
+
+    def test_rerun_does_not_mutate_and_adopt_takes_the_evidence(self, baseline_campaign):
+        import dataclasses
+
+        violation = dataclasses.replace(baseline_campaign.violations[0], validated=None)
+        before = dict(violation.__dict__)
+        rerun = violation.rerun(violation.build_executor())
+        assert rerun.diverges
+        assert violation.__dict__ == before
+        violation.adopt(rerun)
+        assert (violation.trace_a, violation.trace_b) == (rerun.trace_a, rerun.trace_b)
+        assert violation.uarch_context is rerun.context
+        assert violation.uarch_context_b is rerun.context
+        assert violation.validated is True
 
 
 class TestAmplificationEscalation:
@@ -215,15 +334,13 @@ class TestAmplificationEscalation:
         detecting = DEFAULT_LADDER[1].apply(UarchConfig())  # 2-way L1D
         tried_configs = []
 
-        def fake_reproduction(checked_violation, executor):
+        def fake_rerun(checked_violation, executor):
             tried_configs.append(executor.uarch_config)
             if executor.uarch_config == detecting:
-                return checked_violation.trace_a, checked_violation.trace_b, None
-            return None
+                return Rerun(checked_violation.trace_a, checked_violation.trace_b, None)
+            return Rerun(checked_violation.trace_a, checked_violation.trace_a, None)
 
-        monkeypatch.setattr(
-            "repro.triage.pipeline._shared_context_reproduction", fake_reproduction
-        )
+        monkeypatch.setattr(Violation, "rerun", fake_rerun)
         reproduced, level, levels_tried = _revalidate(
             violation, TriageConfig(amplify=True)
         )
@@ -238,10 +355,7 @@ class TestAmplificationEscalation:
 
     def test_exhausted_ladder_reports_no_reproduction(self, monkeypatch):
         violation = self._unreproducible_violation()
-        monkeypatch.setattr(
-            "repro.triage.pipeline._shared_context_reproduction",
-            lambda checked_violation, executor: None,
-        )
+        monkeypatch.setattr(Violation, "rerun", _non_diverging_rerun)
         reproduced, level, levels_tried = _revalidate(
             violation, TriageConfig(amplify=True)
         )
@@ -254,10 +368,7 @@ class TestAmplificationEscalation:
 
     def test_no_amplify_means_no_escalation(self, monkeypatch):
         violation = self._unreproducible_violation()
-        monkeypatch.setattr(
-            "repro.triage.pipeline._shared_context_reproduction",
-            lambda checked_violation, executor: None,
-        )
+        monkeypatch.setattr(Violation, "rerun", _non_diverging_rerun)
         reproduced, level, levels_tried = _revalidate(violation, TriageConfig())
         assert not reproduced
         assert levels_tried == 0
