@@ -16,7 +16,9 @@ partial reports for their instances, and exit — no instance runs to
 completion just because it was scheduled.
 
 **Supervision.**  Workers additionally stream resume snapshots
-(:meth:`AmuletFuzzer.state_dict`) at state boundaries.  The coordinator
+(:meth:`AmuletFuzzer.state_dict`) every ``state_interval`` rounds, and one
+final snapshot per instance whose report is the instance's result — the
+only snapshot the coordinator decodes.  The coordinator
 keeps the latest snapshot per instance, tracks per-worker liveness and
 activity deadlines, and when a worker dies (or overruns
 ``task_timeout_seconds`` and is force-killed) it respawns a replacement —
@@ -41,10 +43,8 @@ or a worker exits.
 
 from __future__ import annotations
 
-import base64
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 import traceback
@@ -58,7 +58,7 @@ from repro.backends.base import (
     StateCallback,
 )
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
+from repro.core.fuzzer import AmuletFuzzer, FuzzerReport, report_from_state
 
 #: Longest the coordinator sleeps without re-checking the caller's stop
 #: event and the workers' activity deadlines (messages and worker exits wake
@@ -110,9 +110,8 @@ def _worker_main(
             for instance_index, fuzzer in active:
                 if stop_event.is_set():
                     results.send(
-                        ("state", worker_id, instance_index, fuzzer.state_dict())
+                        ("final", worker_id, instance_index, fuzzer.state_dict())
                     )
-                    results.send(("report", worker_id, instance_index, fuzzer.report))
                     continue
                 for _ in range(chunk_size):
                     if fuzzer.finished:
@@ -135,9 +134,8 @@ def _worker_main(
                         stop_event.set()
                 if fuzzer.finished:
                     results.send(
-                        ("state", worker_id, instance_index, fuzzer.state_dict())
+                        ("final", worker_id, instance_index, fuzzer.state_dict())
                     )
-                    results.send(("report", worker_id, instance_index, fuzzer.report))
                 else:
                     if since_state[instance_index] >= state_interval:
                         results.send(
@@ -151,13 +149,6 @@ def _worker_main(
             results.send(("error", worker_id, None, traceback.format_exc()))
         except OSError:  # pragma: no cover - the coordinator is gone
             pass
-
-
-def _report_from_state(state: Optional[dict]) -> Optional[FuzzerReport]:
-    """The pickled report inside a resume snapshot (None without one)."""
-    if state is None:
-        return None
-    return pickle.loads(base64.b64decode(state["report_pickle"]))
 
 
 class _WorkerSlot:
@@ -320,7 +311,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     on_round(instance_index, payload)
                 if payload.violations and plan.stop_on_violation:
                     mp_stop.set()
-            elif kind == "state":
+            elif kind in ("state", "final"):
                 current = latest_state[instance_index]
                 if (
                     current is None
@@ -329,13 +320,10 @@ class ProcessPoolBackend(ExecutionBackend):
                     latest_state[instance_index] = payload
                     if on_state is not None:
                         on_state(instance_index, payload)
-            elif kind == "report":
-                current = reports.get(instance_index)
-                if (
-                    current is None
-                    or payload.programs_tested >= current.programs_tested
-                ):
-                    reports[instance_index] = payload
+                if kind == "final":
+                    # The only snapshot the coordinator decodes: periodic
+                    # ones are kept opaque for respawns and checkpoints.
+                    reports[instance_index] = report_from_state(payload)
             else:  # "error": a Python exception inside the round pipeline is
                 # a bug, not an infrastructure fault — it stays fatal.
                 failure = payload
@@ -385,9 +373,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 if degrade:
                     # Keep everything the lost instance completed (the latest
                     # snapshot's report), record the abandoned remainder.
-                    report = _report_from_state(latest_state[index])
-                    if report is None:
-                        report = self.empty_report(plan.configs[index])
+                    state = latest_state[index]
+                    report = (
+                        report_from_state(state)
+                        if state is not None
+                        else self.empty_report(plan.configs[index])
+                    )
                     if not mp_stop.is_set():
                         budget = plan.configs[index].programs_per_instance
                         lost = list(range(report.programs_tested, budget))

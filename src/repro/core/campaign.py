@@ -6,8 +6,8 @@ the average detection time, the number of unique violations, the testing
 throughput, and the campaign execution time (Tables 3, 4 and 6).  The
 :class:`Campaign` class reproduces that orchestration on top of a pluggable
 :class:`~repro.backends.ExecutionBackend`: instances can run sequentially
-(deterministic, the default) or as streamed round chunks across a persistent
-process pool, with results aggregated incrementally as they arrive.
+(deterministic, the default) or as round chunks across a persistent process
+pool, each completed round streamed to the caller as it arrives.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from repro.feedback.coverage import CoverageTracker
 class CampaignResult:
     """Aggregated metrics across all instances of a campaign.
 
-    Built incrementally: backends stream every completed round through
-    :meth:`record_round`, so the running totals (``rounds_completed``,
-    ``streamed_test_cases``, ``streamed_violations``) are live while the
-    campaign executes; the per-instance ``reports`` land when instances
-    finish (or are cancelled).
+    Every total is read from the per-instance ``reports``, which the backend
+    returns when the campaign ends; callers that want progress while it runs
+    watch the streamed rounds (``Campaign.run``'s ``on_round``).
     """
 
     defense: str
@@ -51,14 +49,6 @@ class CampaignResult:
     wall_clock_seconds: float = 0.0
     #: Total rounds the backend would have run had nothing stopped early.
     scheduled_programs: int = 0
-    #: Rounds actually completed (streamed), across all instances.
-    rounds_completed: int = 0
-    #: Test cases observed through streaming (matches reports when complete).
-    streamed_test_cases: int = 0
-    #: Of those, test cases that actually went through an O3 simulation.
-    streamed_test_cases_executed: int = 0
-    #: Violations observed through streaming.
-    streamed_violations: int = 0
     #: The campaign was stopped gracefully (SIGINT/SIGTERM drain) before its
     #: budget; the reports cover exactly the rounds that completed.
     interrupted: bool = False
@@ -81,16 +71,10 @@ class CampaignResult:
         default=None, init=False, repr=False, compare=False
     )
 
-    # -- incremental aggregation ------------------------------------------------
-    def record_round(self, instance_index: int, result: RoundResult) -> None:
-        """Fold one streamed round into the running totals."""
-        del instance_index  # totals are campaign-wide
-        self.rounds_completed += 1
-        self.streamed_test_cases += result.test_cases
-        self.streamed_violations += len(result.violations)
-        self.streamed_test_cases_executed += getattr(
-            result, "test_cases_executed", result.test_cases
-        )
+    @property
+    def rounds_completed(self) -> int:
+        """Rounds the instances' reports cover, across all instances."""
+        return sum(report.programs_tested for report in self.reports)
 
     @property
     def stopped_early(self) -> bool:
@@ -186,40 +170,15 @@ class CampaignResult:
         return safe_rate(self.total_test_cases, self.modeled_seconds())
 
     # -- feedback aggregation ----------------------------------------------------
-    def coverage_counters(self) -> Dict[str, int]:
-        """Coverage-novelty counters summed over instances.
-
-        Per-instance counters are independent (instances never see each
-        other's bitmaps mid-run), so the sums are identical whichever
-        backend executed the campaign.
-        """
-        counters: Dict[str, int] = {}
-        for report in self.reports:
-            for name, count in report.coverage_counters.items():
-                if name == "bits_set":
-                    continue  # not additive; see merged_coverage()
-                counters[name] = counters.get(name, 0) + count
-        return counters
-
     def merged_coverage(self) -> Optional[CoverageTracker]:
-        """OR of all instances' coverage bitmaps (None when none reported)."""
+        """All instances' coverage maps merged (None without reports)."""
         if self._merged_coverage_cache is not None:
             return self._merged_coverage_cache[0]
         merged: Optional[CoverageTracker] = None
-        for report in self.reports:
-            if report.coverage_bitmap is None:
-                continue
-            if merged is None:
-                merged = CoverageTracker(size_bits=len(report.coverage_bitmap) * 8)
-            merged.merge_bitmap(report.coverage_bitmap)
-        if merged is not None:
-            counters = self.coverage_counters()
-            merged.features_observed = counters.get("features_observed", 0)
-            merged.new_features = counters.get("new_features", 0)
-            merged.rounds_observed = counters.get("rounds_observed", 0)
-            merged.rounds_with_new_coverage = counters.get(
-                "rounds_with_new_coverage", 0
-            )
+        if self.reports:
+            merged = CoverageTracker(size_bits=self.reports[0].coverage.size_bits)
+            for report in self.reports:
+                merged.merge(report.coverage)
         self._merged_coverage_cache = (merged,)
         return merged
 
@@ -237,7 +196,7 @@ class CampaignResult:
             return self._merged_corpus_cache[1]
         corpus = Corpus()
         for report in self.reports:
-            for entry in report.corpus_entries:
+            for entry in report.corpus.entries():
                 corpus.merge_entry(CorpusEntry.from_json_dict(entry.to_json_dict()))
         if self.triage is not None:
             for triaged in getattr(self.triage, "violations", []):
@@ -430,7 +389,7 @@ class Campaign:
         checkpoint_every: int = 10,
         stop_event=None,
     ) -> CampaignResult:
-        """Execute the campaign and aggregate results as rounds stream in.
+        """Execute the campaign and aggregate the instances' reports.
 
         ``backend`` may be a registry name ("inline", "process") or a
         constructed :class:`ExecutionBackend`.  ``on_round`` is invoked with
@@ -477,25 +436,13 @@ class Campaign:
             state is not None for state in initial_states
         ):
             result.resumed_from = checkpoint_path
-            # Pre-seed the streamed totals with the pre-interruption rounds:
-            # the resumed backend only streams the remainder.
-            for report in manager.initial_reports().values():
-                result.rounds_completed += report.programs_tested
-                result.streamed_test_cases += report.test_cases_generated
-                result.streamed_test_cases_executed += report.test_cases_executed
-                result.streamed_violations += len(report.violations)
-
-        def handle_round(instance_index: int, round_result: RoundResult) -> None:
-            result.record_round(instance_index, round_result)
-            if on_round is not None:
-                on_round(instance_index, round_result)
 
         on_state = manager.record_state if manager is not None else None
         started = time.perf_counter()
         result.reports = list(
             executor.run(
                 plan,
-                on_round=handle_round,
+                on_round=on_round,
                 on_state=on_state,
                 stop_event=stop_event,
                 state_interval=checkpoint_every,

@@ -2,20 +2,21 @@
 
 A checkpoint (``format: amulet-checkpoint-v3``) captures one campaign
 mid-flight: the resume snapshot of every instance
-(:meth:`~repro.core.fuzzer.AmuletFuzzer.state_dict` payloads — generator
-counters, coverage bitmap, corpus with exact energies, the pickled report),
-plus a fingerprint of the determinism-relevant campaign configuration so a
-checkpoint can never silently resume a *different* campaign.
+(:meth:`~repro.core.fuzzer.AmuletFuzzer.state_dict` payloads — the
+snapshot format, the rounds it covers, and one base64 pickle of the
+generator position and the instance report, which carries the accounting
+ledger, coverage map and corpus), plus a fingerprint of the
+determinism-relevant campaign configuration so a checkpoint can never
+silently resume a *different* campaign.  Only
+:mod:`repro.core.fuzzer` decodes a snapshot.
 
 Because all instance randomness is counter-addressed, resuming from a
 checkpoint continues the exact round stream: the final campaign JSON of a
 killed-and-resumed run is identical (violations, signatures, coverage,
 corpus) to the same campaign run uninterrupted — the property
-``tests/test_fault_tolerance.py`` asserts.  The format version therefore
-tracks the seeded input stream too: v1 checkpoints were written under the
-per-granule sandbox-memory stream and v2 under whole-image bulk derivation
-(whose boosted variants were keyed by a hash of the full image); both are
-refused, never resumed into a mixed stream.
+``tests/test_fault_tolerance.py`` asserts.  A snapshot in any format but
+the current :attr:`~repro.core.fuzzer.AmuletFuzzer.STATE_FORMAT` is refused
+with both format names, never resumed into a mixed stream.
 
 Writes go through :func:`repro.core.io.atomic_write_json` (stage + rename),
 so a crash mid-write leaves the previous checkpoint intact, never a
@@ -26,17 +27,15 @@ start.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import FuzzerConfig
-from repro.core.fuzzer import AmuletFuzzer, FuzzerReport
+from repro.core.fuzzer import AmuletFuzzer
 from repro.core.io import atomic_write_json, load_json
 
 CHECKPOINT_FORMAT = "amulet-checkpoint-v3"
@@ -141,21 +140,6 @@ class CheckpointManager:
                     f"{state.get('format')!r} (expected {AmuletFuzzer.STATE_FORMAT!r})"
                 )
         return payload
-
-    def initial_reports(self) -> Dict[int, FuzzerReport]:
-        """Unpickled pre-resume reports, keyed by instance index.
-
-        Campaign aggregation pre-seeds its streamed totals from these so a
-        resumed campaign's summary covers the rounds that ran before the
-        interruption.
-        """
-        reports: Dict[int, FuzzerReport] = {}
-        for index, state in enumerate(self.states):
-            if state is not None:
-                reports[index] = pickle.loads(
-                    base64.b64decode(state["report_pickle"])
-                )
-        return reports
 
     # -- writing ----------------------------------------------------------------
     def rounds_completed(self) -> int:

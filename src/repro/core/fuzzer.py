@@ -29,7 +29,7 @@ from repro.core.violation import Violation
 from repro.defenses.registry import create_defense, defense_class
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.startup import Tally
-from repro.feedback.corpus import Corpus, CorpusEntry
+from repro.feedback.corpus import Corpus
 from repro.feedback.coverage import CoverageTracker
 from repro.feedback.mutate import ProgramMutator
 from repro.feedback.strategy import FeedbackProgramSource, GenerationStrategy
@@ -88,17 +88,11 @@ class FuzzerReport:
     test_cases_generated: int = 0
     #: Generation strategy the instance ran ("random", "mutational", "hybrid").
     strategy: str = GenerationStrategy.RANDOM.value
-    #: Coverage-novelty counters (features observed / new, rounds with new
-    #: coverage, bits set) — the tracker's own checkpointed state.
-    coverage_counters: Dict[str, int] = field(default_factory=dict)
-    #: Final per-instance coverage bitmap (campaigns OR these together).
-    coverage_bitmap: Optional[bytes] = None
-    #: The instance's full corpus at the end of its run (seed entries plus
-    #: discoveries); campaigns merge these content-addressed sets.
-    corpus_entries: List[CorpusEntry] = field(default_factory=list)
-    #: Rounds generated fresh vs mutated from the corpus.
-    programs_random: int = 0
-    programs_mutated: int = 0
+    #: The instance's coverage map and corpus (seed entries plus
+    #: discoveries) — the fuzzer's own objects while the instance runs;
+    #: campaigns merge them across instances.
+    coverage: CoverageTracker = field(default_factory=CoverageTracker)
+    corpus: Corpus = field(default_factory=Corpus)
     violations: List[Violation] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     modeled_seconds: float = 0.0
@@ -123,6 +117,16 @@ class FuzzerReport:
     @property
     def test_cases_skipped(self) -> int:
         return sum(self.tally.counts_under("skipped").values())
+
+    @property
+    def programs_random(self) -> int:
+        """Rounds whose program was generated fresh."""
+        return self.tally.counts.get("programs.random", 0)
+
+    @property
+    def programs_mutated(self) -> int:
+        """Rounds whose program was mutated from a corpus entry."""
+        return self.tally.counts.get("programs.mutated", 0)
 
     def throughput(self) -> float:
         """Simulated (executed) test cases per wall-clock second.
@@ -171,11 +175,9 @@ class AmuletFuzzer:
         # litmus gadgets relevant to this defense; all instances of a
         # campaign start from the same seed corpus and never exchange entries
         # mid-run, which keeps results backend-independent.
-        self.coverage = CoverageTracker()
         corpus = Corpus.load_if_exists(config.corpus_path)
         if config.corpus_litmus:
             corpus.seed_from_litmus(defense=config.defense, sandbox=self.sandbox)
-        self.corpus = corpus
         self.program_source = FeedbackProgramSource(
             config.strategy,
             self.program_generator,
@@ -198,8 +200,15 @@ class AmuletFuzzer:
         self._start_time: Optional[float] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
+        # The report owns the instance's live results: the executor charges
+        # its ledger, and the coverage map and corpus are the ones the round
+        # loop feeds.
         self.report = FuzzerReport(
-            defense=config.defense, contract=self.contract_name, tally=self.executor.tally
+            defense=config.defense,
+            contract=self.contract_name,
+            strategy=GenerationStrategy(config.strategy).value,
+            corpus=corpus,
+            tally=self.executor.tally,
         )
 
     # -- single round -------------------------------------------------------------
@@ -215,6 +224,7 @@ class AmuletFuzzer:
         started = clock()
         round_program = self.program_source.next_program()
         program = round_program.program
+        tally.count("programs.mutated" if round_program.mutated else "programs.random")
         tally.charge_test_generation()
         tally.add_seconds("generate", clock() - started)
 
@@ -266,7 +276,7 @@ class AmuletFuzzer:
         # whatever the generation strategy — a random campaign still grows a
         # corpus that later mutational campaigns can load.
         started = clock()
-        round_coverage = self.coverage.observe_round(test_case, plan)
+        round_coverage = self.report.coverage.observe_round(test_case, plan)
         witness: Optional[Tuple[Input, Input]] = None
         if confirmed:
             witness = (confirmed[0].input_a, confirmed[0].input_b)
@@ -337,10 +347,8 @@ class AmuletFuzzer:
 
     def run(self, programs: Optional[int] = None) -> FuzzerReport:
         """Run the configured number of programs (an entire instance)."""
-        self._start_time = time.perf_counter()
         for _ in self.iter_rounds(programs):
             pass
-        self._refresh_report_times()
         return self.report
 
     # -- checkpointing ------------------------------------------------------------------
@@ -348,8 +356,9 @@ class AmuletFuzzer:
     #: input stream or the payload changes (v2: bulk sandbox-memory
     #: derivation; v3: pages derived on first touch, boosted variants keyed
     #: by the new fingerprint; v4: the pickled report carries the accounting
-    #: ledger, which replaced the separate time and executor counters).
-    STATE_FORMAT = "amulet-instance-state-v4"
+    #: ledger; v5: the report carries the coverage map and corpus, and one
+    #: pickle holds it with the generator position).
+    STATE_FORMAT = "amulet-instance-state-v5"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.
@@ -358,80 +367,43 @@ class AmuletFuzzer:
         generators are pure functions of ``(seed, counter)``; the strategy's
         per-round RNG is a pure function of ``(seed, round)``), and the
         executor builds a fresh core per program — so the live state reduces
-        to integer counters, the feedback state (coverage map + corpus) and
-        the accumulated report, which carries the accounting ledger.  The
-        snapshot is JSON-serializable; a fuzzer built from the same config
-        and fed it through :meth:`restore_state` continues the round stream
-        byte-identically.
-
-        Corpus energies are stored exactly (not display-rounded as in
-        :meth:`CorpusEntry.to_json_dict`) and in insertion order: selection
-        weights and iteration order are part of the deterministic stream.
+        to the generator position and the report, which carries the
+        accounting ledger, the coverage map and the corpus (exact energies,
+        insertion order: both are part of the deterministic selection
+        stream).  The snapshot is a JSON object: ``format``,
+        ``programs_tested`` (readable without decoding) and one base64
+        pickle of the position and the report.  A fuzzer built from the same
+        config and fed it through :meth:`restore_state` continues the round
+        stream byte-identically; :func:`report_from_state` reads the report
+        alone.
         """
         self._refresh_report_times()
-        corpus_entries = []
-        for entry in self.corpus.entries():
-            payload = entry.to_json_dict()
-            payload["energy"] = entry.energy
-            corpus_entries.append(payload)
+        position = {
+            "program_counter": self.program_generator._counter,
+            "input_counter": self.input_generator._counter,
+            "round": self.program_source._round,
+            "stopped": self._stopped,
+            "target_programs": self._target_programs,
+        }
+        payload = pickle.dumps((position, self.report), protocol=pickle.HIGHEST_PROTOCOL)
         return {
             "format": self.STATE_FORMAT,
             "programs_tested": self.report.programs_tested,
-            "program_counter": self.program_generator._counter,
-            "input_counter": self.input_generator._counter,
-            "source": {
-                "round": self.program_source._round,
-                "generated_random": self.program_source.generated_random,
-                "generated_mutated": self.program_source.generated_mutated,
-            },
-            "coverage": self.coverage.to_json_dict(),
-            "corpus_entries": corpus_entries,
-            "report_pickle": base64.b64encode(
-                pickle.dumps(self.report, protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii"),
-            "stopped": self._stopped,
-            "target_programs": self._target_programs,
+            "pickle": base64.b64encode(payload).decode("ascii"),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Resume from a :meth:`state_dict` snapshot (same config required)."""
-        found = state.get("format")
-        if found != self.STATE_FORMAT:
-            raise ValueError(
-                f"instance state format mismatch "
-                f"(found {found!r}, expected {self.STATE_FORMAT!r})"
-            )
-        self.program_generator._counter = state["program_counter"]
-        self.input_generator._counter = state["input_counter"]
-        source = state["source"]
-        self.program_source._round = source["round"]
-        self.program_source.generated_random = source["generated_random"]
-        self.program_source.generated_mutated = source["generated_mutated"]
-
-        restored_coverage = CoverageTracker.from_json_dict(state["coverage"])
-        self.coverage.size_bits = restored_coverage.size_bits
-        self.coverage.bitmap = restored_coverage.bitmap
-        self.coverage.features_observed = restored_coverage.features_observed
-        self.coverage.new_features = restored_coverage.new_features
-        self.coverage.rounds_observed = restored_coverage.rounds_observed
-        self.coverage.rounds_with_new_coverage = (
-            restored_coverage.rounds_with_new_coverage
-        )
-
-        # Rebuild the corpus in place: the fuzzer, the program source and the
-        # report all alias this one object, and insertion order is part of
-        # the deterministic selection stream.
-        self.corpus._entries.clear()
-        for payload in state["corpus_entries"]:
-            self.corpus.merge_entry(CorpusEntry.from_json_dict(payload))
-
-        self.report = pickle.loads(base64.b64decode(state["report_pickle"]))
+        position, self.report = _decode_state(state)
+        self.program_generator._counter = position["program_counter"]
+        self.input_generator._counter = position["input_counter"]
+        self.program_source._round = position["round"]
+        self.program_source.corpus = self.report.corpus
         self.executor.tally = self.report.tally
-        self._stopped = state["stopped"]
-        self._target_programs = state.get("target_programs")
+        self._stopped = position["stopped"]
+        self._target_programs = position["target_programs"]
         # Continue the wall clock where the snapshot left it.
         self._start_time = time.perf_counter() - self.report.wall_clock_seconds
-        self._refresh_report_feedback()
 
     # -- internals ----------------------------------------------------------------------
     def _build_test_case(
@@ -509,16 +481,19 @@ class AmuletFuzzer:
         if self._start_time is not None:
             self.report.wall_clock_seconds = time.perf_counter() - self._start_time
         self.report.modeled_seconds = self.executor.tally.total_modeled()
-        self._refresh_report_feedback()
 
-    def _refresh_report_feedback(self) -> None:
-        """Mirror the live feedback state into the (picklable) report."""
-        self.report.strategy = GenerationStrategy(self.config.strategy).value
-        self.report.coverage_counters = {
-            **self.coverage.counters(),
-            "bits_set": self.coverage.bits_set(),
-        }
-        self.report.coverage_bitmap = bytes(self.coverage.bitmap)
-        self.report.corpus_entries = self.corpus.entries()
-        self.report.programs_random = self.program_source.generated_random
-        self.report.programs_mutated = self.program_source.generated_mutated
+
+def _decode_state(state: Dict[str, object]) -> Tuple[Dict[str, object], FuzzerReport]:
+    """The generator position and report inside a :meth:`AmuletFuzzer.state_dict`."""
+    found = state.get("format")
+    if found != AmuletFuzzer.STATE_FORMAT:
+        raise ValueError(
+            f"instance state format mismatch "
+            f"(found {found!r}, expected {AmuletFuzzer.STATE_FORMAT!r})"
+        )
+    return pickle.loads(base64.b64decode(state["pickle"]))
+
+
+def report_from_state(state: Dict[str, object]) -> FuzzerReport:
+    """The instance report inside a resume snapshot."""
+    return _decode_state(state)[1]

@@ -100,6 +100,12 @@ class CorpusEntry:
     #: effect closures, which the decode cache keys weakly on the instance).
     _program: Optional[Program] = field(default=None, repr=False, compare=False)
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo is rebuilt on demand; snapshots carry the dict form only.
+        state = dict(self.__dict__)
+        state["_program"] = None
+        return state
+
     def program(self) -> Program:
         if self._program is None:
             self._program = Program.from_dict(self.program_dict)

@@ -179,13 +179,6 @@ class CoverageTracker:
     def coverage_fraction(self) -> float:
         return self.bits_set() / self.size_bits
 
-    # -- merging (campaign aggregation across instances / backends) -----------
-    def merge_bitmap(self, other: bytes) -> None:
-        """OR another instance's bitmap into this one (order-independent)."""
-        if len(other) != len(self.bitmap):
-            raise ValueError("cannot merge coverage maps of different sizes")
-        self.bitmap = bytearray(a | b for a, b in zip(self.bitmap, other))
-
     def counters(self) -> Dict[str, int]:
         """Novelty counters reported alongside the scheduler's skip counters."""
         return {
@@ -195,25 +188,18 @@ class CoverageTracker:
             "rounds_with_new_coverage": self.rounds_with_new_coverage,
         }
 
-    # -- persistence ----------------------------------------------------------
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "size_bits": self.size_bits,
-            "bits_set": self.bits_set(),
-            "coverage_fraction": round(self.coverage_fraction(), 6),
-            "counters": self.counters(),
-            "bitmap_hex": bytes(self.bitmap).hex(),
-        }
+    # -- merging (campaign aggregation across instances / backends) -----------
+    def merge(self, other: "CoverageTracker") -> None:
+        """OR another instance's map into this one and add its counters.
 
-    @staticmethod
-    def from_json_dict(payload: Dict[str, object]) -> "CoverageTracker":
-        tracker = CoverageTracker(
-            size_bits=payload["size_bits"],
-            bitmap=bytearray(bytes.fromhex(payload["bitmap_hex"])),
+        Instances never see each other's maps mid-run, so the merge is
+        independent of instance order and of the backend that ran them.
+        """
+        if other.size_bits != self.size_bits:
+            raise ValueError("cannot merge coverage maps of different sizes")
+        merged = int.from_bytes(self.bitmap, "little") | int.from_bytes(
+            other.bitmap, "little"
         )
-        counters = payload.get("counters", {})
-        tracker.features_observed = counters.get("features_observed", 0)
-        tracker.new_features = counters.get("new_features", 0)
-        tracker.rounds_observed = counters.get("rounds_observed", 0)
-        tracker.rounds_with_new_coverage = counters.get("rounds_with_new_coverage", 0)
-        return tracker
+        self.bitmap = bytearray(merged.to_bytes(len(self.bitmap), "little"))
+        for name, value in other.counters().items():
+            setattr(self, name, getattr(self, name) + value)

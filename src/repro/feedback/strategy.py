@@ -75,9 +75,6 @@ class FeedbackProgramSource:
         self.mutator = mutator or ProgramMutator(generator.config)
         self.seed = seed
         self._round = 0
-        #: Programs produced per path, for reports.
-        self.generated_random = 0
-        self.generated_mutated = 0
 
     # -- round API -------------------------------------------------------------
     def _round_rng(self) -> random.Random:
@@ -99,7 +96,6 @@ class FeedbackProgramSource:
         return self._mutant(rng)
 
     def _fresh(self) -> RoundProgram:
-        self.generated_random += 1
         return RoundProgram(program=self.generator.generate())
 
     def _mutant(self, rng: random.Random) -> RoundProgram:
@@ -116,7 +112,6 @@ class FeedbackProgramSource:
         pair = entry.input_pair()
         if pair is not None:
             seed_inputs = mutate_input_pair(pair[0], pair[1], rng)
-        self.generated_mutated += 1
         return RoundProgram(
             program=program,
             parent=entry,

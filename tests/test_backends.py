@@ -30,6 +30,7 @@ from repro.backends import (
 from repro.cli import main
 from repro.core import Campaign, FuzzerConfig, derive_instance_seed, resolve_contract_name
 from repro.core.filtering import unique_violations
+from repro.core.fuzzer import report_from_state
 from repro.defenses.registry import available_defenses, defense_class
 from repro.executor.executor import ExecutionMode
 
@@ -52,7 +53,7 @@ def _fingerprint(result):
         "programs_tested": [report.programs_tested for report in result.reports],
         "corpus_ids": sorted(result.merged_corpus().entry_ids()),
         "coverage_bitmap": bytes(coverage.bitmap) if coverage else None,
-        "coverage_counters": result.coverage_counters(),
+        "coverage_counters": coverage.counters() if coverage else None,
     }
 
 
@@ -254,11 +255,12 @@ class TestBackendEquivalence:
         streamed = []
         result = Campaign(self.CONFIG, instances=2, backend=InlineBackend()).run(
             on_round=lambda instance, round_result: streamed.append(
-                (instance, round_result.program_index)
+                (instance, round_result)
             )
         )
         assert len(streamed) == result.rounds_completed == 2 * 4
-        assert result.streamed_test_cases == result.total_test_cases
+        assert sum(r.test_cases for _, r in streamed) == result.total_test_cases_generated
+        assert sum(r.test_cases_executed for _, r in streamed) == result.total_test_cases
         assert {instance for instance, _ in streamed} == {0, 1}
 
     def test_backend_name_selects_the_process_backend(self):
@@ -317,20 +319,20 @@ class TestWorkerPipeProtocol:
             **overrides,
         )
 
-    def test_rounds_stream_in_order_then_final_state_and_report(self):
+    def test_rounds_stream_in_order_then_one_final_snapshot(self):
         messages, _ = _drive_worker({0: self._config()})
-        assert [kind for kind, *_ in messages] == ["round", "round", "state", "report"]
+        assert [kind for kind, *_ in messages] == ["round", "round", "final"]
         assert all(worker_id == 0 and index == 0 for _, worker_id, index, _ in messages)
         assert [payload.program_index for _, _, _, payload in messages[:2]] == [0, 1]
         assert messages[2][3]["programs_tested"] == 2
-        assert messages[3][3].programs_tested == 2
+        assert report_from_state(messages[2][3]).programs_tested == 2
 
     def test_state_interval_paces_resume_snapshots(self):
         messages, _ = _drive_worker({0: self._config(programs=4)}, state_interval=2)
         assert [kind for kind, *_ in messages] == [
-            "round", "round", "state", "round", "round", "state", "report",
+            "round", "round", "state", "round", "round", "final",
         ]
-        states = [payload for kind, _, _, payload in messages if kind == "state"]
+        states = [payload for kind, _, _, payload in messages if kind != "round"]
         assert [state["programs_tested"] for state in states] == [2, 4]
 
     def test_instances_interleave_chunk_by_chunk(self):
@@ -342,8 +344,8 @@ class TestWorkerPipeProtocol:
             if kind == "round"
         ]
         assert rounds == [(0, 0), (5, 0), (0, 1), (5, 1)]
-        reports = {index for kind, _, index, _ in messages if kind == "report"}
-        assert reports == {0, 5}
+        finals = {index for kind, _, index, _ in messages if kind == "final"}
+        assert finals == {0, 5}
 
     def test_worker_restored_from_a_snapshot_continues_where_it_left_off(self):
         # What a respawned worker does: restore, then run only the rest.
@@ -362,15 +364,14 @@ class TestWorkerPipeProtocol:
         assert [result.test_cases for result in rounds] == [
             result.test_cases for result in full_rounds[2:]
         ]
-        assert resumed[-1][3].programs_tested == 4
+        assert report_from_state(resumed[-1][3]).programs_tested == 4
 
     def test_preset_stop_event_flushes_without_running_rounds(self):
         stop_event = threading.Event()
         stop_event.set()
         messages, _ = _drive_worker({0: self._config()}, stop_event=stop_event)
-        assert [kind for kind, *_ in messages] == ["state", "report"]
+        assert [kind for kind, *_ in messages] == ["final"]
         assert messages[0][3]["programs_tested"] == 0
-        assert messages[1][3].programs_tested == 0
 
     def test_confirmed_violation_raises_the_shared_stop_event(self):
         config = self._config(programs=30, stop_on_violation=True)
@@ -381,7 +382,7 @@ class TestWorkerPipeProtocol:
         assert rounds[-1].violations
         assert not any(result.violations for result in rounds[:-1])
         assert len(rounds) < 30
-        assert [kind for kind, *_ in messages[-2:]] == ["state", "report"]
+        assert messages[-1][0] == "final"
 
     def test_pipeline_exception_is_sent_as_an_error_message(self, monkeypatch):
         def broken_fuzzer(config):

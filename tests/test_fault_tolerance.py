@@ -19,11 +19,9 @@ Faults are injected deterministically through ``REPRO_FAULT_PLAN`` (see
 
 from __future__ import annotations
 
-import base64
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 import struct
 import subprocess
@@ -70,7 +68,7 @@ def _fingerprint(result):
         "test_cases_generated": result.total_test_cases_generated,
         "corpus_ids": sorted(result.merged_corpus().entry_ids()),
         "coverage_bitmap": bytes(coverage.bitmap) if coverage else None,
-        "coverage_counters": result.coverage_counters(),
+        "coverage_counters": coverage.counters() if coverage else None,
     }
 
 
@@ -185,32 +183,49 @@ class TestInstanceState:
             str(signature)
             for signature in unique_violations(straight.report.violations)
         )
-        assert second.report.coverage_bitmap == straight.report.coverage_bitmap
-        assert [entry.entry_id for entry in second.report.corpus_entries] == [
-            entry.entry_id for entry in straight.report.corpus_entries
+        assert second.report.coverage == straight.report.coverage
+        # Insertion order and exact energies drive corpus selection.
+        assert [
+            (entry.entry_id, entry.energy) for entry in second.report.corpus.entries()
+        ] == [
+            (entry.entry_id, entry.energy) for entry in straight.report.corpus.entries()
         ]
-        # The restored report's ledger is the one the executor keeps adding to.
+        # The restored report's ledger and corpus are the ones the executor
+        # and the program source keep adding to.
         assert second.executor.tally is second.report.tally
+        assert second.program_source.corpus is second.report.corpus
         assert second.report.tally.counts == straight.report.tally.counts
+
+    def test_run_after_restore_continues_the_wall_clock(self):
+        config = _config(programs=2)
+        first = AmuletFuzzer(config)
+        first.run()
+        state = first.state_dict()
+        restored = AmuletFuzzer(config)
+        restored.restore_state(state)
+        restored.run()
+        assert restored.report.programs_tested == 2
+        assert restored.report.wall_clock_seconds >= first.report.wall_clock_seconds
 
     def test_restore_rejects_unknown_format(self):
         fuzzer = AmuletFuzzer(_config())
         with pytest.raises(ValueError, match="format"):
             fuzzer.restore_state({"format": "not-a-state"})
 
-    def test_v3_state_is_refused_naming_both_formats(self, tmp_path):
-        """v3 states kept the time ledger and executor counters beside the
-        report; v4 reports carry the ledger itself."""
+    @staticmethod
+    def _assert_state_refused(tmp_path, version):
+        """A state in an older format is refused by the fuzzer and by a
+        campaign resume, and both errors name both formats."""
         config = _config()
         fuzzer = AmuletFuzzer(config)
         fuzzer.run_round(0)
         state = fuzzer.state_dict()
-        assert state["format"] == AmuletFuzzer.STATE_FORMAT == "amulet-instance-state-v4"
-        state["format"] = "amulet-instance-state-v3"
+        assert state["format"] == AmuletFuzzer.STATE_FORMAT == "amulet-instance-state-v5"
+        state["format"] = f"amulet-instance-state-{version}"
         with pytest.raises(ValueError) as excinfo:
             AmuletFuzzer(config).restore_state(state)
-        assert "amulet-instance-state-v3" in str(excinfo.value)
-        assert "amulet-instance-state-v4" in str(excinfo.value)
+        assert f"amulet-instance-state-{version}" in str(excinfo.value)
+        assert "amulet-instance-state-v5" in str(excinfo.value)
 
         checkpoint = str(tmp_path / "campaign.ckpt")
         atomic_write_json(
@@ -226,31 +241,18 @@ class TestInstanceState:
         )
         with pytest.raises(ValueError) as excinfo:
             _resumed_run(config, 1, checkpoint)
-        assert "amulet-instance-state-v3" in str(excinfo.value)
-        assert "amulet-instance-state-v4" in str(excinfo.value)
+        assert f"amulet-instance-state-{version}" in str(excinfo.value)
+        assert "amulet-instance-state-v5" in str(excinfo.value)
 
-    def test_restore_ignores_the_retired_task_counter(self):
-        # States written while rounds could be split across simulation
-        # workers carry a ``next_task_id``; it no longer means anything.
-        config = _config(programs=4)
-        straight = AmuletFuzzer(config)
-        for index in range(4):
-            straight.run_round(index)
+    def test_v3_state_is_refused_naming_both_formats(self, tmp_path):
+        """v3 states kept the time ledger and executor counters beside the
+        report."""
+        self._assert_state_refused(tmp_path, "v3")
 
-        first = AmuletFuzzer(config)
-        for index in range(2):
-            first.run_round(index)
-        state = first.state_dict()
-        assert "next_task_id" not in state
-        state["next_task_id"] = 17
-
-        second = AmuletFuzzer(config)
-        second.restore_state(state)
-        for index in range(2, 4):
-            second.run_round(index)
-        assert "next_task_id" not in second.state_dict()
-        assert second.report.test_cases_executed == straight.report.test_cases_executed
-        assert second.report.coverage_bitmap == straight.report.coverage_bitmap
+    def test_v4_state_is_refused_naming_both_formats(self, tmp_path):
+        """v4 states stored the corpus and coverage map beside the pickled
+        report; v5 reports carry both, in one pickle."""
+        self._assert_state_refused(tmp_path, "v4")
 
 
 @pytest.fixture(scope="class")
@@ -430,32 +432,6 @@ class TestCheckpointResume:
         """v2: whole-image inputs, boosted variants keyed by an image hash."""
         self._assert_old_version_refused(tmp_path, "v2")
 
-    def test_checkpoint_with_retired_fields_resumes_identically(self, tmp_path):
-        """A checkpoint carrying state the parallel-simulation layer left
-        behind still resumes: a ``next_task_id`` counter in its states and a
-        ``parallel_sim`` attribute on its pickled reports are both ignored.
-        """
-        config = _config()
-        checkpoint = str(tmp_path / "campaign.ckpt")
-        uninterrupted = Campaign(config, instances=1).run()
-        _interrupted_run(config, 1, checkpoint, stop_after=3)
-        with open(checkpoint) as handle:
-            payload = json.load(handle)
-        assert payload["format"] == CHECKPOINT_FORMAT == "amulet-checkpoint-v3"
-        for state in payload["states"]:
-            state["next_task_id"] = 5
-            report = pickle.loads(base64.b64decode(state["report_pickle"]))
-            report.parallel_sim = {"requested_workers": 2, "tasks": 5}
-            state["report_pickle"] = base64.b64encode(
-                pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii")
-        atomic_write_json(checkpoint, payload)
-
-        resumed = _resumed_run(config, 1, checkpoint)
-        assert resumed.resumed_from == checkpoint
-        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
-        assert "parallel_sim" not in resumed.to_json_dict()
-
     def test_resume_fresh_downgrades_corruption_to_a_warning(self, tmp_path, capsys):
         config = _config()
         checkpoint = str(tmp_path / "campaign.ckpt")
@@ -588,6 +564,13 @@ class TestPoolWorkerFaults:
         assert lost_rounds[0]
         assert lost_rounds[0] == list(
             range(result.reports[0].programs_tested, config.programs_per_instance)
+        )
+        # Every scheduled round is either covered by a report or lost, once.
+        assert result.rounds_completed == sum(
+            report.programs_tested for report in result.reports
+        )
+        assert result.rounds_completed + sum(map(len, lost_rounds)) == (
+            result.scheduled_programs
         )
         # The healthy instance finished its full budget regardless.
         assert result.reports[1].programs_tested == config.programs_per_instance

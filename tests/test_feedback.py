@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
@@ -86,15 +87,27 @@ class TestCoverageTracker:
         tracker_a, tracker_b = CoverageTracker(), CoverageTracker()
         tracker_a.observe_features([("a",)])
         tracker_b.observe_features([("b",)])
-        tracker_a.merge_bitmap(bytes(tracker_b.bitmap))
+        tracker_a.merge(tracker_b)
         assert tracker_a.bits_set() == 2
+        # Counters add up: the merged map saw both instances' rounds.
+        assert tracker_a.counters() == {
+            "features_observed": 2,
+            "new_features": 2,
+            "rounds_observed": 2,
+            "rounds_with_new_coverage": 2,
+        }
+        assert tracker_b.bits_set() == 1
 
-    def test_json_round_trip(self):
+    def test_merge_rejects_a_map_of_another_size(self):
+        with pytest.raises(ValueError, match="different sizes"):
+            CoverageTracker().merge(CoverageTracker(size_bits=64))
+
+    def test_pickle_round_trip(self):
         tracker = CoverageTracker()
         tracker.observe_features([("a",), ("b",)])
-        rebuilt = CoverageTracker.from_json_dict(tracker.to_json_dict())
-        assert rebuilt.bits_set() == tracker.bits_set()
-        assert rebuilt.counters() == tracker.counters()
+        rebuilt = pickle.loads(pickle.dumps(tracker))
+        assert rebuilt == tracker
+        assert rebuilt.bits_set() == tracker.bits_set() == 2
 
     def test_round_features_cover_all_signal_families(self):
         """A real fuzzing round must emit class, speculation and uarch features."""
@@ -145,6 +158,16 @@ class TestCorpus:
         path_b = str(tmp_path / "corpus_b.json")
         reloaded.save(path_b)
         assert open(path).read() == open(path_b).read()
+
+    def test_pickled_entry_drops_its_program_memo(self, generator):
+        corpus = Corpus()
+        entry = corpus.add_program(generator.generate(), origin="interesting", energy=2.5)
+        program = entry.program()
+        rebuilt = pickle.loads(pickle.dumps(entry))
+        assert entry._program is program  # the live memo is left alone
+        assert rebuilt._program is None
+        assert rebuilt == entry
+        assert rebuilt.program().to_asm() == program.to_asm()
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not_corpus.json"
@@ -301,7 +324,6 @@ class TestStrategies:
         source = FeedbackProgramSource("random", generator, corpus=corpus, seed=3)
         for _ in range(5):
             assert not source.next_program().mutated
-        assert source.generated_mutated == 0
 
     def test_mutational_strategy_mutates_once_corpus_exists(self, generator):
         corpus = Corpus()
@@ -364,11 +386,11 @@ class TestFeedbackIntegration:
     def test_report_carries_feedback_state(self):
         report = AmuletFuzzer(self._config()).run()
         assert report.strategy == "hybrid"
-        assert report.coverage_counters["rounds_observed"] == 3
-        assert report.coverage_counters["bits_set"] > 0
-        assert report.coverage_bitmap is not None
-        assert report.corpus_entries
+        assert report.coverage.rounds_observed == 3
+        assert report.coverage.bits_set() > 0
+        assert len(report.corpus) > 0
         assert report.programs_random + report.programs_mutated == 3
+        assert sum(report.tally.counts_under("programs").values()) == 3
 
     def test_round_result_reports_novelty(self):
         fuzzer = AmuletFuzzer(self._config())
@@ -397,7 +419,7 @@ class TestFeedbackIntegration:
         assert sorted(inline.merged_corpus().entry_ids()) == sorted(
             pooled.merged_corpus().entry_ids()
         )
-        assert inline.coverage_counters() == pooled.coverage_counters()
+        assert inline.merged_coverage() == pooled.merged_coverage()
         assert (
             inline.merged_coverage().bits_set() == pooled.merged_coverage().bits_set()
         )
