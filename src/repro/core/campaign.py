@@ -30,6 +30,7 @@ from repro.core.violation import Violation
 from repro.executor.startup import Tally
 from repro.feedback.corpus import Corpus, CorpusEntry, program_dict_id
 from repro.feedback.coverage import CoverageTracker
+from repro.generator.inputs import Input
 
 
 @dataclass
@@ -208,7 +209,9 @@ class CampaignResult:
                         program_dict=triaged.minimized_program_dict,
                         origin="minimized",
                         energy=8.0,
-                        inputs=tuple(triaged.minimized_inputs),
+                        inputs=tuple(
+                            Input.from_dict(item) for item in triaged.minimized_inputs
+                        ),
                     )
                 )
         self._merged_corpus_cache = (cache_key, corpus)

@@ -37,6 +37,7 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import Input, InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
+from repro.isa.decoded import forget_decoded
 from repro.isa.specialized import STATS as CLOSURE_STATS
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
@@ -269,6 +270,10 @@ class AmuletFuzzer:
             self._annotate_detection(violation, program_index, len(test_case))
             violation.signature = compute_signature(violation)
             confirmed.append(violation)
+        if confirmed:
+            # The violations keep the program; its decoded form, steps and
+            # closures are rebuilt only if a later re-run needs them.
+            forget_decoded(program)
         tally.add_seconds("detect", clock() - started)
 
         # Coverage feedback: hash the round's behavior features into the map
@@ -357,8 +362,9 @@ class AmuletFuzzer:
     #: derivation; v3: pages derived on first touch, boosted variants keyed
     #: by the new fingerprint; v4: the pickled report carries the accounting
     #: ledger; v5: the report carries the coverage map and corpus, and one
-    #: pickle holds it with the generator position).
-    STATE_FORMAT = "amulet-instance-state-v5"
+    #: pickle holds it with the generator position; v6: corpus witnesses are
+    #: inputs, pickled as their descriptions, not hex images).
+    STATE_FORMAT = "amulet-instance-state-v6"
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot everything needed to resume this instance exactly.

@@ -27,6 +27,7 @@ from repro.core.violation import Violation
 from repro.executor.executor import SimulatorExecutor
 from repro.generator.inputs import MEMORY_GRANULE, Input
 from repro.isa.program import BasicBlock, Program
+from repro.isa.registers import PAGE_SHIFT, PAGE_SIZE
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
 
@@ -123,21 +124,25 @@ def differing_locations(input_a: Input, input_b: Input) -> List[Tuple[str, objec
     """Input locations (registers / granules) where the two witnesses differ.
 
     Public: the feedback subsystem's input-pair mutation operator
-    (:mod:`repro.feedback.mutate`) walks the same location space.
+    (:mod:`repro.feedback.mutate`) walks the same location space.  Memory
+    is compared page by page; equal pages are skipped, and pages derived
+    only for this walk are not kept on the inputs.
     """
     locations: List[Tuple[str, object]] = []
     registers_a = input_a.register_dict()
     for name, value_b in input_b.registers:
         if registers_a.get(name) != value_b:
             locations.append(("reg", name))
-    memory_a, memory_b = bytes(input_a.memory), bytes(input_b.memory)
-    limit = min(len(memory_a), len(memory_b))
-    for offset in range(0, limit, MEMORY_GRANULE):
-        if (
-            memory_a[offset : offset + MEMORY_GRANULE]
-            != memory_b[offset : offset + MEMORY_GRANULE]
-        ):
-            locations.append(("mem", offset))
+    limit = min(input_a.size, input_b.size)
+    for start in range(0, limit, PAGE_SIZE):
+        page_a = input_a.page(start >> PAGE_SHIFT, cache=False)
+        page_b = input_b.page(start >> PAGE_SHIFT, cache=False)
+        if page_a == page_b:
+            continue
+        for offset in range(0, min(PAGE_SIZE, limit - start), MEMORY_GRANULE):
+            end = offset + MEMORY_GRANULE
+            if page_a[offset:end] != page_b[offset:end]:
+                locations.append(("mem", start + offset))
     return locations
 
 

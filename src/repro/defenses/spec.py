@@ -252,12 +252,6 @@ class DefenseSpec:
     #: per-load safety check, including its UV6 quirk).
     hooks: Mapping[str, Callable] = field(default_factory=dict)
 
-    def bug_flag(self, flag: str) -> Optional[BugFlag]:
-        for bug in self.bugs:
-            if bug.flag == flag:
-                return bug
-        return None
-
     def patched_bug_values(self) -> dict:
         """Flag values of the paper's patched variant."""
         return {bug.flag: bug.patched_value for bug in self.bugs}

@@ -9,8 +9,9 @@ same program discovered by different instances, backends or campaigns always
 receives the same ID — which is what makes cross-backend corpus merging and
 save/reload round-trips deterministic.
 
-The on-disk format is plain JSON (``format: amulet-corpus-v1``), entries
-sorted by ID so a saved corpus is byte-stable for a given content set.
+The on-disk format is plain JSON (``format: amulet-corpus-v2``), entries
+sorted by ID so a saved corpus is byte-stable for a given content set.  A
+witness input is stored as its description (:meth:`Input.to_dict`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.generator.inputs import Input
 from repro.isa.program import Program
 
-CORPUS_FORMAT = "amulet-corpus-v1"
+CORPUS_FORMAT = "amulet-corpus-v2"
 
 #: Energy assigned per origin when no explicit score is given.  Violation
 #: witnesses dominate: re-mutating a known leaky gadget is the highest-value
@@ -49,22 +50,6 @@ def _origin_rank(origin: str) -> int:
         return _ORIGIN_PRIORITY.index(origin)
     except ValueError:
         return len(_ORIGIN_PRIORITY)
-
-
-def input_to_dict(test_input: Input) -> Dict[str, object]:
-    return {
-        "registers": {name: value for name, value in test_input.registers},
-        "memory_hex": bytes(test_input.memory).hex(),
-        "seed": test_input.seed,
-    }
-
-
-def input_from_dict(payload: Dict[str, object]) -> Input:
-    return Input.create(
-        {name: int(value) for name, value in payload["registers"].items()},
-        bytes.fromhex(payload["memory_hex"]),
-        seed=payload.get("seed", 0),
-    )
 
 
 def program_dict_id(payload: Dict[str, object]) -> str:
@@ -93,8 +78,8 @@ class CorpusEntry:
     energy: float = 1.0
     #: ID of the corpus entry this one was mutated from (lineage tracking).
     parent_id: Optional[str] = None
-    #: Witness input pair for violation-origin entries (serialised).
-    inputs: Tuple[Dict[str, object], ...] = ()
+    #: Witness input pair for violation-origin entries.
+    inputs: Tuple[Input, ...] = ()
     #: Rebuilt Program, memoised so repeat scheduling of the same entry
     #: reuses one instance (and with it the decoded program, its steps and
     #: effect closures, which the decode cache keys weakly on the instance).
@@ -114,7 +99,7 @@ class CorpusEntry:
     def input_pair(self) -> Optional[Tuple[Input, Input]]:
         if len(self.inputs) < 2:
             return None
-        return input_from_dict(self.inputs[0]), input_from_dict(self.inputs[1])
+        return self.inputs[0], self.inputs[1]
 
     def to_json_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -126,7 +111,7 @@ class CorpusEntry:
         if self.parent_id is not None:
             payload["parent"] = self.parent_id
         if self.inputs:
-            payload["inputs"] = list(self.inputs)
+            payload["inputs"] = [test_input.to_dict() for test_input in self.inputs]
         return payload
 
     @staticmethod
@@ -137,7 +122,7 @@ class CorpusEntry:
             origin=payload.get("origin", "interesting"),
             energy=float(payload.get("energy", 1.0)),
             parent_id=payload.get("parent"),
-            inputs=tuple(payload.get("inputs", ())),
+            inputs=tuple(Input.from_dict(item) for item in payload.get("inputs", ())),
         )
 
 
@@ -187,11 +172,7 @@ class Corpus:
             origin=origin,
             energy=energy if energy is not None else DEFAULT_ENERGY.get(origin, 1.0),
             parent_id=parent_id,
-            inputs=(
-                (input_to_dict(input_pair[0]), input_to_dict(input_pair[1]))
-                if input_pair is not None
-                else ()
-            ),
+            inputs=tuple(input_pair or ()),
         )
         return self.merge_entry(entry)
 

@@ -113,10 +113,6 @@ class RoundCoverage:
     total_features: int = 0
     new_features: int = 0
 
-    @property
-    def is_new_behavior(self) -> bool:
-        return self.new_features > 0
-
 
 @dataclass
 class CoverageTracker:

@@ -104,8 +104,8 @@ class Input:
 
     Memory is described, not stored.  Its pages come from one base:
 
-    * ``image`` — an explicit image (:meth:`create`: litmus cases, corpus
-      reloads, tests); or
+    * ``image`` — an explicit image (:meth:`create`: litmus cases, tests);
+      or
     * ``key`` — a derivation key: page ``i`` is drawn from an RNG seeded
       with ``mix_seed(key, i)``.  When ``stream`` is set (inputs of the
       generator's seeded stream), page 0 instead continues the stream's
@@ -114,8 +114,8 @@ class Input:
 
     ``overrides`` (granule offset -> 8 bytes) are applied on top of the
     base.  A page is derived on first use (:meth:`page`) and cached on this
-    object; the cache is never pickled or compared.  ``memory`` is a view:
-    ``len()`` is free, ``bytes()`` builds the full image (rare paths only).
+    object; the cache is never serialized or compared.  :meth:`to_dict` is
+    the one serialized form (JSON files and pickles alike).
     """
 
     registers: Tuple[Tuple[str, int], ...]
@@ -135,14 +135,47 @@ class Input:
         image = bytes(memory)
         return Input(registers=_ordered(registers), size=len(image), image=image, seed=seed)
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        del state["_pages"]
-        return state
+    # -- serialized form ----------------------------------------------------
+    def to_dict(self) -> Dict[str, object]:
+        """This input's description as a JSON-ready dict.
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_pages"] = {}
+        Memory is written as its base and overrides (offset, 8 bytes as
+        hex), never as derived pages; an explicit image is written without
+        its trailing zero bytes.  :meth:`from_dict` restores an equal input
+        with the same :meth:`fingerprint`.
+        """
+        payload: Dict[str, object] = {
+            "registers": dict(self.registers),
+            "size": self.size,
+            "key": self.key,
+            "stream": self.stream,
+            "overrides": [[offset, word.hex()] for offset, word in self.overrides],
+            "seed": self.seed,
+        }
+        if self.image is not None:
+            payload["image"] = self.image.rstrip(b"\0").hex()
+        return payload
+
+    @staticmethod
+    def from_dict(payload: Mapping[str, object]) -> "Input":
+        """The input a :meth:`to_dict` payload describes."""
+        size = payload["size"]
+        image = payload.get("image")
+        return Input(
+            registers=_ordered(payload["registers"]),
+            size=size,
+            key=payload["key"],
+            stream=payload["stream"],
+            overrides=tuple(
+                (offset, bytes.fromhex(word)) for offset, word in payload["overrides"]
+            ),
+            image=None if image is None else bytes.fromhex(image).ljust(size, b"\0"),
+            seed=payload["seed"],
+        )
+
+    def __reduce__(self):
+        # Pickles (snapshots, pool messages) carry the same description.
+        return Input.from_dict, (self.to_dict(),)
 
     # -- derived inputs -----------------------------------------------------
     def with_registers(self, registers: Mapping[str, int]) -> "Input":
@@ -157,14 +190,22 @@ class Input:
 
     # -- memory -------------------------------------------------------------
     @property
-    def memory(self) -> "InputMemory":
-        return InputMemory(self)
+    def memory(self) -> "Input":
+        """The sandbox's page source: the input itself, whose ``len()`` is
+        the sandbox size and whose :meth:`page` serves its pages."""
+        return self
 
-    def page(self, index: int) -> bytes:
-        """Sandbox page ``index`` of this input, derived at most once."""
+    def page(self, index: int, cache: bool = True) -> bytes:
+        """Sandbox page ``index`` of this input, derived at most once.
+
+        ``cache=False`` serves whole-sandbox walks: a page derived for one
+        is not kept on the input.
+        """
         page = self._pages.get(index)
         if page is None:
-            page = self._pages[index] = self._derive_page(index)
+            page = self._derive_page(index)
+            if cache:
+                self._pages[index] = page
         return page
 
     def _derive_page(self, index: int) -> bytes:
@@ -241,57 +282,6 @@ class Input:
 
     def __len__(self) -> int:
         return self.size
-
-
-class InputMemory:
-    """Read-only view of an input's sandbox memory.
-
-    ``len()`` and :meth:`page` never build the full image; ``bytes()``,
-    comparison and stepped slices do.  Indexing and contiguous slices read
-    only the pages they cover.
-    """
-
-    __slots__ = ("_input",)
-
-    def __init__(self, test_input: Input) -> None:
-        self._input = test_input
-
-    def __len__(self) -> int:
-        return self._input.size
-
-    def page(self, index: int) -> bytes:
-        return self._input.page(index)
-
-    def __bytes__(self) -> bytes:
-        test_input = self._input
-        if test_input.image is not None and not test_input.overrides:
-            return test_input.image
-        # Pages derived only for this image are not cached: a full image is
-        # a transient of rare paths (triage, corpus witnesses).
-        cached = test_input._pages
-        pages = -(-test_input.size >> PAGE_SHIFT)
-        image = b"".join(
-            cached.get(index) or test_input._derive_page(index) for index in range(pages)
-        )
-        return image[: test_input.size]
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            if item.step not in (None, 1):
-                return bytes(self)[item]
-            start, stop, _ = item.indices(len(self))
-            return self._input.read(start, stop - start)
-        index = range(len(self))[item]
-        return self._input.page(index >> PAGE_SHIFT)[index & (PAGE_SIZE - 1)]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, InputMemory):
-            other = bytes(other)
-        if isinstance(other, (bytes, bytearray)):
-            return bytes(self) == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class InputGenerator:

@@ -233,3 +233,12 @@ def decode_program(program: Program) -> DecodedProgram:
         decoded = DecodedProgram(program)
         _DECODED_CACHE[program] = decoded
     return decoded
+
+
+def forget_decoded(program: Program) -> None:
+    """Drop ``program``'s decoded form (its steps and effect closures too).
+
+    For programs that are kept but rarely run again, such as a confirmed
+    violation's: the next :func:`decode_program` rebuilds it.
+    """
+    _DECODED_CACHE.pop(program, None)

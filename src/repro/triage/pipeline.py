@@ -42,7 +42,6 @@ from repro.core.campaign import CampaignResult
 from repro.core.filtering import ViolationFilter
 from repro.core.minimize import MinimizationBudget, minimize_violation
 from repro.core.violation import Violation
-from repro.feedback.corpus import input_to_dict as _input_to_dict
 from repro.triage.report import TriageCluster, TriagedViolation, TriageReport
 from repro.uarch.config import UarchConfig
 
@@ -141,8 +140,8 @@ def _triage_work(item: TriageWorkItem) -> Tuple[TriagedViolation, Violation]:
         triaged.minimized_program_asm = minimized.program.to_asm()
         triaged.minimized_program_dict = minimized.program.to_dict()
         triaged.minimized_inputs = (
-            _input_to_dict(minimized.input_a),
-            _input_to_dict(minimized.input_b),
+            minimized.input_a.to_dict(),
+            minimized.input_b.to_dict(),
         )
         triaged.removed_instructions = minimized.removed_instructions
         triaged.input_locations_shrunk = minimized.shrunk_locations

@@ -35,7 +35,7 @@ class TriagedViolation:
     original_instruction_count: int = 0
     minimized_instruction_count: Optional[int] = None
     minimized_program_asm: Optional[str] = None
-    #: Serialised minimized witness (program dict + input pair), so the
+    #: Serialised minimized witness (program dict + ``Input.to_dict`` pair), so the
     #: feedback corpus can re-seed from triage output
     #: (:meth:`repro.core.campaign.CampaignResult.merged_corpus`).
     minimized_program_dict: Optional[Dict[str, object]] = None

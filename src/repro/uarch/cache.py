@@ -242,9 +242,6 @@ class MSHRFile:
         self.peak_occupancy = max(self.peak_occupancy, len(self._busy))
         return mshr_id
 
-    def busy_lines(self) -> Tuple[int, ...]:
-        return tuple(sorted(line for line, _ in self._busy.values()))
-
     def reset(self) -> None:
         self._busy.clear()
         self._next_release = None

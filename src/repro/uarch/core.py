@@ -191,10 +191,6 @@ class SimulationResult:
         self.final_registers = final_registers if final_registers is not None else {}
 
 
-class SimulationError(RuntimeError):
-    """Raised for internal inconsistencies (never for slow test cases)."""
-
-
 class LazyUarchContext:
     """Copy-on-demand snapshot of the predictor state AMuLeT-Opt carries over.
 

@@ -156,6 +156,19 @@ class TestFuzzerEndToEnd:
         assert report.first_detection_wall_clock is not None
         assert report.throughput() > 0
 
+    def test_violations_keep_no_decoded_program_and_still_rerun(self):
+        """A confirmed violation's program leaves the decode cache; a later
+        re-run rebuilds its decoded form and still diverges."""
+        from repro.isa.decoded import _DECODED_CACHE
+
+        fuzzer = AmuletFuzzer(FuzzerConfig(defense="baseline", programs_per_instance=6, seed=3))
+        report = fuzzer.run()
+        assert report.violations
+        assert all(v.program not in _DECODED_CACHE for v in report.violations)
+        violation = report.violations[0]
+        assert violation.rerun(violation.build_executor()).diverges
+        assert violation.program in _DECODED_CACHE
+
     def test_patched_invisispec_is_clean_under_default_config(self):
         config = FuzzerConfig(
             defense="invisispec",

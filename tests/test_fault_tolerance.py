@@ -220,12 +220,12 @@ class TestInstanceState:
         fuzzer = AmuletFuzzer(config)
         fuzzer.run_round(0)
         state = fuzzer.state_dict()
-        assert state["format"] == AmuletFuzzer.STATE_FORMAT == "amulet-instance-state-v5"
+        assert state["format"] == AmuletFuzzer.STATE_FORMAT == "amulet-instance-state-v6"
         state["format"] = f"amulet-instance-state-{version}"
         with pytest.raises(ValueError) as excinfo:
             AmuletFuzzer(config).restore_state(state)
         assert f"amulet-instance-state-{version}" in str(excinfo.value)
-        assert "amulet-instance-state-v5" in str(excinfo.value)
+        assert "amulet-instance-state-v6" in str(excinfo.value)
 
         checkpoint = str(tmp_path / "campaign.ckpt")
         atomic_write_json(
@@ -242,7 +242,7 @@ class TestInstanceState:
         with pytest.raises(ValueError) as excinfo:
             _resumed_run(config, 1, checkpoint)
         assert f"amulet-instance-state-{version}" in str(excinfo.value)
-        assert "amulet-instance-state-v5" in str(excinfo.value)
+        assert "amulet-instance-state-v6" in str(excinfo.value)
 
     def test_v3_state_is_refused_naming_both_formats(self, tmp_path):
         """v3 states kept the time ledger and executor counters beside the
@@ -253,6 +253,11 @@ class TestInstanceState:
         """v4 states stored the corpus and coverage map beside the pickled
         report; v5 reports carry both, in one pickle."""
         self._assert_state_refused(tmp_path, "v4")
+
+    def test_v5_state_is_refused_naming_both_formats(self, tmp_path):
+        """v5 corpora stored witness inputs as full hex images; v6 stores
+        each as its description."""
+        self._assert_state_refused(tmp_path, "v5")
 
 
 @pytest.fixture(scope="class")

@@ -7,6 +7,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import InlineBackend, ProcessPoolBackend
 from repro.core import AmuletFuzzer, Campaign, FuzzerConfig, FuzzerReport
@@ -22,9 +24,10 @@ from repro.feedback import (
     program_id,
     round_features,
 )
-from repro.feedback.corpus import input_from_dict, input_to_dict
+from repro.feedback.corpus import CORPUS_FORMAT
 from repro.feedback.coverage import feature_index
 from repro.generator import GeneratorConfig, InputGenerator, ProgramGenerator, Sandbox
+from repro.generator.inputs import Input, memory_taint_label
 from repro.isa.instructions import Opcode
 from repro.isa.operands import Immediate, Register
 from repro.isa.program import Program
@@ -58,12 +61,6 @@ class TestProgramSerialization:
         payload = program.to_dict()
         payload["name"] = "renamed"
         assert program_id(Program.from_dict(payload)) == program_id(program)
-
-    def test_input_round_trip(self, sandbox):
-        test_input = InputGenerator(sandbox, seed=3).generate_one()
-        rebuilt = input_from_dict(input_to_dict(test_input))
-        assert rebuilt.registers == test_input.registers
-        assert rebuilt.memory == test_input.memory
 
 
 # -- coverage ------------------------------------------------------------------
@@ -168,6 +165,32 @@ class TestCorpus:
         assert rebuilt._program is None
         assert rebuilt == entry
         assert rebuilt.program().to_asm() == program.to_asm()
+
+    def test_a_v1_corpus_is_refused_naming_the_file(self, tmp_path):
+        """v1 stored each witness input as a full hex image."""
+        path = tmp_path / "old_corpus.json"
+        path.write_text('{"format": "amulet-corpus-v1", "entries": []}')
+        with pytest.raises(ValueError) as excinfo:
+            Corpus.load(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "amulet-corpus-v1" in message and CORPUS_FORMAT in message
+
+    def test_an_stt_witness_keeps_its_fingerprint_through_save_and_load(self, tmp_path):
+        """A derived 128-page witness is saved as its description, not as a
+        hex image that would reload with another fingerprint."""
+        fuzzer = AmuletFuzzer(FuzzerConfig(defense="stt", programs_per_instance=1, seed=2))
+        violation = fuzzer.run_round(0).violations[0]
+        witness = (violation.input_a, violation.input_b)
+        path = tmp_path / "corpus.json"
+        fuzzer.report.corpus.save(str(path))
+        assert "memory_hex" not in path.read_text()
+        [entry] = [entry for entry in Corpus.load(str(path)).entries() if entry.inputs]
+        reloaded = entry.input_pair()
+        assert [x.fingerprint() for x in reloaded] == [x.fingerprint() for x in witness]
+        assert reloaded == witness
+        for before, after in zip(witness, reloaded):
+            assert after.read(0, after.size) == before.read(0, before.size)
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not_corpus.json"
@@ -295,6 +318,40 @@ class TestMutation:
             assert len(mutated_a.memory) == sandbox.size
             assert len(mutated_b.memory) == sandbox.size
 
+    @given(
+        pages=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**32),
+        offsets=st.sets(st.integers(0, 511), max_size=4),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_differing_locations_equal_a_full_image_walk(self, pages, seed, offsets):
+        """Equal keys, different keys and override-only differences; pages
+        derived for the walk are not kept on the inputs."""
+        from repro.core.minimize import differing_locations
+
+        sandbox = Sandbox(pages=pages)
+        generator = InputGenerator(sandbox, seed=seed)
+        base = generator.generate_one()
+        variant = generator.mutate_preserving(base, {memory_taint_label(8)}, count=1)[0]
+        words = {
+            (offset * 8 * pages) % sandbox.size: seed.to_bytes(8, "little")
+            for offset in offsets
+        }
+        explicit = Input.create(variant.register_dict(), variant.read(0, variant.size))
+        pairs = [
+            (base, base),
+            (base, base.with_overrides(words)),
+            (variant, variant.with_overrides(words)),
+            (base, variant),
+            (variant, explicit.with_overrides(words)),
+            (InputGenerator(sandbox, seed=seed).generate_at(2), base),
+        ]
+        for input_a, input_b in pairs:
+            input_a, input_b = (Input.from_dict(x.to_dict()) for x in (input_a, input_b))
+            found = differing_locations(input_a, input_b)
+            assert input_a._pages == input_b._pages == {}
+            assert found == _full_image_walk(input_a, input_b)
+
     def test_input_pair_mutation_never_equalizes_the_pair(self, sandbox):
         """A mutated witness pair must keep differing somewhere.
 
@@ -303,15 +360,27 @@ class TestMutation:
         survive both the narrow and the shift move.
         """
         from repro.core.minimize import differing_locations
-        from repro.generator.inputs import Input
 
         base = InputGenerator(sandbox, seed=2).generate_one()
         registers = base.register_dict()
         registers["rax"] ^= 1
-        single_difference = Input.create(registers, base.memory, seed=base.seed)
+        single_difference = Input.create(registers, base.read(0, base.size), seed=base.seed)
         for seed in range(50):
             pair = mutate_input_pair(base, single_difference, random.Random(seed))
             assert differing_locations(*pair), f"pair equalized at seed {seed}"
+
+
+def _full_image_walk(input_a, input_b):
+    """``differing_locations`` written over whole images."""
+    registers_a = input_a.register_dict()
+    locations = [
+        ("reg", name) for name, value in input_b.registers if registers_a[name] != value
+    ]
+    image_a, image_b = input_a.read(0, input_a.size), input_b.read(0, input_b.size)
+    for offset in range(0, min(len(image_a), len(image_b)), 8):
+        if image_a[offset : offset + 8] != image_b[offset : offset + 8]:
+            locations.append(("mem", offset))
+    return locations
 
 
 # -- strategies ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the random program generator, sandbox and input generation."""
 
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -223,10 +224,7 @@ class TestInputs:
         variants = input_generator.mutate_preserving(base, preserve, count=5)
         for variant in variants:
             assert variant.register_dict()["rax"] == base.register_dict()["rax"]
-            assert (
-                variant.memory[0x40 : 0x40 + MEMORY_GRANULE]
-                == base.memory[0x40 : 0x40 + MEMORY_GRANULE]
-            )
+            assert variant.read(0x40, MEMORY_GRANULE) == base.read(0x40, MEMORY_GRANULE)
             assert InputGenerator.preserved_equal(base, variant, preserve)
 
     def test_zero_count_returns_at_once(self, input_generator, monkeypatch):
@@ -268,7 +266,7 @@ class TestInputs:
         base = generator.generate_one()
         preserve = {memory_taint_label(16), register_taint_label("rax")}
         variant = generator.mutate_preserving(base, preserve, count=1)[0]
-        explicit = Input.create({"rbx": 3}, bytes(base.memory)).with_overrides(
+        explicit = Input.create({"rbx": 3}, base.read(0, base.size)).with_overrides(
             {8: bytes(range(8))}
         )
         for test_input in (base, variant, explicit):
@@ -282,6 +280,36 @@ class TestInputs:
             for index in touched | {pages // 2}:
                 assert clone.page(index) == test_input.page(index)
 
+    @given(
+        pages=st.sampled_from([1, 128]),
+        seed=st.integers(0, 2**32),
+        offsets=st.sets(st.integers(0, 2**16 - 1), max_size=6),
+        head=st.binary(max_size=64),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_json_round_trip_keeps_fields_fingerprint_and_pages(
+        self, pages, seed, offsets, head
+    ):
+        """Generated, boosted (overrides) and explicit-image inputs, the
+        image's trailing zeros included, survive their one serialized form."""
+        sandbox = Sandbox(pages=pages)
+        generator = InputGenerator(sandbox, seed=seed)
+        base = generator.generate_one()
+        preserve = {
+            memory_taint_label(offset * MEMORY_GRANULE % sandbox.size) for offset in offsets
+        }
+        variant = generator.mutate_preserving(base, preserve, count=1)[0]
+        explicit = Input.create({"rdx": seed}, head.ljust(sandbox.size, b"\0"), seed=seed)
+        patched = explicit.with_overrides({8: head[:8].ljust(8, b"\1")})
+        for test_input in (base, variant, explicit, patched):
+            payload = json.loads(json.dumps(test_input.to_dict()))
+            clone = Input.from_dict(payload)
+            assert clone == test_input
+            assert clone.fingerprint() == test_input.fingerprint()
+            for index in range(pages):
+                assert clone.page(index) == test_input.page(index)
+        assert len(json.dumps(explicit.to_dict())) < 512
+
     def test_a_derived_128_page_input_pickles_under_1_kib(self):
         sandbox = Sandbox(pages=128)
         generator = InputGenerator(sandbox, seed=8)
@@ -289,14 +317,14 @@ class TestInputs:
         preserve = {memory_taint_label(offset) for offset in range(0, 256, 8)}
         variant = generator.mutate_preserving(base, preserve, count=1)[0]
         for test_input in (base, variant):
-            bytes(test_input.memory[0:PAGE_SIZE])  # a derived page stays local
+            test_input.read(0, PAGE_SIZE)  # a derived page stays local
             assert len(pickle.dumps(test_input, protocol=pickle.HIGHEST_PROTOCOL)) < 1024
 
 
 def _assert_granule_words(test_input, sandbox):
     """Length is the sandbox size; every granule word fits in 16 bits."""
-    memory = test_input.memory
-    assert len(memory) == sandbox.size
+    assert len(test_input.memory) == sandbox.size
+    memory = test_input.read(0, test_input.size)
     for byte_index in range(2, MEMORY_GRANULE):
         assert not any(memory[byte_index::MEMORY_GRANULE])
 
@@ -329,9 +357,8 @@ class TestBulkMemoryDerivation:
         for variant in generator.mutate_preserving(base, preserve, count=2, salt=salt):
             _assert_granule_words(variant, sandbox)
             for offset in offsets:
-                assert (
-                    variant.memory[offset : offset + MEMORY_GRANULE]
-                    == base.memory[offset : offset + MEMORY_GRANULE]
+                assert variant.read(offset, MEMORY_GRANULE) == base.read(
+                    offset, MEMORY_GRANULE
                 )
             for name in preserved_registers:
                 assert variant.register_dict()[name] == base.register_dict()[name]
@@ -354,7 +381,7 @@ class TestBulkMemoryDerivation:
         base = generator.generate_one()
         by_index = generator.mutate_preserving(base, set(), count=3, salt=0)
         by_salt = generator.mutate_preserving(base, set(), count=1, salt=1)
-        memories = {bytes(variant.memory) for variant in by_index + by_salt}
+        memories = {variant.read(0, variant.size) for variant in by_index + by_salt}
         assert len(memories) == 4
 
     @pytest.mark.parametrize("pages", [1, 128])
@@ -370,7 +397,7 @@ class TestBulkMemoryDerivation:
         variant = generator.mutate_preserving(base, set(), count=1)[0]
         expected = 0.25 + 0.75 * 16 / 2**16
         for test_input in (base, variant):
-            memory = bytes(test_input.memory)
+            memory = test_input.read(0, test_input.size)
             words = [
                 memory[offset] | memory[offset + 1] << 8
                 for offset in range(0, sandbox.size, MEMORY_GRANULE)
@@ -392,7 +419,7 @@ class TestBulkMemoryDerivation:
         digest = hashlib.blake2b(digest_size=16)
         for test_input in InputGenerator(Sandbox(), seed=3).generate(20):
             digest.update(repr(test_input.registers).encode())
-            digest.update(bytes(test_input.memory))
+            digest.update(test_input.read(0, test_input.size))
             digest.update(str(test_input.seed).encode())
         assert digest.hexdigest() == "8590f2ecf914fd82feadbd9ddb12b56f"
 
