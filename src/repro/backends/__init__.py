@@ -3,7 +3,7 @@
 A backend turns a :class:`~repro.backends.base.CampaignPlan` into executed
 rounds: :class:`InlineBackend` runs instances sequentially on the calling
 thread (deterministic, the default), :class:`ProcessPoolBackend` schedules
-(instance, program) round chunks across a persistent pool of worker
+(instance, program) rounds across a persistent pool of worker
 processes, streams results as they complete, and cancels all outstanding
 work once ``stop_on_violation`` fires.
 
@@ -36,24 +36,19 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def get_backend(
-    name: str,
-    workers: Optional[int] = None,
-    chunk_size: int = 1,
-) -> ExecutionBackend:
+def get_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
     """Instantiate a backend by registry name.
 
-    ``workers`` and ``chunk_size`` only apply to pooled
-    backends; the inline backend accepts and ignores them so callers can
-    resolve uniformly from a single config.  (Supervision knobs —
-    ``max_retries``, backoff, deadlines — travel with the plan's configs,
-    not the registry.)
+    ``workers`` only applies to pooled backends; the inline backend accepts
+    and ignores it so callers can resolve uniformly from a single config.
+    (Supervision knobs — ``max_retries``, backoff, deadlines — travel with
+    the plan's configs, not the registry.)
     """
     key = name.lower()
     if key not in _BACKENDS:
         known = ", ".join(available_backends())
         raise KeyError(f"unknown backend {name!r}; known backends: {known}")
-    return _BACKENDS[key](workers=workers, chunk_size=chunk_size)
+    return _BACKENDS[key](workers=workers)
 
 
 __all__ = [

@@ -27,14 +27,10 @@ class InlineBackend(ExecutionBackend):
 
     name = "inline"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: int = 1,
-    ) -> None:
-        # Pool-sizing knobs are meaningless without concurrency; accepted (and
+    def __init__(self, workers: Optional[int] = None) -> None:
+        # A pool size is meaningless without concurrency; accepted (and
         # ignored) so every registered backend constructs uniformly.
-        del workers, chunk_size
+        del workers
 
     def run(
         self,

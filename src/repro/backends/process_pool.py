@@ -3,15 +3,15 @@
 Unlike the old ``multiprocessing.Pool.map`` over whole instances, this
 backend keeps one :class:`~repro.core.fuzzer.AmuletFuzzer` alive per instance
 inside a persistent worker process and schedules *rounds* — (instance,
-program_index) work units — in chunks.  Instances are pinned to workers
-(round-robin), which preserves each instance's generator and predictor state
-so per-instance results are identical to a sequential run; within a worker,
-instances are interleaved chunk by chunk so every instance makes progress and
-the cancellation flag is observed at chunk boundaries.
+program_index) work units.  Instances are pinned to workers (round-robin),
+which preserves each instance's generator and predictor state so
+per-instance results are identical to a sequential run; within a worker,
+instances are interleaved round by round so every instance makes progress
+and the cancellation flag is observed between rounds.
 
 Every completed round is streamed back over the worker's own pipe the
 moment it exists.  When ``stop_on_violation`` is set, the worker that confirms a
-violation raises a shared event; all workers stop issuing chunks, flush
+violation raises a shared event; all workers stop issuing rounds, flush
 partial reports for their instances, and exit — no instance runs to
 completion just because it was scheduled.
 
@@ -71,13 +71,12 @@ def _worker_main(
     generation: int,
     assignments: Sequence[Tuple[int, FuzzerConfig]],
     initial_states: Sequence[Optional[dict]],
-    chunk_size: int,
     stop_on_violation: bool,
     stop_event,
     results,
     state_interval: int,
 ) -> None:
-    """Run all rounds of the assigned instances, interleaved chunk by chunk.
+    """Run all rounds of the assigned instances, interleaved round by round.
 
     ``results`` is the write end of this worker's pipe; every message is
     sent whole before the next line runs, so a later death cannot tear it.
@@ -113,25 +112,21 @@ def _worker_main(
                         ("final", worker_id, instance_index, fuzzer.state_dict())
                     )
                     continue
-                for _ in range(chunk_size):
-                    if fuzzer.finished:
-                        break
-                    round_index = fuzzer.report.programs_tested
+                if not fuzzer.finished:
                     context = {
                         "worker": worker_id,
                         "instance": instance_index,
-                        "round": round_index,
+                        "round": fuzzer.report.programs_tested,
                         "generation": generation,
                     }
                     faults.maybe_delay("pool_worker", **context)
                     faults.maybe_kill("pool_worker", **context)
                     result = next(rounds[instance_index], None)
-                    if result is None:
-                        break
-                    results.send(("round", worker_id, instance_index, result))
-                    since_state[instance_index] += 1
-                    if result.violations and stop_on_violation:
-                        stop_event.set()
+                    if result is not None:
+                        results.send(("round", worker_id, instance_index, result))
+                        since_state[instance_index] += 1
+                        if result.violations and stop_on_violation:
+                            stop_event.set()
                 if fuzzer.finished:
                     results.send(
                         ("final", worker_id, instance_index, fuzzer.state_dict())
@@ -170,17 +165,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: int = 1,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.force_kills = 0
 
     def worker_count(self, instances: int) -> int:
@@ -283,7 +271,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     slot.generation,
                     assigned,
                     states,
-                    self.chunk_size,
                     plan.stop_on_violation,
                     mp_stop,
                     writer,

@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for the process backend (implies --backend process when > 1)",
     )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=1,
-        help="rounds a worker runs for one instance before rotating to its next",
-    )
     fault_group = parser.add_argument_group(
         "fault tolerance",
         "checkpoint/resume a campaign and tune worker supervision "
@@ -310,8 +304,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--workers must be at least 1")
     if args.backend == "inline" and (args.workers or 1) > 1:
         parser.error("--backend inline cannot be combined with --workers > 1")
-    if args.chunk_size < 1:
-        parser.error("--chunk-size must be at least 1")
     if args.instances < 1:
         parser.error("--instances must be at least 1")
     if args.triage_workers is not None and args.triage_workers < 1:
@@ -345,7 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         backend=select_backend(args),
         workers=args.workers,
-        chunk_size=args.chunk_size,
         max_retries=args.max_retries,
         task_timeout_seconds=args.task_timeout,
     )

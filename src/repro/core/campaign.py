@@ -6,7 +6,7 @@ the average detection time, the number of unique violations, the testing
 throughput, and the campaign execution time (Tables 3, 4 and 6).  The
 :class:`Campaign` class reproduces that orchestration on top of a pluggable
 :class:`~repro.backends.ExecutionBackend`: instances can run sequentially
-(deterministic, the default) or as round chunks across a persistent process
+(deterministic, the default) or round by round across a persistent process
 pool, each completed round streamed to the caller as it arrives.
 """
 
@@ -379,7 +379,6 @@ class Campaign:
         return get_backend(
             choice if choice is not None else self.config.backend,
             workers=self.config.workers,
-            chunk_size=self.config.chunk_size,
         )
 
     def run(

@@ -48,7 +48,6 @@ CHECKPOINT_FORMAT = "amulet-checkpoint-v3"
 _EXECUTION_ONLY_FIELDS = (
     "backend",
     "workers",
-    "chunk_size",
     "max_retries",
     "retry_backoff_seconds",
     "task_timeout_seconds",

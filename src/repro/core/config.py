@@ -76,9 +76,6 @@ class FuzzerConfig:
     #: Worker processes for pooled backends (None: one per CPU, capped at the
     #: instance count).
     workers: Optional[int] = None
-    #: Rounds a pooled worker runs for one instance before rotating to its
-    #: next instance and re-checking the campaign-wide cancellation flag.
-    chunk_size: int = 1
     #: Worker supervision (pooled backends): how many times a dead or hung
     #: worker is respawned and its lost work re-dispatched before the
     #: affected rounds are abandoned and recorded as lost on the report.

@@ -15,7 +15,6 @@ from repro.core.testcase import TestCase, TestCaseEntry, group_by_contract_trace
 from repro.core.violation import Violation
 from repro.executor.traces import UarchTrace
 from repro.model.emulator import ContractTrace
-from repro.uarch.core import materialize_uarch_context
 
 __all__ = ["ViolationDetector", "group_by_contract_trace"]
 
@@ -70,17 +69,15 @@ class ViolationDetector:
                 differing_components=witness_a.uarch_trace.differing_components(
                     witness_b.uarch_trace
                 ),
-                # Materialize the witnesses' lazy context snapshots now:
-                # validation's shared-context re-runs invalidate the predictor
-                # journals, and violations must be picklable for pooled
-                # backends.
+                # The predictor states the witnesses started from, which
+                # validation re-runs them from.
                 uarch_context=(
-                    materialize_uarch_context(witness_a.record.uarch_context)
+                    witness_a.record.uarch_context
                     if witness_a.record is not None
                     else None
                 ),
                 uarch_context_b=(
-                    materialize_uarch_context(witness_b.record.uarch_context)
+                    witness_b.record.uarch_context
                     if witness_b.record is not None
                     else None
                 ),

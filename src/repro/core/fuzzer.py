@@ -239,11 +239,8 @@ class AmuletFuzzer:
             started = clock()
             compiled = _compile_seconds()
             self.executor.load_program(program)
-            records = self.executor.run_batch(
-                [entry.test_input for entry in plan.executable]
-            )
-            for entry, record in zip(plan.executable, records):
-                entry.record = record
+            for entry in plan.executable:
+                entry.record = self.executor.run_input(entry.test_input)
             # The core builds the program's effect closures when the program
             # first reaches it; that build is ``compile``, not ``simulate``.
             compile_seconds = _compile_seconds() - compiled

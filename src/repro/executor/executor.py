@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.defenses.base import Defense
 from repro.defenses.registry import create_defense
@@ -14,7 +14,7 @@ from repro.generator.inputs import Input
 from repro.generator.sandbox import Sandbox
 from repro.isa.program import Program
 from repro.uarch.config import UarchConfig
-from repro.uarch.core import O3Core, SimulationResult, materialize_uarch_context
+from repro.uarch.core import O3Core, SimulationResult
 
 
 class ExecutionMode(str, Enum):
@@ -53,20 +53,15 @@ PRIME_REGION_BASE = 0x1000000
 class ExecutionRecord:
     """The executor's output for one test case.
 
-    ``uarch_context`` is the predictor state the run *started* from.  The
-    executor stores it as a :class:`~repro.uarch.core.LazyUarchContext`
-    (O(1) journal marks); consumers that actually need the dict — the
-    detector stamping violation witnesses, validation re-runs — call
-    :meth:`materialized_context` (or
-    :func:`~repro.uarch.core.materialize_uarch_context` on the attribute).
+    ``uarch_context`` is the predictor state the run *started* from: a
+    plain copy taken by :meth:`~repro.uarch.core.O3Core.save_uarch_context`,
+    which later runs on the same core do not change.  Violation witnesses
+    carry it, and validation re-runs both inputs from it.
     """
 
     trace: UarchTrace
     result: SimulationResult
-    uarch_context: object
-
-    def materialized_context(self) -> Optional[dict]:
-        return materialize_uarch_context(self.uarch_context)
+    uarch_context: dict
 
 
 class SimulatorExecutor:
@@ -185,17 +180,8 @@ class SimulatorExecutor:
         core = self._core
 
         if uarch_context is not None:
-            # restore_uarch_context materializes the (possibly lazy) context
-            # before invalidating the journals, so forcing a context captured
-            # on this very core is safe.
             core.restore_uarch_context(uarch_context)
-        if self.mode is ExecutionMode.NAIVE:
-            # The core is brand new (or just restored): its state dicts are
-            # tiny, and an eager copy avoids keeping every per-input core's
-            # predictors and journals alive for the rest of the round.
-            context_before = core.save_uarch_context()
-        else:
-            context_before = core.lazy_uarch_context()
+        context_before = core.save_uarch_context()
 
         priming_instructions = self._prime(core)
 
@@ -207,66 +193,6 @@ class SimulatorExecutor:
         self.tally.charge_trace_extraction()
         self.tally.count("simulations")
         return ExecutionRecord(trace=trace, result=result, uarch_context=context_before)
-
-    def run_batch(self, inputs: List[Input]) -> List[ExecutionRecord]:
-        """Run a batch of inputs of the loaded program back-to-back.
-
-        In Opt mode every input reuses the one already-constructed core (and
-        its decoded program and closures), so the per-program setup cost is paid
-        once for the whole batch — this is how the fuzzer routes a contract-
-        equivalence class's executable entries through the simulator.
-        """
-        return [self.run_input(test_input) for test_input in inputs]
-
-    def trace_batch(
-        self,
-        program: Program,
-        inputs: List[Input],
-        contract=None,
-        filter_level="none",
-    ) -> List[Optional[ExecutionRecord]]:
-        """Load a program, schedule its inputs, and run the witnessable ones.
-
-        With the default ``filter_level="none"`` every input is executed and
-        the result list contains one record per input, as before.  With a
-        ``contract`` (a :class:`~repro.model.contracts.Contract`) and a
-        stricter level, the batch is first run through the functional
-        emulator to collect contract traces, partitioned by the
-        :class:`~repro.core.scheduler.ExecutionScheduler`, and only the
-        entries that could witness a violation are simulated; skipped
-        positions hold ``None``.
-        """
-        from repro.core.scheduler import ExecutionScheduler, FilterLevel
-
-        level = FilterLevel(filter_level)
-        if level is not FilterLevel.NONE and contract is None:
-            raise ValueError("trace_batch filtering requires a contract")
-
-        if level is FilterLevel.NONE:
-            self.load_program(program)
-            return [self.run_input(test_input) for test_input in inputs]
-
-        from repro.core.testcase import TestCase
-        from repro.model.emulator import Emulator
-
-        emulator = Emulator(program, self.sandbox)
-        test_case = TestCase(program=program)
-        for test_input, model_result in zip(
-            inputs, emulator.collect_traces_batch(inputs, contract)
-        ):
-            test_case.add(
-                test_input, model_result.trace, speculation=model_result.speculation
-            )
-        plan = ExecutionScheduler(level).plan(test_case)
-        if plan.executable:
-            # A fully skipped batch never pays the simulator start-up.
-            self.load_program(program)
-            records = self.run_batch([entry.test_input for entry in plan.executable])
-            for entry, record in zip(plan.executable, records):
-                entry.record = record
-        for reason, count in plan.skip_counts().items():
-            self.tally.count(f"skipped.{reason}", count)
-        return [entry.record for entry in test_case.entries]
 
     def run_pair_with_shared_context(
         self,

@@ -5,27 +5,21 @@ trace formats evaluated in the paper (the "BP state" and "branch prediction
 order" traces of Table 5).  In AMuLeT-Opt the predictor state is deliberately
 *not* reset between inputs of the same program — the paper notes this widens
 the variety of predictions and increases the chance of finding violations —
-so the predictor supports snapshot/restore for violation validation.
+so the executor records each test case's starting predictor state as a
+plain copy (:meth:`BranchPredictor.save_state`) and violation validation
+restores it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-#: Journal sentinel: the key had no entry before the journalled write.
-_ABSENT = object()
+from typing import Dict, Optional, Tuple
 
 
 class BranchPredictor:
     """A gshare direction predictor plus a small LRU branch target buffer.
 
-    Every state mutation appends its old value to an undo journal, so a
-    "snapshot" of the predictor at any past moment is just a journal mark
-    (two integers).  ``state_at(mark)`` materializes the full state dict for
-    that moment by copying the live state and replaying the journal suffix
-    backwards — executors therefore capture a per-test-case context in O(1)
-    and only pay the dict copies for the handful of test cases that end up
-    as violation witnesses.
+    The tables stay tiny in practice (a test program has a handful of
+    branches), so :meth:`save_state` copies them outright.
     """
 
     def __init__(
@@ -44,11 +38,6 @@ class BranchPredictor:
         self._btb: Dict[int, int] = {}
         self._btb_lru: Dict[int, int] = {}
         self._use_counter = 0
-        #: Undo journal of ``(kind, key, *old_values)`` tuples.  The epoch is
-        #: bumped whenever the journal is invalidated (restore/reset), so a
-        #: stale mark can never silently materialize garbage.
-        self._journal: List[Tuple] = []
-        self._epoch = 0
 
     # -- direction prediction ----------------------------------------------------
     def _index(self, pc: int) -> int:
@@ -68,9 +57,7 @@ class BranchPredictor:
     def update_direction(self, pc: int, taken: bool) -> None:
         """Train the direction predictor and shift the global history."""
         index = self._index(pc)
-        old = self._counters.get(index, _ABSENT)
-        self._journal.append(("dir", index, old, self._history))
-        counter = 1 if old is _ABSENT else old
+        counter = self._counters.get(index, 1)
         if taken:
             counter = min(3, counter + 1)
         else:
@@ -83,9 +70,6 @@ class BranchPredictor:
     def predict_target(self, pc: int) -> Optional[int]:
         target = self._btb.get(pc)
         if target is not None:
-            self._journal.append(
-                ("lru", pc, self._btb_lru.get(pc, _ABSENT), self._use_counter)
-            )
             self._use_counter += 1
             self._btb_lru[pc] = self._use_counter
         return target
@@ -93,20 +77,8 @@ class BranchPredictor:
     def update_target(self, pc: int, target: int) -> None:
         if pc not in self._btb and len(self._btb) >= self.btb_entries:
             victim = min(self._btb_lru, key=self._btb_lru.get)
-            self._journal.append(
-                ("evict", victim, self._btb[victim], self._btb_lru[victim])
-            )
             del self._btb[victim]
             del self._btb_lru[victim]
-        self._journal.append(
-            (
-                "btb",
-                pc,
-                self._btb.get(pc, _ABSENT),
-                self._btb_lru.get(pc, _ABSENT),
-                self._use_counter,
-            )
-        )
         self._use_counter += 1
         self._btb[pc] = target
         self._btb_lru[pc] = self._use_counter
@@ -129,59 +101,12 @@ class BranchPredictor:
             "use_counter": self._use_counter,
         }
 
-    def journal_mark(self) -> Tuple[int, int]:
-        """O(1) snapshot handle: the current ``(epoch, journal length)``."""
-        return (self._epoch, len(self._journal))
-
-    def state_at(self, mark: Tuple[int, int]) -> dict:
-        """Materialize the full state as it was when ``mark`` was taken."""
-        epoch, length = mark
-        if epoch != self._epoch:
-            raise RuntimeError(
-                "stale predictor journal mark: the journal was invalidated by "
-                "a restore/reset after the mark was taken"
-            )
-        state = self.save_state()
-        counters = state["counters"]
-        btb = state["btb"]
-        btb_lru = state["btb_lru"]
-        for record in reversed(self._journal[length:]):
-            kind, key, old = record[0], record[1], record[2]
-            if kind == "dir":
-                if old is _ABSENT:
-                    counters.pop(key, None)
-                else:
-                    counters[key] = old
-                state["history"] = record[3]
-            elif kind == "btb":
-                if old is _ABSENT:
-                    btb.pop(key, None)
-                else:
-                    btb[key] = old
-                if record[3] is _ABSENT:
-                    btb_lru.pop(key, None)
-                else:
-                    btb_lru[key] = record[3]
-                state["use_counter"] = record[4]
-            elif kind == "evict":
-                btb[key] = old
-                btb_lru[key] = record[3]
-            elif kind == "lru":
-                if old is _ABSENT:
-                    btb_lru.pop(key, None)
-                else:
-                    btb_lru[key] = old
-                state["use_counter"] = record[3]
-        return state
-
     def restore_state(self, state: dict) -> None:
         self._counters = dict(state["counters"])
         self._history = state["history"]
         self._btb = dict(state["btb"])
         self._btb_lru = dict(state["btb_lru"])
         self._use_counter = state["use_counter"]
-        self._journal.clear()
-        self._epoch += 1
 
     def reset(self) -> None:
         self._counters.clear()
@@ -189,5 +114,3 @@ class BranchPredictor:
         self._btb.clear()
         self._btb_lru.clear()
         self._use_counter = 0
-        self._journal.clear()
-        self._epoch += 1

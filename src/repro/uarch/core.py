@@ -191,52 +191,6 @@ class SimulationResult:
         self.final_registers = final_registers if final_registers is not None else {}
 
 
-class LazyUarchContext:
-    """Copy-on-demand snapshot of the predictor state AMuLeT-Opt carries over.
-
-    Capturing the context eagerly costs several dict copies per test case;
-    almost every context is thrown away unread (only violation witnesses are
-    re-run from theirs).  A lazy context is two journal marks; materializing
-    replays the predictors' undo journals back to the marks and caches the
-    resulting plain dict (after which the predictor references are dropped,
-    so a materialized context never pins a core).
-    """
-
-    __slots__ = ("_branch_predictor", "_dependence_predictor", "_bp_mark", "_mdp_mark", "_value")
-
-    def __init__(self, core: "O3Core") -> None:
-        self._branch_predictor = core.branch_predictor
-        self._dependence_predictor = core.dependence_predictor
-        self._bp_mark = core.branch_predictor.journal_mark()
-        self._mdp_mark = core.dependence_predictor.journal_mark()
-        self._value: Optional[dict] = None
-
-    def materialize(self) -> dict:
-        """The plain ``{"branch_predictor": ..., "dependence_predictor": ...}``
-        dict `save_uarch_context` would have returned at capture time."""
-        if self._value is None:
-            self._value = {
-                "branch_predictor": self._branch_predictor.state_at(self._bp_mark),
-                "dependence_predictor": self._dependence_predictor.state_at(self._mdp_mark),
-            }
-            self._branch_predictor = None
-            self._dependence_predictor = None
-        return self._value
-
-    def __getitem__(self, key: str):
-        return self.materialize()[key]
-
-    def keys(self):
-        return self.materialize().keys()
-
-
-def materialize_uarch_context(context) -> Optional[dict]:
-    """Normalize a (possibly lazy) micro-architectural context to a dict."""
-    if isinstance(context, LazyUarchContext):
-        return context.materialize()
-    return context
-
-
 class O3Core:
     """The simulated out-of-order CPU hosting a secure-speculation defense."""
 
@@ -270,44 +224,13 @@ class O3Core:
         self.defense = defense or BaselineDefense()
         self.defense.attach(self)
 
-        # Per-run state, initialised by run().  The sandbox buffer and its
-        # resident-page set are reused across runs: load_input() marks every
-        # page missing, and each run fills only the pages it touches.
+        # The sandbox buffer and its resident-page set are reused across
+        # runs: load_input() marks every page missing, and each run fills
+        # only the pages it touches.
         self._sandbox_buffer = bytearray(self.sandbox.size)
         self._resident_pages: Set[int] = set()
         self.arch_state: Optional[ArchState] = None
-        self.stats = CoreStatistics()
-        self.branch_prediction_log: List[Tuple[int, int]] = []
-        self._rob: Deque[InFlightInstruction] = deque()
-        self._entries: Dict[int, InFlightInstruction] = {}
-        self._rename_map: Dict[str, int] = {}
-        self._flags_producer: Optional[int] = None
-        self._next_seq = 0
-        self._fetch_pc = program.entry_pc
-        self._fetch_stalled_until = 0
-        self._fetch_ahead_pc: Optional[int] = None
-        self._exit_fetched = False
-        self._exit_committed_cycle: Optional[int] = None
-        self._stall_commit_until = 0
-        self._loads_in_flight = 0
-        self._stores_in_flight = 0
-        self.cycle = 0
-        # Writeback works off finish-cycle buckets instead of scanning the
-        # whole window every cycle; safety notifications work off a pending
-        # list of in-flight memory accesses for the same reason.
-        self._finish_buckets: Dict[int, List[InFlightInstruction]] = {}
-        self._safety_pending: List[InFlightInstruction] = []
-        self._exec_waiting: List[InFlightInstruction] = []
-        # Seqs of in-flight unresolved conditional branches / stores with
-        # unresolved addresses — the two things that make a younger memory
-        # access speculative.  Maintained at dispatch/resolve/squash so
-        # _capture_speculation_status never scans the window.
-        self._unresolved_branches: Set[int] = set()
-        self._unresolved_stores: Set[int] = set()
-        # Cached dict form of the architectural flags (invalidated whenever
-        # a committed instruction writes flags); _flags_for hands it out to
-        # every entry without a flag producer in flight.
-        self._arch_flags_dict: Optional[Dict[str, bool]] = None
+        self._init_pipeline()
         # Fetch-ahead bounds are loop-invariant; compute them once.
         self._fetch_ahead_limit = (
             program.end_pc + FETCH_AHEAD_LINES * self.config.l1i.line_size
@@ -321,12 +244,6 @@ class O3Core:
             type(self.defense).on_entry_safe is not Defense.on_entry_safe
             or self.defense.tracks_safety
         )
-        # Set when waking parked entries back onto the issue list leaves it
-        # out of dispatch order (the issue scan re-sorts before iterating).
-        self._exec_resort = False
-        # Stores dispatched this run, in seq order (committed/squashed ones
-        # skipped lazily); load issue scans this instead of the whole ROB.
-        self._inflight_stores: List[InFlightInstruction] = []
 
     # ======================================================================
     # public API
@@ -448,12 +365,7 @@ class O3Core:
             "dependence_predictor": self.dependence_predictor.save_state(),
         }
 
-    def lazy_uarch_context(self) -> LazyUarchContext:
-        """O(1) deferred form of :meth:`save_uarch_context` (journal marks)."""
-        return LazyUarchContext(self)
-
-    def restore_uarch_context(self, context) -> None:
-        context = materialize_uarch_context(context)
+    def restore_uarch_context(self, context: dict) -> None:
         self.branch_predictor.restore_state(context["branch_predictor"])
         self.dependence_predictor.restore_state(context["dependence_predictor"])
 
@@ -510,32 +422,50 @@ class O3Core:
             resident=self._resident_pages,
         )
         self.arch_state.load_input(test_input.register_dict(), test_input.memory)
+        self._init_pipeline()
+        self.memory.clear_access_log()
+        self.defense.reset_for_run()
+
+    def _init_pipeline(self) -> None:
+        """Set the per-run pipeline state to its empty start-of-run values."""
         self.stats = CoreStatistics()
-        self.branch_prediction_log = []
-        self._rob = deque()
-        self._entries = {}
-        self._rename_map = {}
-        self._flags_producer = None
+        self.branch_prediction_log: List[Tuple[int, int]] = []
+        self._rob: Deque[InFlightInstruction] = deque()
+        self._entries: Dict[int, InFlightInstruction] = {}
+        self._rename_map: Dict[str, int] = {}
+        self._flags_producer: Optional[int] = None
         self._next_seq = 0
         self._fetch_pc = self.program.entry_pc
         self._fetch_stalled_until = 0
-        self._fetch_ahead_pc = None
+        self._fetch_ahead_pc: Optional[int] = None
         self._exit_fetched = False
-        self._exit_committed_cycle = None
+        self._exit_committed_cycle: Optional[int] = None
         self._stall_commit_until = 0
         self._loads_in_flight = 0
         self._stores_in_flight = 0
         self.cycle = 0
-        self._finish_buckets = {}
-        self._safety_pending = []
-        self._exec_waiting = []
-        self._unresolved_branches = set()
-        self._unresolved_stores = set()
+        # Writeback works off finish-cycle buckets instead of scanning the
+        # whole window every cycle; safety notifications work off a pending
+        # list of in-flight memory accesses for the same reason.
+        self._finish_buckets: Dict[int, List[InFlightInstruction]] = {}
+        self._safety_pending: List[InFlightInstruction] = []
+        self._exec_waiting: List[InFlightInstruction] = []
+        # Seqs of in-flight unresolved conditional branches / stores with
+        # unresolved addresses — the two things that make a younger memory
+        # access speculative.  Maintained at dispatch/resolve/squash so
+        # _capture_speculation_status never scans the window.
+        self._unresolved_branches: Set[int] = set()
+        self._unresolved_stores: Set[int] = set()
+        # Set when waking parked entries back onto the issue list leaves it
+        # out of dispatch order (the issue scan re-sorts before iterating).
         self._exec_resort = False
-        self._inflight_stores = []
-        self._arch_flags_dict = None
-        self.memory.clear_access_log()
-        self.defense.reset_for_run()
+        # Stores dispatched this run, in seq order (committed/squashed ones
+        # skipped lazily); load issue scans this instead of the whole ROB.
+        self._inflight_stores: List[InFlightInstruction] = []
+        # Cached dict form of the architectural flags (invalidated whenever
+        # a committed instruction writes flags); _flags_for hands it out to
+        # every entry without a flag producer in flight.
+        self._arch_flags_dict: Optional[Dict[str, bool]] = None
 
     # ======================================================================
     # pipeline stages

@@ -195,25 +195,28 @@ class MemorySystem:
         self.access_log.clear()
 
     def reset_and_prime(self, address_base: int) -> int:
-        """reset_caches() + prime_l1d() fused for the per-test-case path.
+        """Flush the caches and TLB, then fill every L1D set from ``address_base``.
 
-        When the post-prime snapshot for ``address_base`` already exists,
-        the L1D/L2 are rebuilt straight from it — flushing them first (just
-        to refill every set on the next line) would clear several hundred
-        set dicts per test case for nothing.  Back-to-back restores from the
-        *same* snapshot only rebuild the sets the previous run dirtied.
+        This is AMuLeT's cache-priming step: starting every test from fully
+        occupied sets of *out-of-sandbox* addresses makes leaks visible both
+        through speculative installs (new lines present) and through
+        replacements (primed lines missing).  Returns the number of lines
+        installed.  The primed lines are also installed in L2 so that probes
+        of primed lines are L2 hits rather than memory accesses.
+
+        Priming from empty caches is a pure function of the prime base and
+        the cache geometry, so the install loop runs once per base and
+        process (:meth:`_prime_from_empty`); later calls rebuild the L1D/L2
+        straight from its snapshot.  Back-to-back restores from the *same*
+        snapshot only rebuild the sets the previous run dirtied.
         """
+        self.reset_run_state()
         self.dtlb.flush()
-        self.mshrs.reset()
-        self.access_log.clear()
-        self.mshr_stall_events = 0
         self.l1i.flush()
         key = self._prime_key(address_base)
         snapshot = _PRIME_SNAPSHOTS.get(key)
         if snapshot is None:
-            self.l1d.flush()
-            self.l2.flush()
-            return self.prime_l1d(address_base)
+            return self._prime_from_empty(address_base, key)
         installed, l1d_lines, l1d_counter, l2_lines, l2_counter = snapshot
         l1d = self.l1d
         l2 = self.l2
@@ -225,38 +228,12 @@ class MemorySystem:
         l2.restore_from(l2_lines, l2_counter)
         return installed
 
-    def prime_l1d(self, address_base: int) -> int:
-        """Fill every L1D set with lines starting at ``address_base``.
-
-        This is AMuLeT's cache-priming step: starting every test from fully
-        occupied sets of *out-of-sandbox* addresses makes leaks visible both
-        through speculative installs (new lines present) and through
-        replacements (primed lines missing).  Returns the number of lines
-        installed.  The primed lines are also installed in L2 so that probes
-        of primed lines are L2 hits rather than memory accesses.
-
-        Priming from *empty* caches (the per-test-case reset_caches() +
-        prime_l1d() sequence) is a pure function of the prime base and the
-        cache geometry, so the resulting L1D/L2 state is memoised per base
-        and restored by copying — the install loop only runs once per base.
-        """
+    def _prime_from_empty(self, address_base: int, key: tuple) -> int:
+        """Flush the L1D/L2, run the install loop and record its snapshot."""
         l1d = self.l1d
         l2 = self.l2
-        # use_counter == 0 implies the cache is empty: lines are only ever
-        # added by install/fill_set, both of which bump the counter.
-        from_empty = l1d._use_counter == 0 and l2._use_counter == 0
-        if from_empty:
-            key = self._prime_key(address_base)
-            snapshot = _PRIME_SNAPSHOTS.get(key)
-            if snapshot is not None:
-                installed, l1d_lines, l1d_counter, l2_lines, l2_counter = snapshot
-                if self._restored_key != key:
-                    l1d._dirty_all = True
-                    l2._dirty_all = True
-                    self._restored_key = key
-                l1d.restore_from(l1d_lines, l1d_counter)
-                l2.restore_from(l2_lines, l2_counter)
-                return installed
+        l1d.flush()
+        l2.flush()
         config = l1d.config
         installed = 0
         for set_index in range(config.sets):
@@ -271,22 +248,20 @@ class MemorySystem:
                 l2.install(address)
                 installed += 1
             l1d.fill_set(set_index, addresses)
-        if from_empty:
-            key = self._prime_key(address_base)
-            _PRIME_SNAPSHOTS[key] = (
-                installed,
-                tuple(dict(entry_set) for entry_set in l1d._lines),
-                l1d._use_counter,
-                tuple(dict(entry_set) for entry_set in l2._lines),
-                l2._use_counter,
-            )
-            # Live state now equals the snapshot by construction, so dirty
-            # tracking can start from here.
-            l1d._dirty.clear()
-            l1d._dirty_all = False
-            l2._dirty.clear()
-            l2._dirty_all = False
-            self._restored_key = key
+        _PRIME_SNAPSHOTS[key] = (
+            installed,
+            tuple(dict(entry_set) for entry_set in l1d._lines),
+            l1d._use_counter,
+            tuple(dict(entry_set) for entry_set in l2._lines),
+            l2._use_counter,
+        )
+        # Live state now equals the snapshot by construction, so dirty
+        # tracking can start from here.
+        l1d._dirty.clear()
+        l1d._dirty_all = False
+        l2._dirty.clear()
+        l2._dirty_all = False
+        self._restored_key = key
         return installed
 
     def cache_state(self) -> Tuple[tuple, ...]:

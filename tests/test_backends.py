@@ -2,7 +2,7 @@
 
 Covers the backend contract: inline and process-pool execution produce
 identical aggregated results for identical campaign seeds (on every defense,
-scheduling mode and chunk size), rounds stream through progress callbacks,
+scheduling mode and worker count), rounds stream through progress callbacks,
 the worker side of the pool sends rounds, snapshots, reports and errors down
 its pipe in a fixed order, early stop cancels outstanding work across all
 instances without leaving orphaned processes, and instance seed derivation is
@@ -98,10 +98,8 @@ class TestAdaptiveMapChunksize:
         backend = get_backend("process", workers=2)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.resolve_map_chunksize(64, backend.worker_count(64)) == 8
-        # The inline backend accepts and ignores the pool-sizing knobs.
-        assert isinstance(
-            get_backend("inline", workers=2, chunk_size=3), InlineBackend
-        )
+        # The inline backend accepts and ignores the pool size.
+        assert isinstance(get_backend("inline", workers=2), InlineBackend)
 
     def test_mixed_duration_items_return_in_input_order(self):
         # Long and short items interleaved: whatever the chunking (3 items
@@ -131,10 +129,9 @@ class TestBackendRegistry:
 
     def test_get_backend_instantiates(self):
         assert isinstance(get_backend("inline"), InlineBackend)
-        pool = get_backend("process", workers=3, chunk_size=2)
+        pool = get_backend("process", workers=3)
         assert isinstance(pool, ProcessPoolBackend)
         assert pool.workers == 3
-        assert pool.chunk_size == 2
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError):
@@ -143,8 +140,6 @@ class TestBackendRegistry:
     def test_invalid_pool_parameters_rejected(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(chunk_size=0)
 
     def test_worker_count_is_capped_by_instances(self):
         assert ProcessPoolBackend(workers=8).worker_count(3) == 3
@@ -222,18 +217,14 @@ class TestBackendEquivalence:
         assert pooled.tally().counts == inline.tally().counts
         assert multiprocessing.active_children() == []
 
-    # One worker interleaves three instances chunk by chunk; with two
+    # One worker interleaves three instances round by round; with two
     # workers, one of them holds two instances.
-    @pytest.mark.parametrize(
-        "workers, chunk_size", [(1, 1), (2, 1), (2, 2), (2, 3), (2, 5)]
-    )
-    def test_chunked_scheduling_matches_inline(self, workers, chunk_size):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_scheduling_matches_inline(self, workers):
         config = replace(self.CONFIG, programs_per_instance=3)
         inline = Campaign(config, instances=3, backend=InlineBackend()).run()
         pooled = Campaign(
-            config,
-            instances=3,
-            backend=ProcessPoolBackend(workers=workers, chunk_size=chunk_size),
+            config, instances=3, backend=ProcessPoolBackend(workers=workers)
         ).run()
         assert _fingerprint(pooled) == _fingerprint(inline)
 
@@ -269,7 +260,7 @@ class TestBackendEquivalence:
         assert result.total_test_cases == 2 * 4 * 14
 
 
-def _drive_worker(config_by_instance, *, initial_states=None, chunk_size=1,
+def _drive_worker(config_by_instance, *, initial_states=None,
                   stop_on_violation=False, stop_event=None, state_interval=100):
     """Run ``_worker_main`` on a thread, writing into a real one-way pipe.
 
@@ -286,7 +277,6 @@ def _drive_worker(config_by_instance, *, initial_states=None, chunk_size=1,
             0,
             list(config_by_instance.items()),
             initial_states or [None] * len(config_by_instance),
-            chunk_size,
             stop_on_violation,
             stop_event,
             writer,
@@ -335,9 +325,9 @@ class TestWorkerPipeProtocol:
         states = [payload for kind, _, _, payload in messages if kind != "round"]
         assert [state["programs_tested"] for state in states] == [2, 4]
 
-    def test_instances_interleave_chunk_by_chunk(self):
+    def test_instances_interleave_round_by_round(self):
         configs = {0: self._config(seed=3), 5: self._config(seed=4)}
-        messages, _ = _drive_worker(configs, chunk_size=1)
+        messages, _ = _drive_worker(configs)
         rounds = [
             (index, payload.program_index)
             for kind, _, index, payload in messages
@@ -518,14 +508,20 @@ class TestCliJson:
         main(["--programs", "1", "--inputs", "7", "--instances", "2", "--workers", "2"])
         assert "backend" in capsys.readouterr().out
 
-    def test_chunk_size_flag_reaches_the_backend(self):
+    def test_workers_flag_selects_the_backend(self):
         from repro.cli import build_parser, select_backend
 
-        args = build_parser().parse_args(["--workers", "4", "--chunk-size", "5"])
-        assert args.chunk_size == 5
+        args = build_parser().parse_args(["--workers", "4"])
         assert select_backend(args) == "process"
         args = build_parser().parse_args([])
         assert select_backend(args) == "inline"
+
+    def test_chunk_size_flag_is_gone(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--chunk-size", "2"])
+        assert "--chunk-size" in capsys.readouterr().err
 
     def test_contradictory_backend_and_workers_rejected(self, capsys):
         with pytest.raises(SystemExit):

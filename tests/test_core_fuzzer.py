@@ -288,7 +288,7 @@ class TestCampaign:
         pooled = Campaign(
             config,
             instances=4,
-            backend=ProcessPoolBackend(workers=2, chunk_size=1),
+            backend=ProcessPoolBackend(workers=2),
         ).run()
         programs = sum(report.programs_tested for report in pooled.reports)
         assert programs == 4 * 4

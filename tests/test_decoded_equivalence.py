@@ -29,6 +29,8 @@ from golden_utils import (
     collect_golden,
 )
 from reference_emulator import odd_shapes_program
+from repro.core.scheduler import ExecutionScheduler, FilterLevel
+from repro.core.testcase import TestCase as RelationalTestCase
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
@@ -39,9 +41,28 @@ from repro.isa.instructions import CONDITION_CODES, InstructionClass
 from repro.isa.program import INSTRUCTION_SIZE
 from repro.isa.semantics import condition_holds, condition_predicate
 from repro.litmus import all_cases
-from repro.model.contracts import Contract
+from repro.model.contracts import Contract, get_contract
 from repro.model.emulator import Emulator
 from repro.model.taint import TaintState
+
+
+def _run_scheduled(executor, program, inputs, filter_level):
+    """Emulate, plan and simulate one program's inputs as
+    ``AmuletFuzzer.run_round`` does: the scheduler partitions the CT-SEQ
+    contract traces, and only its executable entries reach ``run_input``
+    (skipped entries keep ``record=None``).  Returns the plan."""
+    contract = get_contract("CT-SEQ")
+    emulator = Emulator(program, executor.sandbox)
+    test_case = RelationalTestCase(program=program)
+    for test_input in inputs:
+        model_result = emulator.run(test_input, contract)
+        test_case.add(test_input, model_result.trace, speculation=model_result.speculation)
+    plan = ExecutionScheduler(FilterLevel(filter_level)).plan(test_case)
+    if plan.executable:
+        executor.load_program(program)
+        for entry in plan.executable:
+            entry.record = executor.run_input(entry.test_input)
+    return plan
 
 
 @pytest.fixture(scope="module")
@@ -191,9 +212,9 @@ class TestFilterTracePreservation:
     The golden traces did not need re-recording for the execution scheduler
     because filtering only *removes* simulations: this suite replays the
     golden workload (same seed, same programs, same full trace format)
-    through the scheduler-routed ``trace_batch`` and asserts that every
-    trace still collected under ``singleton``/``speculation`` filtering is
-    byte-identical to the unfiltered run.  Duplicated inputs guarantee
+    through the scheduler the way ``run_round`` routes it and asserts that
+    every trace still collected under ``singleton``/``speculation`` filtering
+    is byte-identical to the unfiltered run.  Duplicated inputs guarantee
     multi-entry contract classes so the comparison is never vacuous.  Naive
     mode is exactly preserving whatever the skip order; in Opt mode the
     skipped entries are scheduled after the executed ones here, which keeps
@@ -223,10 +244,8 @@ class TestFilterTracePreservation:
 
     @staticmethod
     def _collect(sandbox, programs, inputs, mode, filter_level):
-        from repro.model.contracts import get_contract
-
-        contract = get_contract("CT-SEQ")
         traces = []
+        skipped = 0
         executor = SimulatorExecutor(
             defense_factory="baseline",
             sandbox=sandbox,
@@ -234,16 +253,15 @@ class TestFilterTracePreservation:
             mode=mode,
         )
         for program in programs:
-            records = executor.trace_batch(
-                program, inputs, contract=contract, filter_level=filter_level
-            )
+            plan = _run_scheduled(executor, program, inputs, filter_level)
             traces.append(
                 [
-                    None if record is None else repr(record.trace.components)
-                    for record in records
+                    None if entry.record is None else repr(entry.record.trace.components)
+                    for entry in plan.test_case.entries
                 ]
             )
-        return traces, sum(executor.tally.counts_under("skipped").values())
+            skipped += sum(plan.skip_counts().values())
+        return traces, skipped
 
     @pytest.mark.parametrize("mode", (ExecutionMode.NAIVE, ExecutionMode.OPT))
     @pytest.mark.parametrize("filter_level", ("singleton", "speculation"))
@@ -262,7 +280,7 @@ class TestFilterTracePreservation:
         assert compared > 0, "filtering must leave some traces to compare"
 
     def test_unfiltered_batch_still_matches_the_goldens(self, golden):
-        """``trace_batch`` with ``filter=none`` reproduces the recorded
+        """The scheduled path with ``filter=none`` reproduces the recorded
         golden traces exactly (same executor lifecycle as the collection)."""
         sandbox = Sandbox()
         program_generator = ProgramGenerator(
@@ -284,10 +302,10 @@ class TestFilterTracePreservation:
                     mode=mode,
                 )
                 for program_index, program in enumerate(programs):
-                    records = executor.trace_batch(program, inputs)
-                    for input_index, record in enumerate(records):
+                    plan = _run_scheduled(executor, program, inputs, "none")
+                    for input_index, entry in enumerate(plan.test_case.entries):
                         key = (defense, mode.value, program_index, input_index)
-                        assert repr(record.trace.components) == recorded[key]
+                        assert repr(entry.record.trace.components) == recorded[key]
 
 
 class TestConditionPredicates:

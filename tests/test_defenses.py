@@ -25,7 +25,7 @@ from repro.uarch import O3Core, UarchConfig
 def _run(defense, program, test_input, sandbox, config=None, prime=False):
     core = O3Core(program, config=config or UarchConfig(), defense=defense, sandbox=sandbox)
     if prime:
-        core.memory.prime_l1d(0x1000000)
+        core.memory.reset_and_prime(0x1000000)
     result = core.run(test_input)
     assert result.exit_reached
     return core

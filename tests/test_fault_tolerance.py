@@ -262,17 +262,14 @@ class TestInstanceState:
 
 @pytest.fixture(scope="class")
 def ledger_runs(tmp_path_factory):
-    """One skip-heavy campaign run inline, pooled (chunk sizes 1 and 3) and
-    interrupted then resumed from its checkpoint."""
+    """One skip-heavy campaign run inline, pooled and interrupted then
+    resumed from its checkpoint."""
     config = _config(programs=4, inputs=8, boost_factor=0, filter="singleton")
     checkpoint = str(tmp_path_factory.mktemp("ledger") / "campaign.ckpt")
     runs = {"inline": Campaign(config, instances=3).run()}
-    for chunk_size in (1, 3):
-        runs[f"pool-chunk-{chunk_size}"] = Campaign(
-            config,
-            instances=3,
-            backend=ProcessPoolBackend(workers=2, chunk_size=chunk_size),
-        ).run()
+    runs["pool"] = Campaign(
+        config, instances=3, backend=ProcessPoolBackend(workers=2)
+    ).run()
     partial = _interrupted_run(config, 3, checkpoint, stop_after=5)
     assert partial.interrupted
     runs["resumed"] = _resumed_run(config, 3, checkpoint)

@@ -3,11 +3,12 @@
 Covers the scheduler unit behavior (partitioning, skip reasons, ordering),
 the seeded A/B equivalence of ``filter=singleton`` against ``filter=none``
 on all five defenses, the speculation filter on straight-line programs,
-the skipped-entry detector regressions, report accounting, the
-scheduler-routed ``SimulatorExecutor.trace_batch``, the lazy predictor
-context snapshots, and the cached ``UarchTrace`` hash.
+the skipped-entry detector regressions, report accounting, how
+``AmuletFuzzer.run_round`` routes a test case through the scheduler, the
+per-record predictor context snapshot, and the cached ``UarchTrace`` hash.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.scheduler import SKIP_SINGLETON, SKIP_SPECULATION, plan_summary
 from repro.core.testcase import TestCase as RelationalTestCase
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.traces import UarchTrace
+from repro.feedback.strategy import RoundProgram
 from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
@@ -32,7 +34,7 @@ from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.program import BasicBlock, Program
 from repro.model.contracts import get_contract
 from repro.model.emulator import ContractTrace, Emulator, SpeculationProfile
-from repro.uarch.core import O3Core, materialize_uarch_context
+from repro.uarch.core import O3Core
 
 DEFENSES = ("baseline", "invisispec", "stt", "cleanupspec", "speclfb")
 
@@ -49,9 +51,6 @@ class _FakeRecord:
     def __init__(self, trace):
         self.trace = trace
         self.uarch_context = {"branch_predictor": {}, "dependence_predictor": {}}
-
-    def materialized_context(self):
-        return self.uarch_context
 
 
 def _straight_line_program() -> Program:
@@ -361,103 +360,159 @@ class TestReportAccounting:
         assert row["test_cases_skipped"] == 30 - row["test_cases"]
 
 
-class TestTraceBatchScheduling:
-    def _workload(self):
+class TestRoundScheduling:
+    """``run_round`` on a fixed program and fixed inputs (boost 0), so the
+    contract classes, and with them the plan, are known in advance."""
+
+    @staticmethod
+    def _round(filter_level, pick):
         sandbox = Sandbox()
         program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=5).generate()
         generator = InputGenerator(sandbox, seed=5)
-        inputs = [generator.generate_one() for _ in range(6)]
-        # Duplicates guarantee at least one multi-entry contract class.
-        inputs = [inputs[0], inputs[1], inputs[0], inputs[2], inputs[1], inputs[3]]
-        return sandbox, program, inputs
-
-    def test_unfiltered_batch_runs_every_input(self):
-        sandbox, program, inputs = self._workload()
-        executor = SimulatorExecutor("baseline", sandbox=sandbox)
-        records = executor.trace_batch(program, inputs)
-        assert len(records) == len(inputs)
-        assert all(record is not None for record in records)
-        assert executor.tally.counts_under("skipped") == {}
-
-    def test_filtered_batch_skips_singletons(self):
-        sandbox, program, inputs = self._workload()
-        executor = SimulatorExecutor("baseline", sandbox=sandbox)
-        records = executor.trace_batch(
-            program, inputs, contract=get_contract("CT-SEQ"), filter_level="singleton"
+        base = [generator.generate_one() for _ in range(4)]
+        inputs = tuple(base[index] for index in pick)
+        fuzzer = AmuletFuzzer(
+            FuzzerConfig(
+                defense="baseline",
+                contract="CT-SEQ",
+                programs_per_instance=1,
+                inputs_per_program=len(inputs),
+                boost_factor=0,
+                filter=filter_level,
+                seed=5,
+            )
         )
-        assert len(records) == len(inputs)
-        executed = [record for record in records if record is not None]
-        skipped = [record for record in records if record is None]
-        # The duplicated inputs form classes of two; the rest are singletons.
-        assert len(executed) == 4
-        assert len(skipped) == 2
-        assert sum(executor.tally.counts_under("skipped").values()) == 2
-        assert executor.tally.counts_under("skipped") == {SKIP_SINGLETON: 2}
+        fuzzer.program_source.next_program = lambda: RoundProgram(
+            program, seed_inputs=inputs
+        )
+        result = fuzzer.run_round(0)
+        assert result.test_cases == len(inputs)
+        return fuzzer.executor.tally, result
 
-    def test_filtering_requires_a_contract(self):
-        sandbox, program, inputs = self._workload()
-        executor = SimulatorExecutor("baseline", sandbox=sandbox)
-        with pytest.raises(ValueError):
-            executor.trace_batch(program, inputs, filter_level="singleton")
+    # Duplicates guarantee two two-entry contract classes; inputs 2 and 3
+    # stay singletons.
+    DUPLICATED = (0, 1, 0, 2, 1, 3)
+
+    def test_unfiltered_round_runs_every_input(self):
+        tally, result = self._round(FilterLevel.NONE, self.DUPLICATED)
+        assert result.test_cases_executed == 6
+        assert tally.counts_under("skipped") == {}
+        assert tally.counts["simulations"] == 6
+
+    def test_filtered_round_skips_singletons(self):
+        tally, result = self._round(FilterLevel.SINGLETON, self.DUPLICATED)
+        assert result.test_cases_executed == 4
+        assert tally.counts["simulations"] == 4
+        assert tally.counts_under("skipped") == {SKIP_SINGLETON: 2}
+        assert result.skipped == {SKIP_SINGLETON: 2}
+
+    def test_fully_skipped_round_starts_no_simulator(self):
+        tally, result = self._round(FilterLevel.SINGLETON, (0, 1, 2, 3))
+        assert result.test_cases_executed == 0
+        assert tally.counts_under("skipped") == {SKIP_SINGLETON: 4}
+        assert tally.counts.get("simulator_starts", 0) == 0
+        assert tally.counts.get("simulations", 0) == 0
 
 
-class TestLazyUarchContext:
-    def _core(self):
+class TestRecordedContext:
+    @staticmethod
+    def _executor(mode=ExecutionMode.OPT):
         sandbox = Sandbox()
         program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=9).generate()
-        return O3Core(program, sandbox=sandbox), InputGenerator(sandbox, seed=9)
+        executor = SimulatorExecutor("baseline", sandbox=sandbox, mode=mode)
+        executor.load_program(program)
+        return executor, InputGenerator(sandbox, seed=9)
 
-    def test_lazy_context_matches_eager_snapshot(self):
-        core, generator = self._core()
-        core.run(generator.generate_one())  # train the predictors a bit
-        eager = core.save_uarch_context()
-        lazy = core.lazy_uarch_context()
-        core.run(generator.generate_one())  # mutate past the mark
-        assert lazy.materialize() == eager
-        # Materialization is cached and stable.
-        assert lazy.materialize() is lazy.materialize()
+    def test_opt_records_hold_the_context_each_input_started_from(self):
+        executor, generator = self._executor()
+        records, expected = [], []
+        for index in range(5):
+            if index:
+                expected.append(copy.deepcopy(executor._core.save_uarch_context()))
+            records.append(executor.run_input(generator.generate_one()))
+        assert [record.uarch_context for record in records[1:]] == expected
+        # The carried-over predictor state did change along the way.
+        assert records[0].uarch_context != records[-1].uarch_context
 
-    def test_marks_survive_many_runs(self):
-        core, generator = self._core()
-        snapshots = []
-        for _ in range(4):
-            snapshots.append((core.lazy_uarch_context(), core.save_uarch_context()))
-            core.run(generator.generate_one())
-        for lazy, eager in snapshots:
-            assert lazy.materialize() == eager
+    def test_naive_records_start_from_an_untrained_predictor(self):
+        executor, generator = self._executor(ExecutionMode.NAIVE)
+        untrained = O3Core(executor.program, sandbox=executor.sandbox).save_uarch_context()
+        records = [executor.run_input(generator.generate_one()) for _ in range(4)]
+        # Each run trains its own core, but the next input gets a new one.
+        assert executor._core.save_uarch_context() != untrained
+        assert all(record.uarch_context == untrained for record in records)
 
-    def test_restore_invalidates_unmaterialized_marks(self):
-        core, generator = self._core()
-        baseline_context = core.save_uarch_context()
-        core.run(generator.generate_one())
-        stale = core.lazy_uarch_context()
-        core.restore_uarch_context(baseline_context)
-        with pytest.raises(RuntimeError):
-            stale.materialize()
+    def test_restore_does_not_alias_the_recorded_context(self):
+        """Re-running from a record's context trains a copy of it, so the
+        record can serve any number of validation re-runs."""
+        executor, generator = self._executor()
+        executor.run_input(generator.generate_one())
+        record = executor.run_input(generator.generate_one())
+        kept = copy.deepcopy(record.uarch_context)
+        for _ in range(3):
+            executor.run_input(generator.generate_one(), uarch_context=record.uarch_context)
+            assert executor._core.save_uarch_context() != kept
+        assert record.uarch_context == kept
 
-    def test_restoring_a_lazy_context_of_the_same_core_works(self):
-        core, generator = self._core()
-        lazy = core.lazy_uarch_context()
-        core.run(generator.generate_one())
-        expected = lazy.materialize()
-        core.restore_uarch_context(lazy)
-        assert core.save_uarch_context() == expected
+    def test_restoring_a_record_context_reproduces_its_run(self):
+        executor, generator = self._executor()
+        inputs = [generator.generate_one() for _ in range(4)]
+        records = [executor.run_input(test_input) for test_input in inputs]
+        again = executor.run_input(inputs[1], uarch_context=records[1].uarch_context)
+        assert again.uarch_context == records[1].uarch_context
+        assert again.trace == records[1].trace
+        assert again.result.stats == records[1].result.stats
 
-    def test_executor_records_materialize_through_the_helper(self):
+    def test_a_naive_rerun_from_an_opt_record_reproduces_it(self):
+        """A new core given an Opt record's context runs the input exactly as
+        the carried-over core did: both modes share one reset path."""
+        opt, generator = self._executor()
+        inputs = [generator.generate_one() for _ in range(4)]
+        records = [opt.run_input(test_input) for test_input in inputs]
+        naive, _ = self._executor(ExecutionMode.NAIVE)
+        for test_input, record in zip(inputs, records):
+            rerun = naive.run_input(test_input, uarch_context=record.uarch_context)
+            assert rerun.trace == record.trace
+            assert rerun.result.stats == record.result.stats
+
+    def test_detector_stamps_each_witness_with_its_own_context(self):
+        test_case = RelationalTestCase(program=None)
+        shared = _contract_trace(1)
+        contexts = []
+        for index, payload in enumerate(([1], [1], [2])):
+            record = _FakeRecord(_uarch_trace(payload))
+            record.uarch_context = {
+                "branch_predictor": {"counters": {index: 3}},
+                "dependence_predictor": {"counters": {}},
+            }
+            contexts.append(record.uarch_context)
+            test_case.add(None, shared).record = record
+        [violation] = ViolationDetector("baseline", "CT-SEQ").detect(test_case)
+        # Witness a heads the majority trace group, witness b the other one.
+        assert violation.uarch_context == contexts[0]
+        assert violation.uarch_context_b == contexts[2]
+        clone = pickle.loads(pickle.dumps(violation))
+        assert (clone.uarch_context, clone.uarch_context_b) == (contexts[0], contexts[2])
+
+    def test_record_context_is_a_snapshot(self):
+        """A record's starting context is a copy: the predictor training of
+        later inputs on the same (Opt-mode) core does not reach it."""
         sandbox = Sandbox()
         program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=9).generate()
         generator = InputGenerator(sandbox, seed=9)
         executor = SimulatorExecutor("baseline", sandbox=sandbox)
         executor.load_program(program)
-        first = executor.run_input(generator.generate_one())
-        second = executor.run_input(generator.generate_one())
-        context = first.materialized_context()
-        assert set(context) == {"branch_predictor", "dependence_predictor"}
-        # The second run started from the state the first run trained.
-        assert second.materialized_context()["branch_predictor"]["counters"]
-        # Plain dicts pass through the normalization helper unchanged.
-        assert materialize_uarch_context(context) is context
-        assert materialize_uarch_context(None) is None
+        executor.run_input(generator.generate_one())
+        core = executor._core
+        before = copy.deepcopy(core.save_uarch_context())
+        # Input a starts from what the first input trained (Opt carries it).
+        assert before["branch_predictor"]["counters"]
+        record_a = executor.run_input(generator.generate_one())
+        for _ in range(4):
+            executor.run_input(generator.generate_one())
+        assert executor._core is core
+        assert core.save_uarch_context() != before, "the later inputs must train"
+        assert record_a.uarch_context == before
 
 
 class TestUarchTraceHashCache:

@@ -1,4 +1,5 @@
-"""Tests for the out-of-order core: architectural equivalence and speculation."""
+"""Tests for the out-of-order core: architectural equivalence, speculation and
+the per-run state reset."""
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,41 @@ class TestArchitecturalEquivalence:
         emulator_result, core_result, core = _run_pair(program, sandbox, input_a)
         assert core_result.final_registers == emulator_result.final_registers
         assert core.stats.memory_order_violations >= 1
+
+
+class TestPerRunState:
+    #: What a core keeps from one run to the next: the predictors AMuLeT-Opt
+    #: carries over, the memory hierarchy the executor primes, the defense
+    #: (reset through ``reset_for_run``), the architectural state rebuilt for
+    #: each input and the sandbox buffer whose pages each run reloads.
+    CARRIED = {
+        "branch_predictor",
+        "dependence_predictor",
+        "memory",
+        "defense",
+        "arch_state",
+        "_sandbox_buffer",
+    }
+
+    def test_a_reused_core_starts_each_run_like_a_fresh_core(self):
+        """After ``_reset_run_state`` every other field of a core that already
+        ran equals a new core's, so no per-run field escapes the reset."""
+        sandbox = Sandbox()
+        program = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=11).generate()
+        inputs = InputGenerator(sandbox, seed=11)
+        used = O3Core(program, sandbox=sandbox)
+        for _ in range(3):
+            used.run(inputs.generate_one())
+        fresh = O3Core(program, sandbox=sandbox)
+        names = sorted(set(vars(fresh)) - self.CARRIED)
+        assert set(vars(used)) == set(vars(fresh))
+        assert any(getattr(used, name) != getattr(fresh, name) for name in names)
+
+        test_input = inputs.generate_one()
+        used._reset_run_state(test_input)
+        fresh._reset_run_state(test_input)
+        for name in names:
+            assert getattr(used, name) == getattr(fresh, name), name
 
 
 class TestSpeculationMechanics:

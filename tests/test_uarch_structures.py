@@ -234,6 +234,34 @@ class TestMemoryDependencePredictor:
         assert clone.predicts_alias(0x400100)
 
 
+#: A small hierarchy, so random accesses conflict with the primed lines.
+_SMALL_MEMORY = UarchConfig(
+    l1d=CacheConfig(sets=8, ways=2),
+    l1i=CacheConfig(sets=4, ways=2),
+    l2=CacheConfig(sets=16, ways=2),
+    num_mshrs=2,
+    dtlb_entries=4,
+)
+_PRIME_BASES = (0x1000000, 0x2000000)
+#: Addresses around the prime bases (hitting or evicting primed lines) or
+#: anywhere in a small window.
+_ADDRESSES = st.one_of(
+    st.integers(0, 0xFFFF),
+    st.builds(
+        lambda base, offset: base + offset,
+        st.sampled_from(_PRIME_BASES),
+        st.integers(0, 0x7FF),
+    ),
+)
+_MEMORY_OPS = st.one_of(
+    st.tuples(
+        st.just("data"), _ADDRESSES, st.tuples(*[st.booleans()] * 4)
+    ),
+    st.tuples(st.just("fetch"), _ADDRESSES, st.just(())),
+    st.tuples(st.just("dtlb"), _ADDRESSES, st.tuples(st.booleans())),
+)
+
+
 class TestMemorySystem:
     def test_hit_after_install(self):
         memory = MemorySystem(UarchConfig())
@@ -269,9 +297,47 @@ class TestMemorySystem:
     def test_priming_fills_every_set(self):
         config = UarchConfig()
         memory = MemorySystem(config)
-        installed = memory.prime_l1d(0x1000000)
+        installed = memory.reset_and_prime(0x1000000)
         assert installed == config.l1d.sets * config.l1d.ways
         assert len(memory.snapshot_l1d()) == installed
+
+    @given(
+        rounds=st.lists(
+            st.tuples(st.sampled_from(_PRIME_BASES), st.lists(_MEMORY_OPS, max_size=12)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dirty_set_prime_restore_equals_a_fresh_prime(self, rounds):
+        """Whatever a run did to the caches and TLB, re-priming (which only
+        rebuilds the sets marked dirty when the base repeats) leaves exactly
+        the state a brand-new memory system primed from that base has."""
+        memory = MemorySystem(_SMALL_MEMORY)
+        cycle = 0
+        for base, operations in rounds:
+            installed = memory.reset_and_prime(base)
+            fresh = MemorySystem(_SMALL_MEMORY)
+            assert installed == fresh.reset_and_prime(base)
+            assert memory.cache_state() == fresh.cache_state()
+            assert memory.snapshot_dtlb() == fresh.snapshot_dtlb()
+            for kind, address, flags in operations:
+                cycle += 1
+                if kind == "data":
+                    install_l1, install_l2, update_replacement, require_mshr = flags
+                    memory.data_access(
+                        memory.l1d.line_base(address),
+                        cycle,
+                        pc=0x400000,
+                        install_l1=install_l1,
+                        install_l2=install_l2,
+                        update_replacement=update_replacement,
+                        require_mshr_on_miss=require_mshr,
+                    )
+                elif kind == "fetch":
+                    memory.instruction_fetch(address)
+                else:
+                    memory.dtlb_access(address, install=flags[0])
 
     def test_instruction_fetch_installs_into_l1i(self):
         memory = MemorySystem(UarchConfig())
