@@ -27,7 +27,8 @@ restored from the latest snapshots.  Replayed rounds are deduplicated by
 program index (rounds are counter-addressed pure functions, so a replay is
 byte-identical), which makes recovery exactly-once from the caller's point
 of view.  A worker slot that exhausts its retries degrades gracefully: its
-unfinished instances report the rounds they completed, and the abandoned
+unfinished instances report exactly the rounds they streamed (the ones
+after the latest snapshot are replayed in the coordinator), and the abandoned
 remainder is recorded on the instance's report (``fault.<reason>`` counts
 plus lost-round IDs, see :meth:`FuzzerReport.record_fault`) instead of
 killing the campaign.
@@ -64,6 +65,9 @@ from repro.core.fuzzer import AmuletFuzzer, FuzzerReport, report_from_state
 #: event and the workers' activity deadlines (messages and worker exits wake
 #: it immediately).
 _POLL_SECONDS = 0.25
+
+#: Pause before a worker slot's first respawn, doubled per further retry.
+RETRY_BACKOFF_SECONDS = 0.05
 
 
 def _worker_main(
@@ -183,7 +187,7 @@ class ProcessPoolBackend(ExecutionBackend):
         minimization) doesn't serialise a whole worker's queue behind it,
         large enough that per-chunk pickling doesn't dominate when items are
         many and cheap.
-        ``pool.map`` preserves input order regardless of chunking.
+        The executor's ``map`` preserves input order regardless of chunking.
         """
         return max(1, item_count // (workers * 4))
 
@@ -193,16 +197,39 @@ class ProcessPoolBackend(ExecutionBackend):
         """Fan independent work items across a process pool, results in order.
 
         ``fn`` and the items must be picklable.  Chunking is adaptive (see
-        :meth:`resolve_map_chunksize`).
+        :meth:`resolve_map_chunksize`).  A worker that dies raises
+        :class:`~concurrent.futures.process.BrokenProcessPool` here at once
+        (``multiprocessing.Pool.map`` would wait for its results forever).
         """
         items = list(items)
         if len(items) <= 1:
             return [fn(item) for item in items]
+        # Imported here: campaigns that never fan out skip its imports.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = self.worker_count(len(items))
         chunksize = self.resolve_map_chunksize(len(items), workers)
-        context = multiprocessing.get_context()
-        with context.Pool(processes=workers) as pool:
-            return pool.map(fn, items, chunksize=chunksize)
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context()
+        ) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+
+    def _streamed_report(
+        self, config: FuzzerConfig, state: Optional[dict], rounds: int
+    ) -> FuzzerReport:
+        """The report of an instance's first ``rounds`` rounds, all streamed.
+
+        The rounds after the latest snapshot are replayed here, in the
+        coordinator: they already completed in the lost worker, and a
+        round is a pure function of the instance's state, so the replay
+        rebuilds the same report.
+        """
+        if state is None and rounds == 0:
+            return self.empty_report(config)
+        fuzzer = AmuletFuzzer(config)
+        if state is not None:
+            fuzzer.restore_state(state)
+        return fuzzer.run(rounds)
 
     def run(
         self,
@@ -218,7 +245,6 @@ class ProcessPoolBackend(ExecutionBackend):
         # Supervision knobs travel with the plan's (campaign-wide) config.
         config = plan.configs[0]
         max_retries = config.max_retries
-        backoff_seconds = config.retry_backoff_seconds
         task_timeout = config.task_timeout_seconds
         workers = self.worker_count(plan.instances)
         context = multiprocessing.get_context()
@@ -358,22 +384,24 @@ class ProcessPoolBackend(ExecutionBackend):
             for index in affected:
                 lost: List[int] = []
                 if degrade:
-                    # Keep everything the lost instance completed (the latest
-                    # snapshot's report), record the abandoned remainder.
-                    state = latest_state[index]
-                    report = (
-                        report_from_state(state)
-                        if state is not None
-                        else self.empty_report(plan.configs[index])
+                    # The report covers exactly the rounds streamed through
+                    # on_round; the rest of the budget is recorded as lost.
+                    reports[index] = self._streamed_report(
+                        plan.configs[index], latest_state[index], expected[index]
                     )
                     if not mp_stop.is_set():
                         budget = plan.configs[index].programs_per_instance
-                        lost = list(range(report.programs_tested, budget))
-                    reports[index] = report
+                        lost = list(range(expected[index], budget))
                 faults[index].append((reason, lost))
             if degrade:
+                # The replays kept this loop from reading the other pipes:
+                # the other workers' deadlines count from their end.
+                resumed = time.monotonic()
+                for other in slots:
+                    if other.conn is not None:
+                        other.last_activity = max(other.last_activity, resumed)
                 return
-            time.sleep(backoff_seconds * (2 ** (slot.retries - 1)))
+            time.sleep(RETRY_BACKOFF_SECONDS * (2 ** (slot.retries - 1)))
             slot.generation += 1
             spawn(slot)
 

@@ -112,17 +112,16 @@ class CampaignResult:
         return total
 
     def specialization_counters(self) -> Dict[str, float]:
-        """Per-program build counters summed across instances (a view of :meth:`tally`).
+        """Step-table build counters summed across instances (a view of :meth:`tally`).
 
-        ``cache_hits`` / ``cache_misses`` add the emulator's step tables
-        (``steps.*``) and the O3 core's effect closures (``closure.*``);
-        ``compile_seconds`` is the ``compile`` phase, which builds both.
+        ``cache_misses`` counts the programs whose steps were built and
+        ``cache_hits`` every emulator or O3 core that found them already
+        built (``steps.*``); ``compile_seconds`` is the ``compile`` phase,
+        which builds them.
         """
         tally = self.tally()
         counters: Dict[str, float] = {"cache_hits": 0, "cache_misses": 0}
-        for prefix in ("steps", "closure"):
-            for name, value in tally.counts_under(prefix).items():
-                counters[name] += value
+        counters.update(tally.counts_under("steps"))
         counters["compile_seconds"] = tally.seconds.get("compile", 0.0)
         return counters
 

@@ -49,7 +49,6 @@ _EXECUTION_ONLY_FIELDS = (
     "backend",
     "workers",
     "max_retries",
-    "retry_backoff_seconds",
     "task_timeout_seconds",
 )
 

@@ -80,8 +80,6 @@ class FuzzerConfig:
     #: worker is respawned and its lost work re-dispatched before the
     #: affected rounds are abandoned and recorded as lost on the report.
     max_retries: int = 2
-    #: Pause before each respawn, doubled per consecutive retry.
-    retry_backoff_seconds: float = 0.05
     #: Per-task wall-clock deadline for pooled workers (None: no deadline).
     #: A worker that produces no result for this long is force-killed and
     #: treated like a dead worker (retry, then degrade).

@@ -38,20 +38,9 @@ from repro.generator.inputs import Input, InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import forget_decoded
-from repro.isa.specialized import STATS as CLOSURE_STATS
 from repro.model.contracts import get_contract
 from repro.model.emulator import Emulator
 from repro.model.steps import STATS as STEP_STATS
-
-#: Per-program build counters by ledger prefix: the contract emulator's step
-#: tables and the O3 core's effect closures.  Both are process-wide, so each
-#: round records its own delta.
-_BUILD_STATS = (("steps", STEP_STATS), ("closure", CLOSURE_STATS))
-
-
-def _compile_seconds() -> float:
-    """Process-wide seconds spent building step tables and effect closures."""
-    return STEP_STATS.compile_seconds + CLOSURE_STATS.compile_seconds
 
 
 @dataclass
@@ -220,7 +209,7 @@ class AmuletFuzzer:
         config = self.config
         tally = self.executor.tally
         clock = time.perf_counter
-        builds = [(stats.hits, stats.misses) for _, stats in _BUILD_STATS]
+        step_hits, step_misses = STEP_STATS.hits, STEP_STATS.misses
 
         started = clock()
         round_program = self.program_source.next_program()
@@ -236,16 +225,12 @@ class AmuletFuzzer:
         # the per-program gem5-startup charge).
         plan = self.scheduler.plan(test_case)
         if plan.executable:
+            # The cores reuse the steps the program's emulation built.
             started = clock()
-            compiled = _compile_seconds()
             self.executor.load_program(program)
             for entry in plan.executable:
                 entry.record = self.executor.run_input(entry.test_input)
-            # The core builds the program's effect closures when the program
-            # first reaches it; that build is ``compile``, not ``simulate``.
-            compile_seconds = _compile_seconds() - compiled
-            tally.add_seconds("compile", compile_seconds)
-            tally.add_seconds("simulate", clock() - started - compile_seconds)
+            tally.add_seconds("simulate", clock() - started)
         skip_counts = plan.skip_counts()
         for reason, count in skip_counts.items():
             tally.count(f"skipped.{reason}", count)
@@ -268,8 +253,8 @@ class AmuletFuzzer:
             violation.signature = compute_signature(violation)
             confirmed.append(violation)
         if confirmed:
-            # The violations keep the program; its decoded form, steps and
-            # closures are rebuilt only if a later re-run needs them.
+            # The violations keep the program; its decoded form and steps
+            # are rebuilt only if a later re-run needs them.
             forget_decoded(program)
         tally.add_seconds("detect", clock() - started)
 
@@ -294,9 +279,9 @@ class AmuletFuzzer:
         self.report.test_cases_generated += len(test_case)
         self.report.test_cases_executed += plan.executed
         self.report.violations.extend(confirmed)
-        for (prefix, stats), (hits, misses) in zip(_BUILD_STATS, builds):
-            tally.count(f"{prefix}.cache_hits", stats.hits - hits)
-            tally.count(f"{prefix}.cache_misses", stats.misses - misses)
+        # Process-wide counters: the round records its own delta.
+        tally.count("steps.cache_hits", STEP_STATS.hits - step_hits)
+        tally.count("steps.cache_misses", STEP_STATS.misses - step_misses)
         self._refresh_report_times()
         if confirmed and self.report.first_detection_wall_clock is None:
             self.report.first_detection_wall_clock = self.report.wall_clock_seconds
@@ -422,7 +407,7 @@ class AmuletFuzzer:
         config = self.config
         test_case = TestCase(program=program)
         clock = time.perf_counter
-        compiled = _compile_seconds()
+        compiled = STEP_STATS.compile_seconds
         started = clock()
         usable_seeds = [
             seed_input
@@ -461,7 +446,7 @@ class AmuletFuzzer:
                     boosted_from=base_entry.index,
                     speculation=variant_result.speculation,
                 )
-        compile_seconds = _compile_seconds() - compiled
+        compile_seconds = STEP_STATS.compile_seconds - compiled
         tally = self.executor.tally
         tally.charge_contract_traces(len(test_case))
         tally.add_seconds("inputs", inputs_seconds)

@@ -63,19 +63,15 @@ class Tally:
       run, validation re-runs included), ``skipped.<reason>`` (test cases
       the execution scheduler did not simulate), the per-program build
       counters and ``fault.<reason>`` (supervised-execution faults).  Zero
-      counts are never stored.  The build counters come in two kinds:
-      ``steps.cache_misses`` counts the contract emulator's step tables
-      built (one per program emulated) and ``steps.cache_hits`` further
-      emulators that found a program's table built;
-      ``closure.cache_misses`` counts the O3 core's effect-closure tables
-      built (one per program that reaches the simulator, so none for a
-      program whose test cases were all skipped) and
-      ``closure.cache_hits`` further cores that found them built.
+      counts are never stored.  The build counters are
+      ``steps.cache_misses``, the step tables built (one per program, on
+      its first emulation), and ``steps.cache_hits``, every further
+      emulator or O3 core that found a program's steps built.
     * ``seconds`` — wall-clock seconds per round phase.  Only
       :meth:`AmuletFuzzer.run_round <repro.core.fuzzer.AmuletFuzzer.run_round>`
       reads the clock, and its phases never overlap, so they sum to at most
-      the instance's wall clock.  ``compile`` holds both table builds,
-      carved out of the ``emulate`` and ``simulate`` phases they happen in.
+      the instance's wall clock.  ``compile`` holds the step-table builds,
+      carved out of the ``emulate`` phase they happen in.
     * ``modeled`` — modeled gem5-equivalent seconds per Table 2 component,
       charged through :class:`TimeModel`.
     """

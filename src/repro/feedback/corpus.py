@@ -81,8 +81,8 @@ class CorpusEntry:
     #: Witness input pair for violation-origin entries.
     inputs: Tuple[Input, ...] = ()
     #: Rebuilt Program, memoised so repeat scheduling of the same entry
-    #: reuses one instance (and with it the decoded program, its steps and
-    #: effect closures, which the decode cache keys weakly on the instance).
+    #: reuses one instance (and with it the decoded program and its steps,
+    #: which the decode cache keys weakly on the instance).
     _program: Optional[Program] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, object]:

@@ -363,23 +363,28 @@ def mutate_input_pair(
     # Locations where the pair differs are off-limits — writing the same
     # value there would erase (part of) the difference the pair encodes.
     differing_regs = {which for kind, which in differing if kind == "reg"}
-    differing_offsets = {which for kind, which in differing if kind == "mem"}
+    # Ascending: differing_locations walks memory in address order.
+    differing_offsets = [which for kind, which in differing if kind == "mem"]
     registers_a = input_a.register_dict()
     register_names = sorted(set(registers_a) - differing_regs)
-    granule_offsets = [
-        offset
-        for offset in range(0, len(input_a.memory), MEMORY_GRANULE)
-        if offset not in differing_offsets
-    ]
-    if register_names and (not granule_offsets or rng.random() < 0.5):
+    # Every differing offset is a granule of input_a, so the agreeing
+    # granules are counted, not listed.
+    agreeing = -(-len(input_a.memory) // MEMORY_GRANULE) - len(differing_offsets)
+    if register_names and (not agreeing or rng.random() < 0.5):
         name = register_names[rng.randrange(len(register_names))]
         value = rng.getrandbits(value_bits)
         registers_b = input_b.register_dict()
         registers_a[name] = value
         registers_b[name] = value
         return input_a.with_registers(registers_a), input_b.with_registers(registers_b)
-    if not granule_offsets:
+    if not agreeing:
         return input_a, input_b
-    offset = granule_offsets[rng.randrange(len(granule_offsets))]
+    # The k-th agreeing granule: step past each differing one at or below it.
+    granule = rng.randrange(agreeing)
+    for offset in differing_offsets:
+        if offset // MEMORY_GRANULE > granule:
+            break
+        granule += 1
+    offset = granule * MEMORY_GRANULE
     word = {offset: rng.getrandbits(value_bits).to_bytes(MEMORY_GRANULE, "little")}
     return input_a.with_overrides(word), input_b.with_overrides(word)

@@ -16,11 +16,11 @@ The decode step only *caches* answers computed by :mod:`repro.isa.instructions`
 ``isa/semantics.py`` remains the single source of architectural truth and the
 two interpreters cannot diverge through this layer.
 
-Each interpreter attaches its own executable form to the decoded
-instructions, built once per program when that interpreter first runs it:
-the contract emulator a fused ``step`` (:mod:`repro.model.steps`), the O3
-core an ``effect_fn`` closure that returns a deferrable
-:class:`~repro.isa.semantics.ExecutionEffect` (:mod:`repro.isa.specialized`).
+Both interpreters execute a decoded instruction through its one fused
+``step`` (:mod:`repro.model.steps`), built once per program by whichever
+interpreter runs the program first: the contract emulator applies the step
+to its live state, the O3 core to a scratch machine whose results it keeps
+on the in-flight instruction until commit.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class DecodedInstruction:
         "mem_displacement",
         "mem_size",
         "exec_kind",
-        "effect_fn",
         "step",
     )
 
@@ -158,13 +157,9 @@ class DecodedInstruction:
             self.exec_kind = DecodedInstruction.KIND_SIMPLE
         else:
             self.exec_kind = DecodedInstruction.KIND_ALU
-        #: The O3 core's ``evaluate`` closure, attached by
-        #: :func:`repro.isa.specialized.attach_effect_closures` when the
-        #: program first reaches the simulator.
-        self.effect_fn: Optional[Callable] = None
-        #: The contract emulator's fused step, attached by
-        #: :func:`repro.model.steps.build_steps` on the program's first
-        #: emulation.
+        #: The fused step both interpreters run, attached by
+        #: :func:`repro.model.steps.build_steps` when an emulator or an O3
+        #: core first runs the program.
         self.step: Optional[Callable] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -185,7 +180,7 @@ class DecodedProgram:
 
     __slots__ = (
         "entries", "code_base", "entry_pc", "end_pc", "_table",
-        "effects_attached", "steps_built", "__weakref__",
+        "steps_built", "__weakref__",
     )
 
     def __init__(self, program: Program) -> None:
@@ -202,9 +197,6 @@ class DecodedProgram:
         for entry in self.entries:
             table[(entry.pc - self.code_base) // INSTRUCTION_SIZE] = entry
         self._table = table
-        #: Set by :func:`repro.isa.specialized.attach_effect_closures` once
-        #: every entry's ``effect_fn`` has been built.
-        self.effects_attached = False
         #: Set by :func:`repro.model.steps.build_steps` once every entry's
         #: ``step`` has been built.
         self.steps_built = False
@@ -236,7 +228,7 @@ def decode_program(program: Program) -> DecodedProgram:
 
 
 def forget_decoded(program: Program) -> None:
-    """Drop ``program``'s decoded form (its steps and effect closures too).
+    """Drop ``program``'s decoded form (its steps too).
 
     For programs that are kept but rarely run again, such as a confirmed
     violation's: the next :func:`decode_program` rebuilds it.

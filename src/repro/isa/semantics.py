@@ -1,11 +1,16 @@
 """Shared execution semantics for the reproduction ISA.
 
 Both the functional emulator (the leakage model) and the out-of-order
-simulator (the executor substrate) execute instructions through the helpers
-in this module.  Keeping the semantics in exactly one place guarantees that
-the two sides can never disagree architecturally; any relational-test
-difference therefore has to originate in the micro-architecture, which is
-the property model-based relational testing relies on.
+simulator (the executor substrate) execute instructions through one fused
+step per static instruction (:mod:`repro.model.steps`), built from the ALU
+functions and condition predicates of this module.  Keeping the semantics
+in exactly one place guarantees that the two sides can never disagree
+architecturally; any relational-test difference therefore has to originate
+in the micro-architecture, which is the property model-based relational
+testing relies on.
+
+Generic :func:`evaluate`, which returns an :class:`ExecutionEffect`, is not
+on either hot path: it is the reference the test suite holds the steps to.
 """
 
 from __future__ import annotations
@@ -376,9 +381,8 @@ def execute_on_state(instruction: Instruction, state: ArchState) -> ExecutionEff
 
     Returns the effect after applying it (register writes, flag updates and
     memory writes are performed in place).  The reference for one
-    architectural step; the interpreters run the steps of
-    :mod:`repro.model.steps` (emulator) and the closures of
-    :mod:`repro.isa.specialized` (O3 core) instead.
+    architectural step; both interpreters run the steps of
+    :mod:`repro.model.steps` instead.
     """
     effect = evaluate(
         instruction,

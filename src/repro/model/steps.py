@@ -1,13 +1,15 @@
-"""Fused architectural steps: how the contract emulator executes an instruction.
+"""Fused architectural steps: the one way an instruction executes.
 
 :func:`build_steps` gives every instruction of a decoded program one *step*
-(``DecodedInstruction.step``), built once per program on its first
-emulation.  ``step(machine, address) -> next_pc`` executes the instruction
-against a :class:`Machine` in one call:
+(``DecodedInstruction.step``), built once per program by the first
+interpreter that runs it: the contract emulator on the program's first
+emulation, or an O3 core built for a program not yet emulated.
+``step(machine, address) -> next_pc`` executes the instruction against a
+:class:`Machine` in one call:
 
 * it reads its source operands straight from the register dict (or from
-  memory at ``address``, the effective address the emulator already
-  resolved for the instruction's observations);
+  memory at ``address``, the effective address the caller already resolved
+  for a load or store);
 * it computes the result and the flags through the per-opcode functions of
   :mod:`repro.isa.semantics` (:func:`~repro.isa.semantics.alu_function`
   and the condition predicates), bound when the step is built;
@@ -17,10 +19,13 @@ against a :class:`Machine` in one call:
   value taint is the union of fixed register taints, plus the flag taint
   for flag readers and the memory taint for memory readers.
 
-Steps build no :class:`~repro.isa.semantics.ExecutionEffect` and do no
-generic taint walk.  The O3 core, which must defer effects, keeps its own
-closures (:mod:`repro.isa.specialized`); the test suite holds both to
-generic :func:`~repro.isa.semantics.evaluate`.
+The emulator's :class:`Machine` is its live architectural and taint state.
+The O3 core, which defers every effect to commit, runs the same steps on an
+:meth:`Machine.untainted` machine: a scratch dict of the instruction's
+renamed source values, the flags it reads, and a memory writer that only
+records the write.  Steps build no
+:class:`~repro.isa.semantics.ExecutionEffect` and do no generic taint walk;
+the test suite holds them to generic :func:`~repro.isa.semantics.evaluate`.
 """
 
 from __future__ import annotations
@@ -31,10 +36,33 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 from repro.generator.inputs import TaintLabel
 from repro.isa.decoded import DecodedInstruction, DecodedProgram
 from repro.isa.instructions import Opcode
-from repro.isa.registers import MASK64, SANDBOX_BASE_REGISTER, ArchState
+from repro.isa.operands import Immediate, MemoryOperand, Register
+from repro.isa.registers import GPR_NAMES, MASK64, SANDBOX_BASE_REGISTER, ArchState
 from repro.isa.semantics import alu_function
-from repro.isa.specialized import ALU_BINARY, ALU_UNARY, SpecializationStats, value_operand
-from repro.model.taint import TaintState
+from repro.model.taint import EMPTY, TaintState
+
+#: Two- and one-operand ALU opcodes, as :func:`compile_step` dispatches them.
+ALU_BINARY = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SHL, Opcode.SHR)
+ALU_UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
+
+
+class SpecializationStats:
+    """Process-wide step-table build counters.
+
+    ``misses`` counts decoded programs whose steps were built, ``hits``
+    calls that found them already built (another emulator or O3 core of
+    the program), and ``compile_seconds`` the time spent building.  The
+    fuzzer records each round's delta in its ledger.
+    """
+
+    __slots__ = ("hits", "misses", "compile_seconds")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.compile_seconds = 0.0
+
 
 #: Step-table build counters (``steps.*`` in the fuzzer's ledger).
 STATS = SpecializationStats()
@@ -50,7 +78,8 @@ class Machine:
     ``flag_taint`` their taint.  Memory goes through ``read_memory`` /
     ``write_memory`` (an :class:`ArchState`'s, or a journaling writer while
     the emulator explores a speculative path) and memory taint through the
-    :class:`TaintState`'s ``memory`` / ``set_memory``.
+    :class:`TaintState`'s ``memory`` / ``set_memory``.  The O3 core's
+    machine (:meth:`untainted`) holds no state between steps.
     """
 
     __slots__ = (
@@ -67,6 +96,45 @@ class Machine:
         self.write_memory = state.write_memory
         self.memory_taint = taint.memory
         self.set_memory_taint = taint.set_memory
+
+    @classmethod
+    def untainted(cls) -> "Machine":
+        """A machine for a caller that tracks no taint (the O3 core).
+
+        The caller sets ``regs``, ``flags``, ``read_memory`` and
+        ``write_memory`` before each step.  Every register and memory taint
+        reads :data:`~repro.model.taint.EMPTY` and memory taint writes go
+        nowhere, so the steps' taint unions stay empty.
+        """
+        machine = cls.__new__(cls)
+        machine.regs = {}
+        machine.flags = (False,) * 5
+        machine.taints = dict.fromkeys(GPR_NAMES, EMPTY)
+        machine.flag_taint = EMPTY
+        machine.read_memory = machine.write_memory = None
+        machine.memory_taint = _no_memory_taint
+        machine.set_memory_taint = _ignore_memory_taint
+        return machine
+
+
+def _no_memory_taint(address: int, size: int) -> FrozenSet[TaintLabel]:
+    return EMPTY
+
+
+def _ignore_memory_taint(address: int, size: int, taint: FrozenSet[TaintLabel]) -> None:
+    return None
+
+
+def value_operand(operand, mask: int) -> Tuple[Optional[str], Optional[int]]:
+    """``(register name, immediate)`` of one value operand, the immediate
+    masked to the operation width; ``(None, None)`` is the memory operand."""
+    if isinstance(operand, Register):
+        return operand.name, None
+    if isinstance(operand, MemoryOperand):
+        return None, None
+    if isinstance(operand, Immediate):
+        return None, operand.value & mask
+    raise TypeError(f"cannot read operand {operand!r}")
 
 
 def compile_step(decoded: DecodedInstruction) -> Step:
@@ -236,8 +304,8 @@ def build_steps(decoded: DecodedProgram) -> None:
     """Fill ``step`` on every instruction of ``decoded`` (idempotent).
 
     The first call per decoded program builds the steps and counts a miss
-    in :data:`STATS`; later calls (another emulator of the same program)
-    count a hit.
+    in :data:`STATS`; later calls (another emulator or O3 core of the same
+    program) count a hit.
     """
     if decoded.steps_built:
         STATS.hits += 1

@@ -15,10 +15,12 @@ for speculative leakage:
   misprediction squash;
 * in-order commit, at which point stores become architecturally visible.
 
-Architectural values always come from :mod:`repro.isa.semantics`; the cache
-hierarchy, TLB and predictors are footprint/timing models only, so the core
-cannot diverge architecturally from the leakage model.  All data-cache and
-TLB interactions are delegated to the attached :class:`repro.defenses.Defense`.
+Architectural values always come from the contract emulator's fused steps
+(:mod:`repro.model.steps`), run on each in-flight instruction's renamed
+operands; the cache hierarchy, TLB and predictors are footprint/timing
+models only, so the core cannot diverge architecturally from the leakage
+model.  All data-cache and TLB interactions are delegated to the attached
+:class:`repro.defenses.Defense`.
 
 Static instruction metadata comes from a decode-once
 :class:`~repro.isa.decoded.DecodedProgram`: the pipeline stages execute the
@@ -39,7 +41,7 @@ from repro.isa.decoded import DecodedInstruction, decode_program
 from repro.isa.instructions import Instruction
 from repro.isa.program import INSTRUCTION_SIZE, Program
 from repro.isa.registers import MASK64 as _MASK64, ArchState
-from repro.isa.specialized import attach_effect_closures
+from repro.model.steps import Machine, build_steps
 from repro.uarch.branch_predictor import BranchPredictor
 from repro.uarch.config import UarchConfig
 from repro.uarch.memory_dep import MemoryDependencePredictor
@@ -62,6 +64,28 @@ _NO_DEPS: Set[int] = frozenset()
 
 def _entry_seq(entry: "InFlightInstruction") -> int:
     return entry.seq
+
+
+class _StepMemory:
+    """Memory as a step sees it inside the core.
+
+    A load's step reads the value the load/store queue delivered
+    (``loaded``); a step's write is recorded (``written``), not performed,
+    because stores reach memory only at commit.  It holds no reference to
+    the core, so a dropped core is freed without the cyclic GC.
+    """
+
+    __slots__ = ("loaded", "written")
+
+    def __init__(self) -> None:
+        self.loaded = 0
+        self.written: Optional[Tuple[int, int, int]] = None
+
+    def read(self, address: int, size: int) -> int:
+        return self.loaded
+
+    def write(self, address: int, size: int, value: int) -> None:
+        self.written = (address, size, value)
 
 
 class InFlightInstruction:
@@ -91,8 +115,8 @@ class InFlightInstruction:
         "status",
         "execute_cycle",
         "finish_cycle",
-        "effect",
         "result_registers",
+        "memory_write",
         "flags_out",
         "mem_address",
         "mem_size",
@@ -138,9 +162,11 @@ class InFlightInstruction:
         self.status = "waiting"  # waiting -> executing -> done -> committed
         self.execute_cycle: Optional[int] = None
         self.finish_cycle: Optional[int] = None
-        self.effect: Optional[object] = None
+        # Results of the step, applied at commit: the destination value, the
+        # store's (address, size, value) and the five flags after it.
         self.result_registers: Dict[str, int] = {}
-        self.flags_out: Optional[Dict[str, bool]] = None
+        self.memory_write: Optional[Tuple[int, int, int]] = None
+        self.flags_out: Optional[Tuple[bool, ...]] = None
         # Memory behaviour.
         self.mem_address: Optional[int] = None
         self.mem_size = 0
@@ -205,11 +231,13 @@ class O3Core:
 
         self.program = program
         self.decoded = decode_program(program)
-        # Pre-resolved effect closures for the execute stage, built when a
-        # program first reaches the simulator (the contract emulator runs
-        # its own steps); later cores of the program reuse them through the
-        # decode cache.
-        attach_effect_closures(self.decoded)
+        # The execute stage runs the contract emulator's steps, usually
+        # already built by the program's emulation; later cores of the
+        # program reuse them through the decode cache.
+        build_steps(self.decoded)
+        self._machine = Machine.untainted()
+        self._step_memory = _StepMemory()
+        self._machine.write_memory = self._step_memory.write
         self.config = config or UarchConfig()
         self.sandbox = sandbox or Sandbox()
         self.memory = MemorySystem(self.config)
@@ -462,10 +490,6 @@ class O3Core:
         # Stores dispatched this run, in seq order (committed/squashed ones
         # skipped lazily); load issue scans this instead of the whole ROB.
         self._inflight_stores: List[InFlightInstruction] = []
-        # Cached dict form of the architectural flags (invalidated whenever
-        # a committed instruction writes flags); _flags_for hands it out to
-        # every entry without a flag producer in flight.
-        self._arch_flags_dict: Optional[Dict[str, bool]] = None
 
     # ======================================================================
     # pipeline stages
@@ -587,20 +611,17 @@ class O3Core:
             self._exec_waiting.extend(waiters)
             self._exec_resort = True
             entry.waiters = []
-        effect = entry.effect
         state = self.arch_state
-        if effect is not None:
-            for name, value in effect.register_writes.items():
-                state.registers.write(name, value)
-            if effect.flag_writes:
-                state.flags.update(effect.flag_writes)
-                self._arch_flags_dict = None
-            if effect.memory_write is not None:
-                address, size, value = effect.memory_write
-                state.write_memory(address, size, value)
+        decoded = entry.decoded
+        for name, value in entry.result_registers.items():
+            state.registers.write(name, value)
+        if decoded.writes_flags:
+            state.flags.load_tuple(entry.flags_out)
+        if entry.memory_write is not None:
+            address, size, value = entry.memory_write
+            state.write_memory(address, size, value)
         if entry.is_store:
             self.defense.commit_store(entry, cycle)
-        decoded = entry.decoded
         if entry.is_cond_branch and entry.actual_taken is not None:
             self.branch_predictor.update_direction(entry.pc, entry.actual_taken)
             if entry.actual_taken and decoded.target_pc is not None:
@@ -703,65 +724,63 @@ class O3Core:
         # not happen with the current ISA); fall back to architectural state.
         return self.arch_state.registers.read(name)
 
-    def _flags_for(self, entry: InFlightInstruction) -> Dict[str, bool]:
-        # Flags dictionaries are never mutated in place (flags_out is always
-        # rebound to a fresh dict), so the producer's dict is shared rather
-        # than defensively copied.  The architectural fallback dict is cached
-        # until a committing instruction writes flags.
+    def _flags_for(self, entry: InFlightInstruction) -> Tuple[bool, ...]:
+        """The flags ``entry`` reads: its producer's, else the architectural."""
         if entry.flags_source is not None:
             flags_out = self._entries[entry.flags_source].flags_out
             if flags_out is not None:
                 return flags_out
-        cached = self._arch_flags_dict
-        if cached is None:
-            cached = self.arch_state.flags.as_dict()
-            self._arch_flags_dict = cached
-        return cached
+        return self.arch_state.flags.as_tuple()
 
     # -- execution of individual instruction kinds -------------------------------------
-    def _eval(self, entry: InFlightInstruction, flags_in: Dict[str, bool], read_memory):
-        """Evaluate ``entry`` through its decoded instruction's closure."""
-        return entry.decoded.effect_fn(
-            lambda name: self._read_register(entry, name), flags_in, read_memory
-        )
+    def _step(self, entry: InFlightInstruction, read_memory) -> None:
+        """Run ``entry``'s step on its renamed operands; keep the results.
+
+        The step writes into a scratch register dict, the machine's flags
+        and the write recorder; ``entry`` keeps the destination value, the
+        recorded store and the flags after the step until commit.
+        """
+        machine = self._machine
+        read = self._read_register
+        machine.regs = regs = {name: read(entry, name) for name in entry.sources}
+        machine.flags = self._flags_for(entry)
+        machine.read_memory = read_memory
+        recorder = self._step_memory
+        recorder.written = None
+        decoded = entry.decoded
+        decoded.step(machine, entry.mem_address)
+        dest = decoded.destination_register
+        if dest is not None:
+            entry.result_registers = {dest: regs[dest]}
+        entry.memory_write = recorder.written
+        entry.flags_out = machine.flags
 
     def _start_execution(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
         # Integer kind dispatch, most frequent kinds first.
         kind = entry.decoded.exec_kind
         if kind == DecodedInstruction.KIND_ALU:
-            return self._execute_alu(entry, cycle)
+            self._step(entry, self.arch_state.read_memory)
+            self._begin(entry, cycle, self.config.alu_latency)
+            return True
         if kind == DecodedInstruction.KIND_MEMORY:
             return self._execute_memory(entry, cycle)
         if kind == DecodedInstruction.KIND_BRANCH:
             return self._execute_branch(entry, cycle)
-
-        flags_in = self._flags_for(entry)
-        entry.effect = self._eval(entry, flags_in, self.arch_state.read_memory)
-        entry.flags_out = flags_in
-        self._begin(entry, cycle, self.config.alu_latency)
-        return True
-
-    def _execute_alu(self, entry: InFlightInstruction, cycle: int) -> bool:
-        flags_in = self._flags_for(entry)
-        effect = self._eval(entry, flags_in, self.arch_state.read_memory)
-        entry.effect = effect
-        entry.result_registers = effect.register_writes
-        entry.flags_out = {**flags_in, **effect.flag_writes}
+        # NOP / LFENCE / EXIT: nothing to compute.
         self._begin(entry, cycle, self.config.alu_latency)
         return True
 
     def _execute_branch(self, entry: InFlightInstruction, cycle: int) -> bool:
         decoded = entry.decoded
-        flags_in = self._flags_for(entry)
-        effect = self._eval(entry, flags_in, self.arch_state.read_memory)
-        entry.effect = effect
-        entry.flags_out = flags_in
-        entry.actual_taken = bool(effect.branch_taken)
         if decoded.is_jmp:
             # Direct jumps never mispredict in this model (targets are static).
+            entry.actual_taken = True
             entry.resolved = True
             self._begin(entry, cycle, self.config.alu_latency)
             return True
+        # The direction comes from the condition, not from the pc the step
+        # would go to next: a Jcc may target its own fall-through block.
+        entry.actual_taken = bool(decoded.cond_predicate(*self._flags_for(entry)))
         self._begin(entry, cycle, BRANCH_RESOLVE_LATENCY)
         return True
 
@@ -847,7 +866,7 @@ class O3Core:
                 continue
             if not entry.overlaps(older):
                 continue
-            store_write = older.effect.memory_write if older.effect else None
+            store_write = older.memory_write
             if store_write is None:
                 return None
             store_address, store_size, store_value = store_write
@@ -879,11 +898,8 @@ class O3Core:
                 entry.mem_address, entry.mem_size
             )
 
-        flags_in = self._flags_for(entry)
-        effect = self._eval(entry, flags_in, lambda _address, _size: entry.memory_value)
-        entry.effect = effect
-        entry.result_registers = effect.register_writes
-        entry.flags_out = {**flags_in, **effect.flag_writes}
+        self._step_memory.loaded = entry.memory_value
+        self._step(entry, self._step_memory.read)
         self._begin(entry, cycle, max(1, latency))
 
         self.stats.loads_executed += 1
@@ -902,11 +918,7 @@ class O3Core:
         if latency is None:
             self.stats.defense_delayed_accesses += 1
             return False
-        flags_in = self._flags_for(entry)
-        effect = self._eval(entry, flags_in, self.arch_state.read_memory)
-        entry.effect = effect
-        entry.result_registers = effect.register_writes
-        entry.flags_out = {**flags_in, **effect.flag_writes}
+        self._step(entry, self.arch_state.read_memory)
         self._begin(entry, cycle, max(1, latency))
         self.stats.stores_executed += 1
         if entry.speculative:

@@ -14,6 +14,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -78,6 +82,42 @@ class TestMapItems:
         # The <= 1 item fast path must not spin up a pool.
         assert ProcessPoolBackend(workers=4).map_items(_square, [5]) == [25]
         assert ProcessPoolBackend(workers=4).map_items(_square, []) == []
+
+    def test_a_dying_worker_fails_the_map_at_once(self):
+        # Every item kills its worker.  The call runs in a child interpreter
+        # in its own process group, so a map that waits forever is killed
+        # with all its workers when the timeout expires.
+        script = textwrap.dedent(
+            """
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+            from repro.backends import ProcessPoolBackend
+            try:
+                ProcessPoolBackend(workers=2).map_items(os._exit, [3, 3, 3, 3])
+            except BrokenProcessPool:
+                print("broken pool")
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("map_items still waiting 30 s after its workers died")
+        assert child.returncode == 0, err
+        assert out.strip() == "broken pool"
 
 
 class TestAdaptiveMapChunksize:
@@ -213,7 +253,7 @@ class TestBackendEquivalence:
             config, instances=2, backend=ProcessPoolBackend(workers=2)
         ).run()
         assert _fingerprint(pooled) == _fingerprint(inline)
-        # Skip, closure and simulation counts — the whole counts block.
+        # Skip, step-build and simulation counts — the whole counts block.
         assert pooled.tally().counts == inline.tally().counts
         assert multiprocessing.active_children() == []
 

@@ -236,7 +236,7 @@ class TestCampaign:
         assert row["defense"] == "baseline"
         assert row["test_cases"] == result.total_test_cases
 
-    def test_specialization_counters_count_step_and_closure_builds(self):
+    def test_specialization_counters_count_step_builds_and_reuses(self):
         config = FuzzerConfig(
             defense="invisispec",
             patched=True,
@@ -248,18 +248,17 @@ class TestCampaign:
         programs = sum(report.programs_tested for report in result.reports)
         assert programs == 2 * 4
         counts = result.tally().counts
-        # One step table per program emulated, and (filter none) one
-        # effect-closure table per program, built by its O3 core.
+        # One step table per program, built by its first emulation, and
+        # (filter none, Opt mode) one O3 core per program that reuses it.
         assert counts["steps.cache_misses"] == programs
-        assert "steps.cache_hits" not in counts
-        assert counts["closure.cache_misses"] == programs
+        assert counts["steps.cache_hits"] == programs
         counters = result.specialization_counters()
         assert set(counters) == {"cache_hits", "cache_misses", "compile_seconds"}
-        assert counters["cache_misses"] == 2 * programs
-        assert counters["cache_hits"] == counts.get("closure.cache_hits", 0)
+        assert counters["cache_misses"] == programs
+        assert counters["cache_hits"] == programs
         assert counters["compile_seconds"] > 0
 
-    def test_programs_the_scheduler_skips_build_no_closures(self):
+    def test_programs_the_scheduler_skips_start_no_core(self):
         config = FuzzerConfig(
             defense="baseline",
             programs_per_instance=12,
@@ -274,11 +273,12 @@ class TestCampaign:
         simulated = sum(1 for result in rounds if result.test_cases_executed)
         assert counts["steps.cache_misses"] == 12
         assert simulated < 12, "the workload must skip a whole program"
-        assert counts.get("closure.cache_misses", 0) == simulated
+        # Each simulated program's core reuses the steps its emulation built.
+        assert counts.get("steps.cache_hits", 0) == simulated
 
     def test_specialization_counters_are_per_instance_on_a_pool(self):
         # A pool worker runs several instances in one process; each report
-        # must count only its own rounds' closure builds.
+        # must count only its own rounds' step builds and reuses.
         from repro.backends import ProcessPoolBackend
 
         config = FuzzerConfig(
@@ -294,10 +294,11 @@ class TestCampaign:
         assert programs == 4 * 4
         for report in pooled.reports:
             assert report.tally.counts["steps.cache_misses"] == report.programs_tested
-            assert report.tally.counts["closure.cache_misses"] == report.programs_tested
+            assert report.tally.counts["steps.cache_hits"] == report.programs_tested
         pooled_counters = pooled.specialization_counters()
         inline_counters = inline.specialization_counters()
-        assert pooled_counters["cache_misses"] == 2 * programs
+        assert pooled_counters["cache_misses"] == programs
+        assert pooled_counters["cache_hits"] == programs
         for name in ("cache_misses", "cache_hits"):
             assert pooled_counters[name] == inline_counters[name]
 

@@ -547,7 +547,7 @@ class TestPoolWorkerFaults:
         # No generation key: every respawn dies too.  The supervisor burns
         # the retry budget, synthesizes the instance's report from its last
         # snapshot, and records the never-executed rounds as lost.
-        config = _config(max_retries=1, retry_backoff_seconds=0.01)
+        config = _config(max_retries=1)
         plan = [
             {
                 "action": "kill",
@@ -579,11 +579,88 @@ class TestPoolWorkerFaults:
         assert result.reports[0].programs_tested < config.programs_per_instance
         assert multiprocessing.active_children() == []
 
+    def test_degraded_report_holds_exactly_the_streamed_rounds(self, monkeypatch):
+        # The worker dies at round 2 every time, long before its first
+        # periodic snapshot: rounds 0 and 1 were streamed, so the report
+        # must hold them and only rounds 2-5 are lost.
+        config = _config(max_retries=1)
+        plan = [
+            {
+                "action": "kill",
+                "site": "pool_worker",
+                "match": {"instance": 0, "round": 2},
+                "once": False,
+            }
+        ]
+        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
+        reset_fault_plan()
+        streamed = {0: [], 1: []}
+
+        def on_round(instance_index, round_result):
+            streamed[instance_index].append(round_result)
+
+        result = Campaign(
+            config, instances=2, backend=ProcessPoolBackend(workers=2)
+        ).run(on_round=on_round)
+
+        _, lost_rounds = _faults(result)
+        budget = config.programs_per_instance
+        for index, report in enumerate(result.reports):
+            rounds = [round_result.program_index for round_result in streamed[index]]
+            assert rounds == list(range(report.programs_tested))
+            assert report.test_cases_generated == sum(
+                round_result.test_cases for round_result in streamed[index]
+            )
+            assert len(report.violations) == sum(
+                len(round_result.violations) for round_result in streamed[index]
+            )
+            assert lost_rounds[index] == list(range(report.programs_tested, budget))
+        assert [len(streamed[0]), len(streamed[1])] == [2, budget]
+        assert multiprocessing.active_children() == []
+
+    def test_degrade_replay_does_not_overrun_healthy_deadlines(self, monkeypatch):
+        # Instance 0 dies at round 1 and degrades at once; its replay in the
+        # coordinator takes longer than the deadline.  Instance 1 keeps
+        # streaming a round a second meanwhile, so it must not be killed.
+        config = _config(programs=4, max_retries=0, task_timeout_seconds=2.0)
+        plan = [
+            {
+                "action": "kill",
+                "site": "pool_worker",
+                "match": {"instance": 0, "round": 1},
+                "once": False,
+            },
+            {
+                "action": "delay",
+                "site": "pool_worker",
+                "seconds": 1.0,
+                "match": {"instance": 1},
+                "once": False,
+            },
+        ]
+        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan))
+        reset_fault_plan()
+        real_replay = ProcessPoolBackend._streamed_report
+
+        def slow_replay(self, *args):
+            time.sleep(2.5)
+            return real_replay(self, *args)
+
+        monkeypatch.setattr(ProcessPoolBackend, "_streamed_report", slow_replay)
+        backend = ProcessPoolBackend(workers=2)
+        result = Campaign(config, instances=2, backend=backend).run()
+
+        counts, lost_rounds = _faults(result)
+        assert counts == {"worker_death": 1}
+        assert lost_rounds == [[1, 2, 3], []]
+        assert result.reports[1].programs_tested == config.programs_per_instance
+        assert backend.force_kills == 0
+        assert multiprocessing.active_children() == []
+
     def test_deadline_overrun_is_force_killed_and_recovered(self, monkeypatch):
         config = _config(
             programs=3,
             task_timeout_seconds=0.6,
-            retry_backoff_seconds=0.01,
         )
         clean = Campaign(
             config, instances=2, backend=ProcessPoolBackend(workers=2)

@@ -352,6 +352,29 @@ class TestMutation:
             assert input_a._pages == input_b._pages == {}
             assert found == _full_image_walk(input_a, input_b)
 
+    @given(
+        seed=st.integers(0, 2**32),
+        granules=st.sets(st.integers(0, 511), max_size=400),
+        flip=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_input_pair_mutation_draws_like_a_granule_list(self, seed, granules, flip):
+        """The shift move picks the same granule, with the same ``rng``
+        draws, as a pick from the list of every agreeing granule (up to
+        most of a page differing)."""
+        sandbox = Sandbox(pages=1)
+        base = InputGenerator(sandbox, seed=seed).generate_one()
+        words = {granule * 8: seed.to_bytes(8, "little") for granule in granules}
+        other = base.with_overrides(words)
+        if flip:
+            registers = other.register_dict()
+            registers["rax"] ^= 1
+            other = other.with_registers(registers)
+        for draw in range(8):
+            fast = mutate_input_pair(base, other, random.Random(draw))
+            listed = _mutate_input_pair_by_list(base, other, random.Random(draw))
+            assert [x.to_dict() for x in fast] == [x.to_dict() for x in listed]
+
     def test_input_pair_mutation_never_equalizes_the_pair(self, sandbox):
         """A mutated witness pair must keep differing somewhere.
 
@@ -368,6 +391,35 @@ class TestMutation:
         for seed in range(50):
             pair = mutate_input_pair(base, single_difference, random.Random(seed))
             assert differing_locations(*pair), f"pair equalized at seed {seed}"
+
+
+def _mutate_input_pair_by_list(input_a, input_b, rng, value_bits=16):
+    """``mutate_input_pair`` picking its shift granule from a full list."""
+    from repro.core.minimize import copy_location, differing_locations
+
+    differing = differing_locations(input_a, input_b)
+    if len(differing) > 1 and rng.random() < 0.5:
+        location = differing[rng.randrange(len(differing))]
+        return input_a, copy_location(input_a, input_b, location)
+    differing_regs = {which for kind, which in differing if kind == "reg"}
+    differing_offsets = {which for kind, which in differing if kind == "mem"}
+    registers_a = input_a.register_dict()
+    register_names = sorted(set(registers_a) - differing_regs)
+    granule_offsets = [
+        offset for offset in range(0, input_a.size, 8) if offset not in differing_offsets
+    ]
+    if register_names and (not granule_offsets or rng.random() < 0.5):
+        name = register_names[rng.randrange(len(register_names))]
+        value = rng.getrandbits(value_bits)
+        registers_b = input_b.register_dict()
+        registers_a[name] = value
+        registers_b[name] = value
+        return input_a.with_registers(registers_a), input_b.with_registers(registers_b)
+    if not granule_offsets:
+        return input_a, input_b
+    offset = granule_offsets[rng.randrange(len(granule_offsets))]
+    word = {offset: rng.getrandbits(value_bits).to_bytes(8, "little")}
+    return input_a.with_overrides(word), input_b.with_overrides(word)
 
 
 def _full_image_walk(input_a, input_b):

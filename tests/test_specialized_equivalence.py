@@ -1,22 +1,26 @@
-"""The interpreters' per-program code must match the generic references.
+"""The interpreters' per-program steps must match the generic references.
 
-Each interpreter runs per-program code built from :mod:`repro.isa.semantics`:
-the contract emulator its fused steps (:mod:`repro.model.steps`), the O3
-core its effect closures (:mod:`repro.isa.specialized`).  Each has a
-reference built on generic :func:`repro.isa.semantics.evaluate`:
+Both interpreters run the fused steps of :mod:`repro.model.steps`, built
+from :mod:`repro.isa.semantics`: the contract emulator on its live state,
+the O3 core on each in-flight instruction's renamed operands.  Each
+interpreter has a reference built on generic
+:func:`repro.isa.semantics.evaluate`:
 
 * :class:`~reference_emulator.ReferenceEmulator`, the effect-based
   emulator loop (``evaluate``, apply, a generic taint walk and an undo
   log), for the emulator;
 * :func:`reference_program`, a program whose decoded form runs
-  ``evaluate`` in every ``effect_fn``, for the O3 core.
+  ``evaluate`` in every ``step``, for the O3 core.
 
 These tests drive seeded random programs through both sides — the
 emulator under every registered contract (architectural and speculative
 paths), the O3 simulator under every defense in both execution modes —
 and require identical results everywhere: contract traces, taint sets,
 speculation profiles, micro-architectural traces, cycle counts and final
-register files.
+register files.  The core's committed registers must also equal the
+reference emulator's architectural run, which shares no code with the
+core's step harness, and every branch direction the core resolves must
+equal ``evaluate``'s.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import copy
 import random
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,15 +48,16 @@ from repro.isa.instructions import (
     CONDITION_CODES,
     Instruction,
     Opcode,
+    cond_branch,
     exit_instruction,
     jump,
 )
 from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.program import BasicBlock, Program
-from repro.isa.semantics import evaluate
-from repro.isa.specialized import compile_effect
+from repro.isa.registers import FLAG_NAMES
+from repro.isa.semantics import evaluate, flag_dict
 from repro.litmus import all_cases
-from repro.model.contracts import list_contracts
+from repro.model.contracts import CT_SEQ, list_contracts
 from repro.model.emulator import Emulator
 from repro.model.steps import compile_step
 from repro.uarch.core import O3Core
@@ -66,20 +72,40 @@ SIMULATOR_INPUTS = 2
 DEFENSES = ("baseline", "invisispec", "stt", "cleanupspec", "speclfb")
 
 
+def _evaluate_step(instruction: Instruction):
+    """A step that runs generic ``evaluate`` and applies its effect.
+
+    Values, flags and memory go through the :class:`Machine` as in the
+    fused steps; taint is not tracked (the O3 core tracks none).  The
+    effective address is recomputed by ``evaluate`` from the registers.
+    """
+    def step(machine, address):
+        effect = evaluate(
+            instruction, machine.regs.__getitem__, flag_dict(machine.flags),
+            machine.read_memory,
+        )
+        machine.regs.update(effect.register_writes)
+        if effect.flag_writes:
+            merged = {**flag_dict(machine.flags), **effect.flag_writes}
+            machine.flags = tuple(merged[name] for name in FLAG_NAMES)
+        if effect.memory_write is not None:
+            machine.write_memory(*effect.memory_write)
+        return effect.next_pc
+    return step
+
+
 def reference_program(program: Program) -> Program:
-    """A copy of ``program`` whose decoded instructions run generic ``evaluate``.
+    """A copy of ``program`` whose decoded instructions step through ``evaluate``.
 
     The copy is a distinct key in the decode cache, so it gets its own
-    decoded program; marking it ``effects_attached`` keeps the O3 core
-    from replacing the reference closures with specialized ones.
+    decoded program; marking it ``steps_built`` keeps the O3 core from
+    replacing the reference steps with fused ones.
     """
     clone = copy.deepcopy(program)
     decoded = decode_program(clone)
     for entry in decoded.entries:
-        entry.effect_fn = (
-            lambda ins: lambda rr, fl, rm: evaluate(ins, rr, fl, rm)
-        )(entry.instruction)
-    decoded.effects_attached = True
+        entry.step = _evaluate_step(entry.instruction)
+    decoded.steps_built = True
     return clone
 
 
@@ -119,18 +145,37 @@ def _assert_emulators_agree(program, sandbox, inputs, contract):
         )
 
 
+def _checked_branch(execute_branch):
+    """``O3Core._execute_branch`` holding each resolved direction to ``evaluate``.
+
+    The core decides a branch from its condition and never runs the step
+    of a JCC or JMP, so the reference steps cannot check branch direction.
+    """
+    def wrapper(core, entry, cycle):
+        issued = execute_branch(core, entry, cycle)
+        instruction = entry.decoded.instruction
+        flags = flag_dict(core._flags_for(entry))
+        expected = evaluate(instruction, None, flags, None).branch_taken
+        assert entry.actual_taken == expected, f"branch direction of {instruction}"
+        return issued
+    return wrapper
+
+
 def _simulator_records(program, sandbox, inputs, defense, mode):
     executor = SimulatorExecutor(defense_factory=defense, sandbox=sandbox, mode=mode)
     executor.load_program(program)
-    return [executor.run_input(test_input) for test_input in inputs]
+    checked = _checked_branch(O3Core._execute_branch)
+    with mock.patch.object(O3Core, "_execute_branch", checked):
+        return [executor.run_input(test_input) for test_input in inputs]
 
 
 def _assert_simulators_agree(program, sandbox, inputs, defense, mode):
-    closures = _simulator_records(program, sandbox, inputs, defense, mode)
+    steps = _simulator_records(program, sandbox, inputs, defense, mode)
     reference = _simulator_records(
         reference_program(program), sandbox, inputs, defense, mode
     )
-    for test_input, fast, slow in zip(inputs, closures, reference):
+    architectural = ReferenceEmulator(program, sandbox)
+    for test_input, fast, slow in zip(inputs, steps, reference):
         context = (
             f"uarch divergence: program {program.name} defense {defense} "
             f"mode {mode.value} input {test_input.seed}"
@@ -142,6 +187,9 @@ def _assert_simulators_agree(program, sandbox, inputs, defense, mode):
         ), context
         assert fast.result.exit_reached == slow.result.exit_reached, context
         assert fast.result.final_registers == slow.result.final_registers, context
+        if fast.result.exit_reached:
+            expected = architectural.run(test_input, CT_SEQ).final_registers
+            assert fast.result.final_registers == expected, context
 
 
 class TestReferenceHelper:
@@ -151,10 +199,10 @@ class TestReferenceHelper:
         reference = reference_program(programs[0])
         decoded = decode_program(reference)
         assert decoded is not decode_program(programs[0])
-        before = [entry.effect_fn for entry in decoded.entries]
+        before = [entry.step for entry in decoded.entries]
         O3Core(reference, sandbox=sandbox)
-        # The core found the reference closures attached and kept them.
-        assert [entry.effect_fn for entry in decoded.entries] == before
+        # The core found the reference steps attached and kept them.
+        assert [entry.step for entry in decoded.entries] == before
 
     def test_reference_emulator_does_not_run_the_steps(self):
         sandbox = Sandbox()
@@ -224,24 +272,8 @@ class TestSimulatorEquivalence:
     def test_all_defenses_both_modes_byte_identical(self, defense, mode):
         sandbox = Sandbox(pages=defense_class(defense).recommended_sandbox_pages)
         programs, inputs = _workload(sandbox, SIMULATOR_PROGRAMS, SIMULATOR_INPUTS)
-        for program in programs:
+        for program in programs + [flag_heavy_program(SEED)]:
             _assert_simulators_agree(program, sandbox, inputs, defense, mode)
-
-
-@settings(deadline=None, max_examples=6)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_closures_match_the_reference_for_any_generator_seed(seed):
-    """Every registered defense and every contract, one random program."""
-    for defense in available_defenses():
-        sandbox = Sandbox(pages=defense_class(defense).recommended_sandbox_pages)
-        programs, inputs = _workload(sandbox, 1, 2, seed=seed)
-        _assert_simulators_agree(
-            programs[0], sandbox, inputs, defense, ExecutionMode.OPT
-        )
-    sandbox = Sandbox()
-    programs, inputs = _workload(sandbox, 1, 2, seed=seed)
-    for contract in list_contracts():
-        _assert_emulators_agree(programs[0], sandbox, inputs, contract)
 
 
 _OPERAND_REGISTERS = ("rax", "rbx", "rcx", "rdx", "r8", "r9")
@@ -250,15 +282,18 @@ _UNARY = (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT)
 
 
 def flag_heavy_program(seed: int) -> Program:
-    """A straight-line program dense in partial flag writers and flag readers.
+    """A program dense in partial flag writers and flag readers.
 
     Generated programs rarely put a flag reader right behind INC/DEC or a
     zero-count shift, so this draws every ALU shape, comparisons and masked
     memory accesses in any order, follows each with a SETcc or CMOVcc on a
     random condition, and draws shift counts that include zero and counts
-    above 63.  An epilogue copies the final flags into registers the body
-    never touches.  The program is drawn from ``random.Random(seed)``:
-    Hypothesis draws of each choice cluster on the first option.
+    above 63.  Some readers are followed by a Jcc on the same condition
+    whose target is its own fall-through block, where only the condition
+    says whether the branch was taken.  An epilogue copies the final flags
+    into registers the body never touches.  The program is drawn from
+    ``random.Random(seed)``: Hypothesis draws of each choice cluster on the
+    first option.
     """
     rng = random.Random(seed)
 
@@ -268,6 +303,7 @@ def flag_heavy_program(seed: int) -> Program:
     def value():
         return register() if rng.random() < 0.5 else Immediate(rng.randint(0, 70))
 
+    blocks = []
     body = []
     for _ in range(rng.randint(8, 24)):
         kind = rng.choice(("binary", "unary", "unary", "compare", "compare", "memory"))
@@ -297,11 +333,16 @@ def flag_heavy_program(seed: int) -> Program:
             body.append(Instruction(Opcode.SETCC, (register(),), condition=condition))
         else:
             body.append(Instruction(Opcode.CMOV, (register(), register()), condition=condition))
+        if rng.random() < 0.25:
+            label = f"bb_main.{len(blocks) + 1}"
+            blocks.append(BasicBlock(f"bb_main.{len(blocks)}", body, cond_branch(condition, label)))
+            body = []
     for name, condition in zip(("r10", "r11", "r12", "r13", "r15"), ("b", "z", "s", "o", "p")):
         body.append(Instruction(Opcode.SETCC, (Register(name),), condition=condition))
     return Program(
-        [BasicBlock("bb_main.0", body, jump("bb_main.exit")),
-         BasicBlock("bb_main.exit", [], exit_instruction())],
+        blocks
+        + [BasicBlock(f"bb_main.{len(blocks)}", body, jump("bb_main.exit")),
+           BasicBlock("bb_main.exit", [], exit_instruction())],
         name=f"flag_heavy_{seed}",
     )
 
@@ -317,11 +358,35 @@ def test_steps_match_the_reference_on_flag_heavy_programs(seed):
         _assert_emulators_agree(program, sandbox, inputs, contract)
 
 
+@settings(deadline=None, max_examples=6)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_steps_match_the_reference_for_any_generator_seed(seed):
+    """Every registered defense on one random and one flag-heavy program,
+    and every contract on the random one."""
+    for defense in available_defenses():
+        sandbox = Sandbox(pages=defense_class(defense).recommended_sandbox_pages)
+        programs, inputs = _workload(sandbox, 1, 2, seed=seed)
+        for program in (programs[0], flag_heavy_program(seed)):
+            _assert_simulators_agree(
+                program, sandbox, inputs, defense, ExecutionMode.OPT
+            )
+    sandbox = Sandbox()
+    programs, inputs = _workload(sandbox, 1, 2, seed=seed)
+    for contract in list_contracts():
+        _assert_emulators_agree(programs[0], sandbox, inputs, contract)
+
+
 class TestOneExecutionPath:
     def test_interpreters_do_not_bind_the_reference(self):
         for module in (emulator_module, core_module):
             for name in ("evaluate", "execute_on_state"):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_the_core_runs_the_steps(self):
+        assert not hasattr(core_module, "ExecutionEffect")
+        assert not hasattr(O3Core, "_eval")
+        with pytest.raises(ImportError):
+            __import__("repro.isa.specialized")
 
     def test_emulator_does_not_bind_effects(self):
         for name in ("ExecutionEffect", "attach_effect_closures", "_UndoLog"):
@@ -343,6 +408,5 @@ class TestOneExecutionPath:
             source_registers=(),
             destination_register=None,
         )
-        for compile_one in (compile_effect, compile_step):
-            with pytest.raises(NotImplementedError, match="UNKNOWN"):
-                compile_one(decoded)
+        with pytest.raises(NotImplementedError, match="UNKNOWN"):
+            compile_step(decoded)

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.defenses import create_defense
 from repro.generator import GeneratorConfig, InputGenerator, ProgramGenerator, Sandbox
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.operands import Immediate, Label, Register
+from repro.isa.program import BasicBlock, Program
 from repro.litmus import get_case
 from repro.litmus.cases import make_input
 from repro.litmus.programs import spectre_v1, spectre_v4
@@ -77,7 +80,8 @@ class TestPerRunState:
     #: What a core keeps from one run to the next: the predictors AMuLeT-Opt
     #: carries over, the memory hierarchy the executor primes, the defense
     #: (reset through ``reset_for_run``), the architectural state rebuilt for
-    #: each input and the sandbox buffer whose pages each run reloads.
+    #: each input, the sandbox buffer whose pages each run reloads, and the
+    #: step machine and write recorder that every step overwrites before use.
     CARRIED = {
         "branch_predictor",
         "dependence_predictor",
@@ -85,6 +89,8 @@ class TestPerRunState:
         "defense",
         "arch_state",
         "_sandbox_buffer",
+        "_machine",
+        "_step_memory",
     }
 
     def test_a_reused_core_starts_each_run_like_a_fresh_core(self):
@@ -109,6 +115,25 @@ class TestPerRunState:
 
 
 class TestSpeculationMechanics:
+    @pytest.mark.parametrize("rax, taken", [(1, False), (0, True)])
+    def test_a_jcc_to_its_fall_through_trains_its_real_direction(self, rax, taken):
+        """``jz`` whose target is the next instruction goes to the same pc
+        either way, so only the condition says whether it was taken."""
+        jcc = Instruction(Opcode.JCC, (Label("bb_main.1"),), condition="z")
+        program = Program([
+            BasicBlock(
+                "bb_main.0", [Instruction(Opcode.CMP, (Register("rax"), Immediate(0)))], jcc
+            ),
+            BasicBlock("bb_main.1", [], Instruction(Opcode.EXIT)),
+        ])
+        assert jcc.target_pc == jcc.fallthrough_pc
+        sandbox = Sandbox()
+        core = O3Core(program, defense=create_defense("baseline"), sandbox=sandbox)
+        core.run(make_input(sandbox, {"rax": rax}))
+        # The untrained predictor says not taken.
+        assert core.stats.branch_mispredictions == int(taken)
+        assert core.branch_predictor.predict_direction(jcc.pc) is taken
+
     def test_branch_misprediction_is_detected_and_squashed(self):
         sandbox = Sandbox()
         program = spectre_v1(sandbox.aligned_mask)
