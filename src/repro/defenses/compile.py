@@ -297,6 +297,7 @@ def _build_cleanup_methods(spec: DefenseSpec) -> dict:
         if not lines:
             return
         memory = self.memory
+        memory.settle_fetch_ahead(cycle)
         cleaned = 0
         for line in lines:
             if memory.l1d.invalidate(line):
@@ -385,6 +386,7 @@ def _build_hold_methods(spec: DefenseSpec) -> dict:
         if not lines:
             return
         memory = self.memory
+        memory.settle_fetch_ahead(cycle)
         for line in lines:
             memory.l1d.install(line)
             memory.l2.install(line)

@@ -20,9 +20,11 @@ import hashlib
 import json
 import os
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.minimize import differing_locations
 from repro.generator.inputs import Input
 from repro.isa.program import Program
 
@@ -84,11 +86,15 @@ class CorpusEntry:
     #: reuses one instance (and with it the decoded program and its steps,
     #: which the decode cache keys weakly on the instance).
     _program: Optional[Program] = field(default=None, repr=False, compare=False)
+    #: ``(inputs, register names, granule offsets)`` where the witness pair
+    #: differs, memoised so repeat selections compare its pages once.
+    _differing: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, object]:
-        # The memo is rebuilt on demand; snapshots carry the dict form only.
+        # The memos are rebuilt on demand; snapshots carry the dict form only.
         state = dict(self.__dict__)
         state["_program"] = None
+        state["_differing"] = None
         return state
 
     def program(self) -> Program:
@@ -100,6 +106,25 @@ class CorpusEntry:
         if len(self.inputs) < 2:
             return None
         return self.inputs[0], self.inputs[1]
+
+    def differing_locations(self) -> List[Tuple[str, object]]:
+        """The witness pair's :func:`~repro.core.minimize.differing_locations`.
+
+        The pages are compared once per stored pair; the result is kept as
+        register names and an array of granule offsets, four bytes each
+        rather than a tuple per location.
+        """
+        memo = self._differing
+        if memo is None or memo[0] is not self.inputs:
+            pair = self.input_pair()
+            found = differing_locations(*pair) if pair is not None else []
+            memo = self._differing = (
+                self.inputs,
+                tuple(key for kind, key in found if kind == "reg"),
+                array("I", [key for kind, key in found if kind == "mem"]),
+            )
+        _, registers, offsets = memo
+        return [("reg", name) for name in registers] + [("mem", offset) for offset in offsets]
 
     def to_json_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {

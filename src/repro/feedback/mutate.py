@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.minimize import copy_location, differing_locations
 from repro.generator.config import GeneratorConfig
@@ -338,6 +338,7 @@ def mutate_input_pair(
     input_b: Input,
     rng: random.Random,
     value_bits: int = 16,
+    differing: Optional[Sequence[Tuple[str, object]]] = None,
 ) -> Tuple[Input, Input]:
     """Derive a fresh witness pair from a known one.
 
@@ -348,9 +349,11 @@ def mutate_input_pair(
     the minimizer's shrink move, which homes in on the secret-carrying
     location) or *shifts* it (writing the same random value to one location
     of both inputs, moving the pair to a nearby point of the input space
-    while preserving their relative difference).
+    while preserving their relative difference).  ``differing`` passes the
+    pair's differing locations when the caller already has them.
     """
-    differing = differing_locations(input_a, input_b)
+    if differing is None:
+        differing = differing_locations(input_a, input_b)
     # Narrow only when more than one location differs: equalising the last
     # differing location would make the pair identical — a pair that can
     # never witness a violation (minimized witnesses are often already down

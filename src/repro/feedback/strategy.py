@@ -111,7 +111,9 @@ class FeedbackProgramSource:
         seed_inputs: Tuple[Input, ...] = ()
         pair = entry.input_pair()
         if pair is not None:
-            seed_inputs = mutate_input_pair(pair[0], pair[1], rng)
+            seed_inputs = mutate_input_pair(
+                pair[0], pair[1], rng, differing=entry.differing_locations()
+            )
         return RoundProgram(
             program=program,
             parent=entry,

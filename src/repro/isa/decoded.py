@@ -87,6 +87,9 @@ class DecodedInstruction:
         "mem_size",
         "exec_kind",
         "step",
+        "issue",
+        "commit",
+        "template",
     )
 
     #: ``exec_kind`` values: integer dispatch for the O3 execute stage,
@@ -161,6 +164,12 @@ class DecodedInstruction:
         #: :func:`repro.model.steps.build_steps` when an emulator or an O3
         #: core first runs the program.
         self.step: Optional[Callable] = None
+        #: The O3 core's issue and commit handlers and its in-flight entry
+        #: template, attached by :func:`repro.uarch.handlers.build_handlers`
+        #: when an O3 core first runs the program.
+        self.issue: Optional[Callable] = None
+        self.commit: Optional[Callable] = None
+        self.template: Optional[tuple] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecodedInstruction({self.instruction!s} @ {self.pc:#x})"
@@ -180,7 +189,7 @@ class DecodedProgram:
 
     __slots__ = (
         "entries", "code_base", "entry_pc", "end_pc", "_table",
-        "steps_built", "__weakref__",
+        "steps_built", "handlers_built", "__weakref__",
     )
 
     def __init__(self, program: Program) -> None:
@@ -200,6 +209,8 @@ class DecodedProgram:
         #: Set by :func:`repro.model.steps.build_steps` once every entry's
         #: ``step`` has been built.
         self.steps_built = False
+        #: Set by :func:`repro.uarch.handlers.build_handlers`.
+        self.handlers_built = False
 
     def at_pc(self, pc: int) -> Optional[DecodedInstruction]:
         """The decoded instruction at ``pc``, or None outside the program."""
@@ -228,7 +239,7 @@ def decode_program(program: Program) -> DecodedProgram:
 
 
 def forget_decoded(program: Program) -> None:
-    """Drop ``program``'s decoded form (its steps too).
+    """Drop ``program``'s decoded form (its steps and core handlers too).
 
     For programs that are kept but rarely run again, such as a confirmed
     violation's: the next :func:`decode_program` rebuilds it.

@@ -3,9 +3,11 @@
 The core is cycle-driven and models the parts of an O3 pipeline that matter
 for speculative leakage:
 
-* fetch along the predicted path (with L1I footprint and fetch-ahead past the
-  end of the test while EXIT is still in flight, served one L1I line at a
-  time so skipped idle cycles cost one cache update per line, not per step);
+* fetch along the predicted path with an L1I footprint; past a fetched EXIT
+  the front end keeps fetching ahead while EXIT is in flight, a stream the
+  core only records (start pc, first step cycle, end at EXIT commit) and
+  the memory system settles lazily, when the L1I or L2 is next read or
+  changed;
 * dispatch with register renaming (producer tracking) into a reorder buffer;
 * out-of-order execution with a load/store queue: store-to-load forwarding,
   memory-dependence speculation (loads may bypass older stores with unknown
@@ -17,7 +19,8 @@ for speculative leakage:
 
 Architectural values always come from the contract emulator's fused steps
 (:mod:`repro.model.steps`), run on each in-flight instruction's renamed
-operands; the cache hierarchy, TLB and predictors are footprint/timing
+operands by its decode-time issue handler (:mod:`repro.uarch.handlers`);
+the cache hierarchy, TLB and predictors are footprint/timing
 models only, so the core cannot diverge architecturally from the leakage
 model.  All data-cache and TLB interactions are delegated to the attached
 :class:`repro.defenses.Defense`.
@@ -32,34 +35,33 @@ the operand tuple every cycle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.defenses.base import Defense
 from repro.generator.inputs import Input
 from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import DecodedInstruction, decode_program
-from repro.isa.instructions import Instruction
 from repro.isa.program import INSTRUCTION_SIZE, Program
-from repro.isa.registers import MASK64 as _MASK64, ArchState
+from repro.isa.registers import ArchState
 from repro.model.steps import Machine, build_steps
 from repro.uarch.branch_predictor import BranchPredictor
 from repro.uarch.config import UarchConfig
+from repro.uarch.handlers import (
+    ISSUED,
+    NO_DEPS,
+    NO_LINES,
+    NO_WAITERS,
+    PARKED,
+    REFUSED,
+    build_handlers,
+)
 from repro.uarch.memory_dep import MemoryDependencePredictor
 from repro.uarch.memory_system import MemorySystem
 from repro.uarch.stats import CoreStatistics
 
-#: Extra cycles between a branch issuing and its misprediction being acted
-#: on.  This is the speculative window in which younger instructions can
-#: reach the memory hierarchy.
-BRANCH_RESOLVE_LATENCY = 4
-
 #: How far (in L1I lines) the front end may run ahead of the EXIT instruction
 #: while it waits for EXIT to commit.
 FETCH_AHEAD_LINES = 256
-
-
-#: Shared empty dependency set for non-speculative accesses (read-only).
-_NO_DEPS: Set[int] = frozenset()
 
 
 def _entry_seq(entry: "InFlightInstruction") -> int:
@@ -92,14 +94,16 @@ class InFlightInstruction:
     """One dynamic instruction in the core's window.
 
     ``decoded`` carries the static metadata; the frequently consulted flags
-    (``is_load``, ``is_store``, ...) are mirrored as plain attributes because
-    the commit/safety/execute loops test them every cycle.
+    (``is_load``, ``is_store``, ...) are mirrored as plain attributes,
+    copied from the instruction's decode-time ``template``, because the
+    commit/safety/execute loops test them every cycle.  Fields an issue
+    handler replaces before anything reads them start as shared immutable
+    empties.
     """
 
     __slots__ = (
         "seq",
         "decoded",
-        "instruction",
         "pc",
         "is_load",
         "is_store",
@@ -113,9 +117,7 @@ class InFlightInstruction:
         "resolved",
         "mispredicted",
         "status",
-        "execute_cycle",
-        "finish_cycle",
-        "result_registers",
+        "result",
         "memory_write",
         "flags_out",
         "mem_address",
@@ -125,7 +127,6 @@ class InFlightInstruction:
         "forwarded_from",
         "wait_for_store_commit",
         "bypassed_stores",
-        "memory_value",
         "speculative",
         "unsafe_deps",
         "safe_notified",
@@ -138,20 +139,24 @@ class InFlightInstruction:
         self,
         seq: int,
         decoded: DecodedInstruction,
+        sources: Dict[str, Optional[int]],
+        flags_source: Optional[int] = None,
         predicted_taken: Optional[bool] = None,
         predicted_target: Optional[int] = None,
     ) -> None:
         self.seq = seq
         self.decoded = decoded
-        self.instruction: Instruction = decoded.instruction
-        self.pc: int = decoded.pc
-        self.is_load: bool = decoded.is_load
-        self.is_store: bool = decoded.is_store
-        self.is_memory_access: bool = decoded.is_memory_access
-        self.is_cond_branch: bool = decoded.is_cond_branch
-        # Dispatch-time dependence information.
-        self.sources: Dict[str, Optional[int]] = {}
-        self.flags_source: Optional[int] = None
+        (
+            self.pc,
+            self.is_load,
+            self.is_store,
+            self.is_memory_access,
+            self.is_cond_branch,
+        ) = decoded.template
+        # Dispatch-time dependence information: the producer of each
+        # register read (None: the architectural value) and of the flags.
+        self.sources = sources
+        self.flags_source = flags_source
         # Branch prediction.
         self.predicted_taken = predicted_taken
         self.predicted_target = predicted_target
@@ -160,25 +165,22 @@ class InFlightInstruction:
         self.mispredicted = False
         # Execution status.
         self.status = "waiting"  # waiting -> executing -> done -> committed
-        self.execute_cycle: Optional[int] = None
-        self.finish_cycle: Optional[int] = None
         # Results of the step, applied at commit: the destination value, the
-        # store's (address, size, value) and the five flags after it.
-        self.result_registers: Dict[str, int] = {}
+        # store's (address, size, value) and a flag writer's five flags.
+        self.result = 0
         self.memory_write: Optional[Tuple[int, int, int]] = None
         self.flags_out: Optional[Tuple[bool, ...]] = None
         # Memory behaviour.
         self.mem_address: Optional[int] = None
         self.mem_size = 0
-        self.line_addresses: List[int] = []
+        self.line_addresses: Sequence[int] = NO_LINES
         self.is_split = False
         self.forwarded_from: Optional[int] = None
         self.wait_for_store_commit: Optional[int] = None
-        self.bypassed_stores: Set[int] = set()
-        self.memory_value: Optional[int] = None
+        self.bypassed_stores: Set[int] = NO_DEPS
         # Speculation status.
         self.speculative = False
-        self.unsafe_deps: Set[int] = set()
+        self.unsafe_deps: Set[int] = NO_DEPS
         self.safe_notified = False
         self.squashed = False
         # Per-defense annotations (speculative buffers, cleanup metadata, ...).
@@ -186,7 +188,7 @@ class InFlightInstruction:
         # Issue wakeup: entries whose operands are blocked on this one,
         # parked here (off the issue list) until this entry's status
         # advances.
-        self.waiters: List["InFlightInstruction"] = []
+        self.waiters: Sequence["InFlightInstruction"] = NO_WAITERS
 
     def overlaps(self, other: "InFlightInstruction") -> bool:
         """Do the memory ranges of two executed accesses overlap?"""
@@ -231,16 +233,20 @@ class O3Core:
 
         self.program = program
         self.decoded = decode_program(program)
-        # The execute stage runs the contract emulator's steps, usually
+        # The issue handlers run the contract emulator's steps, usually
         # already built by the program's emulation; later cores of the
-        # program reuse them through the decode cache.
+        # program reuse steps and handlers through the decode cache.
         build_steps(self.decoded)
+        build_handlers(self.decoded)
         self._machine = Machine.untainted()
         self._step_memory = _StepMemory()
         self._machine.write_memory = self._step_memory.write
+        self._read_loaded = self._step_memory.read
         self.config = config or UarchConfig()
+        self._alu_latency = self.config.alu_latency
         self.sandbox = sandbox or Sandbox()
         self.memory = MemorySystem(self.config)
+        self._line_size = self.config.l1d.line_size
         self.branch_predictor = BranchPredictor(
             entries=self.config.predictor_entries,
             history_bits=self.config.predictor_history_bits,
@@ -258,6 +264,8 @@ class O3Core:
         self._sandbox_buffer = bytearray(self.sandbox.size)
         self._resident_pages: Set[int] = set()
         self.arch_state: Optional[ArchState] = None
+        #: The live architectural register dict the handlers read and write.
+        self._registers: Optional[Dict[str, int]] = None
         self._init_pipeline()
         # Fetch-ahead bounds are loop-invariant; compute them once.
         self._fetch_ahead_limit = (
@@ -351,9 +359,11 @@ class O3Core:
             if self._exec_waiting:
                 if self._execute(cycle):
                     active = True
-            fetch_code = self._fetch(cycle)
-            if fetch_code == 1:
-                active = True
+            # Past a fetched EXIT the front end only runs the fetch-ahead
+            # stream, which the memory system settles lazily.
+            if not self._exit_fetched and cycle >= self._fetch_stalled_until:
+                if self._fetch(cycle):
+                    active = True
             if not active:
                 target = max_cycles + 1
                 if buckets:
@@ -369,13 +379,11 @@ class O3Core:
                     if wake is not None and wake < target:
                         target = wake
                 if target > cycle + 1:
-                    if fetch_code == 2:
-                        # The skipped cycles would each have taken one
-                        # fetch-ahead step; nothing in the idle window
-                        # reads the L1I/L2 back, so they are taken here.
-                        self._advance_fetch_ahead(target - 1 - cycle)
                     self.cycle = target - 1
 
+        if self._exit_fetched and self._exit_committed_cycle is None:
+            # Out of cycles with EXIT in flight: the stream stops here.
+            self.memory.end_fetch_ahead(self.cycle)
         self.stats.cycles = self.cycle
         self.stats.mshr_stalls = self.memory.mshr_stall_events
         return SimulationResult(
@@ -443,6 +451,7 @@ class O3Core:
     # per-run setup
     # ======================================================================
     def _reset_run_state(self, test_input: Input) -> None:
+        self.memory.settle_fetch_ahead()
         self.arch_state = ArchState(
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
@@ -450,6 +459,7 @@ class O3Core:
             resident=self._resident_pages,
         )
         self.arch_state.load_input(test_input.register_dict(), test_input.memory)
+        self._registers = self.arch_state.registers.values
         self._init_pipeline()
         self.memory.clear_access_log()
         self.defense.reset_for_run()
@@ -465,7 +475,6 @@ class O3Core:
         self._next_seq = 0
         self._fetch_pc = self.program.entry_pc
         self._fetch_stalled_until = 0
-        self._fetch_ahead_pc: Optional[int] = None
         self._exit_fetched = False
         self._exit_committed_cycle: Optional[int] = None
         self._stall_commit_until = 0
@@ -514,7 +523,7 @@ class O3Core:
             if waiters:
                 self._exec_waiting.extend(waiters)
                 self._exec_resort = True
-                entry.waiters = []
+                entry.waiters = NO_WAITERS
             if entry.is_cond_branch and not entry.resolved:
                 self._resolve_branch(entry, cycle)
         return True
@@ -580,7 +589,7 @@ class O3Core:
             head = rob[0]
             if head.status != "done":
                 break
-            self._commit_entry(head, cycle)
+            head.decoded.commit(self, head, cycle)
             rob.popleft()
             if head.is_load:
                 self._loads_in_flight -= 1
@@ -589,6 +598,7 @@ class O3Core:
             committed += 1
             if head.decoded.is_exit:
                 self._exit_committed_cycle = cycle
+                self.memory.end_fetch_ahead(cycle)
                 # Anything younger than EXIT is wrong-path work; discard it.
                 for leftover in rob:
                     leftover.squashed = True
@@ -602,37 +612,6 @@ class O3Core:
                 break
         return committed > 0
 
-    def _commit_entry(self, entry: InFlightInstruction, cycle: int) -> None:
-        entry.status = "committed"
-        waiters = entry.waiters
-        if waiters:
-            # Loads blocked on this store's *commit* (partial-overlap
-            # forwarding) park here after the done-transition wake.
-            self._exec_waiting.extend(waiters)
-            self._exec_resort = True
-            entry.waiters = []
-        state = self.arch_state
-        decoded = entry.decoded
-        for name, value in entry.result_registers.items():
-            state.registers.write(name, value)
-        if decoded.writes_flags:
-            state.flags.load_tuple(entry.flags_out)
-        if entry.memory_write is not None:
-            address, size, value = entry.memory_write
-            state.write_memory(address, size, value)
-        if entry.is_store:
-            self.defense.commit_store(entry, cycle)
-        if entry.is_cond_branch and entry.actual_taken is not None:
-            self.branch_predictor.update_direction(entry.pc, entry.actual_taken)
-            if entry.actual_taken and decoded.target_pc is not None:
-                self.branch_predictor.update_target(entry.pc, decoded.target_pc)
-        if decoded.is_jmp and decoded.target_pc is not None:
-            self.branch_predictor.update_target(entry.pc, decoded.target_pc)
-        if entry.is_load and entry.bypassed_stores:
-            self.dependence_predictor.train_no_violation(entry.pc)
-        self.defense.on_commit(entry, cycle)
-        self.stats.instructions_committed += 1
-
     def _execute(self, cycle: int) -> bool:
         # Issue works off a dispatch-ordered list of still-waiting entries
         # instead of rescanning the whole reorder buffer: entries leave the
@@ -640,12 +619,13 @@ class O3Core:
         # squash and the EXIT drain leave stale references behind, which the
         # status check drops lazily, matching the old full-ROB scan).
         #
-        # Returns True when the stage was active: an entry issued, or a start
-        # was refused for a reason invisible to the core (MSHR stall, defense
-        # delay) that may clear on any later cycle, so such cycles must not
-        # be fast-forwarded.  A load refused behind an older store
-        # (_start_execution returns None) waits for a core-visible event and
-        # is not activity.
+        # Each entry's decode-time handler attempts the issue (see
+        # repro.uarch.handlers).  Returns True when the stage was active: an
+        # entry issued, or a start was REFUSED for a reason invisible to the
+        # core (MSHR stall, defense delay) that may clear on any later
+        # cycle, so such cycles must not be fast-forwarded.  A load HELD
+        # behind an older store waits for a core-visible event and is not
+        # activity; a PARKED entry waits on its blocker's waiters list.
         waiting = self._exec_waiting
         if self._exec_resort:
             # Woken entries were appended out of dispatch order; issue
@@ -662,269 +642,16 @@ class O3Core:
             if issued >= issue_width:
                 keep.append(entry)
                 continue
-            blocker = self._blocking_producer(entry)
-            if blocker is not None:
-                # Park off the issue list until the blocker's status
-                # advances (its done/commit transition re-appends us).
-                blocker.waiters.append(entry)
-                continue
-            started = self._start_execution(entry, cycle)
-            if started:
+            outcome = entry.decoded.issue(self, entry, cycle)
+            if outcome == ISSUED:
                 issued += 1
                 active = True
-            else:
+            elif outcome != PARKED:
                 keep.append(entry)
-                if started is not None:
+                if outcome == REFUSED:
                     active = True
         self._exec_waiting = keep
         return active
-
-    def _blocking_producer(
-        self, entry: InFlightInstruction
-    ) -> Optional[InFlightInstruction]:
-        """The first producer ``entry``'s operands still wait on, or None.
-
-        A producer blocks until its status reaches done/committed.  Only
-        instructions that consume flag state must wait for the previous flag
-        producer: explicit readers (Jcc/CMOVcc/SETcc) and partial flag
-        updaters (INC/DEC preserve the carry, shifts leave flags untouched
-        for a zero count).  Full flag writers overwrite all five flags and
-        need no ordering — waiting there would serialise the whole window on
-        the flags register and artificially shrink speculative windows.
-        """
-        entries = self._entries
-        for producer_seq in entry.sources.values():
-            if producer_seq is None:
-                continue
-            producer = entries[producer_seq]
-            status = producer.status
-            if status != "done" and status != "committed":
-                return producer
-        if entry.decoded.needs_flags_order and entry.flags_source is not None:
-            producer = entries[entry.flags_source]
-            status = producer.status
-            if status != "done" and status != "committed":
-                return producer
-        if entry.wait_for_store_commit is not None:
-            store = entries.get(entry.wait_for_store_commit)
-            if store is not None and not store.squashed and store.status != "committed":
-                return store
-            entry.wait_for_store_commit = None
-        return None
-
-    # -- value helpers ------------------------------------------------------------
-    def _read_register(self, entry: InFlightInstruction, name: str) -> int:
-        producer_seq = entry.sources.get(name)
-        if producer_seq is None:
-            return self.arch_state.registers.read(name)
-        producer = self._entries[producer_seq]
-        if name in producer.result_registers:
-            return producer.result_registers[name]
-        # The nominal producer did not actually write the register (should
-        # not happen with the current ISA); fall back to architectural state.
-        return self.arch_state.registers.read(name)
-
-    def _flags_for(self, entry: InFlightInstruction) -> Tuple[bool, ...]:
-        """The flags ``entry`` reads: its producer's, else the architectural."""
-        if entry.flags_source is not None:
-            flags_out = self._entries[entry.flags_source].flags_out
-            if flags_out is not None:
-                return flags_out
-        return self.arch_state.flags.as_tuple()
-
-    # -- execution of individual instruction kinds -------------------------------------
-    def _step(self, entry: InFlightInstruction, read_memory) -> None:
-        """Run ``entry``'s step on its renamed operands; keep the results.
-
-        The step writes into a scratch register dict, the machine's flags
-        and the write recorder; ``entry`` keeps the destination value, the
-        recorded store and the flags after the step until commit.
-        """
-        machine = self._machine
-        read = self._read_register
-        machine.regs = regs = {name: read(entry, name) for name in entry.sources}
-        machine.flags = self._flags_for(entry)
-        machine.read_memory = read_memory
-        recorder = self._step_memory
-        recorder.written = None
-        decoded = entry.decoded
-        decoded.step(machine, entry.mem_address)
-        dest = decoded.destination_register
-        if dest is not None:
-            entry.result_registers = {dest: regs[dest]}
-        entry.memory_write = recorder.written
-        entry.flags_out = machine.flags
-
-    def _start_execution(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
-        # Integer kind dispatch, most frequent kinds first.
-        kind = entry.decoded.exec_kind
-        if kind == DecodedInstruction.KIND_ALU:
-            self._step(entry, self.arch_state.read_memory)
-            self._begin(entry, cycle, self.config.alu_latency)
-            return True
-        if kind == DecodedInstruction.KIND_MEMORY:
-            return self._execute_memory(entry, cycle)
-        if kind == DecodedInstruction.KIND_BRANCH:
-            return self._execute_branch(entry, cycle)
-        # NOP / LFENCE / EXIT: nothing to compute.
-        self._begin(entry, cycle, self.config.alu_latency)
-        return True
-
-    def _execute_branch(self, entry: InFlightInstruction, cycle: int) -> bool:
-        decoded = entry.decoded
-        if decoded.is_jmp:
-            # Direct jumps never mispredict in this model (targets are static).
-            entry.actual_taken = True
-            entry.resolved = True
-            self._begin(entry, cycle, self.config.alu_latency)
-            return True
-        # The direction comes from the condition, not from the pc the step
-        # would go to next: a Jcc may target its own fall-through block.
-        entry.actual_taken = bool(decoded.cond_predicate(*self._flags_for(entry)))
-        self._begin(entry, cycle, BRANCH_RESOLVE_LATENCY)
-        return True
-
-    def _execute_memory(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
-        decoded = entry.decoded
-        # Effective address, inlined (this is the entry point of every
-        # load/store issue attempt; the generic helper costs a closure
-        # allocation plus two call hops per attempt).
-        read = self._read_register
-        address = read(entry, decoded.mem_base) + decoded.mem_displacement
-        if decoded.mem_index is not None:
-            address += read(entry, decoded.mem_index)
-        address &= _MASK64
-        entry.mem_address = address
-        size = decoded.mem_size
-        entry.mem_size = size
-        line_size = self.memory.l1d.config.line_size
-        first = address - (address % line_size)
-        last_byte = address + size - 1 if size > 1 else address
-        last = last_byte - (last_byte % line_size)
-        if first == last:
-            entry.line_addresses = [first]
-            entry.is_split = False
-        else:
-            entry.line_addresses = [first, last]
-            entry.is_split = True
-        resolved_now = False
-        if entry.is_store:
-            # This store's address just resolved; it no longer blocks
-            # younger accesses (and must not appear in its own deps).
-            unresolved = self._unresolved_stores
-            if entry.seq in unresolved:
-                unresolved.remove(entry.seq)
-                resolved_now = True
-        self._capture_speculation_status(entry)
-
-        if entry.is_load:
-            started = self._execute_load(entry, cycle)
-            if started is None and resolved_now:
-                # A read-modify-write refused behind an older store still
-                # resolved its own store address, which can make younger
-                # entries safe next cycle: that attempt was activity.
-                return False
-            return started
-        return self._execute_store(entry, cycle)
-
-    def _capture_speculation_status(self, entry: InFlightInstruction) -> None:
-        # The incremental seq sets hold exactly the entries the old window
-        # scan would have collected: unresolved conditional branches and
-        # stores whose address is still unknown, squashed entries removed.
-        branches = self._unresolved_branches
-        stores = self._unresolved_stores
-        if not branches and not stores:
-            entry.unsafe_deps = _NO_DEPS
-            entry.speculative = False
-            return
-        entry_seq = entry.seq
-        deps = {seq for seq in branches if seq < entry_seq}
-        if stores:
-            deps.update(seq for seq in stores if seq < entry_seq)
-        entry.unsafe_deps = deps
-        entry.speculative = bool(deps)
-
-    def _execute_load(self, entry: InFlightInstruction, cycle: int) -> Optional[bool]:
-        # Returns None when an older store holds the load back; only that
-        # store executing, committing or being squashed can release it.
-        forwarded_value: Optional[int] = None
-        # Scan older in-flight stores, youngest first.  Committed stores
-        # have drained to architectural memory (their writes land at
-        # commit), which is what read_memory sees below — exactly the
-        # stores the old whole-ROB scan no longer contained.
-        entry_seq = entry.seq
-        for older in reversed(self._inflight_stores):
-            if older.seq >= entry_seq:
-                continue
-            if older.squashed or older.status == "committed":
-                continue
-            if older.mem_address is None:
-                if self.dependence_predictor.predicts_alias(entry.pc):
-                    # Conservative prediction: wait for the store to resolve.
-                    return None
-                entry.bypassed_stores.add(older.seq)
-                continue
-            if not entry.overlaps(older):
-                continue
-            store_write = older.memory_write
-            if store_write is None:
-                return None
-            store_address, store_size, store_value = store_write
-            covers = (
-                store_address <= entry.mem_address
-                and entry.mem_address + entry.mem_size <= store_address + store_size
-            )
-            if covers:
-                offset = entry.mem_address - store_address
-                forwarded_value = (store_value >> (8 * offset)) & (
-                    (1 << (8 * entry.mem_size)) - 1
-                )
-                entry.forwarded_from = older.seq
-            else:
-                # Partial overlap: wait until the store has drained to memory.
-                entry.wait_for_store_commit = older.seq
-                return None
-            break
-
-        if forwarded_value is not None:
-            latency = 2
-            entry.memory_value = forwarded_value
-        else:
-            latency = self.defense.load_execute(entry, cycle)
-            if latency is None:
-                self.stats.defense_delayed_accesses += 1
-                return False
-            entry.memory_value = self.arch_state.read_memory(
-                entry.mem_address, entry.mem_size
-            )
-
-        self._step_memory.loaded = entry.memory_value
-        self._step(entry, self._step_memory.read)
-        self._begin(entry, cycle, max(1, latency))
-
-        self.stats.loads_executed += 1
-        if entry.speculative:
-            self.stats.speculative_loads += 1
-        if entry.is_store:
-            # Read-modify-write: its store address just resolved.
-            self._check_memory_order(entry, cycle)
-            self.stats.stores_executed += 1
-            if entry.speculative:
-                self.stats.speculative_stores += 1
-        return True
-
-    def _execute_store(self, entry: InFlightInstruction, cycle: int) -> bool:
-        latency = self.defense.store_execute(entry, cycle)
-        if latency is None:
-            self.stats.defense_delayed_accesses += 1
-            return False
-        self._step(entry, self.arch_state.read_memory)
-        self._begin(entry, cycle, max(1, latency))
-        self.stats.stores_executed += 1
-        if entry.speculative:
-            self.stats.speculative_stores += 1
-        self._check_memory_order(entry, cycle)
-        return True
 
     def _check_memory_order(self, store: InFlightInstruction, cycle: int) -> None:
         """A store's address resolved: squash younger loads that bypassed it."""
@@ -945,17 +672,6 @@ class O3Core:
         self.stats.memory_order_violations += 1
         self.dependence_predictor.train_violation(oldest.pc)
         self._squash_from(oldest.seq, oldest.pc, cycle)
-
-    def _begin(self, entry: InFlightInstruction, cycle: int, latency: int) -> None:
-        entry.status = "executing"
-        entry.execute_cycle = cycle
-        finish = cycle + latency
-        entry.finish_cycle = finish
-        bucket = self._finish_buckets.get(finish)
-        if bucket is None:
-            self._finish_buckets[finish] = [entry]
-        else:
-            bucket.append(entry)
 
     # ======================================================================
     # squash
@@ -1014,10 +730,16 @@ class O3Core:
         self._fetch_stalled_until = max(
             self._fetch_stalled_until, cycle + self.config.branch_redirect_penalty
         )
-        # If the EXIT instruction was squashed, the front end must resume.
+        if self._exit_fetched:
+            # The stream's steps before this cycle stand.  A squashed EXIT
+            # ends it, and the front end resumes; else the redirect stalls it.
+            memory = self.memory
+            memory.settle_fetch_ahead(cycle)
+            if exit_survives:
+                memory.ahead_cycle = max(memory.ahead_cycle, self._fetch_stalled_until)
+            else:
+                memory.drop_fetch_ahead()
         self._exit_fetched = exit_survives
-        if not exit_survives:
-            self._fetch_ahead_pc = None
 
     def stall_commit(self, until_cycle: int) -> None:
         """Used by defenses whose recovery work (e.g. cleanup) blocks commit."""
@@ -1026,19 +748,9 @@ class O3Core:
     # ======================================================================
     # fetch
     # ======================================================================
-    def _fetch(self, cycle: int) -> int:
-        # Returns 0 when the front end did nothing, 1 when it dispatched
-        # instructions, 2 when it only advanced the fetch-ahead stream.  The
-        # distinction matters for the idle fast-forward: dispatch makes the
-        # next cycle non-idle (fresh entries may issue), while fetch-ahead
-        # steps are feedback-free and are taken in one batch across a skip.
-        if self._exit_committed_cycle is not None:
-            return 0
-        if cycle < self._fetch_stalled_until:
-            return 0
-        if self._exit_fetched:
-            return 2 if self._advance_fetch_ahead(1) else 0
-
+    def _fetch(self, cycle: int) -> bool:
+        """Fetch one group along the predicted path and dispatch it into the
+        window with renamed sources; True when anything was dispatched."""
         config = self.config
         at_pc = self.decoded.at_pc
         # Inlined L1I hit path (see MemorySystem.instruction_fetch): fetch
@@ -1048,19 +760,25 @@ class O3Core:
         l1i_lines = l1i._lines
         l1i_line_size = l1i.config.line_size
         l1i_sets = l1i.config.sets
+        rob = self._rob
+        entries = self._entries
+        rename_map = self._rename_map
+        rename_get = rename_map.get
         fetched = 0
         while fetched < config.fetch_width:
-            if len(self._rob) >= config.rob_size:
+            if len(rob) >= config.rob_size:
                 break
-            decoded = at_pc(self._fetch_pc)
+            pc = self._fetch_pc
+            decoded = at_pc(pc)
             if decoded is None:
                 break
-            if decoded.is_load and self._loads_in_flight >= config.load_queue_size:
+            is_load = decoded.is_load
+            is_store = decoded.is_store
+            if is_load and self._loads_in_flight >= config.load_queue_size:
                 break
-            if decoded.is_store and self._stores_in_flight >= config.store_queue_size:
+            if is_store and self._stores_in_flight >= config.store_queue_size:
                 break
 
-            pc = self._fetch_pc
             line = pc - (pc % l1i_line_size)
             entry_set = l1i_lines[(pc // l1i_line_size) % l1i_sets]
             if line in entry_set:
@@ -1075,134 +793,59 @@ class O3Core:
             predicted_taken: Optional[bool] = None
             predicted_target: Optional[int] = None
             if decoded.is_cond_branch:
-                predicted_taken = self.branch_predictor.predict_direction(decoded.pc)
+                predicted_taken = self.branch_predictor.predict_direction(pc)
                 predicted_target = (
                     decoded.target_pc if predicted_taken else decoded.fallthrough_pc
                 )
-                self.branch_prediction_log.append((decoded.pc, predicted_target))
+                self.branch_prediction_log.append((pc, predicted_target))
 
-            self._dispatch(decoded, predicted_taken, predicted_target)
-            self.stats.instructions_fetched += 1
+            # Dispatch: rename the sources, then claim the destination.
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            entry = InFlightInstruction(
+                seq,
+                decoded,
+                {name: rename_get(name) for name in decoded.needed_registers},
+                self._flags_producer,
+                predicted_taken,
+                predicted_target,
+            )
+            destination = decoded.destination_register
+            if destination is not None:
+                rename_map[destination] = seq
+            if decoded.writes_flags:
+                self._flags_producer = seq
+            rob.append(entry)
+            entries[seq] = entry
+            self._exec_waiting.append(entry)
+            if is_load:
+                self._loads_in_flight += 1
+            if is_store:
+                self._stores_in_flight += 1
+                self._unresolved_stores.add(seq)
+                self._inflight_stores.append(entry)
+            if self._defense_safety and (is_load or is_store):
+                self._safety_pending.append(entry)
+            if decoded.is_cond_branch:
+                self._unresolved_branches.add(seq)
             fetched += 1
 
             if decoded.is_exit:
                 self._exit_fetched = True
-                self._fetch_ahead_pc = decoded.pc + INSTRUCTION_SIZE
+                memory.start_fetch_ahead(
+                    pc + INSTRUCTION_SIZE,
+                    self._fetch_ahead_limit,
+                    self._fetch_ahead_step,
+                    max(cycle + 1, self._fetch_stalled_until),
+                )
                 break
             if decoded.is_jmp:
                 self._fetch_pc = decoded.target_pc
             elif decoded.is_cond_branch:
                 self._fetch_pc = predicted_target
             else:
-                self._fetch_pc = decoded.pc + INSTRUCTION_SIZE
+                self._fetch_pc = pc + INSTRUCTION_SIZE
             if fetch_latency > 1:
                 break
-        return 1 if fetched else 0
-
-    def _advance_fetch_ahead(self, steps: int) -> bool:
-        """Take up to ``steps`` fetch-ahead steps past a fetched EXIT.
-
-        Speculative fetch past the end of the test while EXIT is in flight,
-        one step of ``fetch_width`` instructions per cycle: ``_fetch`` takes
-        one per stepped cycle, the idle fast-forward all those of the cycles
-        it skips.  The number of extra L1I lines touched depends on how long
-        EXIT takes to commit, which is what makes timing differences (e.g.
-        CleanupSpec's cleanup latency, KV2/unXpec) visible in the
-        instruction cache.
-
-        The stream is served one L1I line at a time, leaving the L1I/L2
-        exactly as stepping does: the ``k`` steps that land in one line are
-        ``k`` hits on a resident line, else one fill (L1I, then L2) and
-        ``k - 1`` hits, so the use counter rises by ``k`` and the line ends
-        stamped with its final value.  The pc only grows, and a line's own
-        hits cannot evict it.  The fill is inlined as in
-        ``MemorySystem.instruction_fetch``'s miss path (no L1I dirty
-        marking: the L1I is never snapshot-restored).
-
-        Returns False when there is no stream or it has reached its limit.
-        """
-        pc = self._fetch_ahead_pc
-        limit = self._fetch_ahead_limit
-        if pc is None or pc >= limit:
-            return False
-        step = self._fetch_ahead_step
-        # Steps left before the stream reaches its limit.
-        remaining = (limit - pc + step - 1) // step
-        if steps < remaining:
-            remaining = steps
-        memory = self.memory
-        l1i = memory.l1i
-        l1i_config = l1i.config
-        line_size = l1i_config.line_size
-        sets = l1i_config.sets
-        ways = l1i_config.ways
-        l1i_lines = l1i._lines
-        l2 = memory.l2
-        l2_config = l2.config
-        l2_line_size = l2_config.line_size
-        counter = l1i._use_counter
-        while remaining > 0:
-            line = pc - (pc % line_size)
-            # Steps that land in this line: those before its end.
-            k = (line + line_size - pc + step - 1) // step
-            if k > remaining:
-                k = remaining
-            entry_set = l1i_lines[(pc // line_size) % sets]
-            if line not in entry_set:
-                if len(entry_set) >= ways:
-                    del entry_set[min(entry_set, key=entry_set.get)]
-                l2_base = line - (line % l2_line_size)
-                index = (l2_base // l2_line_size) % l2_config.sets
-                l2_set = l2._lines[index]
-                l2._dirty.add(index)
-                l2._use_counter += 1
-                if l2_base not in l2_set and len(l2_set) >= l2_config.ways:
-                    del l2_set[min(l2_set, key=l2_set.get)]
-                l2_set[l2_base] = l2._use_counter
-            counter += k
-            entry_set[line] = counter
-            pc += k * step
-            remaining -= k
-        l1i._use_counter = counter
-        self._fetch_ahead_pc = pc
-        return True
-
-    def _dispatch(
-        self,
-        decoded: DecodedInstruction,
-        predicted_taken: Optional[bool],
-        predicted_target: Optional[int],
-    ) -> InFlightInstruction:
-        seq = self._next_seq
-        self._next_seq += 1
-        entry = InFlightInstruction(
-            seq=seq,
-            decoded=decoded,
-            predicted_taken=predicted_taken,
-            predicted_target=predicted_target,
-        )
-        rename_get = self._rename_map.get
-        entry.sources = {name: rename_get(name) for name in decoded.needed_registers}
-        entry.flags_source = self._flags_producer
-
-        destination = decoded.destination_register
-        if destination is not None:
-            self._rename_map[destination] = seq
-        if decoded.writes_flags:
-            self._flags_producer = seq
-        if decoded.is_load:
-            self._loads_in_flight += 1
-        if decoded.is_store:
-            self._stores_in_flight += 1
-
-        self._rob.append(entry)
-        self._entries[seq] = entry
-        self._exec_waiting.append(entry)
-        if entry.is_memory_access and self._defense_safety:
-            self._safety_pending.append(entry)
-        if decoded.is_cond_branch:
-            self._unresolved_branches.add(seq)
-        if decoded.is_store:
-            self._unresolved_stores.add(seq)
-            self._inflight_stores.append(entry)
-        return entry
+        self.stats.instructions_fetched += fetched
+        return fetched > 0

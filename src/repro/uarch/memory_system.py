@@ -9,6 +9,7 @@ modifying them or the simulator core.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Tuple
 
 from repro.uarch.cache import AccessResult, MSHRFile, SetAssociativeCache
@@ -39,6 +40,16 @@ class MemorySystem:
         #: may copy only dirty sets when re-priming from the same snapshot
         #: the caches were last synchronised with.
         self._restored_key: Optional[tuple] = None
+        # The post-EXIT fetch-ahead stream (see start_fetch_ahead): the next
+        # pc it fetches (None: no stream), the cycle of its next step, the
+        # cycle its steps stop at (None while EXIT is in flight), its limit
+        # pc and its step in bytes.
+        self.ahead_pc: Optional[int] = None
+        self.ahead_cycle = 0
+        self.ahead_end: Optional[int] = None
+        self.ahead_limit = 0
+        self.ahead_step = 0
+        self._ref = weakref.ref(self)
 
     def _prime_key(self, address_base: int) -> tuple:
         l1d = self.config.l1d
@@ -75,6 +86,8 @@ class MemorySystem:
         if self.l1d.lookup(line, update_replacement=update_replacement and install_l1):
             return AccessResult(latency=config.l1_hit_latency, l1_hit=True, l2_hit=True)
 
+        if self.ahead_pc is not None:
+            self.settle_fetch_ahead(cycle)
         l2_hit = self.l2.lookup(line, update_replacement=True)
         fill_latency = config.l2_hit_latency if l2_hit else config.memory_latency
 
@@ -134,19 +147,22 @@ class MemorySystem:
 
     def instruction_fetch(self, address: int) -> int:
         """Access the L1I for the line containing ``address``; returns latency."""
+        if self.ahead_pc is not None:
+            self.settle_fetch_ahead()
         # Inlined L1I hit path: fetch runs for every instruction of every
         # simulated cycle's fetch group, and nearly all of them hit.
         l1i = self.l1i
         line_size = l1i.config.line_size
         line = address - (address % line_size)
-        entry_set = l1i._lines[(address // line_size) % l1i.config.sets]
+        index = (address // line_size) % l1i.config.sets
+        entry_set = l1i._lines[index]
         if line in entry_set:
             l1i._use_counter += 1
             entry_set[line] = l1i._use_counter
             return 1
-        # Inlined l1i/l2 installs for the miss path (fetch-ahead streams miss
-        # on every new line, so this runs dozens of times per test case).
-        # The L1I needs no dirty marking: it is never snapshot-restored.
+        # Inlined l1i/l2 installs for the miss path.  The L1I is never
+        # snapshot-restored; its dirty marking only bounds flush().
+        l1i._dirty.add(index)
         l1i._use_counter += 1
         if len(entry_set) >= l1i.config.ways:
             victim = min(entry_set, key=entry_set.get)
@@ -165,6 +181,114 @@ class MemorySystem:
         l2_set[l2_base] = l2._use_counter
         return self.config.l1i_miss_latency
 
+    # -- post-EXIT fetch-ahead stream ------------------------------------------------
+    # While EXIT waits to commit, the front end keeps fetching past the end
+    # of the test, one step of ``fetch_width`` instructions per cycle, so the
+    # L1I lines it touches depend on how long EXIT takes to commit: that is
+    # what makes timing differences (e.g. CleanupSpec's cleanup latency,
+    # KV2/unXpec) visible in the instruction cache.  The steps read nothing
+    # back, so the core records the stream as data, and its L1I/L2 effects
+    # are applied lazily: only when something next reads or changes either
+    # cache, as of that point.  A priming that flushes or overwrites both
+    # caches (reset_caches, reset_and_prime) drops an unsettled stream.
+    def start_fetch_ahead(self, pc: int, limit: int, step: int, cycle: int) -> None:
+        """Record a stream fetching from ``pc`` (up to ``limit``, ``step``
+        bytes a cycle) from ``cycle`` on, until :meth:`end_fetch_ahead`."""
+        self.ahead_pc = pc
+        self.ahead_limit = limit
+        self.ahead_step = step
+        self.ahead_cycle = cycle
+        self.ahead_end = None
+
+    def end_fetch_ahead(self, cycle: int) -> None:
+        """The stream takes no step from ``cycle`` on (EXIT committed, or
+        the run ended); any cache entry point now settles it."""
+        self.ahead_end = cycle
+        self.l1i._pending = self.l2._pending = self._ref
+
+    def settle_fetch_ahead(self, cycle: Optional[int] = None) -> None:
+        """Take the stream's steps due before ``cycle``.
+
+        Without ``cycle``, the steps of an ended stream; a stream still in
+        flight is then left to the core, the only one that knows the cycle.
+        """
+        if self.ahead_pc is None:
+            return
+        end = self.ahead_end
+        if end is not None and (cycle is None or cycle > end):
+            cycle = end
+        elif cycle is None:
+            return
+        steps = cycle - self.ahead_cycle
+        if steps > 0:
+            self._advance_fetch_ahead(steps)
+            self.ahead_cycle = cycle
+        if cycle == end:
+            self.drop_fetch_ahead()
+
+    def drop_fetch_ahead(self) -> None:
+        """Forget the stream, settled or not."""
+        self.ahead_pc = None
+        self.ahead_end = None
+        self.l1i._pending = self.l2._pending = None
+
+    def _advance_fetch_ahead(self, steps: int) -> None:
+        """Take ``steps`` steps of the stream, stopping at its limit.
+
+        Served one L1I line at a time, leaving the L1I/L2 exactly as one
+        :meth:`instruction_fetch` per step does: the ``k`` steps that land
+        in one line are ``k`` hits on a resident line, else one fill (L1I,
+        then L2) and ``k - 1`` hits, so the use counter rises by ``k`` and
+        the line ends stamped with its final value.  The pc only grows, and
+        a line's own hits cannot evict it.
+        """
+        pc = self.ahead_pc
+        limit = self.ahead_limit
+        if pc >= limit:
+            return
+        step = self.ahead_step
+        # Steps left before the stream reaches its limit.
+        remaining = (limit - pc + step - 1) // step
+        if steps < remaining:
+            remaining = steps
+        l1i = self.l1i
+        l1i_config = l1i.config
+        line_size = l1i_config.line_size
+        sets = l1i_config.sets
+        ways = l1i_config.ways
+        l1i_lines = l1i._lines
+        l1i_dirty = l1i._dirty
+        l2 = self.l2
+        l2_config = l2.config
+        l2_line_size = l2_config.line_size
+        counter = l1i._use_counter
+        while remaining > 0:
+            line = pc - (pc % line_size)
+            # Steps that land in this line: those before its end.
+            k = (line + line_size - pc + step - 1) // step
+            if k > remaining:
+                k = remaining
+            index = (pc // line_size) % sets
+            entry_set = l1i_lines[index]
+            if line not in entry_set:
+                l1i_dirty.add(index)
+                if len(entry_set) >= ways:
+                    del entry_set[min(entry_set, key=entry_set.get)]
+                l2_base = line - (line % l2_line_size)
+                l2_index = (l2_base // l2_line_size) % l2_config.sets
+                l2_set = l2._lines[l2_index]
+                l2._dirty.add(l2_index)
+                l2._use_counter += 1
+                if l2_base not in l2_set and len(l2_set) >= l2_config.ways:
+                    del l2_set[min(l2_set, key=l2_set.get)]
+                l2_set[l2_base] = l2._use_counter
+            counter += k
+            entry_set[line] = counter
+            pc += k * step
+            remaining -= k
+        l1i._use_counter = counter
+        self.ahead_pc = pc
+
     # -- split accesses -----------------------------------------------------------
     def lines_of_access(self, address: int, size: int) -> List[int]:
         """Line base addresses touched by an access (two if it crosses a line)."""
@@ -174,6 +298,7 @@ class MemorySystem:
 
     # -- white-box state management -------------------------------------------------
     def reset_caches(self) -> None:
+        self.drop_fetch_ahead()
         self.l1d.flush()
         self.l1i.flush()
         self.l2.flush()
@@ -210,6 +335,7 @@ class MemorySystem:
         straight from its snapshot.  Back-to-back restores from the *same*
         snapshot only rebuild the sets the previous run dirtied.
         """
+        self.drop_fetch_ahead()
         self.reset_run_state()
         self.dtlb.flush()
         self.l1i.flush()
@@ -257,10 +383,10 @@ class MemorySystem:
         )
         # Live state now equals the snapshot by construction, so dirty
         # tracking can start from here.
-        l1d._dirty.clear()
-        l1d._dirty_all = False
-        l2._dirty.clear()
-        l2._dirty_all = False
+        for cache in (l1d, l2):
+            cache._dirty.clear()
+            cache._dirty_all = False
+            cache._empty_outside_dirty = False
         self._restored_key = key
         return installed
 
@@ -271,6 +397,7 @@ class MemorySystem:
         comparing two runs exactly: the trace snapshots are sorted line sets
         and do not show LRU order.
         """
+        self.settle_fetch_ahead()
         return tuple(
             (tuple(dict(entry_set) for entry_set in cache._lines), cache._use_counter)
             for cache in (self.l1i, self.l1d, self.l2)
@@ -280,6 +407,7 @@ class MemorySystem:
         return self.l1d.snapshot()
 
     def snapshot_l1i(self) -> Tuple[int, ...]:
+        self.settle_fetch_ahead()
         return self.l1i.snapshot()
 
     def snapshot_dtlb(self) -> Tuple[int, ...]:

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.generator import GeneratorConfig, InputGenerator, ProgramGenerator, Sandbox
 from repro.uarch import UarchConfig
+
+#: Hypothesis profiles, chosen by ``HYPOTHESIS_PROFILE``: the default for
+#: the tier-1 run, ``long`` (five times the examples) for a longer property
+#: run.  A test that sets its own example count scales it by
+#: ``settings.default.max_examples / 100``.
+settings.register_profile("long", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

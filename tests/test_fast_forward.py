@@ -10,9 +10,13 @@ and the post-run L1I/L1D/L2 contents with their replacement state and use
 counters, on the golden workload and on every litmus program in both
 execution modes, and on the violations a seeded fuzzing round finds.
 
-The post-EXIT fetch-ahead stream, which the fast-forward advances many
-steps at once, is also checked on its own against a per-step reference
-over random cache geometries.
+The post-EXIT fetch-ahead stream is recorded when EXIT is fetched and
+settled lazily, whenever the L1I or L2 is next read or changed, which may
+be many steps at once.  The eager-stream oracle runs the same core with a
+stream settled at the end of every cycle and must agree with it on the
+same observables, and on the caches a priming leaves when it drops an
+unsettled stream.  The stream's line-at-a-time settling is also checked
+on its own against a per-step reference over random cache geometries.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from repro.defenses.registry import (
     unregister_defense,
 )
 from repro.executor.executor import ExecutionMode, PrimeStrategy, SimulatorExecutor
+from repro.executor.traces import BASELINE_TRACE
 from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import InputGenerator
 from repro.generator.program_generator import ProgramGenerator
 from repro.generator.sandbox import Sandbox
-from repro.litmus import all_cases
+from repro.isa.program import INSTRUCTION_SIZE
+from repro.litmus import all_cases, get_case
 from repro.litmus.cases import make_input
 from repro.litmus.programs import spectre_v1
 from repro.uarch.config import CacheConfig, UarchConfig
@@ -84,8 +90,13 @@ def _factory(cls, patched):
     return lambda: cls(cls.patched_bugs() if patched else None)
 
 
-def _observe(defense_factory, runs, mode, **executor_options):
-    """Run ``runs`` ((program, inputs) pairs) and return what is observable."""
+def _observe(defense_factory, runs, mode, trace_config=FULL_TRACE, **executor_options):
+    """Run ``runs`` ((program, inputs) pairs) and return what is observable.
+
+    The caches are read after every run, which settles any fetch-ahead
+    stream, unless ``trace_config`` leaves the L1I out: then they are read
+    once per program, after streams the next input's priming may drop.
+    """
     defenses = []
 
     def factory():
@@ -93,8 +104,9 @@ def _observe(defense_factory, runs, mode, **executor_options):
         return defenses[-1]
 
     executor = SimulatorExecutor(
-        defense_factory=factory, trace_config=FULL_TRACE, mode=mode, **executor_options
+        defense_factory=factory, trace_config=trace_config, mode=mode, **executor_options
     )
+    every_run = trace_config.include_l1i
     observed = []
     for program, inputs in runs:
         executor.load_program(program)
@@ -105,20 +117,63 @@ def _observe(defense_factory, runs, mode, **executor_options):
                     record.trace.components,
                     record.result.stats.as_dict(),
                     record.result.final_registers,
-                    defenses[-1].core.memory.cache_state(),
                 )
             )
+            if every_run:
+                observed.append(defenses[-1].core.memory.cache_state())
+        if not every_run:
+            observed.append(defenses[-1].core.memory.cache_state())
     return observed
 
 
 def _assert_identical(cls, patched, runs, mode, **executor_options):
-    fast = _observe(_factory(cls, patched), runs, mode, **executor_options)
-    stepped = _observe(
-        _factory(stepping_class(cls), patched), runs, mode, **executor_options
-    )
-    assert len(fast) == len(stepped)
-    for index, (fast_run, stepped_run) in enumerate(zip(fast, stepped)):
-        assert fast_run == stepped_run, f"run {index} differs"
+    _assert_same(_factory(cls, patched), _factory(stepping_class(cls), patched),
+                 runs, mode, **executor_options)
+
+
+def _assert_same(factory, oracle_factory, runs, mode, **executor_options):
+    observed = _observe(factory, runs, mode, **executor_options)
+    expected = _observe(oracle_factory, runs, mode, **executor_options)
+    assert len(observed) == len(expected)
+    for index, (run, oracle_run) in enumerate(zip(observed, expected)):
+        assert run == oracle_run, f"observation {index} differs"
+
+
+def eager_stream_class(cls):
+    """``cls``, with the fetch-ahead stream settled at the end of every cycle.
+
+    Settling at the start of each stepped cycle is the same: nothing runs
+    in between, and no cycle the fast-forward skips reads a cache.  The
+    added ``tick`` turns the core's tick stage on; ``next_tick`` keeps the
+    class's own wake-ups, and none for a class without a ``tick``, so the
+    core steps and skips the same cycles as with ``cls``.
+    """
+    ticks = cls.tick is not Defense.tick
+
+    class EagerStream(cls):
+        def tick(self, cycle):
+            self.memory.settle_fetch_ahead(cycle)
+            super().tick(cycle)
+
+        def next_tick(self, cycle):
+            return super().next_tick(cycle) if ticks else None
+
+    EagerStream.__name__ = EagerStream.__qualname__ = f"EagerStream{cls.__name__}"
+    return EagerStream
+
+
+def _assert_eager_identical(cls, patched, runs, **executor_options):
+    """The lazy stream against the eager oracle, with the caches read after
+    every run and once per program behind the default l1d+tlb trace."""
+    for trace_config in (FULL_TRACE, BASELINE_TRACE):
+        _assert_same(
+            _factory(cls, patched),
+            _factory(eager_stream_class(cls), patched),
+            runs,
+            ExecutionMode.OPT,
+            trace_config=trace_config,
+            **executor_options,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +256,61 @@ class TestSteppingOracle:
         assert outcome() == fast
 
 
+class TestEagerStreamOracle:
+    """The lazily settled fetch-ahead stream against one settled every cycle."""
+
+    @pytest.mark.parametrize("cls,patched", VARIANTS)
+    def test_golden_programs(self, cls, patched, golden_workload):
+        sandbox, runs = golden_workload
+        _assert_eager_identical(cls, patched, runs, sandbox=sandbox)
+
+    @pytest.mark.parametrize("setting", sorted(FRONT_END_SETTINGS))
+    @pytest.mark.parametrize("cls,patched", VARIANTS)
+    def test_golden_programs_front_end_settings(
+        self, cls, patched, setting, golden_workload
+    ):
+        sandbox, runs = golden_workload
+        _assert_eager_identical(
+            cls, patched, runs, sandbox=sandbox, **FRONT_END_SETTINGS[setting]
+        )
+
+    @pytest.mark.parametrize("cls,patched", VARIANTS)
+    def test_litmus_programs(self, cls, patched):
+        for case in all_cases():
+            program, input_a, input_b = case.build()
+            _assert_eager_identical(
+                cls,
+                patched,
+                [(program, [input_a, input_b])],
+                sandbox=case.sandbox(),
+                uarch_config=case.uarch_config,
+                prime_strategy=case.prime_strategy,
+            )
+
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_the_oracle_leaves_no_step_due_at_a_data_access(self, eager):
+        case = get_case("spectre_v4")
+        program, input_a, _ = case.build()
+        cls = eager_stream_class(BaselineDefense) if eager else BaselineDefense
+        core = O3Core(program, defense=cls(), sandbox=case.sandbox())
+        memory = core.memory
+        access = memory.data_access
+        due = []
+
+        def recording(line, cycle, pc, **options):
+            if memory.ahead_pc is not None:
+                end = memory.ahead_end
+                due.append(min(cycle, cycle if end is None else end) - memory.ahead_cycle)
+            return access(line, cycle, pc, **options)
+
+        memory.data_access = recording
+        core.run(input_a)
+        # Loads reach the L2 while the stream runs; only the lazy core
+        # finds steps left to take there.
+        assert due
+        assert (max(due) > 0) is not eager
+
+
 class TestWakeUpHook:
     def test_base_default_steps_every_cycle(self):
         assert Defense().next_tick(41) == 42
@@ -273,11 +383,11 @@ def _stream_cases(draw):
             line_size=line_size * draw(st.sampled_from([1, 2])),
         ),
     )
-    step = config.fetch_width * 4
+    step = config.fetch_width * INSTRUCTION_SIZE
     base = 0x4000
     # A start pc anywhere in a line, 4-byte aligned.
     start = base + 4 * draw(st.integers(0, line_size // 4 - 1))
-    skips = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    skips = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5))
     # The limit may fall before, inside or after the steps of any skip.
     limit = start + draw(st.integers(0, sum(skips) * step + step))
     span = sum(skips) * step + 2 * line_size
@@ -287,38 +397,77 @@ def _stream_cases(draw):
             st.integers(base - 4 * line_size, base + span), max_size=24
         )
     )
-    return config, start, limit, skips, prefill
+    # Steps still due when the stream ends, settled by a cache read.
+    tail = draw(st.integers(0, 6))
+    return config, start, limit, skips, prefill, tail
 
 
 class TestFetchAheadStream:
-    """``O3Core._advance_fetch_ahead`` against a per-step reference."""
+    """``MemorySystem``'s lazily settled stream against a per-step reference."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_stream_cases())
     def test_matches_one_fetch_per_step(self, case):
-        config, start, limit, skips, prefill = case
-        sandbox = Sandbox()
-        core = O3Core(spectre_v1(sandbox.aligned_mask), config=config, sandbox=sandbox)
+        config, start, limit, skips, prefill, tail = case
+        memory = MemorySystem(config)
         reference = MemorySystem(config)
-        for memory in (core.memory, reference):
+        for each in (memory, reference):
             for address in prefill:
-                memory.l1i.install(address)
-                memory.l2.install(address)
-        core._fetch_ahead_pc = start
-        core._fetch_ahead_limit = limit
-        step = core._fetch_ahead_step
+                each.l1i.install(address)
+                each.l2.install(address)
+        step = config.fetch_width * INSTRUCTION_SIZE
+        cycle = 7
+        memory.start_fetch_ahead(start, limit, step, cycle)
 
         pc = start
         for steps in skips:
-            advanced = core._advance_fetch_ahead(steps)
-            assert advanced == (pc < limit)
+            cycle += steps
+            memory.settle_fetch_ahead(cycle)
             pc = _step_reference(reference, pc, step, limit, steps)
-            assert core._fetch_ahead_pc == pc
-            assert core.memory.cache_state() == reference.cache_state()
+            assert memory.ahead_pc == pc
+            # A stream in flight: only the core knows the cycle, so a
+            # settle without one leaves it as it is.
+            assert memory.cache_state() == reference.cache_state()
+        memory.end_fetch_ahead(cycle + tail)
+        _step_reference(reference, pc, step, limit, tail)
+        # Any entry point of either cache settles an ended stream.
+        memory.l2.probe(start)
+        assert memory.ahead_pc is None
+        assert memory.cache_state() == reference.cache_state()
 
     def test_no_stream_before_exit_is_fetched(self):
         sandbox = Sandbox()
         core = O3Core(spectre_v1(sandbox.aligned_mask), sandbox=sandbox)
-        assert core._fetch_ahead_pc is None
-        assert not core._advance_fetch_ahead(5)
+        assert core.memory.ahead_pc is None
+        core.memory.settle_fetch_ahead(5)
         assert core.memory.l1i._use_counter == 0
+
+    def test_a_run_leaves_the_stream_ended_and_unsettled(self):
+        sandbox = Sandbox()
+        core = O3Core(spectre_v1(sandbox.aligned_mask), sandbox=sandbox)
+        result = core.run(make_input(sandbox, {"rax": 0, "rbx": 0x300}))
+        memory = core.memory
+        assert memory.ahead_pc is not None
+        assert memory.ahead_end is not None and memory.ahead_end <= result.cycles
+        counter = memory.l1i._use_counter
+        # The trace's L1D snapshot leaves the stream to whoever reads next.
+        memory.snapshot_l1d()
+        assert memory.ahead_pc is not None
+        memory.snapshot_l1i()
+        assert memory.ahead_pc is None
+        assert memory.l1i._use_counter > counter
+
+    @pytest.mark.parametrize("reset", ["reset_caches", "reset_and_prime"])
+    def test_priming_drops_an_unsettled_stream(self, reset):
+        sandbox = Sandbox()
+        runs = []
+        for drop in (True, False):
+            core = O3Core(spectre_v1(sandbox.aligned_mask), sandbox=sandbox)
+            core.run(make_input(sandbox, {"rax": 0, "rbx": 0x300}))
+            if not drop:
+                core.memory.settle_fetch_ahead()
+            reset_method = getattr(core.memory, reset)
+            reset_method(0x1000000) if reset == "reset_and_prime" else reset_method()
+            assert core.memory.ahead_pc is None
+            runs.append(core.memory.cache_state())
+        assert runs[0] == runs[1]

@@ -14,6 +14,7 @@ from repro.backends import InlineBackend, ProcessPoolBackend
 from repro.core import AmuletFuzzer, Campaign, FuzzerConfig, FuzzerReport
 from repro.core.campaign import CampaignResult
 from repro.core.metrics import safe_rate
+from repro.core.minimize import differing_locations
 from repro.feedback import (
     Corpus,
     CoverageTracker,
@@ -327,7 +328,6 @@ class TestMutation:
     def test_differing_locations_equal_a_full_image_walk(self, pages, seed, offsets):
         """Equal keys, different keys and override-only differences; pages
         derived for the walk are not kept on the inputs."""
-        from repro.core.minimize import differing_locations
 
         sandbox = Sandbox(pages=pages)
         generator = InputGenerator(sandbox, seed=seed)
@@ -382,7 +382,6 @@ class TestMutation:
         triage-minimized pair (single differing location — the secret) must
         survive both the narrow and the shift move.
         """
-        from repro.core.minimize import differing_locations
 
         base = InputGenerator(sandbox, seed=2).generate_one()
         registers = base.register_dict()
@@ -470,6 +469,33 @@ class TestStrategies:
         assert first == second
         assert any(mutated for mutated, _ in first)
         assert any(not mutated for mutated, _ in first)
+
+    def test_repeated_selection_derives_the_witness_pages_once(self, generator, monkeypatch):
+        sandbox = Sandbox(pages=4)
+        inputs = InputGenerator(sandbox, seed=2)
+        corpus = Corpus()
+        entry = corpus.add_program(
+            generator.generate(),
+            origin="violation",
+            input_pair=(inputs.generate_one(), inputs.generate_one()),
+        )
+        source = FeedbackProgramSource("mutational", generator, corpus=corpus, seed=3)
+        derived = []
+        derive = Input._derive_page
+
+        def counting(self, index):
+            derived.append(index)
+            return derive(self, index)
+
+        monkeypatch.setattr(Input, "_derive_page", counting)
+        source.next_program()
+        first = len(derived)
+        # Both witnesses' four pages, plus what the chosen move reads.
+        assert first >= 2 * sandbox.pages
+        for _ in range(6):
+            source.next_program()
+        assert len(derived) - first <= 6 * 2
+        assert entry.differing_locations() == differing_locations(*entry.input_pair())
 
     def test_feedback_rewards_parent_and_records_violations(self, generator):
         corpus = Corpus()

@@ -145,27 +145,34 @@ def _assert_emulators_agree(program, sandbox, inputs, contract):
         )
 
 
-def _checked_branch(execute_branch):
-    """``O3Core._execute_branch`` holding each resolved direction to ``evaluate``.
+def _checked_branch(resolve_branch):
+    """``O3Core._resolve_branch`` holding each resolved direction to ``evaluate``.
 
-    The core decides a branch from its condition and never runs the step
-    of a JCC or JMP, so the reference steps cannot check branch direction.
+    The core decides a conditional branch from its condition when it issues
+    and never runs the step of a JCC, so the reference steps cannot check
+    branch direction.  The flags it read are still there at resolution: its
+    flag producer's, else the architectural flags, which no older flag
+    writer was left in flight to change.
     """
     def wrapper(core, entry, cycle):
-        issued = execute_branch(core, entry, cycle)
         instruction = entry.decoded.instruction
-        flags = flag_dict(core._flags_for(entry))
-        expected = evaluate(instruction, None, flags, None).branch_taken
+        source = entry.flags_source
+        flags = (
+            core.arch_state.flags.as_tuple()
+            if source is None
+            else core._entries[source].flags_out
+        )
+        expected = evaluate(instruction, None, flag_dict(flags), None).branch_taken
         assert entry.actual_taken == expected, f"branch direction of {instruction}"
-        return issued
+        return resolve_branch(core, entry, cycle)
     return wrapper
 
 
 def _simulator_records(program, sandbox, inputs, defense, mode):
     executor = SimulatorExecutor(defense_factory=defense, sandbox=sandbox, mode=mode)
     executor.load_program(program)
-    checked = _checked_branch(O3Core._execute_branch)
-    with mock.patch.object(O3Core, "_execute_branch", checked):
+    checked = _checked_branch(O3Core._resolve_branch)
+    with mock.patch.object(O3Core, "_resolve_branch", checked):
         return [executor.run_input(test_input) for test_input in inputs]
 
 
@@ -347,7 +354,7 @@ def flag_heavy_program(seed: int) -> Program:
     )
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=settings.default.max_examples)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_steps_match_the_reference_on_flag_heavy_programs(seed):
     sandbox = Sandbox()
@@ -358,7 +365,7 @@ def test_steps_match_the_reference_on_flag_heavy_programs(seed):
         _assert_emulators_agree(program, sandbox, inputs, contract)
 
 
-@settings(deadline=None, max_examples=6)
+@settings(deadline=None, max_examples=settings.default.max_examples * 6 // 100)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_steps_match_the_reference_for_any_generator_seed(seed):
     """Every registered defense on one random and one flag-heavy program,

@@ -81,7 +81,8 @@ class TestPerRunState:
     #: carries over, the memory hierarchy the executor primes, the defense
     #: (reset through ``reset_for_run``), the architectural state rebuilt for
     #: each input, the sandbox buffer whose pages each run reloads, and the
-    #: step machine and write recorder that every step overwrites before use.
+    #: step machine and memory recorder (with its read method) that every
+    #: step overwrites before use.
     CARRIED = {
         "branch_predictor",
         "dependence_predictor",
@@ -91,6 +92,7 @@ class TestPerRunState:
         "_sandbox_buffer",
         "_machine",
         "_step_memory",
+        "_read_loaded",
     }
 
     def test_a_reused_core_starts_each_run_like_a_fresh_core(self):
@@ -108,10 +110,16 @@ class TestPerRunState:
         assert any(getattr(used, name) != getattr(fresh, name) for name in names)
 
         test_input = inputs.generate_one()
+        # The last run left its fetch-ahead stream to the caches' next reader.
+        assert used.memory.ahead_pc is not None
         used._reset_run_state(test_input)
         fresh._reset_run_state(test_input)
         for name in names:
             assert getattr(used, name) == getattr(fresh, name), name
+        # The carried memory system's stream fields: none is left pending.
+        for memory in (used.memory, fresh.memory):
+            assert (memory.ahead_pc, memory.ahead_end) == (None, None)
+            assert memory.l1i._pending is memory.l2._pending is None
 
 
 class TestSpeculationMechanics:

@@ -261,6 +261,17 @@ _MEMORY_OPS = st.one_of(
     st.tuples(st.just("dtlb"), _ADDRESSES, st.tuples(st.booleans())),
 )
 
+#: Besides the accesses: a fetch-ahead stream, settled as the core leaves
+#: it at the end of a run, and direct line installs/invalidations.
+_FLUSH_OPS = st.one_of(
+    _MEMORY_OPS,
+    st.tuples(st.just("stream"), _ADDRESSES, st.tuples(st.integers(0, 12))),
+    st.tuples(
+        st.just("line"), _ADDRESSES,
+        st.tuples(st.sampled_from(["l1d", "l1i", "l2"]), st.booleans()),
+    ),
+)
+
 
 class TestMemorySystem:
     def test_hit_after_install(self):
@@ -338,6 +349,47 @@ class TestMemorySystem:
                     memory.instruction_fetch(address)
                 else:
                     memory.dtlb_access(address, install=flags[0])
+
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.sampled_from((None,) + _PRIME_BASES),
+                st.lists(_FLUSH_OPS, max_size=12),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flush_after_any_mutations_equals_a_fresh_cache(self, rounds):
+        """A FLUSH reset clears only the sets dirtied since the last flush
+        (all of them after a prime restore), and still leaves every cache
+        exactly as a brand-new memory system has it."""
+        memory = MemorySystem(_SMALL_MEMORY)
+        empty = MemorySystem(_SMALL_MEMORY).cache_state()
+        cycle = 0
+        for base, operations in rounds:
+            if base is not None:
+                memory.reset_and_prime(base)
+            for kind, address, args in operations:
+                cycle += 1
+                if kind == "data":
+                    memory.data_access(memory.l1d.line_base(address), cycle, pc=0x400000,
+                                       install_l1=args[0], install_l2=args[1])
+                elif kind == "fetch":
+                    memory.instruction_fetch(address)
+                elif kind == "dtlb":
+                    memory.dtlb_access(address, install=args[0])
+                elif kind == "stream":
+                    memory.start_fetch_ahead(address, address + 0x400, 16, cycle)
+                    memory.end_fetch_ahead(cycle + args[0])
+                    memory.settle_fetch_ahead()
+                else:
+                    cache = getattr(memory, args[0])
+                    cache.install(address) if args[1] else cache.invalidate(address)
+            memory.reset_caches()
+            assert memory.cache_state() == empty
+            assert memory.snapshot_dtlb() == ()
 
     def test_instruction_fetch_installs_into_l1i(self):
         memory = MemorySystem(UarchConfig())
