@@ -11,7 +11,7 @@ used to filter out further violations with the same root cause.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.violation import Violation
 from repro.executor.executor import SimulatorExecutor

@@ -2,13 +2,15 @@
 
 Each round the fuzzer generates a random program, derives a set of inputs —
 base inputs plus contract-preserving boosted variants — collects contract
-traces from the leakage model, partitions the entries into
-contract-equivalence classes, simulates only the entries that could witness
-a Definition 2.1 violation (see :mod:`repro.core.scheduler`), and runs the
-detector.  Detected violations are validated (re-run from a matched
-micro-architectural context, to rule out differences caused by AMuLeT-Opt
-carrying predictor state between inputs; see :meth:`Violation.rerun`) and
-analysed for a deduplication signature.
+traces from the leakage model (a variant inherits its base's), partitions
+the entries into contract-equivalence classes, simulates only the entries
+that could witness a Definition 2.1 violation (see
+:mod:`repro.core.scheduler`), and runs the detector.  A detected violation
+stands only if its boosted witnesses emulate to the trace they inherited;
+it is then validated (re-run from a matched micro-architectural context, to
+rule out differences caused by AMuLeT-Opt carrying predictor state between
+inputs; see :meth:`Violation.rerun`) and analysed for a deduplication
+signature.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.core.scheduler import ExecutionScheduler
 from repro.core.testcase import TestCase
 from repro.core.violation import Violation
 from repro.defenses.registry import create_defense, defense_class
-from repro.executor.executor import ExecutionMode, SimulatorExecutor
+from repro.executor.executor import SimulatorExecutor
 from repro.executor.startup import Tally
 from repro.feedback.corpus import Corpus
 from repro.feedback.coverage import CoverageTracker
@@ -188,6 +190,8 @@ class AmuletFuzzer:
         self.scheduler = ExecutionScheduler(config.filter)
 
         self._start_time: Optional[float] = None
+        #: The round's emulator, from building its test case until detection.
+        self._emulator: Optional[Emulator] = None
         self._stopped = False
         self._target_programs: Optional[int] = None
         # The report owns the instance's live results: the executor charges
@@ -242,7 +246,21 @@ class AmuletFuzzer:
         started = clock()
         violations = self.detector.detect(test_case, classes=plan.classes)
         confirmed: List[Violation] = []
+        emulator, self._emulator = self._emulator, None
         for violation in violations:
+            # A boosted witness inherited its base's contract trace; the
+            # candidate stands only if each one really emulates to it.
+            witnesses = (violation.input_a, violation.input_b)
+            if any(
+                emulator.run(entry.test_input, self.contract).trace
+                != violation.contract_trace
+                for entry in test_case.entries
+                if entry.boosted_from is not None
+                and any(entry.test_input is witness for witness in witnesses)
+            ):
+                violation.validated = False
+                tally.count("boost.trace_mismatch")
+                continue
             violation.record_provenance(self.executor, patched=config.patched)
             rerun = violation.rerun(self.executor)
             if not rerun.diverges:
@@ -403,6 +421,15 @@ class AmuletFuzzer:
         the first base-input slots; the remainder are generated as usual and
         every base input — seeded or fresh — is boosted identically.  Seed
         inputs sized for a different sandbox are ignored.
+
+        Only base inputs are emulated.  A boosted variant keeps every
+        location its base's contract trace and speculation profile depend
+        on (see :meth:`InputGenerator.mutate_preserving`), so it takes both
+        from its base entry; before a candidate violation is validated,
+        :meth:`run_round` emulates each of its witnesses that is a variant,
+        on this emulator, and drops the candidate unless the trace is the
+        one it inherited.  The modeled time still charges one contract
+        trace per entry, as the paper's tool collects them.
         """
         config = self.config
         test_case = TestCase(program=program)
@@ -424,9 +451,8 @@ class AmuletFuzzer:
         emulator = Emulator(program, self.sandbox)
         for base_index, base_input in enumerate(base_inputs):
             model_result = emulator.run(base_input, self.contract)
-            base_entry = test_case.add(
-                base_input, model_result.trace, speculation=model_result.speculation
-            )
+            trace, speculation = model_result.trace, model_result.speculation
+            base_entry = test_case.add(base_input, trace, speculation=speculation)
             boosting = clock()
             variants = self.input_generator.mutate_preserving(
                 base_input,
@@ -435,17 +461,11 @@ class AmuletFuzzer:
                 salt=base_index,
             )
             inputs_seconds += clock() - boosting
-            # All boosted variants of a base input share the emulator's
-            # steps and sandbox buffer (batched multi-input round).
-            for variant, variant_result in zip(
-                variants, emulator.collect_traces_batch(variants, self.contract)
-            ):
+            for variant in variants:
                 test_case.add(
-                    variant,
-                    variant_result.trace,
-                    boosted_from=base_entry.index,
-                    speculation=variant_result.speculation,
+                    variant, trace, boosted_from=base_entry.index, speculation=speculation
                 )
+        self._emulator = emulator
         compile_seconds = STEP_STATS.compile_seconds - compiled
         tally = self.executor.tally
         tally.charge_contract_traces(len(test_case))

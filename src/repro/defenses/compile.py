@@ -297,11 +297,12 @@ def _build_cleanup_methods(spec: DefenseSpec) -> dict:
         if not lines:
             return
         memory = self.memory
-        memory.settle_fetch_ahead(cycle)
         cleaned = 0
         for line in lines:
             if memory.l1d.invalidate(line):
                 cleaned += 1
+            if memory.ahead_pc is not None:
+                memory.settle_fetch_ahead_set(line, cycle)
             memory.l2.invalidate(line)
         if self.core is not None and cleaned:
             self.core.stats.record_defense_event(event, cleaned)
@@ -386,9 +387,10 @@ def _build_hold_methods(spec: DefenseSpec) -> dict:
         if not lines:
             return
         memory = self.memory
-        memory.settle_fetch_ahead(cycle)
         for line in lines:
             memory.l1d.install(line)
+            if memory.ahead_pc is not None:
+                memory.settle_fetch_ahead_set(line, cycle)
             memory.l2.install(line)
         if self.core is not None:
             self.core.stats.record_defense_event(install_event, len(lines))

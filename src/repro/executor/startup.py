@@ -62,8 +62,10 @@ class Tally:
     * ``counts`` — events: ``simulator_starts``, ``simulations`` (every O3
       run, validation re-runs included), ``skipped.<reason>`` (test cases
       the execution scheduler did not simulate), the per-program build
-      counters and ``fault.<reason>`` (supervised-execution faults).  Zero
-      counts are never stored.  The build counters are
+      counters, ``fault.<reason>`` (supervised-execution faults) and
+      ``boost.trace_mismatch`` (candidate violations dropped because a
+      boosted witness did not emulate to the contract trace it inherited
+      from its base).  Zero counts are never stored.  The build counters are
       ``steps.cache_misses``, the step tables built (one per program, on
       its first emulation), and ``steps.cache_hits``, every further
       emulator or O3 core that found a program's steps built.

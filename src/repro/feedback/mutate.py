@@ -34,7 +34,7 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.inputs import MEMORY_GRANULE, Input
 from repro.generator.program_generator import OPERAND_REGISTERS, ProgramGenerator
 from repro.isa.instructions import CONDITION_CODES, Instruction, Opcode
-from repro.isa.operands import Immediate, MemoryOperand, Register
+from repro.isa.operands import Immediate, Register
 from repro.isa.program import BasicBlock, Program
 
 #: Relative frequencies of the mutation operators.

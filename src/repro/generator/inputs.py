@@ -333,7 +333,9 @@ class InputGenerator:
         re-randomised; everything in ``preserve`` is copied verbatim from
         ``base``, so any observation that depends only on preserved locations
         (in particular the contract trace that produced the taint set) is
-        unchanged.
+        unchanged.  Given the base's contract-relevant labels, a variant
+        emulates to the base's contract trace and speculation profile, and
+        the fuzzer gives it both without emulating it.
 
         Variant ``index`` gets the key ``mix_seed(mix_seed(fingerprint,
         salt), index + 1)``: it seeds the variant's register draws and, per

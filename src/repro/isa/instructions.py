@@ -8,7 +8,6 @@ from enum import Enum, auto
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.isa.operands import (
-    Immediate,
     Label,
     MemoryOperand,
     Operand,

@@ -222,9 +222,9 @@ class Emulator:
 
         The program is decoded once (in ``__init__``) and its steps built
         once (on the first ``run``); every input then reuses the same
-        steps, sandbox buffer and granule taint sets.  This is the
-        model-side half of batched test-case execution: all boosted inputs
-        of a test case share the per-program setup cost.
+        steps, sandbox buffer and granule taint sets.  The fuzzer no longer
+        emulates boosted variants (they inherit their base's trace), so
+        only tests and perfbench's tracer call this.
         """
         return [self.run(test_input, contract) for test_input in inputs]
 

@@ -8,9 +8,11 @@ values that determined that observation are added to the *contract-relevant*
 set.  Input boosting then randomises exactly the locations that are **not**
 contract-relevant, producing new inputs with identical contract traces.
 
-Over-approximating is safe (boosting just mutates less); under-approximation
-is caught later because the fuzzer re-checks the contract trace of every
-boosted input before using it.
+Over-approximating is safe (boosting just mutates less).  Boosted variants
+inherit their base's contract trace unemulated, so an under-approximation
+would put a variant in the wrong contract class; the fuzzer emulates every
+boosted witness of a candidate violation and drops the candidate if the
+trace is not the inherited one.
 """
 
 from __future__ import annotations

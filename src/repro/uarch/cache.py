@@ -14,6 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.uarch.config import CacheConfig
 
+#: A :attr:`SetAssociativeCache._top_line` that bounds nothing.
+_UNBOUNDED = 1 << 64
+
 
 @dataclass
 class AccessResult:
@@ -53,6 +56,11 @@ class SetAssociativeCache:
         # Every set outside ``_dirty`` is empty (fresh, or flushed since):
         # a flush then clears only the dirty sets.
         self._empty_outside_dirty = True
+        #: No line above this base was installed since the last flush (-1:
+        #: none), so none is resident.  Kept by this class's entry points and
+        #: by MemorySystem's inlined L1I fills, for the fetch-ahead stream;
+        #: its inlined L1D/L2 fills leave it behind.
+        self._top_line = -1
         #: While a post-EXIT fetch-ahead stream awaits settling, a weak
         #: reference to the :class:`~repro.uarch.memory_system.MemorySystem`
         #: holding it (L1I and L2 only): every entry point below settles it
@@ -127,6 +135,8 @@ class SetAssociativeCache:
         if base in entry_set:
             entry_set[base] = self._use_counter
             return None
+        if base > self._top_line:
+            self._top_line = base
         evicted = None
         if len(entry_set) >= config.ways:
             evicted = min(entry_set, key=entry_set.get)
@@ -181,6 +191,7 @@ class SetAssociativeCache:
         self._use_counter = 0
         self._dirty.clear()
         self._dirty_all = True
+        self._top_line = -1
 
     def restore_from(self, lines_snapshot, use_counter: int) -> None:
         """Rebuild cache contents from a snapshot taken of *this* lineage.
@@ -202,6 +213,7 @@ class SetAssociativeCache:
         self._dirty.clear()
         self._empty_outside_dirty = False
         self._use_counter = use_counter
+        self._top_line = _UNBOUNDED
 
     def fill_set(self, set_index: int, addresses: List[int]) -> None:
         """Prime one set with the given line addresses (oldest first)."""
@@ -211,7 +223,10 @@ class SetAssociativeCache:
         self._dirty.add(set_index)
         for address in addresses:
             self._use_counter += 1
-            entry_set[self.line_base(address)] = self._use_counter
+            base = self.line_base(address)
+            entry_set[base] = self._use_counter
+            if base > self._top_line:
+                self._top_line = base
 
     def snapshot(self) -> Tuple[int, ...]:
         """Sorted tuple of all resident line base addresses."""

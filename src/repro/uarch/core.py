@@ -7,7 +7,8 @@ for speculative leakage:
   the front end keeps fetching ahead while EXIT is in flight, a stream the
   core only records (start pc, first step cycle, end at EXIT commit) and
   the memory system settles lazily, when the L1I or L2 is next read or
-  changed;
+  changed: a data access settles only the L2 set it reads, and a squash
+  that keeps EXIT only advances the stream;
 * dispatch with register renaming (producer tracking) into a reorder buffer;
 * out-of-order execution with a load/store queue: store-to-load forwarding,
   memory-dependence speculation (loads may bypass older stores with unknown
@@ -734,10 +735,11 @@ class O3Core:
             # The stream's steps before this cycle stand.  A squashed EXIT
             # ends it, and the front end resumes; else the redirect stalls it.
             memory = self.memory
-            memory.settle_fetch_ahead(cycle)
             if exit_survives:
+                memory.advance_fetch_ahead(cycle)
                 memory.ahead_cycle = max(memory.ahead_cycle, self._fetch_stalled_until)
             else:
+                memory.settle_fetch_ahead(cycle)
                 memory.drop_fetch_ahead()
         self._exit_fetched = exit_survives
 

@@ -10,7 +10,7 @@ modifying them or the simulator core.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.uarch.cache import AccessResult, MSHRFile, SetAssociativeCache
 from repro.uarch.config import UarchConfig
@@ -49,6 +49,19 @@ class MemorySystem:
         self.ahead_end: Optional[int] = None
         self.ahead_limit = 0
         self.ahead_step = 0
+        # What the walk has applied: the pc it reached and the lines it
+        # passed.  Per-set settling (fast streams only): the stream's first
+        # line, the lines started, whether the first needs no L2 install,
+        # the reserved L2 use counters as (first line, counter - line)
+        # blocks, and the lines installed ahead of the walk.
+        self._walk_pc = 0
+        self._walked = 0
+        self._ahead_fast = False
+        self._ahead_first = 0
+        self._ahead_lines = 0
+        self._ahead_skip = 0
+        self._ahead_blocks: List[Tuple[int, int]] = []
+        self._ahead_installed: Set[int] = set()
         self._ref = weakref.ref(self)
 
     def _prime_key(self, address_base: int) -> tuple:
@@ -87,8 +100,19 @@ class MemorySystem:
             return AccessResult(latency=config.l1_hit_latency, l1_hit=True, l2_hit=True)
 
         if self.ahead_pc is not None:
-            self.settle_fetch_ahead(cycle)
-        l2_hit = self.l2.lookup(line, update_replacement=True)
+            self.settle_fetch_ahead_set(line, cycle)
+        # Inlined L2 lookup: the settle above covered this set, so the
+        # cache's own check for an ended stream (a full settle) is skipped.
+        l2 = self.l2
+        l2_config = l2.config
+        l2_base = line - (line % l2_config.line_size)
+        l2_index = (l2_base // l2_config.line_size) % l2_config.sets
+        l2_set = l2._lines[l2_index]
+        l2_hit = l2_base in l2_set
+        if l2_hit:
+            l2._use_counter += 1
+            l2_set[l2_base] = l2._use_counter
+            l2._dirty.add(l2_index)
         fill_latency = config.l2_hit_latency if l2_hit else config.memory_latency
 
         used_mshr = False
@@ -119,17 +143,11 @@ class MemorySystem:
             entry_set[line] = l1d._use_counter
             installed = line
         if install_l2 and not l2_hit:
-            l2 = self.l2
-            l2_config = l2.config
-            l2_base = line - (line % l2_config.line_size)
-            index = (l2_base // l2_config.line_size) % l2_config.sets
-            entry_set = l2._lines[index]
-            l2._dirty.add(index)
+            l2._dirty.add(l2_index)
             l2._use_counter += 1
-            if l2_base not in entry_set and len(entry_set) >= l2_config.ways:
-                victim = min(entry_set, key=entry_set.get)
-                del entry_set[victim]
-            entry_set[l2_base] = l2._use_counter
+            if len(l2_set) >= l2_config.ways:
+                del l2_set[min(l2_set, key=l2_set.get)]
+            l2_set[l2_base] = l2._use_counter
 
         return AccessResult(
             latency=config.l1_hit_latency + fill_latency,
@@ -168,6 +186,8 @@ class MemorySystem:
             victim = min(entry_set, key=entry_set.get)
             del entry_set[victim]
         entry_set[line] = l1i._use_counter
+        if line > l1i._top_line:
+            l1i._top_line = line
         l2 = self.l2
         l2_config = l2.config
         l2_base = line - (line % l2_config.line_size)
@@ -188,17 +208,54 @@ class MemorySystem:
     # what makes timing differences (e.g. CleanupSpec's cleanup latency,
     # KV2/unXpec) visible in the instruction cache.  The steps read nothing
     # back, so the core records the stream as data, and its L1I/L2 effects
-    # are applied lazily: only when something next reads or changes either
-    # cache, as of that point.  A priming that flushes or overwrites both
-    # caches (reset_caches, reset_and_prime) drops an unsettled stream.
+    # are applied lazily, as of the point where something next reads or
+    # changes either cache.  A priming that flushes or overwrites both caches
+    # (reset_caches, reset_and_prime) drops an unsettled stream.
+    #
+    # Settling has two halves.  Advancing (advance_fetch_ahead) moves the
+    # stream's accounting to a cycle.  The walk (_walk_fetch_ahead) applies
+    # the accounted steps one L1I line at a time, with each missing line's
+    # L2 install.  Data accesses, and the defense hooks that change the L2,
+    # read one L2 set each, so they settle only that set
+    # (settle_fetch_ahead_set) when the stream is *fast*: L1I and L2 lines
+    # are one size, a step stays within a line, the stream spans at most one
+    # line per L2 set, and no L1I line past its first is resident, so every
+    # line it starts past the first misses.  Advancing a fast stream then
+    # reserves the L2 use counters of the installs now due as one block and
+    # installs just the accessed set's line, if due, with its reserved
+    # counter; the walk later skips the lines installed so.  The readers
+    # that need the whole stream walk it: instruction_fetch, cache_state,
+    # snapshot_l1i, the caches' own entry points once EXIT has committed, a
+    # squash that kills EXIT and the next run's start under NONE priming.
+    # Any other stream is walked at every settle.
     def start_fetch_ahead(self, pc: int, limit: int, step: int, cycle: int) -> None:
         """Record a stream fetching from ``pc`` (up to ``limit``, ``step``
         bytes a cycle) from ``cycle`` on, until :meth:`end_fetch_ahead`."""
-        self.ahead_pc = pc
+        self.ahead_pc = self._walk_pc = pc
         self.ahead_limit = limit
         self.ahead_step = step
         self.ahead_cycle = cycle
         self.ahead_end = None
+        self._walked = 0
+        l1i = self.l1i
+        l1i_config = l1i.config
+        line_size = l1i_config.line_size
+        first = pc - (pc % line_size)
+        l2_config = self.l2.config
+        self._ahead_fast = (
+            l2_config.line_size == line_size
+            and step <= line_size
+            and limit - first <= l2_config.sets * line_size
+            and l1i._top_line <= first
+        )
+        if self._ahead_fast:
+            self._ahead_first = first
+            self._ahead_lines = 0
+            self._ahead_skip = int(
+                first in l1i._lines[(first // line_size) % l1i_config.sets]
+            )
+            self._ahead_blocks = []
+            self._ahead_installed = set()
 
     def end_fetch_ahead(self, cycle: int) -> None:
         """The stream takes no step from ``cycle`` on (EXIT committed, or
@@ -207,41 +264,56 @@ class MemorySystem:
         self.l1i._pending = self.l2._pending = self._ref
 
     def settle_fetch_ahead(self, cycle: Optional[int] = None) -> None:
-        """Take the stream's steps due before ``cycle``.
+        """Take the stream's steps due before ``cycle``, walking them all.
 
-        Without ``cycle``, the steps of an ended stream; a stream still in
-        flight is then left to the core, the only one that knows the cycle.
+        Without ``cycle``, the steps of an ended stream, which is then
+        dropped; a stream still in flight only has the steps already
+        advanced over walked, the core being the only one that knows the
+        cycle.
         """
         if self.ahead_pc is None:
             return
         end = self.ahead_end
         if end is not None and (cycle is None or cycle > end):
             cycle = end
-        elif cycle is None:
-            return
-        steps = cycle - self.ahead_cycle
-        if steps > 0:
-            self._advance_fetch_ahead(steps)
-            self.ahead_cycle = cycle
-        if cycle == end:
+        if cycle is not None:
+            self.advance_fetch_ahead(cycle)
+        self._walk_fetch_ahead()
+        if cycle is not None and cycle == end:
             self.drop_fetch_ahead()
 
-    def drop_fetch_ahead(self) -> None:
-        """Forget the stream, settled or not."""
-        self.ahead_pc = None
-        self.ahead_end = None
-        self.l1i._pending = self.l2._pending = None
+    def settle_fetch_ahead_set(self, address: int, cycle: int) -> None:
+        """Settle the stream as far as the L2 set of ``address`` is concerned:
+        advance it to ``cycle`` and install that set's line, if due."""
+        self.advance_fetch_ahead(cycle)
+        if not self._ahead_fast:
+            return
+        l2 = self.l2
+        l2_config = l2.config
+        line_size = l2_config.line_size
+        sets = l2_config.sets
+        index = (address // line_size) % sets
+        # The stream's lines are consecutive, one per set from its first.
+        line = (index - self._ahead_first // line_size) % sets
+        if (
+            line < self._ahead_lines
+            and line >= self._walked
+            and line >= self._ahead_skip
+            and line not in self._ahead_installed
+        ):
+            self._ahead_installed.add(line)
+            self._install_stream_line(line, index)
 
-    def _advance_fetch_ahead(self, steps: int) -> None:
-        """Take ``steps`` steps of the stream, stopping at its limit.
-
-        Served one L1I line at a time, leaving the L1I/L2 exactly as one
-        :meth:`instruction_fetch` per step does: the ``k`` steps that land
-        in one line are ``k`` hits on a resident line, else one fill (L1I,
-        then L2) and ``k - 1`` hits, so the use counter rises by ``k`` and
-        the line ends stamped with its final value.  The pc only grows, and
-        a line's own hits cannot evict it.
-        """
+    def advance_fetch_ahead(self, cycle: int) -> None:
+        """Account for the stream's steps due before ``cycle`` (at most up
+        to its end), walking them at once unless the stream is fast."""
+        end = self.ahead_end
+        if end is not None and cycle > end:
+            cycle = end
+        steps = cycle - self.ahead_cycle
+        if steps <= 0:
+            return
+        self.ahead_cycle = cycle
         pc = self.ahead_pc
         limit = self.ahead_limit
         if pc >= limit:
@@ -249,8 +321,62 @@ class MemorySystem:
         step = self.ahead_step
         # Steps left before the stream reaches its limit.
         remaining = (limit - pc + step - 1) // step
-        if steps < remaining:
-            remaining = steps
+        if steps > remaining:
+            steps = remaining
+        pc += steps * step
+        self.ahead_pc = pc
+        if not self._ahead_fast:
+            self._walk_fetch_ahead()
+            return
+        started = self._ahead_lines
+        # Lines started: up to the line of the last step taken.
+        lines = (pc - step - self._ahead_first) // self.l1i.config.line_size + 1
+        # One L2 install per line started, the first only if it is missing.
+        first_install = started if started > self._ahead_skip else self._ahead_skip
+        if lines > first_install:
+            l2 = self.l2
+            self._ahead_blocks.append((first_install, l2._use_counter - first_install))
+            l2._use_counter += lines - first_install
+        self._ahead_lines = lines
+
+    def drop_fetch_ahead(self) -> None:
+        """Forget the stream, settled or not."""
+        self.ahead_pc = None
+        self.ahead_end = None
+        self.l1i._pending = self.l2._pending = None
+
+    def _install_stream_line(self, line: int, index: int) -> None:
+        """Install the fast stream's ``line``-th line into L2 set ``index``
+        with its reserved use counter."""
+        for first, offset in reversed(self._ahead_blocks):
+            if line >= first:
+                break
+        l2 = self.l2
+        base = self._ahead_first + line * l2.config.line_size
+        entry_set = l2._lines[index]
+        l2._dirty.add(index)
+        if base not in entry_set and len(entry_set) >= l2.config.ways:
+            del entry_set[min(entry_set, key=entry_set.get)]
+        entry_set[base] = offset + line + 1
+
+    def _walk_fetch_ahead(self) -> None:
+        """Apply the advanced steps the walk has not taken yet.
+
+        Served one L1I line at a time, leaving the L1I/L2 exactly as one
+        :meth:`instruction_fetch` per step does: the ``k`` steps that land
+        in one line are ``k`` hits on a resident line, else one fill (L1I,
+        then L2) and ``k - 1`` hits, so the use counter rises by ``k`` and
+        the line ends stamped with its final value.  The pc only grows, and
+        a line's own hits cannot evict it.  A fast stream's L2 installs take
+        their reserved counters, and skip the lines already installed.
+        """
+        pc = self._walk_pc
+        target = self.ahead_pc
+        if pc >= target:
+            return
+        step = self.ahead_step
+        remaining = (target - pc) // step
+        fast = self._ahead_fast
         l1i = self.l1i
         l1i_config = l1i.config
         line_size = l1i_config.line_size
@@ -274,20 +400,29 @@ class MemorySystem:
                 l1i_dirty.add(index)
                 if len(entry_set) >= ways:
                     del entry_set[min(entry_set, key=entry_set.get)]
-                l2_base = line - (line % l2_line_size)
-                l2_index = (l2_base // l2_line_size) % l2_config.sets
-                l2_set = l2._lines[l2_index]
-                l2._dirty.add(l2_index)
-                l2._use_counter += 1
-                if l2_base not in l2_set and len(l2_set) >= l2_config.ways:
-                    del l2_set[min(l2_set, key=l2_set.get)]
-                l2_set[l2_base] = l2._use_counter
+                l2_index = (line // l2_line_size) % l2_config.sets
+                if fast:
+                    number = (line - self._ahead_first) // line_size
+                    if number not in self._ahead_installed:
+                        self._install_stream_line(number, l2_index)
+                else:
+                    l2_base = line - (line % l2_line_size)
+                    l2_set = l2._lines[l2_index]
+                    l2._dirty.add(l2_index)
+                    l2._use_counter += 1
+                    if l2_base not in l2_set and len(l2_set) >= l2_config.ways:
+                        del l2_set[min(l2_set, key=l2_set.get)]
+                    l2_set[l2_base] = l2._use_counter
             counter += k
             entry_set[line] = counter
             pc += k * step
             remaining -= k
         l1i._use_counter = counter
-        self.ahead_pc = pc
+        if line > l1i._top_line:
+            l1i._top_line = line
+        self._walk_pc = pc
+        if fast:
+            self._walked = self._ahead_lines
 
     # -- split accesses -----------------------------------------------------------
     def lines_of_access(self, address: int, size: int) -> List[int]:

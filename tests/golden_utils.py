@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict
 
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
 from repro.executor.traces import TraceConfig

@@ -6,8 +6,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.defenses.base import Defense
 from repro.defenses.conformance import (
     ConformanceReport,

@@ -1,8 +1,5 @@
 """Additional unit tests for core data structures and supporting modules."""
 
-import dataclasses
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

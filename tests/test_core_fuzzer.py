@@ -1,7 +1,5 @@
 """Tests for the AMuLeT core: detector, fuzzer, campaign, analysis, filtering."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import (
@@ -19,7 +17,7 @@ from repro.core.minimize import MinimizationBudget, minimize_violation
 from repro.core.testcase import TestCase as RelationalTestCase
 from repro.core.violation import Violation
 from repro.defenses.registry import create_defense
-from repro.executor.executor import ExecutionMode, SimulatorExecutor
+from repro.executor.executor import SimulatorExecutor
 from repro.executor.traces import MEMORY_ACCESS_ORDER_TRACE, UarchTrace
 from repro.litmus import get_case
 from repro.model.contracts import get_contract

@@ -17,8 +17,7 @@ from repro.executor import (
 )
 from repro.executor.executor import PRIME_REGION_BASE, PrimeStrategy
 from repro.executor.startup import SIMULATE, STARTUP, Tally, TimeModel
-from repro.executor.traces import UarchTrace, build_trace
-from repro.generator import Sandbox
+from repro.executor.traces import UarchTrace
 from repro.defenses.registry import create_defense
 from repro.litmus import get_case, run_case
 from repro.litmus.cases import make_input

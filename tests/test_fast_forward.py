@@ -12,11 +12,13 @@ execution modes, and on the violations a seeded fuzzing round finds.
 
 The post-EXIT fetch-ahead stream is recorded when EXIT is fetched and
 settled lazily, whenever the L1I or L2 is next read or changed, which may
-be many steps at once.  The eager-stream oracle runs the same core with a
-stream settled at the end of every cycle and must agree with it on the
-same observables, and on the caches a priming leaves when it drops an
-unsettled stream.  The stream's line-at-a-time settling is also checked
-on its own against a per-step reference over random cache geometries.
+be many steps at once, and a data access or a defense hook settles only the
+L2 set it reads.  The eager-stream oracle runs the same core with a stream
+walked line by line at the end of every cycle, reserving no L2 use
+counters, and must agree with it on the same observables, and on the
+caches a priming leaves when it drops an unsettled stream.  The stream's
+line-at-a-time settling is also checked on its own against a per-step
+reference over random cache geometries.
 """
 
 from __future__ import annotations
@@ -143,14 +145,27 @@ def eager_stream_class(cls):
     """``cls``, with the fetch-ahead stream settled at the end of every cycle.
 
     Settling at the start of each stepped cycle is the same: nothing runs
-    in between, and no cycle the fast-forward skips reads a cache.  The
-    added ``tick`` turns the core's tick stage on; ``next_tick`` keeps the
-    class's own wake-ups, and none for a class without a ``tick``, so the
-    core steps and skips the same cycles as with ``cls``.
+    in between, and no cycle the fast-forward skips reads a cache.  Every
+    stream is walked line by line at each settle, never settled one L2 set
+    at a time.  The added ``tick`` turns the core's tick stage on;
+    ``next_tick`` keeps the class's own wake-ups, and none for a class
+    without a ``tick``, so the core steps and skips the same cycles as with
+    ``cls``.
     """
     ticks = cls.tick is not Defense.tick
 
     class EagerStream(cls):
+        def attach(self, core):
+            super().attach(core)
+            memory = core.memory
+            start = memory.start_fetch_ahead
+
+            def start_walked(*args):
+                start(*args)
+                memory._ahead_fast = False
+
+            memory.start_fetch_ahead = start_walked
+
         def tick(self, cycle):
             self.memory.settle_fetch_ahead(cycle)
             super().tick(cycle)
@@ -174,6 +189,28 @@ def _assert_eager_identical(cls, patched, runs, **executor_options):
             trace_config=trace_config,
             **executor_options,
         )
+
+
+#: Generated programs on which both per-set settling hooks install stream
+#: lines, EXIT is squashed after per-set settles, and streams meet their
+#: own lines already resident in the L1I.
+STREAM_SEED = 4
+STREAM_PROGRAMS = 16
+STREAM_INPUTS = 3
+
+
+@pytest.fixture(scope="module")
+def stream_workload():
+    sandbox = Sandbox(pages=1)
+    program_generator = ProgramGenerator(GeneratorConfig(sandbox=sandbox), seed=STREAM_SEED)
+    input_generator = InputGenerator(sandbox, seed=STREAM_SEED)
+    return sandbox, [
+        (
+            program_generator.generate(),
+            [input_generator.generate_one() for _ in range(STREAM_INPUTS)],
+        )
+        for _ in range(STREAM_PROGRAMS)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +323,68 @@ class TestEagerStreamOracle:
                 uarch_config=case.uarch_config,
                 prime_strategy=case.prime_strategy,
             )
+
+    @pytest.mark.parametrize("ways", [8, 1])
+    @pytest.mark.parametrize("cls,patched", VARIANTS)
+    def test_generated_programs(self, cls, patched, ways, stream_workload):
+        # A direct-mapped L2 evicts on every install, so a stream line
+        # installed out of order in its set shows.
+        sandbox, runs = stream_workload
+        config = UarchConfig(l2=CacheConfig(sets=512, ways=ways))
+        _assert_eager_identical(cls, patched, runs, sandbox=sandbox, uarch_config=config)
+
+    @pytest.mark.parametrize("name,hook", [("cleanupspec", "on_squash"), ("speclfb", "on_entry_safe")])
+    def test_the_generated_programs_take_every_settle(self, name, hook, stream_workload, monkeypatch):
+        """On ``stream_workload`` the lazy core settles single L2 sets from
+        data accesses and from the defense's hook, installing stream lines
+        ahead of the walk; squashes EXIT after such installs; and falls back
+        to walking every settle for streams whose lines are L1I-resident."""
+        sandbox, runs = stream_workload
+        cls = defense_class(name)
+        seen = {"data_access": 0, hook: 0, "exit_squash": 0, "resident_fallback": 0}
+        caller = ["data_access"]
+
+        def installs(memory):
+            return len(memory._ahead_installed) if memory._ahead_fast else 0
+
+        settle_set = MemorySystem.settle_fetch_ahead_set
+
+        def recording_settle_set(memory, address, cycle):
+            before = installs(memory)
+            settle_set(memory, address, cycle)
+            seen[caller[0]] += installs(memory) - before
+
+        original_hook = getattr(cls, hook)
+
+        def recording_hook(defense, entry, cycle):
+            caller[0] = hook
+            try:
+                original_hook(defense, entry, cycle)
+            finally:
+                caller[0] = "data_access"
+
+        squash = O3Core._squash_from
+
+        def recording_squash(core, first_seq, redirect_pc, cycle):
+            installed = core._exit_fetched and installs(core.memory) > 0
+            squash(core, first_seq, redirect_pc, cycle)
+            seen["exit_squash"] += installed and not core._exit_fetched
+
+        start = MemorySystem.start_fetch_ahead
+
+        def recording_start(memory, pc, limit, step, cycle):
+            start(memory, pc, limit, step, cycle)
+            first = pc - pc % memory.l1i.config.line_size
+            seen["resident_fallback"] += (
+                not memory._ahead_fast and memory.l1i._top_line > first
+            )
+
+        monkeypatch.setattr(MemorySystem, "settle_fetch_ahead_set", recording_settle_set)
+        monkeypatch.setattr(cls, hook, recording_hook)
+        monkeypatch.setattr(O3Core, "_squash_from", recording_squash)
+        monkeypatch.setattr(MemorySystem, "start_fetch_ahead", recording_start)
+        _observe(_factory(cls, False), runs, ExecutionMode.OPT, sandbox=sandbox)
+        assert all(seen.values()), seen
 
     @pytest.mark.parametrize("eager", [True, False])
     def test_the_oracle_leaves_no_step_due_at_a_data_access(self, eager):

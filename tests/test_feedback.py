@@ -19,7 +19,6 @@ from repro.feedback import (
     Corpus,
     CoverageTracker,
     FeedbackProgramSource,
-    GenerationStrategy,
     ProgramMutator,
     mutate_input_pair,
     program_id,

@@ -10,8 +10,6 @@ from repro.core.violation import Rerun, Violation
 from repro.defenses.registry import create_defense
 from repro.executor.executor import ExecutionMode, PrimeStrategy, SimulatorExecutor
 from repro.executor.traces import L1D_ONLY_TRACE
-from repro.generator.inputs import Input
-from repro.generator.sandbox import Sandbox
 from repro.litmus import all_cases, get_case, run_case
 from repro.isa.registers import INPUT_REGISTERS, SCRATCH_REGISTERS
 from repro.model.contracts import get_contract

@@ -12,7 +12,7 @@ from repro.isa.operands import Immediate, Label, Register
 from repro.isa.program import BasicBlock, Program
 from repro.litmus import get_case
 from repro.litmus.cases import make_input
-from repro.litmus.programs import spectre_v1, spectre_v4
+from repro.litmus.programs import spectre_v1
 from repro.model import CT_SEQ, Emulator
 from repro.uarch import O3Core, UarchConfig
 
