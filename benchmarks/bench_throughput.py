@@ -486,6 +486,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     violation_mismatches.append(row["defense"] + suffix)
         artifact["pre_pr_violations_match"] = not violation_mismatches
         if violation_mismatches:
+            # The baseline's own "note" (embedded above) says why rows may
+            # differ; the artifact names the rows that do.
+            artifact["pre_pr_violation_mismatches"] = violation_mismatches
             print(
                 "  [warn] violation counts differ from pre-PR baseline: "
                 + ", ".join(violation_mismatches)

@@ -11,6 +11,13 @@ each gem5 defense implementation as the executor for its campaign.
 Return-value convention for the execute hooks: an ``int`` is the access
 latency in cycles; ``None`` means the access could not proceed this cycle
 (structural hazard or deliberate delay) and the core will retry it.
+
+A defense reaches the memory hierarchy only through
+:class:`~repro.uarch.memory_system.MemorySystem` (``self.memory``): the L1D
+and the data TLB directly (``memory.l1d``, ``memory.dtlb``), the L1I and L2
+only through its methods (``data_access``, ``l2_install``,
+``l2_invalidate``), because the memory system applies the post-EXIT
+fetch-ahead stream's L1I/L2 fills lazily and settles them there.
 """
 
 from __future__ import annotations

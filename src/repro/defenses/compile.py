@@ -301,9 +301,7 @@ def _build_cleanup_methods(spec: DefenseSpec) -> dict:
         for line in lines:
             if memory.l1d.invalidate(line):
                 cleaned += 1
-            if memory.ahead_pc is not None:
-                memory.settle_fetch_ahead_set(line, cycle)
-            memory.l2.invalidate(line)
+            memory.l2_invalidate(line, cycle)
         if self.core is not None and cleaned:
             self.core.stats.record_defense_event(event, cleaned)
             # Cleanup occupies the cache port; it delays forward progress,
@@ -389,9 +387,7 @@ def _build_hold_methods(spec: DefenseSpec) -> dict:
         memory = self.memory
         for line in lines:
             memory.l1d.install(line)
-            if memory.ahead_pc is not None:
-                memory.settle_fetch_ahead_set(line, cycle)
-            memory.l2.install(line)
+            memory.l2_install(line, cycle)
         if self.core is not None:
             self.core.stats.record_defense_event(install_event, len(lines))
 

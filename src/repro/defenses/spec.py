@@ -13,7 +13,9 @@ concrete ``Defense`` subclass.  Shared behaviour (TLB fills, the per-line
 access loop with MSHR retry tolerance, the commit-time store drain, expose
 queues, cleanup-on-squash, hold-until-safe buffers, taint gating) lives in
 the compiler; genuinely defense-specific quirks stay as small escape-hatch
-hooks carried by the spec.
+hooks carried by the spec.  Like any defense, the compiled one reaches the
+L1I and L2 only through :class:`~repro.uarch.memory_system.MemorySystem`'s
+methods (see :mod:`repro.defenses.base`).
 
 The vocabulary is deliberately small and mirrors the mechanisms the paper's
 four targets actually use:

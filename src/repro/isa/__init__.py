@@ -42,14 +42,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import BasicBlock, Program
 from repro.isa.decoded import DecodedInstruction, DecodedProgram, decode_program
-from repro.isa.semantics import (
-    ExecutionEffect,
-    alu_compute,
-    compute_effective_address,
-    condition_holds,
-    condition_predicate,
-    execute_on_state,
-)
+from repro.isa.semantics import condition_predicate
 
 __all__ = [
     "FLAG_NAMES",
@@ -80,10 +73,5 @@ __all__ = [
     "DecodedInstruction",
     "DecodedProgram",
     "decode_program",
-    "ExecutionEffect",
-    "alu_compute",
-    "compute_effective_address",
-    "condition_holds",
     "condition_predicate",
-    "execute_on_state",
 ]

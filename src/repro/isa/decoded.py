@@ -12,9 +12,11 @@ pc-indexed table that replaces the per-step dictionary lookup of
 
 The decode step only *caches* answers computed by :mod:`repro.isa.instructions`
 (one :func:`~repro.isa.instructions.classify` call per instruction) and
-:mod:`repro.isa.semantics`; it never re-derives semantics of its own, so
-``isa/semantics.py`` remains the single source of architectural truth and the
-two interpreters cannot diverge through this layer.
+:mod:`repro.isa.semantics` (the condition predicates); it never re-derives
+semantics of its own, so ``isa/semantics.py`` remains the single source of
+architectural truth and the two interpreters cannot diverge through this
+layer.  The generic reference the tests hold both to is
+``tests/reference_semantics.py``.
 
 Both interpreters execute a decoded instruction through its one fused
 ``step`` (:mod:`repro.model.steps`), built once per program by whichever

@@ -13,7 +13,8 @@ fused step (:mod:`repro.model.steps`), which computes values and flags with
 the per-opcode functions of :mod:`repro.isa.semantics` and sets the taint
 in the same call.  There is one execution path, shared by the
 architectural and the speculative loops; the test suite holds it to a
-reference built on generic ``evaluate``.
+reference built on the generic ``evaluate`` of
+``tests/reference_semantics.py``.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ The emulator's :class:`Machine` is its live architectural and taint state.
 The O3 core, which defers every effect to commit, runs the same steps on an
 :meth:`Machine.untainted` machine: a scratch dict of the instruction's
 renamed source values, the flags it reads, and a memory writer that only
-records the write.  Steps build no
-:class:`~repro.isa.semantics.ExecutionEffect` and do no generic taint walk;
-the test suite holds them to generic :func:`~repro.isa.semantics.evaluate`.
+records the write.  Steps build no effect record and do no generic taint
+walk; the test suite holds them to the generic ``evaluate`` of
+``tests/reference_semantics.py``.
 """
 
 from __future__ import annotations

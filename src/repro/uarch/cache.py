@@ -58,17 +58,9 @@ class SetAssociativeCache:
         self._empty_outside_dirty = True
         #: No line above this base was installed since the last flush (-1:
         #: none), so none is resident.  Kept by this class's entry points and
-        #: by MemorySystem's inlined L1I fills, for the fetch-ahead stream;
+        #: by MemorySystem's inlined L1I fills, which read it for the L1I;
         #: its inlined L1D/L2 fills leave it behind.
         self._top_line = -1
-        #: While a post-EXIT fetch-ahead stream awaits settling, a weak
-        #: reference to the :class:`~repro.uarch.memory_system.MemorySystem`
-        #: holding it (L1I and L2 only): every entry point below settles it
-        #: first, so no reader sees the caches without the stream's fills.
-        self._pending = None
-
-    def _settle(self) -> None:
-        self._pending().settle_fetch_ahead()
 
     # -- address helpers -----------------------------------------------------
     def line_base(self, address: int) -> int:
@@ -83,8 +75,6 @@ class SetAssociativeCache:
     # and the access path runs several times per simulated cycle.
     def lookup(self, address: int, update_replacement: bool = True) -> bool:
         """Return True on hit; optionally refresh the line's LRU position."""
-        if self._pending is not None:
-            self._settle()
         config = self.config
         line_size = config.line_size
         base = address - (address % line_size)
@@ -100,22 +90,16 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> bool:
         """Hit/miss check with no side effect on replacement state."""
-        if self._pending is not None:
-            self._settle()
         line_size = self.config.line_size
         return (address - (address % line_size)) in self._lines[
             (address // line_size) % self.config.sets
         ]
 
     def has_free_way(self, address: int) -> bool:
-        if self._pending is not None:
-            self._settle()
         return len(self._lines[self.set_index(address)]) < self.config.ways
 
     def victim(self, address: int) -> Optional[int]:
         """The line that would be evicted by installing ``address``."""
-        if self._pending is not None:
-            self._settle()
         entry_set = self._lines[self.set_index(address)]
         if len(entry_set) < self.config.ways:
             return None
@@ -123,8 +107,6 @@ class SetAssociativeCache:
 
     def install(self, address: int) -> Optional[int]:
         """Install the line containing ``address``; return any evicted line."""
-        if self._pending is not None:
-            self._settle()
         config = self.config
         line_size = config.line_size
         base = address - (address % line_size)
@@ -150,8 +132,6 @@ class SetAssociativeCache:
         Used to model InvisiSpec's UV1 bug, where a speculative load miss on
         a full set triggers a replacement even though nothing is installed.
         """
-        if self._pending is not None:
-            self._settle()
         index = self.set_index(address)
         entry_set = self._lines[index]
         if not entry_set:
@@ -163,8 +143,6 @@ class SetAssociativeCache:
 
     def invalidate(self, address: int) -> bool:
         """Remove the line containing ``address``; return True if it was present."""
-        if self._pending is not None:
-            self._settle()
         base = self.line_base(address)
         index = self.set_index(address)
         entry_set = self._lines[index]
@@ -178,8 +156,6 @@ class SetAssociativeCache:
     def flush(self) -> None:
         """Empty the cache: only the sets dirtied since the last flush, when
         nothing but those can hold lines, else every set."""
-        if self._pending is not None:
-            self._settle()
         lines = self._lines
         if self._empty_outside_dirty:
             for index in self._dirty:
@@ -201,8 +177,6 @@ class SetAssociativeCache:
         the cache was last synchronised with); otherwise ``_dirty_all`` must
         be set first to force the full copy.
         """
-        if self._pending is not None:
-            self._settle()
         if self._dirty_all:
             self._lines = [dict(entry_set) for entry_set in lines_snapshot]
             self._dirty_all = False
@@ -217,8 +191,6 @@ class SetAssociativeCache:
 
     def fill_set(self, set_index: int, addresses: List[int]) -> None:
         """Prime one set with the given line addresses (oldest first)."""
-        if self._pending is not None:
-            self._settle()
         entry_set = self._lines[set_index]
         self._dirty.add(set_index)
         for address in addresses:
@@ -230,24 +202,18 @@ class SetAssociativeCache:
 
     def snapshot(self) -> Tuple[int, ...]:
         """Sorted tuple of all resident line base addresses."""
-        if self._pending is not None:
-            self._settle()
         lines: List[int] = []
         for entry_set in self._lines:
             lines.extend(entry_set.keys())
         return tuple(sorted(lines))
 
     def occupancy(self) -> int:
-        if self._pending is not None:
-            self._settle()
         return sum(len(entry_set) for entry_set in self._lines)
 
     def contains(self, address: int) -> bool:
         return self.probe(address)
 
     def resident_lines_in_set(self, set_index: int) -> Tuple[int, ...]:
-        if self._pending is not None:
-            self._settle()
         return tuple(sorted(self._lines[set_index].keys()))
 
 

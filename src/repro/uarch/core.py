@@ -5,10 +5,8 @@ for speculative leakage:
 
 * fetch along the predicted path with an L1I footprint; past a fetched EXIT
   the front end keeps fetching ahead while EXIT is in flight, a stream the
-  core only records (start pc, first step cycle, end at EXIT commit) and
-  the memory system settles lazily, when the L1I or L2 is next read or
-  changed: a data access settles only the L2 set it reads, and a squash
-  that keeps EXIT only advances the stream;
+  core only reports to the memory system (its start, its squashes and its
+  end), which applies its L1I/L2 effects lazily;
 * dispatch with register renaming (producer tracking) into a reorder buffer;
 * out-of-order execution with a load/store queue: store-to-load forwarding,
   memory-dependence speculation (loads may bypass older stores with unknown
@@ -452,7 +450,6 @@ class O3Core:
     # per-run setup
     # ======================================================================
     def _reset_run_state(self, test_input: Input) -> None:
-        self.memory.settle_fetch_ahead()
         self.arch_state = ArchState(
             sandbox_base=self.sandbox.base,
             sandbox_size=self.sandbox.size,
@@ -462,7 +459,7 @@ class O3Core:
         self.arch_state.load_input(test_input.register_dict(), test_input.memory)
         self._registers = self.arch_state.registers.values
         self._init_pipeline()
-        self.memory.clear_access_log()
+        self.memory.start_run()
         self.defense.reset_for_run()
 
     def _init_pipeline(self) -> None:
@@ -732,15 +729,11 @@ class O3Core:
             self._fetch_stalled_until, cycle + self.config.branch_redirect_penalty
         )
         if self._exit_fetched:
-            # The stream's steps before this cycle stand.  A squashed EXIT
-            # ends it, and the front end resumes; else the redirect stalls it.
-            memory = self.memory
-            if exit_survives:
-                memory.advance_fetch_ahead(cycle)
-                memory.ahead_cycle = max(memory.ahead_cycle, self._fetch_stalled_until)
-            else:
-                memory.settle_fetch_ahead(cycle)
-                memory.drop_fetch_ahead()
+            # A squashed EXIT ends the fetch-ahead stream, and the front end
+            # resumes; else the redirect stalls the stream.
+            self.memory.squash_fetch_ahead(
+                cycle, self._fetch_stalled_until if exit_survives else None
+            )
         self._exit_fetched = exit_survives
 
     def stall_commit(self, until_cycle: int) -> None:
@@ -756,7 +749,9 @@ class O3Core:
         config = self.config
         at_pc = self.decoded.at_pc
         # Inlined L1I hit path (see MemorySystem.instruction_fetch): fetch
-        # runs for every dispatched instruction and nearly always hits.
+        # runs for every dispatched instruction and nearly always hits.  No
+        # fetch-ahead stream is pending while it runs (fetch stops at EXIT,
+        # and MemorySystem.start_run settles the last run's stream).
         memory = self.memory
         l1i = memory.l1i
         l1i_lines = l1i._lines

@@ -9,7 +9,6 @@ modifying them or the simulator core.
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Optional, Set, Tuple
 
 from repro.uarch.cache import AccessResult, MSHRFile, SetAssociativeCache
@@ -21,6 +20,9 @@ from repro.uarch.tlb import TLB
 #: snapshots are shared process-wide across MemorySystem instances (one per
 #: program executor) instead of being rebuilt by each.
 _PRIME_SNAPSHOTS: dict = {}
+
+#: A resident-prefix bound past every line: the prefix is the whole stream.
+_WHOLE_STREAM = 1 << 64
 
 
 class MemorySystem:
@@ -49,20 +51,18 @@ class MemorySystem:
         self.ahead_end: Optional[int] = None
         self.ahead_limit = 0
         self.ahead_step = 0
-        # What the walk has applied: the pc it reached and the lines it
-        # passed.  Per-set settling (fast streams only): the stream's first
-        # line, the lines started, whether the first needs no L2 install,
-        # the reserved L2 use counters as (first line, counter - line)
-        # blocks, and the lines installed ahead of the walk.
+        # What the walk has applied (the pc it reached), and the settling
+        # state: the stream's first line, the line its resident prefix
+        # reaches at least (the whole stream when the L2 cannot give it one
+        # line per set), the lines started, the reserved L2 use counters as
+        # (first line, counter - line) blocks, and the lines installed by
+        # their own set's settle.
         self._walk_pc = 0
-        self._walked = 0
-        self._ahead_fast = False
         self._ahead_first = 0
+        self._ahead_bound = -1
         self._ahead_lines = 0
-        self._ahead_skip = 0
         self._ahead_blocks: List[Tuple[int, int]] = []
         self._ahead_installed: Set[int] = set()
-        self._ref = weakref.ref(self)
 
     def _prime_key(self, address_base: int) -> tuple:
         l1d = self.config.l1d
@@ -100,9 +100,8 @@ class MemorySystem:
             return AccessResult(latency=config.l1_hit_latency, l1_hit=True, l2_hit=True)
 
         if self.ahead_pc is not None:
-            self.settle_fetch_ahead_set(line, cycle)
-        # Inlined L2 lookup: the settle above covered this set, so the
-        # cache's own check for an ended stream (a full settle) is skipped.
+            self._settle_fetch_ahead_set(line, cycle)
+        # Inlined L2 lookup; the settle above covered this set.
         l2 = self.l2
         l2_config = l2.config
         l2_base = line - (line % l2_config.line_size)
@@ -206,28 +205,25 @@ class MemorySystem:
     # of the test, one step of ``fetch_width`` instructions per cycle, so the
     # L1I lines it touches depend on how long EXIT takes to commit: that is
     # what makes timing differences (e.g. CleanupSpec's cleanup latency,
-    # KV2/unXpec) visible in the instruction cache.  The steps read nothing
-    # back, so the core records the stream as data, and its L1I/L2 effects
-    # are applied lazily, as of the point where something next reads or
-    # changes either cache.  A priming that flushes or overwrites both caches
-    # (reset_caches, reset_and_prime) drops an unsettled stream.
+    # KV2/unXpec) visible in the instruction cache.  The core reports only
+    # the stream's start, its squashes and its end; this class applies its
+    # L1I/L2 effects lazily, and no other module touches the L1I or L2.  A
+    # priming (reset_caches, reset_and_prime) drops an unsettled stream.
     #
-    # Settling has two halves.  Advancing (advance_fetch_ahead) moves the
-    # stream's accounting to a cycle.  The walk (_walk_fetch_ahead) applies
-    # the accounted steps one L1I line at a time, with each missing line's
-    # L2 install.  Data accesses, and the defense hooks that change the L2,
-    # read one L2 set each, so they settle only that set
-    # (settle_fetch_ahead_set) when the stream is *fast*: L1I and L2 lines
-    # are one size, a step stays within a line, the stream spans at most one
-    # line per L2 set, and no L1I line past its first is resident, so every
-    # line it starts past the first misses.  Advancing a fast stream then
-    # reserves the L2 use counters of the installs now due as one block and
-    # installs just the accessed set's line, if due, with its reserved
-    # counter; the walk later skips the lines installed so.  The readers
-    # that need the whole stream walk it: instruction_fetch, cache_state,
-    # snapshot_l1i, the caches' own entry points once EXIT has committed, a
-    # squash that kills EXIT and the next run's start under NONE priming.
-    # Any other stream is walked at every settle.
+    # One rule decides when a step is applied.  The stream's *resident
+    # prefix* runs from its first line up to the highest line filled into
+    # the L1I since its last flush; past it no line is resident, so every
+    # line misses and installs into the L2.  When the L2 cannot give the
+    # stream one line per set (L1I and L2 lines differ in size, a step is
+    # longer than a line, or the stream spans more lines than the L2 has
+    # sets), the prefix is the whole stream.  Advancing the stream to a
+    # cycle walks the prefix's steps at once, then reserves the L2 use
+    # counters of the lines it started past the prefix as one block, in
+    # stream order.  An L2 access settles only its own set: it installs that
+    # set's line past the prefix, if started, with its reserved counter.
+    # The readers that need the whole stream walk the rest: instruction
+    # fetch, cache_state, snapshot_l1i, a squash that kills EXIT and the
+    # next run's start.
     def start_fetch_ahead(self, pc: int, limit: int, step: int, cycle: int) -> None:
         """Record a stream fetching from ``pc`` (up to ``limit``, ``step``
         bytes a cycle) from ``cycle`` on, until :meth:`end_fetch_ahead`."""
@@ -236,32 +232,37 @@ class MemorySystem:
         self.ahead_step = step
         self.ahead_cycle = cycle
         self.ahead_end = None
-        self._walked = 0
-        l1i = self.l1i
-        l1i_config = l1i.config
-        line_size = l1i_config.line_size
+        line_size = self.l1i.config.line_size
         first = pc - (pc % line_size)
         l2_config = self.l2.config
-        self._ahead_fast = (
+        one_per_set = (
             l2_config.line_size == line_size
             and step <= line_size
             and limit - first <= l2_config.sets * line_size
-            and l1i._top_line <= first
         )
-        if self._ahead_fast:
-            self._ahead_first = first
-            self._ahead_lines = 0
-            self._ahead_skip = int(
-                first in l1i._lines[(first // line_size) % l1i_config.sets]
-            )
-            self._ahead_blocks = []
-            self._ahead_installed = set()
+        self._ahead_first = first
+        self._ahead_bound = -1 if one_per_set else _WHOLE_STREAM
+        self._ahead_lines = 0
+        self._ahead_blocks = []
+        self._ahead_installed = set()
+
+    def squash_fetch_ahead(self, cycle: int, resume: Optional[int]) -> None:
+        """A squash at ``cycle``: the stream's steps before it stand.  If
+        EXIT survives, the redirect holds the stream until ``resume``;
+        ``resume`` None means EXIT died, and the stream is settled and
+        dropped."""
+        if resume is None:
+            self.settle_fetch_ahead(cycle)
+            self._drop_fetch_ahead()
+            return
+        self._advance_fetch_ahead(cycle)
+        if resume > self.ahead_cycle:
+            self.ahead_cycle = resume
 
     def end_fetch_ahead(self, cycle: int) -> None:
         """The stream takes no step from ``cycle`` on (EXIT committed, or
-        the run ended); any cache entry point now settles it."""
+        the run ended); the next reader settles it."""
         self.ahead_end = cycle
-        self.l1i._pending = self.l2._pending = self._ref
 
     def settle_fetch_ahead(self, cycle: Optional[int] = None) -> None:
         """Take the stream's steps due before ``cycle``, walking them all.
@@ -277,36 +278,42 @@ class MemorySystem:
         if end is not None and (cycle is None or cycle > end):
             cycle = end
         if cycle is not None:
-            self.advance_fetch_ahead(cycle)
-        self._walk_fetch_ahead()
+            self._advance_fetch_ahead(cycle)
+        self._walk_fetch_ahead(self.ahead_pc)
         if cycle is not None and cycle == end:
-            self.drop_fetch_ahead()
+            self._drop_fetch_ahead()
 
-    def settle_fetch_ahead_set(self, address: int, cycle: int) -> None:
+    def _settle_fetch_ahead_set(self, address: int, cycle: int) -> None:
         """Settle the stream as far as the L2 set of ``address`` is concerned:
-        advance it to ``cycle`` and install that set's line, if due."""
-        self.advance_fetch_ahead(cycle)
-        if not self._ahead_fast:
-            return
-        l2 = self.l2
-        l2_config = l2.config
+        advance it to ``cycle`` and install that set's line past the
+        resident prefix, if started."""
+        self._advance_fetch_ahead(cycle)
+        l2_config = self.l2.config
         line_size = l2_config.line_size
         sets = l2_config.sets
         index = (address // line_size) % sets
-        # The stream's lines are consecutive, one per set from its first.
-        line = (index - self._ahead_first // line_size) % sets
+        first = self._ahead_first
+        # Past the prefix the stream has one line per set, consecutive from
+        # its first (else the prefix is the whole stream: nothing to do).
+        number = (index - first // line_size) % sets
         if (
-            line < self._ahead_lines
-            and line >= self._walked
-            and line >= self._ahead_skip
-            and line not in self._ahead_installed
+            number < self._ahead_lines
+            and first + number * line_size > self._prefix_top()
+            and number not in self._ahead_installed
         ):
-            self._ahead_installed.add(line)
-            self._install_stream_line(line, index)
+            self._ahead_installed.add(number)
+            self._install_stream_line(number, index)
 
-    def advance_fetch_ahead(self, cycle: int) -> None:
-        """Account for the stream's steps due before ``cycle`` (at most up
-        to its end), walking them at once unless the stream is fast."""
+    def _prefix_top(self) -> int:
+        """The resident prefix's last line (a bound: the stream may end first)."""
+        top = self.l1i._top_line
+        bound = self._ahead_bound
+        return bound if bound > top else top
+
+    def _advance_fetch_ahead(self, cycle: int) -> None:
+        """Take the stream's steps due before ``cycle`` (at most up to its
+        end): walk those in the resident prefix, then reserve the L2 use
+        counters of the lines started past it."""
         end = self.ahead_end
         if end is not None and cycle > end:
             cycle = end
@@ -325,29 +332,32 @@ class MemorySystem:
             steps = remaining
         pc += steps * step
         self.ahead_pc = pc
-        if not self._ahead_fast:
-            self._walk_fetch_ahead()
-            return
-        started = self._ahead_lines
-        # Lines started: up to the line of the last step taken.
-        lines = (pc - step - self._ahead_first) // self.l1i.config.line_size + 1
-        # One L2 install per line started, the first only if it is missing.
-        first_install = started if started > self._ahead_skip else self._ahead_skip
-        if lines > first_install:
+        line_size = self.l1i.config.line_size
+        top = self._prefix_top()
+        # The first address past the prefix's last line.
+        past = top - (top % line_size) + line_size
+        self._walk_fetch_ahead(pc if pc < past else past)
+        first = self._ahead_first
+        # Lines started: up to the line of the last step taken; the first
+        # to reserve: past the prefix and not reserved yet.
+        lines = (pc - step - first) // line_size + 1
+        reserve = (past - first) // line_size
+        if reserve < self._ahead_lines:
+            reserve = self._ahead_lines
+        if lines > reserve:
             l2 = self.l2
-            self._ahead_blocks.append((first_install, l2._use_counter - first_install))
-            l2._use_counter += lines - first_install
+            self._ahead_blocks.append((reserve, l2._use_counter - reserve))
+            l2._use_counter += lines - reserve
         self._ahead_lines = lines
 
-    def drop_fetch_ahead(self) -> None:
+    def _drop_fetch_ahead(self) -> None:
         """Forget the stream, settled or not."""
         self.ahead_pc = None
         self.ahead_end = None
-        self.l1i._pending = self.l2._pending = None
 
     def _install_stream_line(self, line: int, index: int) -> None:
-        """Install the fast stream's ``line``-th line into L2 set ``index``
-        with its reserved use counter."""
+        """Install the stream's ``line``-th line into L2 set ``index`` with
+        its reserved use counter."""
         for first, offset in reversed(self._ahead_blocks):
             if line >= first:
                 break
@@ -359,24 +369,25 @@ class MemorySystem:
             del entry_set[min(entry_set, key=entry_set.get)]
         entry_set[base] = offset + line + 1
 
-    def _walk_fetch_ahead(self) -> None:
-        """Apply the advanced steps the walk has not taken yet.
+    def _walk_fetch_ahead(self, target: int) -> None:
+        """Apply the advanced steps before ``target`` the walk has not taken.
 
         Served one L1I line at a time, leaving the L1I/L2 exactly as one
         :meth:`instruction_fetch` per step does: the ``k`` steps that land
         in one line are ``k`` hits on a resident line, else one fill (L1I,
         then L2) and ``k - 1`` hits, so the use counter rises by ``k`` and
         the line ends stamped with its final value.  The pc only grows, and
-        a line's own hits cannot evict it.  A fast stream's L2 installs take
-        their reserved counters, and skip the lines already installed.
+        a line's own hits cannot evict it.  A line past the resident prefix
+        takes its reserved L2 use counter, unless its set installed it.
         """
         pc = self._walk_pc
-        target = self.ahead_pc
         if pc >= target:
             return
         step = self.ahead_step
-        remaining = (target - pc) // step
-        fast = self._ahead_fast
+        remaining = (target - pc + step - 1) // step
+        top = self._prefix_top()
+        first = self._ahead_first
+        installed = self._ahead_installed
         l1i = self.l1i
         l1i_config = l1i.config
         line_size = l1i_config.line_size
@@ -401,9 +412,9 @@ class MemorySystem:
                 if len(entry_set) >= ways:
                     del entry_set[min(entry_set, key=entry_set.get)]
                 l2_index = (line // l2_line_size) % l2_config.sets
-                if fast:
-                    number = (line - self._ahead_first) // line_size
-                    if number not in self._ahead_installed:
+                if line > top:
+                    number = (line - first) // line_size
+                    if number not in installed:
                         self._install_stream_line(number, l2_index)
                 else:
                     l2_base = line - (line % l2_line_size)
@@ -421,8 +432,20 @@ class MemorySystem:
         if line > l1i._top_line:
             l1i._top_line = line
         self._walk_pc = pc
-        if fast:
-            self._walked = self._ahead_lines
+
+    # -- defense-driven L2 changes ---------------------------------------------------
+    def l2_install(self, line: int, cycle: int) -> None:
+        """Install ``line`` into the L2 at ``cycle`` (a defense's fill)."""
+        if self.ahead_pc is not None:
+            self._settle_fetch_ahead_set(line, cycle)
+        self.l2.install(line)
+
+    def l2_invalidate(self, line: int, cycle: int) -> bool:
+        """Remove ``line`` from the L2 at ``cycle`` (a defense's cleanup);
+        True if it was present."""
+        if self.ahead_pc is not None:
+            self._settle_fetch_ahead_set(line, cycle)
+        return self.l2.invalidate(line)
 
     # -- split accesses -----------------------------------------------------------
     def lines_of_access(self, address: int, size: int) -> List[int]:
@@ -433,7 +456,7 @@ class MemorySystem:
 
     # -- white-box state management -------------------------------------------------
     def reset_caches(self) -> None:
-        self.drop_fetch_ahead()
+        self._drop_fetch_ahead()
         self.l1d.flush()
         self.l1i.flush()
         self.l2.flush()
@@ -451,7 +474,10 @@ class MemorySystem:
         self.access_log.clear()
         self.mshr_stall_events = 0
 
-    def clear_access_log(self) -> None:
+    def start_run(self) -> None:
+        """Start a run on the caches the last one left: settle its stream
+        (the core's fetch reads L1I hits directly) and clear the access log."""
+        self.settle_fetch_ahead()
         self.access_log.clear()
 
     def reset_and_prime(self, address_base: int) -> int:
@@ -470,7 +496,7 @@ class MemorySystem:
         straight from its snapshot.  Back-to-back restores from the *same*
         snapshot only rebuild the sets the previous run dirtied.
         """
-        self.drop_fetch_ahead()
+        self._drop_fetch_ahead()
         self.reset_run_state()
         self.dtlb.flush()
         self.l1i.flush()

@@ -1,8 +1,8 @@
 """The effect-based contract emulator, kept as the reference for the fused steps.
 
 :class:`ReferenceEmulator` executes every instruction through generic
-:func:`repro.isa.semantics.evaluate`, applies the returned
-:class:`~repro.isa.semantics.ExecutionEffect` to an
+:func:`reference_semantics.evaluate`, applies the returned
+:class:`~reference_semantics.ExecutionEffect` to an
 :class:`~repro.isa.registers.ArchState`, derives the taint with a generic
 walk over the instruction's source, destination and flag sets
 (:meth:`ReferenceEmulator._propagate_taint`), and rolls speculative paths
@@ -23,7 +23,6 @@ from repro.isa.instructions import Instruction, Opcode, exit_instruction, jump
 from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.program import BasicBlock, Program
 from repro.isa.registers import ArchState
-from repro.isa.semantics import ExecutionEffect, compute_effective_address, evaluate
 from repro.model.contracts import Contract
 from repro.model.emulator import (
     DEFAULT_INSTRUCTION_LIMIT,
@@ -33,6 +32,8 @@ from repro.model.emulator import (
     SpeculationProfile,
 )
 from repro.model.taint import TaintState
+
+from reference_semantics import ExecutionEffect, compute_effective_address, evaluate
 
 
 class _UndoLog:

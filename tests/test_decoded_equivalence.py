@@ -29,6 +29,7 @@ from golden_utils import (
     collect_golden,
 )
 from reference_emulator import odd_shapes_program
+from reference_semantics import condition_holds
 from repro.core.scheduler import ExecutionScheduler, FilterLevel
 from repro.core.testcase import TestCase as RelationalTestCase
 from repro.executor.executor import ExecutionMode, SimulatorExecutor
@@ -39,7 +40,7 @@ from repro.generator.sandbox import Sandbox
 from repro.isa.decoded import DecodedProgram, decode_program
 from repro.isa.instructions import CONDITION_CODES, InstructionClass
 from repro.isa.program import INSTRUCTION_SIZE
-from repro.isa.semantics import condition_holds, condition_predicate
+from repro.isa.semantics import condition_predicate
 from repro.litmus import all_cases
 from repro.model.contracts import Contract, get_contract
 from repro.model.emulator import Emulator

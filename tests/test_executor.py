@@ -210,12 +210,18 @@ class TestPriming:
         executor = SimulatorExecutor("baseline", sandbox=sandbox, prime_strategy=strategy)
         executor.load_program(program)
         executor.run_input(inputs[0])
-        l1i = executor._core.memory.l1i
-        left_behind = (l1i.snapshot(), l1i._use_counter)
+        memory = executor._core.memory
+
+        def l1i():
+            # The L1I's lines and use counter, the last stream settled.
+            return memory.snapshot_l1i(), memory.cache_state()[0][1]
+
+        left_behind = l1i()
         executor.run_input(inputs[0])
+        after = l1i()
         # Every fetch bumps the L1I use counter, which only a flush resets.
-        assert (l1i._use_counter > left_behind[1]) is carried
-        assert set(left_behind[0]) <= set(l1i.snapshot())
+        assert (after[1] > left_behind[1]) is carried
+        assert set(left_behind[0]) <= set(after[0])
 
     def test_default_priming_follows_the_defense(self, sandbox):
         assert SimulatorExecutor("invisispec", sandbox=sandbox).prime_strategy is PrimeStrategy.FILL

@@ -11,14 +11,16 @@ counters, on the golden workload and on every litmus program in both
 execution modes, and on the violations a seeded fuzzing round finds.
 
 The post-EXIT fetch-ahead stream is recorded when EXIT is fetched and
-settled lazily, whenever the L1I or L2 is next read or changed, which may
-be many steps at once, and a data access or a defense hook settles only the
-L2 set it reads.  The eager-stream oracle runs the same core with a stream
-walked line by line at the end of every cycle, reserving no L2 use
-counters, and must agree with it on the same observables, and on the
-caches a priming leaves when it drops an unsettled stream.  The stream's
-line-at-a-time settling is also checked on its own against a per-step
-reference over random cache geometries.
+settled lazily, which may be many steps at once: advancing it walks the
+steps in its resident prefix (its lines up to the highest line filled into
+the L1I) and reserves L2 use counters for the lines past it, and a data
+access or a defense's L2 change settles only the L2 set it touches.  The
+eager-stream oracle runs the same core with the prefix forced to cover the
+whole stream, walked at the end of every cycle, and must agree with it on
+the same observables, and on the caches a priming leaves when it drops an
+unsettled stream.  The stream's settling is also checked on its own against
+a per-step reference over random cache geometries, with data accesses and
+L2 changes between settles.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.litmus.cases import make_input
 from repro.litmus.programs import spectre_v1
 from repro.uarch.config import CacheConfig, UarchConfig
 from repro.uarch.core import O3Core
-from repro.uarch.memory_system import MemorySystem
+from repro.uarch.memory_system import _WHOLE_STREAM, MemorySystem
 
 PLUGIN_DIR = Path(__file__).resolve().parent.parent / "examples" / "undospec_plugin"
 if str(PLUGIN_DIR) not in sys.path:
@@ -146,11 +148,11 @@ def eager_stream_class(cls):
 
     Settling at the start of each stepped cycle is the same: nothing runs
     in between, and no cycle the fast-forward skips reads a cache.  Every
-    stream is walked line by line at each settle, never settled one L2 set
-    at a time.  The added ``tick`` turns the core's tick stage on;
-    ``next_tick`` keeps the class's own wake-ups, and none for a class
-    without a ``tick``, so the core steps and skips the same cycles as with
-    ``cls``.
+    stream's resident prefix covers all of it, so it is walked line by line
+    at each settle and never settled one L2 set at a time.  The added
+    ``tick`` turns the core's tick stage on; ``next_tick`` keeps the
+    class's own wake-ups, and none for a class without a ``tick``, so the
+    core steps and skips the same cycles as with ``cls``.
     """
     ticks = cls.tick is not Defense.tick
 
@@ -162,7 +164,7 @@ def eager_stream_class(cls):
 
             def start_walked(*args):
                 start(*args)
-                memory._ahead_fast = False
+                memory._ahead_bound = _WHOLE_STREAM
 
             memory.start_fetch_ahead = start_walked
 
@@ -191,9 +193,9 @@ def _assert_eager_identical(cls, patched, runs, **executor_options):
         )
 
 
-#: Generated programs on which both per-set settling hooks install stream
-#: lines, EXIT is squashed after per-set settles, and streams meet their
-#: own lines already resident in the L1I.
+#: Generated programs on which data accesses and both defense hooks install
+#: stream lines one L2 set at a time, EXIT is squashed after such installs,
+#: and streams start with a resident prefix longer than one line.
 STREAM_SEED = 4
 STREAM_PROGRAMS = 16
 STREAM_INPUTS = 3
@@ -337,17 +339,17 @@ class TestEagerStreamOracle:
     def test_the_generated_programs_take_every_settle(self, name, hook, stream_workload, monkeypatch):
         """On ``stream_workload`` the lazy core settles single L2 sets from
         data accesses and from the defense's hook, installing stream lines
-        ahead of the walk; squashes EXIT after such installs; and falls back
-        to walking every settle for streams whose lines are L1I-resident."""
+        ahead of the walk; squashes EXIT after such installs; and starts
+        streams whose resident prefix is longer than one line."""
         sandbox, runs = stream_workload
         cls = defense_class(name)
-        seen = {"data_access": 0, hook: 0, "exit_squash": 0, "resident_fallback": 0}
+        seen = {"data_access": 0, hook: 0, "exit_squash": 0, "long_prefix": 0}
         caller = ["data_access"]
 
         def installs(memory):
-            return len(memory._ahead_installed) if memory._ahead_fast else 0
+            return len(memory._ahead_installed) if memory.ahead_pc is not None else 0
 
-        settle_set = MemorySystem.settle_fetch_ahead_set
+        settle_set = MemorySystem._settle_fetch_ahead_set
 
         def recording_settle_set(memory, address, cycle):
             before = installs(memory)
@@ -374,12 +376,15 @@ class TestEagerStreamOracle:
 
         def recording_start(memory, pc, limit, step, cycle):
             start(memory, pc, limit, step, cycle)
-            first = pc - pc % memory.l1i.config.line_size
-            seen["resident_fallback"] += (
-                not memory._ahead_fast and memory.l1i._top_line > first
+            # Settled one L2 set at a time, with a prefix that reaches past
+            # the stream's first line but not past its end.
+            line_size = memory.l1i.config.line_size
+            seen["long_prefix"] += (
+                memory._prefix_top() < limit
+                and memory._prefix_top() - (pc - pc % line_size) >= line_size
             )
 
-        monkeypatch.setattr(MemorySystem, "settle_fetch_ahead_set", recording_settle_set)
+        monkeypatch.setattr(MemorySystem, "_settle_fetch_ahead_set", recording_settle_set)
         monkeypatch.setattr(cls, hook, recording_hook)
         monkeypatch.setattr(O3Core, "_squash_from", recording_squash)
         monkeypatch.setattr(MemorySystem, "start_fetch_ahead", recording_start)
@@ -465,40 +470,106 @@ def _step_reference(memory, pc, step, limit, steps):
     return pc
 
 
+#: What may happen between two points of a stream's life: a full settle, a
+#: data access, or a defense's L2 install or invalidation.
+_STREAM_EVENTS = ("settle", "data", "l2_install", "l2_invalidate")
+
+
 @st.composite
 def _stream_cases(draw):
     line_size = draw(st.sampled_from([16, 32, 64]))
-    config = UarchConfig(
+    # Half the cases give the stream one L2 line per set, so the L2 is
+    # settled one set at a time; the rest draw any geometry.
+    per_set = draw(st.booleans())
+    if per_set:
+        fetch_width = draw(st.integers(1, line_size // INSTRUCTION_SIZE))
+        l2 = CacheConfig(
+            sets=draw(st.sampled_from([16, 64])),
+            ways=draw(st.integers(1, 3)),
+            line_size=line_size,
+        )
+    else:
         # Steps of 4 to 80 bytes: some are larger than the line.
-        fetch_width=draw(st.integers(1, 20)),
+        fetch_width = draw(st.integers(1, 20))
+        l2 = CacheConfig(
+            sets=draw(st.sampled_from([1, 2, 8])),
+            ways=draw(st.integers(1, 3)),
+            line_size=line_size * draw(st.sampled_from([1, 2])),
+        )
+    config = UarchConfig(
+        fetch_width=fetch_width,
         l1i=CacheConfig(
             sets=draw(st.sampled_from([1, 2, 4])),
             ways=draw(st.integers(1, 3)),
             line_size=line_size,
         ),
-        l2=CacheConfig(
-            sets=draw(st.sampled_from([1, 2, 8])),
-            ways=draw(st.integers(1, 3)),
-            line_size=line_size * draw(st.sampled_from([1, 2])),
-        ),
+        l2=l2,
     )
-    step = config.fetch_width * INSTRUCTION_SIZE
+    step = fetch_width * INSTRUCTION_SIZE
     base = 0x4000
     # A start pc anywhere in a line, 4-byte aligned.
     start = base + 4 * draw(st.integers(0, line_size // 4 - 1))
-    skips = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5))
-    # The limit may fall before, inside or after the steps of any skip.
-    limit = start + draw(st.integers(0, sum(skips) * step + step))
-    span = sum(skips) * step + 2 * line_size
-    # Lines around the stream's path, installed in this order before it runs.
-    prefill = draw(
+    # Cycles between events, and the event at the end of each gap.
+    events = draw(
         st.lists(
-            st.integers(base - 4 * line_size, base + span), max_size=24
+            st.tuples(st.integers(0, 40), st.sampled_from(_STREAM_EVENTS)),
+            min_size=1,
+            max_size=8,
         )
     )
+    gaps = sum(gap for gap, _ in events)
+    # The limit may fall before, inside or after the steps of any gap.
+    limit = start + draw(st.integers(0, gaps * step + step))
+    if per_set:
+        limit = min(limit, base + l2.sets * line_size)
+    span = gaps * step + 2 * line_size
+    around = st.integers(base - 4 * line_size, base + span)
+    # Lines around the stream's path up to a drawn reach, installed in this
+    # order before it runs, then some removed from the L1I: the resident
+    # prefix may end anywhere, and may have holes.
+    reach = draw(st.integers(0, span))
+    prefill = draw(st.lists(st.integers(base - 4 * line_size, base + reach), max_size=24))
+    holes = draw(st.lists(around, max_size=4))
     # Steps still due when the stream ends, settled by a cache read.
     tail = draw(st.integers(0, 6))
-    return config, start, limit, skips, prefill, tail
+    # The address each data access or L2 change touches: near the lines
+    # the stream has started by then, or aliasing them in the L2.
+    addresses = []
+    due = 0
+    for gap, _ in events + [(tail, None), (0, None)]:
+        due += gap
+        addresses.append(
+            draw(
+                st.tuples(
+                    st.integers(start - 2 * line_size, start + due * step + line_size),
+                    st.integers(0, 2),
+                    st.tuples(*[st.booleans()] * 4),
+                )
+            )
+        )
+    return config, start, limit, events, prefill, holes, addresses, tail
+
+
+def _touch(memory, event, address, cycle):
+    """One data access or L2 change at ``cycle``, as the core makes it."""
+    address, alias, flags = address
+    config = memory.config
+    line = memory.l1d.line_base(address + alias * config.l2.sets * config.l2.line_size)
+    if event == "data":
+        install_l1, install_l2, update_replacement, require_mshr = flags
+        memory.data_access(
+            line,
+            cycle,
+            pc=0x400000,
+            install_l1=install_l1,
+            install_l2=install_l2,
+            update_replacement=update_replacement,
+            require_mshr_on_miss=require_mshr,
+        )
+    elif event == "l2_install":
+        memory.l2_install(line, cycle)
+    else:
+        memory.l2_invalidate(line, cycle)
 
 
 class TestFetchAheadStream:
@@ -507,32 +578,41 @@ class TestFetchAheadStream:
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_stream_cases())
     def test_matches_one_fetch_per_step(self, case):
-        config, start, limit, skips, prefill, tail = case
+        config, start, limit, events, prefill, holes, addresses, tail = case
         memory = MemorySystem(config)
         reference = MemorySystem(config)
         for each in (memory, reference):
             for address in prefill:
                 each.l1i.install(address)
                 each.l2.install(address)
+            for address in holes:
+                each.l1i.invalidate(address)
         step = config.fetch_width * INSTRUCTION_SIZE
         cycle = 7
         memory.start_fetch_ahead(start, limit, step, cycle)
 
         pc = start
-        for steps in skips:
-            cycle += steps
-            memory.settle_fetch_ahead(cycle)
-            pc = _step_reference(reference, pc, step, limit, steps)
-            assert memory.ahead_pc == pc
-            # A stream in flight: only the core knows the cycle, so a
-            # settle without one leaves it as it is.
-            assert memory.cache_state() == reference.cache_state()
+        for (gap, event), address in zip(events, addresses):
+            cycle += gap
+            # The reference takes the steps due before the event's cycle.
+            pc = _step_reference(reference, pc, step, limit, gap)
+            if event == "settle":
+                memory.settle_fetch_ahead(cycle)
+                assert memory.ahead_pc == pc
+                # A stream in flight: only the core knows the cycle, so a
+                # settle without one leaves it as it is.
+                assert memory.cache_state() == reference.cache_state()
+            else:
+                _touch(memory, event, address, cycle)
+                _touch(reference, event, address, cycle)
         memory.end_fetch_ahead(cycle + tail)
         _step_reference(reference, pc, step, limit, tail)
-        # Any entry point of either cache settles an ended stream.
-        memory.l2.probe(start)
-        assert memory.ahead_pc is None
+        # Past its end the stream takes no step: an access settles its set.
+        for each in (memory, reference):
+            _touch(each, "data", addresses[-2], cycle + tail + 5)
+            _touch(each, "l2_invalidate", addresses[-1], cycle + tail + 6)
         assert memory.cache_state() == reference.cache_state()
+        assert memory.ahead_pc is None
 
     def test_no_stream_before_exit_is_fetched(self):
         sandbox = Sandbox()

@@ -1,4 +1,4 @@
-"""Unit and property-based tests for the shared instruction semantics."""
+"""Unit and property-based tests for the reference instruction semantics."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.isa.instructions import Instruction, Opcode, cmov, cond_branch, load, store
 from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.registers import ArchState, MASK64
-from repro.isa.semantics import (
+
+from reference_semantics import (
     alu_compute,
     compute_effective_address,
     condition_holds,

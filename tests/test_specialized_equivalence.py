@@ -4,7 +4,7 @@ Both interpreters run the fused steps of :mod:`repro.model.steps`, built
 from :mod:`repro.isa.semantics`: the contract emulator on its live state,
 the O3 core on each in-flight instruction's renamed operands.  Each
 interpreter has a reference built on generic
-:func:`repro.isa.semantics.evaluate`:
+:func:`reference_semantics.evaluate`:
 
 * :class:`~reference_emulator.ReferenceEmulator`, the effect-based
   emulator loop (``evaluate``, apply, a generic taint walk and an undo
@@ -55,7 +55,6 @@ from repro.isa.instructions import (
 from repro.isa.operands import Immediate, MemoryOperand, Register
 from repro.isa.program import BasicBlock, Program
 from repro.isa.registers import FLAG_NAMES
-from repro.isa.semantics import evaluate, flag_dict
 from repro.litmus import all_cases
 from repro.model.contracts import CT_SEQ, list_contracts
 from repro.model.emulator import Emulator
@@ -63,6 +62,7 @@ from repro.model.steps import compile_step
 from repro.uarch.core import O3Core
 
 from reference_emulator import ReferenceEmulator, odd_shapes_program
+from reference_semantics import evaluate, flag_dict
 
 SEED = 20250807
 EMULATOR_PROGRAMS = 6

@@ -119,7 +119,6 @@ class TestPerRunState:
         # The carried memory system's stream fields: none is left pending.
         for memory in (used.memory, fresh.memory):
             assert (memory.ahead_pc, memory.ahead_end) == (None, None)
-            assert memory.l1i._pending is memory.l2._pending is None
 
 
 class TestSpeculationMechanics:

@@ -360,7 +360,8 @@ class TestMemorySystem:
             max_size=5,
         )
     )
-    @settings(max_examples=60, deadline=None)
+    # Scaled with the Hypothesis profile (see tests/conftest.py).
+    @settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
     def test_flush_after_any_mutations_equals_a_fresh_cache(self, rounds):
         """A FLUSH reset clears only the sets dirtied since the last flush
         (all of them after a prime restore), and still leaves every cache
